@@ -43,9 +43,7 @@ class ConfigError(Exception):
 # configuration
 
 def _parse_value(text):
-    if "," in text:
-        return tuple(float(p) for p in text.split(","))
-    for cast in (int, float):
+    for cast in (int, float, lambda t: tuple(float(p) for p in t.split(","))):
         try:
             return cast(text)
         except ValueError:
@@ -89,11 +87,20 @@ def load_config(args):
     return cfg
 
 
+def _param(p, key, default, cast=float):
+    """Parameter key (or its default) through cast; ConfigError if malformed."""
+    value = p.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"malformed parameter {key}={value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # report records
 
 def _record(name, value, error=0.0, reference=None, tolerance=None,
-            passed=None, runtime=0.0, inputs=None):
+            passed=None, inputs=None):
     if hasattr(value, "error_estimate"):   # Correlator / QuadratureResult
         error = max(float(error), float(value.error_estimate))
         value = value.value
@@ -103,22 +110,16 @@ def _record(name, value, error=0.0, reference=None, tolerance=None,
             "reference": None if reference is None else complex(reference),
             "tolerance": None if tolerance is None else float(tolerance),
             "passed": None if passed is None else bool(passed),
-            "runtime": float(runtime), "inputs": inputs or {}}
+            "runtime": 0.0, "inputs": inputs or {}}
 
 
-def _check(name, value, reference, tolerance, relative=True, error=0.0,
-           inputs=None):
-    if hasattr(value, "error_estimate"):
-        error = max(float(error), float(value.error_estimate))
-        value = value.value
-    if hasattr(reference, "error_estimate"):
-        reference = reference.value
-    value = complex(value)
-    reference = complex(reference)
-    scale = abs(reference) if relative and reference != 0 else 1.0
-    passed = abs(value - reference) <= tolerance * scale
-    return _record(name, value, error=error, reference=reference,
-                   tolerance=tolerance, passed=passed, inputs=inputs)
+def _check(name, value, reference, tolerance, error=0.0, inputs=None):
+    rec = _record(name, value, error=error, reference=reference,
+                  tolerance=tolerance, inputs=inputs)
+    ref = rec["reference"]
+    scale = abs(ref) if ref != 0 else 1.0
+    rec["passed"] = bool(abs(rec["value"] - ref) <= tolerance * scale)
+    return rec
 
 
 def _bound(name, value, tolerance, error=0.0, inputs=None):
@@ -136,57 +137,55 @@ def _fmt17(x):
     return f"{float(x):.16e}"
 
 
+def _finite(x):
+    """x with every non-finite float replaced by None (strict JSON)."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_finite(v) for v in x)
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(records, cfg):
-    records = sorted(records, key=lambda r: r["name"])
-    ok = all(r["passed"] is not False for r in records)
+    """Text of the records and whether all passed.  A record holding a
+    non-finite number fails, and JSON writes that number as null."""
+    out = []
+    for r in sorted(records, key=lambda r: r["name"]):
+        item = {"name": r["name"],
+                "value": {"re": r["value"].real, "im": r["value"].imag},
+                "error_estimate": r["error_estimate"],
+                "tolerance": r["tolerance"], "status": None,
+                "inputs": r["inputs"]}
+        if r["reference"] is not None:
+            item["reference"] = {"re": r["reference"].real,
+                                 "im": r["reference"].imag}
+        if cfg["timings"]:
+            item["runtime_s"] = round(r["runtime"], 3)
+        passed = r["passed"] if _finite(item) == item else False
+        item["status"] = {True: "pass", False: "fail", None: "info"}[passed]
+        out.append(item)
+    ok = all(item["status"] != "fail" for item in out)
     if cfg["format"] == "csv":
         cols = ["name", "value_re", "value_im", "error_estimate",
                 "reference_re", "reference_im", "tolerance", "status"]
-        if cfg["timings"]:
-            cols.append("runtime_s")
-        lines = [",".join(cols)]
-        for r in records:
-            row = [r["name"], _fmt17(r["value"].real), _fmt17(r["value"].imag),
-                   _fmt17(r["error_estimate"])]
-            row += ([_fmt17(r["reference"].real), _fmt17(r["reference"].imag)]
-                    if r["reference"] is not None else ["", ""])
-            row.append("" if r["tolerance"] is None else _fmt17(r["tolerance"]))
-            row.append({True: "pass", False: "fail", None: "info"}[r["passed"]])
+        lines = [",".join(cols + ["runtime_s"] * cfg["timings"])]
+        for item in out:
+            ref = item.get("reference", {"re": "", "im": ""})
+            row = [item["name"]] + [
+                "" if x in ("", None) else _fmt17(x)
+                for x in (item["value"]["re"], item["value"]["im"],
+                          item["error_estimate"], ref["re"], ref["im"],
+                          item["tolerance"])]
+            row.append(item["status"])
             if cfg["timings"]:
-                row.append(f"{r['runtime']:.3f}")
+                row.append(f"{item['runtime_s']:.3f}")
             lines.append(",".join(row))
         text = "\n".join(lines)
     else:
-        out = []
-        for r in records:
-            item = {"name": r["name"],
-                    "value": {"re": r["value"].real, "im": r["value"].imag},
-                    "error_estimate": r["error_estimate"],
-                    "tolerance": r["tolerance"],
-                    "status": {True: "pass", False: "fail",
-                               None: "info"}[r["passed"]],
-                    "inputs": r["inputs"]}
-            if r["reference"] is not None:
-                item["reference"] = {"re": r["reference"].real,
-                                     "im": r["reference"].imag}
-            if cfg["timings"]:
-                item["runtime_s"] = round(r["runtime"], 3)
-            out.append(item)
         text = json.dumps({"status": "pass" if ok else "fail",
-                           "records": out}, indent=2)
+                           "records": _finite(out)}, indent=2,
+                          allow_nan=False)
     return text, ok
-
-
-def _timed(records):
-    """Decorator-style helper: run fn, attach wall time to its records."""
-    def wrap(fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        recs = fn(*args, **kwargs)
-        dt = time.perf_counter() - t0
-        for r in recs:
-            r["runtime"] = dt / max(len(recs), 1)
-        records.extend(recs)
-    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ def _suite_fock(cfg, rng):
         r = fock.algebra_closure_check(g1, g2, f, expr=expr)
         recs.append(_bound(f"fock.algebra_closure_{label}",
                            r["relative_discrepancy"], 1e-4,
-                           inputs={"fd_drift": r["fd_drift"]}))
+                           inputs={"grid_drift": r["grid_drift"]}))
     packet = corr.GaussianPacket(MinkVector((0.1, -0.3)), 1.1,
                                  MinkVector((2.2, 0.4)))
     law = fock.special_conformal_field_law(packet, 0, 1.5)
@@ -324,10 +323,8 @@ def _suite_holography(cfg, rng):
 
 def _suite_locality(cfg, rng):
     p = cfg["params"]
-    a = float(p.get("a", 0.3))
-    b = float(p.get("b", 1.0))
-    c = float(p.get("c", 1.4))
-    nu = float(p.get("nu", 0.5))
+    a, b, c, nu = (_param(p, k, v) for k, v in
+                   (("a", 0.3), ("b", 1.0), ("c", 1.4), ("nu", 0.5)))
     band = (b - c) ** 2
     if abs(a * a - band) < 0.05 * band:
         raise ConfigError(
@@ -471,9 +468,13 @@ def run_verify(suite, cfg):
     names = sorted(SUITES) if suite == "all" else [suite]
     rng = np.random.default_rng(cfg["seed"])
     records = []
-    add = _timed(records)
     for name in names:
-        add(SUITES[name], cfg, rng)
+        t0 = time.perf_counter()
+        recs = SUITES[name](cfg, rng)
+        dt = time.perf_counter() - t0
+        for r in recs:  # the suite's wall time, shared evenly
+            r["runtime"] = dt / len(recs)
+        records.extend(recs)
     return records
 
 
@@ -481,29 +482,29 @@ def run_verify(suite, cfg):
 # single quantities
 
 def _vector(p, tkey="t", xkey="x", default=(0.0, 2.0)):
-    return MinkVector((float(p.get(tkey, default[0])),
-                       float(p.get(xkey, default[1]))))
+    return MinkVector((_param(p, tkey, default[0]),
+                       _param(p, xkey, default[1])))
 
 
 def _q_gamma(p):
-    return _record("gamma", gamma(float(p.get("x", 5.0))),
+    return _record("gamma", gamma(_param(p, "x", 5.0)),
                    inputs={"x": p.get("x", 5.0)})
 
 
 def _q_besselj(p):
-    nu, u = float(p.get("nu", 0.5)), float(p.get("u", 1.0))
+    nu, u = _param(p, "nu", 0.5), _param(p, "u", 1.0)
     return _record("besselj", bessel_j(nu, u), inputs={"nu": nu, "u": u})
 
 
 def _q_besselk(p):
-    nu, u = float(p.get("nu", 0.5)), float(p.get("u", 1.0))
+    nu, u = _param(p, "nu", 0.5), _param(p, "u", 1.0)
     return _record("besselk", bessel_k(nu, u), inputs={"nu": nu, "u": u})
 
 
 def _q_wightman(p):
-    m = float(p.get("m", 1.0))
+    m = _param(p, "m", 1.0)
     x = _vector(p)
-    v = corr.wightman_kg(m, x, epsilon=float(p.get("epsilon", 1e-3)))
+    v = corr.wightman_kg(m, x, epsilon=_param(p, "epsilon", 1e-3))
     return _record("wightman", v, inputs={"m": m, "x": list(x.components)})
 
 
@@ -516,10 +517,11 @@ def _q_gff2pt(p):
             raise ConfigError(f"cannot read weight table {p['hfile']!r}: {exc}")
         inputs["hfile"] = str(p["hfile"])
     else:
-        h = corr.Power(float(p.get("nu", 0.5)))
+        h = corr.Power(_param(p, "nu", 0.5))
         inputs["nu"] = p.get("nu", 0.5)
     if "s" in p:
-        x = MinkVector((0.0, math.sqrt(float(p["s"]))))
+        x = MinkVector((0.0, _param(p, "s", None,
+                                    lambda s: math.sqrt(float(s)))))
     else:
         x = _vector(p)
     inputs["x"] = list(x.components)
@@ -529,8 +531,8 @@ def _q_gff2pt(p):
 
 
 def _q_ads2pt(p):
-    spec = adsb.AdSFieldSpec(Order(float(p.get("nu", 0.5))))
-    z, zp = float(p.get("z", 0.5)), float(p.get("zp", 0.8))
+    spec = adsb.AdSFieldSpec(Order(_param(p, "nu", 0.5)))
+    z, zp = _param(p, "z", 0.5), _param(p, "zp", 0.8)
     x = _vector(p)
     res = adsb.ads2pt(spec, z, zp, x)
     return _record("ads2pt", res.value, error=res.error_estimate,
@@ -539,9 +541,9 @@ def _q_ads2pt(p):
 
 
 def _q_bonus_locality(p):
-    nu = float(p.get("nu", 0.5))
-    d = int(p.get("d", 2))
-    a, b, c = (float(p.get(k, v)) for k, v in
+    nu = _param(p, "nu", 0.5)
+    d = _param(p, "d", 2, int)
+    a, b, c = (_param(p, k, v) for k, v in
                (("a", 0.3), ("b", 1.0), ("c", 1.4)))
     res = adsb.bonus_locality(0.5 * d - 1.0, nu, a, b, c)
     return _record("bonusLocality", res.value, error=res.error_estimate,
@@ -549,8 +551,8 @@ def _q_bonus_locality(p):
 
 
 def _q_ads_commutator(p):
-    spec = adsb.AdSFieldSpec(Order(float(p.get("nu", 0.5))))
-    z, zp = float(p.get("z", 0.5)), float(p.get("zp", 1.5))
+    spec = adsb.AdSFieldSpec(Order(_param(p, "nu", 0.5)))
+    z, zp = _param(p, "z", 0.5), _param(p, "zp", 1.5)
     x = _vector(p, default=(0.6, 0.0))
     res = adsb.ads_commutator(spec, z, zp, x)
     return _record("adsCommutator", res.value, error=res.error_estimate,
@@ -558,7 +560,7 @@ def _q_ads_commutator(p):
 
 
 def _q_chordal(p):
-    z, zp = float(p.get("z", 0.5)), float(p.get("zp", 0.8))
+    z, zp = _param(p, "z", 0.5), _param(p, "zp", 0.8)
     x = _vector(p)
     val = chordal_distance(AdSPoint(z, MinkVector((0.0, 0.0))),
                            AdSPoint(zp, x))
@@ -567,14 +569,14 @@ def _q_chordal(p):
 
 
 def _q_boundary_limit_const(p):
-    nu = float(p.get("nu", 0.5))
+    nu = _param(p, "nu", 0.5)
     return _record("boundaryLimitConst", adsb.boundary_limit_const(nu),
                    inputs={"nu": nu})
 
 
 def _q_boundary_limit_check(p):
-    nu = float(p.get("nu", 0.5))
-    z = float(p.get("z", 0.02))
+    nu = _param(p, "nu", 0.5)
+    z = _param(p, "z", 0.02)
     x = _vector(p, default=(0.0, 4.0))
     spec = adsb.AdSFieldSpec(Order(nu))
     r = adsb.boundary_limit_check(spec, (z,), x)
@@ -583,22 +585,23 @@ def _q_boundary_limit_check(p):
 
 
 def _q_z_integral_weight(p):
-    nu = float(p.get("nu", 0.5))
-    Z = float(p.get("Z", p.get("cutoff", 20.0)))
-    m1sq = float(p.get("m1sq", 1.0))
-    m2sq = float(p.get("m2sq", 1.2))
+    nu = _param(p, "nu", 0.5)
+    Z = _param(p, "Z", p.get("cutoff", 20.0))
+    m1sq = _param(p, "m1sq", 1.0)
+    m2sq = _param(p, "m2sq", 1.2)
     return _record("zIntegralWeight",
                    stress.z_integral_weight(nu, Z, m1sq, m2sq),
                    inputs={"nu": nu, "Z": Z, "m1sq": m1sq, "m2sq": m2sq})
 
 
 def _q_set_kernel(p):
-    k1 = MinkVector(tuple(p.get("k1", (1.3, 0.4))))
-    k2 = MinkVector(tuple(p.get("k2", (1.1, -0.2))))
-    signs = (int(p.get("eps1", 1)), int(p.get("eps2", -1)))
-    mu, nu = int(p.get("mu", 0)), int(p.get("nu_idx", 0))
+    vector = lambda v: MinkVector(tuple(v))
+    k1 = _param(p, "k1", (1.3, 0.4), vector)
+    k2 = _param(p, "k2", (1.1, -0.2), vector)
+    signs = (_param(p, "eps1", 1, int), _param(p, "eps2", -1, int))
+    mu, nu = _param(p, "mu", 0, int), _param(p, "nu_idx", 0, int)
     val = stress.set_kernel(k1, k2, signs, mu, nu,
-                            improvement=float(p.get("improvement", 0.0)))
+                            improvement=_param(p, "improvement", 0.0))
     return _record("setKernel", val,
                    inputs={"k1": list(k1.components),
                            "k2": list(k2.components),
@@ -607,12 +610,12 @@ def _q_set_kernel(p):
 
 def _q_set_matrix_element(p):
     h, f1, f2, f = _default_set_args()
-    h = corr.Power(float(p.get("hnu", 0.5)))
-    mu, nu = int(p.get("mu", 0)), int(p.get("nu_idx", 0))
+    h = corr.Power(_param(p, "hnu", 0.5))
+    mu, nu = _param(p, "mu", 0, int), _param(p, "nu_idx", 0, int)
     res = stress.set_matrix_element(
         f, h, f1, h, f2, mu, nu,
         ordering=str(p.get("ordering", "middle")),
-        n_nodes=int(p.get("n", 72)))
+        n_nodes=_param(p, "n", 72, int))
     return _record("setMatrixElement", res.value, error=res.error_estimate,
                    inputs={"mu": mu, "nu": nu,
                            "ordering": p.get("ordering", "middle"),
@@ -715,10 +718,7 @@ def main(argv=None):
             text, ok = _emit(records, cfg)
         else:
             text, ok = run_scan(args.quantity, args.axis, cfg), True
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GffadsError as exc:
+    except (ConfigError, GffadsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

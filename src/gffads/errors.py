@@ -30,7 +30,7 @@ class LightConeProximityError(GffadsError, ArithmeticError):
 
 
 class ResolutionError(GffadsError, ArithmeticError):
-    """Grid/stencil too coarse for the requested derivative accuracy."""
+    """Grid too coarse for the requested derivative accuracy."""
 
 
 class BudgetExceededError(GffadsError, ArithmeticError):

@@ -1,10 +1,12 @@
 """Mode-space Fock structure on the d = 2 forward cone.
 
 One-particle wavefunctions live on the lightcone quadrant k+- > 0 with
-measure d^2k = (1/2) dk+ dk-.  Wavefunctions are carried as callables
-(vectorized over lightcone coordinates) together with a quadrature grid;
-derivatives are taken by centred differences with Richardson step
-extrapolation, so that generator applications can be nested.
+measure d^2k = (1/2) dk+ dk-.  Wavefunctions are carried as samples on a
+log-uniform Gauss-Legendre tensor grid and differentiated spectrally:
+d/dk = k^-1 D_s along each axis, with D_s the barycentric differentiation
+matrix in s = log k (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6;
+Berrut & Trefethen, SIAM Rev. 46, 2004).  Each generator is a few n x n
+products, so generator applications nest.
 
 Generator conventions (wavefunction operators, lower Minkowski indices):
     P_mu   : multiplication by k_mu
@@ -17,7 +19,8 @@ with box_k = (d/dk^0)^2 - (d/dk^1)^2 = 4 d/dk+ d/dk- and
 symbolic-commutator oracle (see symbolic_generator / tests).
 """
 
-import itertools
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,61 +35,93 @@ __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
            "position_wavefunction"]
 
 
+@functools.lru_cache(maxsize=16)
+def _spectral(grid):
+    """Nodes k, weights dk and d/ds matrix (s = log k) of a grid, with its
+    Gauss-Legendre nodes t and their barycentric weights (Berrut & Trefethen)."""
+    t, w = np.polynomial.legendre.leggauss(grid.n)
+    bw = (-1.0) ** np.arange(grid.n) * np.sqrt((1.0 - t * t) * w)
+    a, b = math.log(grid.kmin), math.log(grid.kmax)
+    s_diff = 0.5 * (b - a) * (t[:, None] - t[None, :])
+    np.fill_diagonal(s_diff, np.inf)
+    ds = bw[None, :] / bw[:, None] / s_diff
+    np.fill_diagonal(ds, -ds.sum(axis=1))  # exact on constants
+    k = np.exp(0.5 * (b - a) * (t + 1.0) + a)
+    out = (k, 0.5 * (b - a) * w * k, ds, t, bw)  # dk = k ds
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class LightconeGrid:
-    """Log-uniform tensor grid on (kmin, kmax)^2 with Gauss-Legendre weights."""
+    """Log-uniform tensor grid on (kmin, kmax)^2 with Gauss-Legendre weights.
 
-    n: int = 72
+    Every mode used here is below e^-30 at k = 12; kmax = 12 and n = 112
+    resolve the K o K commutators to 2e-7 (n = 72 is too coarse).
+    """
+
+    n: int = 112
     kmin: float = 0.02
-    kmax: float = 30.0
+    kmax: float = 12.0
 
     def __post_init__(self):
         if not (0 < self.kmin < self.kmax) or self.n < 8:
             raise DomainError("invalid lightcone grid parameters")
 
     def axis(self):
-        t, w = np.polynomial.legendre.leggauss(self.n)
-        a, b = math.log(self.kmin), math.log(self.kmax)
-        s = 0.5 * (b - a) * (t + 1.0) + a
-        ws = 0.5 * (b - a) * w
-        k = np.exp(s)
-        return k, ws * k  # dk = k ds
+        return _spectral(self)[:2]
 
     def mesh(self):
         k, wk = self.axis()
         return k[:, None], k[None, :], wk[:, None] * wk[None, :]
 
 
-@dataclass(frozen=True)
 class ModeFunction:
-    """One-particle wavefunction: callable of (k+, k-) plus its grid."""
+    """One-particle wavefunction: its samples on a lightcone grid.
 
-    grid: LightconeGrid
-    func: object
+    ModeFunction(grid, func) samples a callable of (k+, k-), which stays
+    available as .func and can be evaluated anywhere.  A mode built from
+    samples alone (every generator output, sum and multiple) exists only on
+    its grid: calling it at other points raises DomainError.
+    """
+
+    def __init__(self, grid, func=None, samples=None):
+        if (func is None) == (samples is None):
+            raise DomainError("a mode needs exactly one of func and samples")
+        if samples is None:
+            kp, km, _ = grid.mesh()
+            samples = func(kp, km)
+        samples = np.array(np.broadcast_to(samples, (grid.n, grid.n)),
+                           dtype=complex)
+        samples.flags.writeable = False
+        self.grid, self.func, self.samples = grid, func, samples
 
     def __call__(self, kp, km):
-        return self.func(kp, km)
-
-    @property
-    def samples(self):
-        kp, km, _ = self.grid.mesh()
-        return np.asarray(self.func(kp, km), dtype=complex)
+        if self.func is not None:
+            return self.func(kp, km)
+        try:
+            on_grid = all(np.array_equal(*np.broadcast_arrays(mine, x))
+                          for mine, x in zip(self.grid.mesh(), (kp, km)))
+        except ValueError:  # shapes that do not broadcast
+            on_grid = False
+        if not on_grid:
+            raise DomainError("this mode is known only on its grid")
+        return self.samples
 
     def norm(self):
         return math.sqrt(abs(inner_product(self, self)))
 
     def __add__(self, other):
         _same_grid(self, other)
-        return ModeFunction(self.grid,
-                            lambda kp, km: self.func(kp, km) + other.func(kp, km))
+        return ModeFunction(self.grid, samples=self.samples + other.samples)
 
     def __sub__(self, other):
         _same_grid(self, other)
-        return ModeFunction(self.grid,
-                            lambda kp, km: self.func(kp, km) - other.func(kp, km))
+        return ModeFunction(self.grid, samples=self.samples - other.samples)
 
     def scale(self, c):
-        return ModeFunction(self.grid, lambda kp, km: c * self.func(kp, km))
+        return ModeFunction(self.grid, samples=c * self.samples)
 
 
 def _same_grid(f, g):
@@ -97,8 +132,8 @@ def _same_grid(f, g):
 def inner_product(f, g):
     """Grid approximation of int_{V+} conj(f) g d^2k."""
     _same_grid(f, g)
-    kp, km, w = f.grid.mesh()
-    return complex(0.5 * np.sum(w * np.conj(f(kp, km)) * g(kp, km)))
+    w = f.grid.mesh()[2]
+    return complex(0.5 * np.sum(w * np.conj(f.samples) * g.samples))
 
 
 def gaussian_mode(grid, center=(3.0, 3.0), width=1.0, phase=None):
@@ -128,27 +163,7 @@ def position_wavefunction(packet, weight=None, grid=None):
 
 
 # ---------------------------------------------------------------------------
-# derivatives and generators
-
-def _d_plus(func, rel_step=1e-2):
-    def deriv(kp, km):
-        h = rel_step * kp
-        d1 = (func(kp + h, km) - func(kp - h, km)) / (2.0 * h)
-        h2 = 0.5 * h
-        d2 = (func(kp + h2, km) - func(kp - h2, km)) / (2.0 * h2)
-        return (4.0 * d2 - d1) / 3.0
-    return deriv
-
-
-def _d_minus(func, rel_step=1e-2):
-    def deriv(kp, km):
-        h = rel_step * km
-        d1 = (func(kp, km + h) - func(kp, km - h)) / (2.0 * h)
-        h2 = 0.5 * h
-        d2 = (func(kp, km + h2) - func(kp, km - h2)) / (2.0 * h2)
-        return (4.0 * d2 - d1) / 3.0
-    return deriv
-
+# generators
 
 @dataclass(frozen=True)
 class GeneratorKind:
@@ -171,54 +186,36 @@ def _k_lower(mu, kp, km):
     return 0.5 * (kp + km) if mu == 0 else -0.5 * (kp - km)
 
 
-def _d_upper(mu, func, rel_step):
+def apply_generator(G, f, d=2):
+    """Apply a generator to a mode function, returning a new mode function.
+
+    Axis 0 of the samples is k+ and axis 1 is k-, so k+ d/dk+ is D_s from
+    the left and k- d/dk- is D_s^T from the right.
+    """
+    kp, km, _ = f.grid.mesh()
+    ds = _spectral(f.grid)[2]
+    F = f.samples
+    d_plus = lambda a: (ds @ a) / kp
+    d_minus = lambda a: (a @ ds.T) / km
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
-    dp, dm = _d_plus(func, rel_step), _d_minus(func, rel_step)
-    sign = 1.0 if mu == 0 else -1.0
-    return lambda kp, km: dp(kp, km) + sign * dm(kp, km)
-
-
-def _scaling(func, rel_step):
-    dp, dm = _d_plus(func, rel_step), _d_minus(func, rel_step)
-    return lambda kp, km: kp * dp(kp, km) + km * dm(kp, km)
-
-
-def apply_generator(G, f, rel_step=1e-2, d=2):
-    """Apply a generator to a mode function, returning a new mode function."""
-    func = f.func
+    d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
+    scaling = lambda a: ds @ a + a @ ds.T  # k . d/dk
     if G.kind == "P":
-        out = lambda kp, km: _k_lower(G.mu, kp, km) * func(kp, km)
+        out = _k_lower(G.mu, kp, km) * F
     elif G.kind == "M":
-        if G.mu == G.nu_idx:
-            out = lambda kp, km: np.zeros_like(np.asarray(func(kp, km)))
-        else:
-            mu, nu = G.mu, G.nu_idx
-            sgn = 1.0 if (mu, nu) == (0, 1) else -1.0
-            dmu = _d_upper(0, func, rel_step)
-            dnu = _d_upper(1, func, rel_step)
-            out = lambda kp, km: sgn * 1j * (
-                _k_lower(1, kp, km) * dmu(kp, km)
-                - _k_lower(0, kp, km) * dnu(kp, km))
+        sgn = G.nu_idx - G.mu  # +1 for M01, -1 for M10, 0 on the diagonal
+        out = sgn * 1j * (_k_lower(1, kp, km) * d_upper(0, F)
+                          - _k_lower(0, kp, km) * d_upper(1, F))
     elif G.kind == "D":
-        sc = _scaling(func, rel_step)
-        out = lambda kp, km: 1j * (sc(kp, km) + 0.5 * d * func(kp, km))
-    elif G.kind == "K":
+        out = 1j * (scaling(F) + 0.5 * d * F)
+    else:
         nu_par = G.delta - 0.5 * d
-        mu = G.mu
-        d_mu = _d_upper(mu, func, rel_step)
-        box = _d_minus(_d_plus(func, rel_step), 2.0 * rel_step)
-        sc_dmu = _scaling(d_mu, 2.0 * rel_step)
-        sc = _scaling(func, rel_step)
-        dmu_sc = _d_upper(mu, sc, 2.0 * rel_step)
-        dmu_f = d_mu
-
-        def out(kp, km):
-            klow = _k_lower(mu, kp, km)
-            k2 = kp * km
-            return (dmu_f(kp, km) + klow * 4.0 * box(kp, km)
-                    - sc_dmu(kp, km) - dmu_sc(kp, km) - d * dmu_f(kp, km)
-                    + nu_par ** 2 * klow / k2 * func(kp, km))
-    return ModeFunction(f.grid, out)
+        klow = _k_lower(G.mu, kp, km)
+        d_mu = d_upper(G.mu, F)
+        out = (d_mu + klow * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
+               - d_upper(G.mu, scaling(F)) - d * d_mu
+               + nu_par ** 2 * klow / (kp * km) * F)
+    return ModeFunction(f.grid, samples=out)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +255,29 @@ def symbolic_generator(G, expr, kp, km, d=2):
             + nu_par ** 2 * klow / (kp * km) * expr)
 
 
-def algebra_closure_check(G1, G2, f, expr=None, rel_step=1e-2, d=2):
+def _commutator(G1, G2, f, d):
+    """Samples of [G1, G2] f, and the norm of G2 G1 f."""
+    g21 = apply_generator(G2, apply_generator(G1, f, d), d)
+    g12 = apply_generator(G1, apply_generator(G2, f, d), d)
+    return g12.samples - g21.samples, g21.norm()
+
+
+def algebra_closure_check(G1, G2, f, expr=None, d=2):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
     expr must be the sympy expression (in symbols kp, km) matching f; the
     symbolic commutator is evaluated exactly and the grid result must agree
-    in relative L2 norm.
+    in relative L2 norm.  The same commutator on the grid of half the order
+    is the second opinion: grid_drift is its distance from the full-grid
+    result, and ResolutionError is raised when both that drift and the
+    discrepancy exceed 0.1.
     """
     import sympy as sym
-    if expr is None:
-        raise DomainError("algebra_closure_check needs the symbolic form of f")
-    g12 = apply_generator(G1, apply_generator(G2, f, rel_step, d), rel_step, d)
-    g21 = apply_generator(G2, apply_generator(G1, f, rel_step, d), rel_step, d)
-    comm = g12 - g21
+    if expr is None or f.func is None:
+        raise DomainError("algebra_closure_check needs f as a callable and "
+                          "its symbolic form")
+    comm, scale_ops = _commutator(G1, G2, f, d)
+    scale_ops = max(scale_ops, 1e-300)
 
     names = {s.name: s for s in expr.free_symbols}
     if set(names) != {"kp", "km"}:
@@ -283,36 +290,36 @@ def algebra_closure_check(G1, G2, f, expr=None, rel_step=1e-2, d=2):
     oracle = sym.lambdify((kp, km), sym.expand(e12 - e21), "numpy")
 
     kpg, kmg, w = f.grid.mesh()
-    got = np.asarray(comm(kpg, kmg), dtype=complex)
-    want = np.asarray(oracle(kpg, kmg), dtype=complex) * np.ones_like(got)
-    scale_ops = max(apply_generator(G2, apply_generator(G1, f, rel_step, d),
-                                    rel_step, d).norm(), 1e-300)
-    num = math.sqrt(abs(0.5 * np.sum(w * np.abs(got - want) ** 2)))
-    den = math.sqrt(abs(0.5 * np.sum(w * np.abs(want) ** 2)))
+    want = np.broadcast_to(np.asarray(oracle(kpg, kmg), dtype=complex),
+                           comm.shape)
+    l2 = lambda a: math.sqrt(0.5 * np.sum(w * np.abs(a) ** 2))
+    num, den = l2(comm - want), l2(want)
     rel = num / den if den > 1e-12 * scale_ops else num / scale_ops
-    # stencil sanity: a refined step must not change the answer materially
-    got2 = np.asarray(apply_generator(
-        G1, apply_generator(G2, f, rel_step / 2, d), rel_step / 2, d)(kpg, kmg)
-        - np.asarray(apply_generator(
-            G2, apply_generator(G1, f, rel_step / 2, d), rel_step / 2, d)(kpg, kmg)),
-        dtype=complex)
-    drift = math.sqrt(abs(0.5 * np.sum(w * np.abs(got - got2) ** 2))) \
-        / max(den, scale_ops)
+    # grid sanity: half the order must not change the answer materially
+    # (rounded down to even: every odd order has a node at t = 0, and a
+    # node shared with f's grid would divide by zero in the interpolation)
+    half = dataclasses.replace(f.grid, n=max(2 * (f.grid.n // 4), 8))
+    coarse = _commutator(G1, G2, ModeFunction(half, f.func), d)[0]
+    t, bw = _spectral(half)[3:]  # barycentric interpolation onto f's nodes
+    lift = bw / (_spectral(f.grid)[3][:, None] - t)
+    lift /= lift.sum(axis=1, keepdims=True)
+    drift = l2(comm - lift @ coarse @ lift.T) / max(den, scale_ops)
     if drift > 0.1 and num / max(den, scale_ops) > 0.1:
-        raise ResolutionError("finite-difference commutator has not converged")
+        raise ResolutionError(
+            f"commutator not converged on the {f.grid.n}-point grid "
+            f"(drift {drift:.2g} from the {half.n}-point grid)")
     return {"relative_discrepancy": rel, "numerator": num, "denominator": den,
-            "fd_drift": drift, "vanishes": den <= 1e-12 * scale_ops}
+            "grid_drift": drift, "vanishes": den <= 1e-12 * scale_ops}
 
 
 # ---------------------------------------------------------------------------
 # special conformal transformation law at the field level
 
-def special_conformal_field_law(f_position, mu, delta, d=2, grid=None,
-                                rel_step=5e-3):
+def special_conformal_field_law(f_position, mu, delta, d=2, grid=None):
     """One-particle check of the position-space special conformal law.
 
-    Left side: the momentum generator K(mu, delta) applied (by finite
-    differences) to the wavefunction (k^2)^(nu/2) fhat(k) of the
+    Left side: the momentum generator K(mu, delta) applied (spectrally on
+    the grid) to the wavefunction (k^2)^(nu/2) fhat(k) of the
     dimension-delta field smeared with f.  Right side: the wavefunction of
     the field smeared with the position-space transform of f,
         g = -i (-2 x_mu (x . grad f) + x^2 grad_mu f + (2 delta - 2 d) x_mu f),
@@ -329,8 +336,7 @@ def special_conformal_field_law(f_position, mu, delta, d=2, grid=None,
         return np.asarray(m2) ** (nu_par / 2.0)
 
     psi = position_wavefunction(f_position, h_pow, grid)
-    left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi,
-                           rel_step, d)
+    left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi, d)
 
     # exact Fourier transform of the transformed test function
     k0s, k1s = sym.symbols("k0 k1", real=True)
@@ -402,19 +408,11 @@ def npoint(weights, packets, d=2, n_nodes=120):
     n = len(weights)
     if n % 2 == 1:
         return 0.0 + 0.0j
-    cache = {}
 
+    @functools.lru_cache(maxsize=None)
     def pair_value(i, j):
-        if (i, j) not in cache:
-            cache[(i, j)] = smeared2pt(weights[i], packets[i],
-                                       weights[j], packets[j],
-                                       d=d, n_nodes=n_nodes).value
-        return cache[(i, j)]
+        return smeared2pt(weights[i], packets[i], weights[j], packets[j],
+                          d=d, n_nodes=n_nodes).value
 
-    total = 0.0 + 0.0j
-    for matching in _pairings(tuple(range(n))):
-        prod = 1.0 + 0.0j
-        for i, j in matching:
-            prod *= pair_value(i, j)
-        total += prod
-    return total
+    return sum((math.prod(pair_value(i, j) for i, j in matching)
+                for matching in _pairings(tuple(range(n)))), 0j)

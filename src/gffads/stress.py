@@ -220,7 +220,7 @@ def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
             "error_estimate": err}
 
 
-def generator_matrix_element(h1, f1, h2, f2, G, grid=None, rel_step=1e-2):
+def generator_matrix_element(h1, f1, h2, f2, G, grid=None):
     """One-particle element <Omega phi_{h1}(f1) G phi_{h2}(f2) Omega>, d = 2.
 
     Equals (2 pi)^-1 * (1/2) int dk+ dk-  fhat1(-k) h1 (G psi2)(k) with
@@ -229,11 +229,11 @@ def generator_matrix_element(h1, f1, h2, f2, G, grid=None, rel_step=1e-2):
     grid = grid or LightconeGrid(n=96, kmin=0.01, kmax=40.0)
     psi2 = ModeFunction(grid, lambda kp, km:
                         np.asarray(h2(kp * km)) * f2.fourier_lc(kp, km))
-    gpsi = apply_generator(G, psi2, rel_step=rel_step)
+    gpsi = apply_generator(G, psi2)
     kp, km, w = grid.mesh()
     k0, k1 = 0.5 * (kp + km), 0.5 * (kp - km)
     bra = f1.fourier(-k0, -k1) * np.asarray(h1(kp * km))
-    return complex(norm_const(2) * 0.5 * np.sum(w * bra * gpsi(kp, km)))
+    return complex(norm_const(2) * 0.5 * np.sum(w * bra * gpsi.samples))
 
 
 def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence,

@@ -27,6 +27,27 @@ class TestCompute:
     def test_bad_param(self, capsys):
         assert cli.main(["compute", "gamma", "--param", "x"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "setkernel", "--param", "k1=1.3"],
+        ["compute", "setkernel", "--param", "k1=1.3,abc"],
+        ["verify", "locality", "--param", "a=abc"],
+    ])
+    def test_malformed_param_value(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_value_fails_as_strict_json(self, capsys):
+        rc, out = run(capsys, ["compute", "besselj", "--param", "nu=nan"])
+        assert rc == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["status"] == "fail"
+        rec = doc["records"][0]
+        assert rec["status"] == "fail"
+        assert rec["value"]["re"] is None and rec["inputs"]["nu"] is None
+
     def test_weight_table_file(self, capsys, tmp_path):
         grid = np.linspace(0.0, 130.0, 40000)
         path = tmp_path / "weights.txt"

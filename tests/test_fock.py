@@ -5,7 +5,7 @@ import pytest
 import sympy as sym
 
 from gffads.correlators import GaussianPacket, Power, smeared2pt
-from gffads.errors import DomainError
+from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
                          algebra_closure_check, apply_generator, gaussian_mode,
                          inner_product, npoint, position_wavefunction,
@@ -17,10 +17,9 @@ from conftest import rel_err
 KP, KM = sym.symbols("kp km", positive=True)
 
 
-def sym_gaussian(center=(3.0, 3.0), width=1.0, phase=None):
+def sym_gaussian(center=(3.0, 3.0), width=1.0, phase=None, grid=None):
     """gaussian_mode and its matching sympy expression."""
-    grid = LightconeGrid()
-    f = gaussian_mode(grid, center, width, phase)
+    f = gaussian_mode(grid or LightconeGrid(), center, width, phase)
     expr = sym.exp(-((KP - center[0]) ** 2 + (KM - center[1]) ** 2)
                    / (2 * width ** 2))
     if phase is not None:
@@ -121,6 +120,23 @@ class TestGenerators:
         rhs = inner_product(apply_generator(G, f), g)
         assert abs(lhs - rhs) < 1e-5 * max(abs(lhs), abs(rhs))
 
+    def test_output_exists_only_on_its_grid(self):
+        grid = LightconeGrid()
+        f = gaussian_mode(grid, (3.0, 2.6), 0.9)
+        out = apply_generator(GeneratorKind("D"), f)
+        kp, km, _ = grid.mesh()
+        full = np.meshgrid(grid.axis()[0], grid.axis()[0], indexing="ij")
+        assert np.array_equal(out(*full), out(kp, km))
+        with pytest.raises(DomainError):
+            out(3.0, 2.6)
+        with pytest.raises(DomainError):
+            out(km, kp)
+        other = LightconeGrid(n=80).mesh()
+        with pytest.raises(DomainError):
+            out(other[0], other[1])
+        # a mode built from a callable still evaluates anywhere
+        assert f(3.0, 2.6) == pytest.approx(1.0)
+
     def test_kind_validation(self):
         with pytest.raises(DomainError):
             GeneratorKind("Q")
@@ -146,6 +162,15 @@ class TestAlgebraClosure:
         rep = algebra_closure_check(GeneratorKind("P", mu=0),
                                     GeneratorKind("P", mu=1), f, expr)
         assert rep["vanishes"]
+
+    def test_coarse_grid_raises_resolution_error(self):
+        # n = 48 cannot resolve K of this mode: the commutator is off by
+        # more than 0.1 and moves by more than that from the n = 24 grid
+        f, expr = sym_gaussian((3.0, 2.0), 0.9, phase=(0.3, -0.2),
+                               grid=LightconeGrid(n=48))
+        with pytest.raises(ResolutionError):
+            algebra_closure_check(GeneratorKind("D"),
+                                  GeneratorKind("K", mu=1, delta=1.5), f, expr)
 
     def test_expr_required(self):
         f, _ = sym_gaussian()
