@@ -7,8 +7,20 @@ Three subcommands:
     gffads scan <name> --axis param:start:stop:steps [--param k=v ...]
 
 Suites bundle the fast invariant checks of each module; compute evaluates one
-public quantity; scan tabulates it along one numeric parameter (CSV output).
-Exit codes: 0 all checks pass, 1 a tolerance failed, 2 bad usage or config.
+public quantity; scan tabulates it along one numeric parameter (CSV output
+only; an explicit --format json is a configuration error).
+
+Exit codes:
+
+    0  every check passed and every number is finite
+    1  a check failed its tolerance, or a record or scan row holds a
+       non-finite number
+    2  bad usage or configuration: unknown names, malformed parameters,
+       guard-band rejections, arguments outside a function's domain
+       (ConfigError and the ValueError family of GffadsError)
+    3  a numerical method gave up: quadrature budget exhausted, divergent
+       extrapolation, grid too coarse, too close to a light cone, overflow
+       (the ArithmeticError family of GffadsError)
 
 Output is deterministic for a fixed config and seed.  Wall-clock timings are
 recorded but only emitted with --timings so that default output is
@@ -52,7 +64,9 @@ def _parse_value(text):
 
 
 def load_config(args):
-    cfg = {"seed": 0, "format": "json", "timings": False, "params": {}}
+    scan = getattr(args, "command", None) == "scan"
+    cfg = {"seed": 0, "format": "csv" if scan else "json", "timings": False,
+           "params": {}}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -84,6 +98,9 @@ def load_config(args):
         raise ConfigError("seed must be an integer")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg['format']!r}")
+    if scan and cfg["format"] != "csv":
+        raise ConfigError(f"scan writes CSV only, got format "
+                          f"{cfg['format']!r}")
     return cfg
 
 
@@ -651,6 +668,7 @@ def run_compute(name, cfg):
 
 
 def run_scan(name, axis, cfg):
+    """CSV text of the scan and whether every number in it is finite."""
     fn = _lookup_quantity(name)
     try:
         param, start, stop, steps = axis.split(":")
@@ -660,14 +678,15 @@ def run_scan(name, axis, cfg):
     if steps < 0:
         raise ConfigError("steps must be >= 0")
     lines = [",".join([param, "value_re", "value_im", "error_estimate"])]
+    ok = True
     for v in np.linspace(start, stop, steps):
         params = dict(cfg["params"])
         params[param] = float(v)
         rec = fn(params)
-        lines.append(",".join([_fmt17(v), _fmt17(rec["value"].real),
-                               _fmt17(rec["value"].imag),
-                               _fmt17(rec["error_estimate"])]))
-    return "\n".join(lines)
+        row = (v, rec["value"].real, rec["value"].imag, rec["error_estimate"])
+        ok = ok and all(math.isfinite(x) for x in row)
+        lines.append(",".join(_fmt17(x) for x in row))
+    return "\n".join(lines), ok
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +736,10 @@ def main(argv=None):
             records = run_compute(args.quantity, cfg)
             text, ok = _emit(records, cfg)
         else:
-            text, ok = run_scan(args.quantity, args.axis, cfg), True
+            text, ok = run_scan(args.quantity, args.axis, cfg)
     except (ConfigError, GffadsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ArithmeticError) else 2
     print(text)
     return 0 if ok else 1
 

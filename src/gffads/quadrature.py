@@ -5,6 +5,10 @@ semi-infinite oscillatory integrator based on exponential (Abel) damping with
 polynomial extrapolation of the damping parameter to zero, and Hankel
 transforms built on top of it.  All integrands must accept numpy arrays of
 abscissae.
+
+Each damped integral is a sequence of panel partial sums accelerated by
+Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
+a window of the newest 48 sums, so a panel costs O(48) table updates.
 """
 
 import heapq
@@ -126,6 +130,48 @@ def adaptive_finite(f, a, b, tol=1e-10, abs_floor=1e-14, max_panels=4000):
     return QuadratureResult(value, total_err, evals)
 
 
+# Wynn's table over at most this many of the newest partial sums
+_WYNN_WINDOW = 48
+
+
+class _EpsilonTable:
+    """Wynn's epsilon table over the newest partial sums, one anti-diagonal.
+
+    The entry eps_k^(n) depends only on s_n ... s_(n+k), so the table over
+    the last `window` sums is a sub-triangle of the full table, and every
+    entry its limit reads lies on the newest anti-diagonal.  push(s_N)
+    replaces that anti-diagonal by the next one,
+
+        eps_0 = s_N,  eps_(k+1) = eps_(k-1)^old + 1 / (eps_k - eps_k^old),
+
+    with eps_(-1) = 0, down to column min(N, window) - 2: O(window) work per
+    sum, and the same operations in the same order as a table rebuilt from
+    the last `window` sums.
+    """
+
+    def __init__(self, window):
+        self.window = window
+        self.count = 0
+        self.old = []
+        self.diagonal = []
+
+    def push(self, x):
+        old, new = self.diagonal, [complex(x)]
+        self.count += 1
+        for k in range(1, min(self.count, self.window) - 1):
+            d = new[k - 1] - old[k - 1]
+            e = old[k - 2] if k > 1 else 0.0
+            new.append(e if d == 0 else e + 1.0 / d)
+        self.old, self.diagonal = old, new
+
+    def limit(self):
+        """(limit, error) from the deepest even column; needs >= 3 sums."""
+        new = self.diagonal
+        k = (len(new) - 1) // 2 * 2
+        best, prev_best = new[k], new[k - 2] if k else self.old[0]
+        return best, abs(best - prev_best)
+
+
 def wynn_epsilon(partial_sums):
     """Wynn's epsilon acceleration of a sequence of partial sums.
 
@@ -135,24 +181,10 @@ def wynn_epsilon(partial_sums):
     n = len(s)
     if n < 3:
         return s[-1], abs(s[-1] - s[0])
-    prev = [0.0] * (n + 1)
-    cur = list(s)
-    best = s[-1]
-    prev_best = s[-2]
-    col = 0
-    while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if d == 0:
-                nxt.append(prev[i + 1])
-            else:
-                nxt.append(prev[i + 1] + 1.0 / d)
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
-            prev_best, best = best, cur[-1]
-    return best, abs(best - prev_best)
+    table = _EpsilonTable(n)
+    for x in s:
+        table.push(x)
+    return table.limit()
 
 
 def _damped_semi_infinite(f, eps, panel, max_panels=2000, atol=1e-13):
@@ -162,6 +194,7 @@ def _damped_semi_infinite(f, eps, panel, max_panels=2000, atol=1e-13):
         return np.asarray(f(u)) * np.exp(-eps * u)
 
     sums = []
+    table = _EpsilonTable(_WYNN_WINDOW)
     total = 0.0j
     evals = 0
     panel_err = 0.0
@@ -180,8 +213,9 @@ def _damped_semi_infinite(f, eps, panel, max_panels=2000, atol=1e-13):
         panel_err += e
         scale = max(scale, abs(v))
         sums.append(total)
+        table.push(total)
         if len(sums) >= 8:
-            best, best_err = wynn_epsilon(sums[-48:])
+            best, best_err = table.limit()
             tol = max(atol, 1e-14 * max(1.0, abs(best)))
             converged_streak = converged_streak + 1 if best_err <= tol else 0
             if converged_streak >= 3:

@@ -1,6 +1,9 @@
 """Real-order special functions: Gamma, Bessel J/K/I and the even Bessel series.
 
-The Bessel order is restricted to nu > -1 throughout.  Evaluation is
+The Bessel order is restricted to nu > -1 throughout: `Order` enforces it,
+while the raw functions bessel_j, bessel_k and bessel_i accept any finite
+order (the z-weights of `stress` need J_(nu-1)) and check only their
+argument, which must lie in the stated domain (NaN does not).  Evaluation is
 delegated to scipy.special (which meets the accuracy targets on the required
 ranges); the even entire function j_nu is evaluated by its own power series
 near the origin so that it is defined for arguments of either sign.
@@ -45,7 +48,7 @@ def bessel_j(order, u):
     """Bessel function of the first kind J_nu(u) for u >= 0."""
     nu = _nu(order)
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    if u.size and not u.min() >= 0:
         raise DomainError("bessel_j requires u >= 0")
     out = _sp.jv(nu, u)
     return float(out) if out.ndim == 0 else out
@@ -55,7 +58,7 @@ def bessel_k(order, u):
     """Modified Bessel function K_nu(u) for u > 0."""
     nu = _nu(order)
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
+    if u.size and not u.min() > 0:
         raise DomainError("bessel_k requires u > 0")
     out = _sp.kv(nu, u)
     return float(out) if out.ndim == 0 else out
@@ -65,7 +68,7 @@ def bessel_i(order, u):
     """Modified Bessel function I_nu(u) for u >= 0."""
     nu = _nu(order)
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    if u.size and not u.min() >= 0:
         raise DomainError("bessel_i requires u >= 0")
     out = _sp.iv(nu, u)
     return float(out) if out.ndim == 0 else out

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gffads import cli
+from gffads.errors import (BudgetExceededError, DivergenceError, DomainError,
+                           RangeError)
 from gffads.specfun import bessel_j
 
 
@@ -94,6 +96,26 @@ class TestScan:
     def test_bad_axis(self, capsys):
         assert cli.main(["scan", "gamma", "--axis", "x:1:2"]) == 2
 
+    def test_non_finite_row_fails(self, capsys):
+        rc, out = run(capsys, ["scan", "besselj", "--axis", "u:0:1:3",
+                               "--param", "nu=nan"])
+        assert rc == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 4
+        assert all(line.split(",")[1] == "nan" for line in lines[1:])
+
+    def test_json_format_is_config_error(self, capsys, tmp_path):
+        assert cli.main(["scan", "gamma", "--axis", "x:1:2:3",
+                         "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"format": "json"}))
+        assert cli.main(["scan", "gamma", "--axis", "x:1:2:3",
+                         "--config", str(cfgfile)]) == 2
+        rc, out = run(capsys, ["scan", "gamma", "--axis", "x:1:2:3",
+                               "--format", "csv"])
+        assert rc == 0 and len(out.strip().splitlines()) == 4
+
 
 class TestVerify:
     def test_specfun_suite_passes(self, capsys):
@@ -115,6 +137,24 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert cli.main(["verify", "nope"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (BudgetExceededError("budget"), 3),
+        (DivergenceError("diverges"), 3),
+        (RangeError("overflow"), 3),
+        (DomainError("domain"), 2),
+        (cli.ConfigError("config"), 2),
+    ])
+    def test_error_family_sets_exit_code(self, capsys, monkeypatch, error,
+                                         code):
+        def quantity(p):
+            raise error
+        monkeypatch.setitem(cli.QUANTITIES, "gamma", quantity)
+        assert cli.main(["compute", "gamma"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestOutputOptions:

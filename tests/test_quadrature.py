@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gffads.errors import BudgetExceededError, DomainError
 from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                adaptive_finite, hankel_transform, neville_zero,
                                oscillatory_semi_infinite, partial_sum_limit,
-                               wynn_epsilon)
+                               wynn_epsilon, _EpsilonTable, _WYNN_WINDOW)
 from gffads.specfun import bessel_j
 
 from conftest import rel_err
@@ -82,6 +83,76 @@ class TestAcceleration:
         ys = [3.0 + 2.0 * x - 5.0 * x ** 2 for x in xs]
         val, spread = neville_zero(xs, ys, 3)
         assert abs(val - 3.0) < 1e-12
+
+
+def _wynn_columnwise(partial_sums):
+    """Reference: Wynn's table rebuilt column by column from all the sums."""
+    s = [complex(x) for x in partial_sums]
+    n = len(s)
+    if n < 3:
+        return s[-1], abs(s[-1] - s[0])
+    prev = [0.0] * (n + 1)
+    cur = list(s)
+    best = s[-1]
+    prev_best = s[-2]
+    col = 0
+    while len(cur) >= 3:
+        nxt = []
+        for i in range(len(cur) - 1):
+            d = cur[i + 1] - cur[i]
+            if d == 0:
+                nxt.append(prev[i + 1])
+            else:
+                nxt.append(prev[i + 1] + 1.0 / d)
+        prev, cur = cur, nxt
+        col += 1
+        if col % 2 == 0 and cur:
+            prev_best, best = best, cur[-1]
+    return best, abs(best - prev_best)
+
+
+def _same(a, b):
+    # exact equality that also matches NaN with NaN and tells -0.0 from 0.0
+    return repr(a) == repr(b)
+
+
+# terms drawn so that partial sums repeat (zero terms) and table entries
+# collide (small exact values), mixed with arbitrary finite complex numbers
+_TERMS = st.one_of(
+    st.sampled_from([0.0, 0.0j, 1.0, -1.0, 0.5, 2.0, 1j, -0.5j, 1 + 1j]),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False))
+
+
+def _partial_sums(terms):
+    sums, total = [], 0.0j
+    for t in terms:
+        total += t
+        sums.append(total)
+    return sums
+
+
+class TestEpsilonTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TERMS, min_size=3, max_size=120),
+           st.one_of(st.just(_WYNN_WINDOW), st.integers(3, 120)))
+    def test_streamed_equals_columnwise(self, terms, window):
+        sums = _partial_sums(terms)
+        table = _EpsilonTable(window)
+        for n, s in enumerate(sums, 1):
+            table.push(s)
+            if n >= 3:
+                got = table.limit()
+                want = _wynn_columnwise(sums[max(0, n - window):n])
+                assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_TERMS, min_size=1, max_size=60))
+    def test_wynn_epsilon_equals_columnwise(self, terms):
+        sums = _partial_sums(terms)
+        for n in range(1, len(sums) + 1):
+            got, want = wynn_epsilon(sums[:n]), _wynn_columnwise(sums[:n])
+            assert _same(got[0], want[0]) and _same(got[1], want[1])
 
 
 class TestOscillatorySemiInfinite:

@@ -109,6 +109,19 @@ class TestBesselI:
         assert rel_err(bessel_i(nu, u), acc) < 1e-12
 
 
+@pytest.mark.parametrize("fn", [bessel_j, bessel_k, bessel_i])
+class TestArgumentCheck:
+    def test_nan_argument_rejected(self, fn):
+        with pytest.raises(DomainError):
+            fn(0.5, float("nan"))
+        with pytest.raises(DomainError):
+            fn(0.5, np.array([1.0, np.nan, 2.0]))
+
+    def test_empty_array(self, fn):
+        out = fn(0.5, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 class TestJEven:
     def test_value_at_zero(self):
         for nu in (0.0, 0.7, 2.5):
