@@ -8,7 +8,9 @@ abscissae.
 
 Each damped integral is a sequence of panel partial sums accelerated by
 Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
-a window of the newest 48 sums, so a panel costs O(48) table updates.
+a window of the newest 48 sums, so a panel costs O(48) table updates.  All
+damping parameters of one Abel integral share the same panels, and the
+integrand is evaluated once per panel for all of them.
 """
 
 import heapq
@@ -81,12 +83,17 @@ _WG = np.array([
     0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0])
 
 
+# one row-wise reduction gives both sums, each row summed as np.sum would
+_W2 = np.stack([_WK, _WG])
+
+
 def _gk15(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _XK))
-    ik = half * np.sum(_WK * fx)
-    ig = half * np.sum(_WG * fx)
+    sk, sg = (_W2 * fx).sum(axis=1)
+    ik = half * sk
+    ig = half * sg
     err = (200.0 * abs(ik - ig)) ** 1.5
     return ik, err
 
@@ -156,12 +163,16 @@ class _EpsilonTable:
         self.diagonal = []
 
     def push(self, x):
-        old, new = self.diagonal, [complex(x)]
+        old = self.diagonal
+        last = complex(x)
+        new = [last]
         self.count += 1
-        for k in range(1, min(self.count, self.window) - 1):
-            d = new[k - 1] - old[k - 1]
-            e = old[k - 2] if k > 1 else 0.0
-            new.append(e if d == 0 else e + 1.0 / d)
+        e = 0.0  # eps_(k-1)^old, starting at eps_(-1)
+        for o in old[:min(self.count, self.window) - 2]:
+            d = last - o
+            last = e if d == 0 else e + 1.0 / d
+            new.append(last)
+            e = o
         self.old, self.diagonal = old, new
 
     def limit(self):
@@ -257,6 +268,23 @@ def neville_zero(xs, ys, order):
     return t[-1], abs(t[-1] - prev_last)
 
 
+def _per_panel(f):
+    """f remembering its values per abscissa array, for one integral.
+
+    Every damping parameter integrates f(u) exp(-eps u) over the same panels,
+    so f runs once per panel however many parameters reach it.
+    """
+    seen = {}
+
+    def g(u):
+        key = u.tobytes()
+        if key not in seen:
+            seen[key] = np.asarray(f(u))
+        return seen[key]
+
+    return g
+
+
 def oscillatory_semi_infinite(f, schedule=None, panel=np.pi):
     """Abel-regularized integral of f over [0, inf).
 
@@ -265,6 +293,7 @@ def oscillatory_semi_infinite(f, schedule=None, panel=np.pi):
     combines the damped-integral errors with the extrapolation spread.
     """
     schedule = schedule or AbelSchedule()
+    f = _per_panel(f)
     vals, errs = [], []
     evals = 0
     for eps in schedule.epsilons:

@@ -8,7 +8,8 @@ from gffads.errors import BudgetExceededError, DomainError
 from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                adaptive_finite, hankel_transform, neville_zero,
                                oscillatory_semi_infinite, partial_sum_limit,
-                               wynn_epsilon, _EpsilonTable, _WYNN_WINDOW)
+                               wynn_epsilon, _EpsilonTable, _WYNN_WINDOW,
+                               _gk15, _WG, _WK, _XK)
 from gffads.specfun import bessel_j
 
 from conftest import rel_err
@@ -70,6 +71,32 @@ class TestAdaptiveFinite:
         rhs = (a * adaptive_finite(f, 0.0, 2.0).value
                + b * adaptive_finite(g, 0.0, 2.0).value)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def _gk15_separate(f, a, b):
+    """Reference: the Kronrod and Gauss sums as two separate np.sum calls."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fx = np.asarray(f(mid + half * _XK))
+    ik = half * np.sum(_WK * fx)
+    ig = half * np.sum(_WG * fx)
+    return ik, (200.0 * abs(ik - ig)) ** 1.5
+
+
+class TestGK15:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e8, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=15, max_size=15),
+           st.booleans(),
+           st.floats(-10.0, 10.0), st.floats(1e-6, 10.0))
+    def test_row_sums_equal_separate_sums(self, values, real, a, width):
+        fx = np.array(values)
+        if real:
+            fx = fx.real.copy()
+        f = lambda u: fx
+        got, want = _gk15(f, a, a + width), _gk15_separate(f, a, a + width)
+        assert _same(got, want) and type(got[0]) is type(want[0])
 
 
 class TestAcceleration:
@@ -193,6 +220,18 @@ class TestOscillatorySemiInfinite:
         abel = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
         zeros = partial_sum_limit(f)
         assert abs(abel.value - zeros.value) < 1e-8
+
+    def test_integrand_runs_once_per_panel(self):
+        seen = []
+
+        def f(u):
+            seen.append(u.tobytes())
+            return bessel_j(0.0, 1.3 * u)
+
+        res = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
+        assert len(seen) == len(set(seen))
+        # every damping parameter integrates the first panels again
+        assert 15 * len(seen) < res.evaluations
 
     def test_linearity(self, rng):
         f = lambda u: np.exp(-0.5 * u) * np.cos(u)
