@@ -24,7 +24,9 @@ Exit codes:
 
 Output is deterministic for a fixed config and seed.  Wall-clock timings are
 recorded but only emitted with --timings so that default output is
-byte-identical across runs.
+byte-identical across runs.  A verify record's runtime is the time since the
+previous record of its suite (since the suite's start for the first), so each
+check shows its own cost.
 """
 
 import argparse
@@ -127,7 +129,8 @@ def _record(name, value, error=0.0, reference=None, tolerance=None,
             "reference": None if reference is None else complex(reference),
             "tolerance": None if tolerance is None else float(tolerance),
             "passed": None if passed is None else bool(passed),
-            "runtime": 0.0, "inputs": inputs or {}}
+            "runtime": 0.0, "made": time.perf_counter(),
+            "inputs": inputs or {}}
 
 
 def _check(name, value, reference, tolerance, error=0.0, inputs=None):
@@ -466,6 +469,9 @@ def _suite_set(cfg, rng):
     div = stress.vacuum_fluctuation_divergence(f, sig)
     recs.append(_flag("set.vacuum_fluctuation_diverges",
                       div["strictly_increasing"], div["growth_exponent"]))
+    recs.append(_check("set.vacuum_fluctuation_growth_exponent",
+                       div["growth_exponent"], 1.0, 0.3,
+                       inputs={"sigmas": sig}))
     ctrl = stress.vacuum_fluctuation_divergence(f, sig, fixed_width=0.3)
     spread = (max(ctrl["values"]) - min(ctrl["values"])) \
         / max(abs(v) for v in ctrl["values"])
@@ -486,12 +492,10 @@ def run_verify(suite, cfg):
     rng = np.random.default_rng(cfg["seed"])
     records = []
     for name in names:
-        t0 = time.perf_counter()
-        recs = SUITES[name](cfg, rng)
-        dt = time.perf_counter() - t0
-        for r in recs:  # the suite's wall time, shared evenly
-            r["runtime"] = dt / len(recs)
-        records.extend(recs)
+        last = time.perf_counter()
+        for r in SUITES[name](cfg, rng):  # time since the previous record
+            r["runtime"], last = r["made"] - last, r["made"]
+            records.append(r)
     return records
 
 

@@ -60,6 +60,28 @@ def _lower(k):
     return (0.5 * (kp + km), -0.5 * (kp - km))
 
 
+def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
+    """Rank-4 split of the kernel: arrays A(q1), B(q2) with a last axis of
+    four, such that sum(A * B, axis=-1) = K_mn(q1, q2).
+
+    K is a homogeneous quadratic in (q1, q2), hence exactly
+        K(q1, q2) = K(q1, 0) + K(0, q2) + q1^T M q2,
+        M_ij = K(e_i, e_j) - K(e_i, 0) - K(0, e_j),
+    with M read off unit vectors through _kernel_lower.
+    """
+    def kern(a, b):
+        return _kernel_lower(a, b, mu, nu, improvement)
+
+    zero, e = (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))
+    m = [[kern(e[i], e[j]) - kern(e[i], zero) - kern(zero, e[j])
+          for j in (0, 1)] for i in (0, 1)]
+    a = np.stack([kern(q1, zero), np.ones_like(q1[0]), q1[0], q1[1]], axis=-1)
+    b = np.stack([np.ones_like(q2[0]), kern(zero, q2),
+                  m[0][0] * q2[0] + m[0][1] * q2[1],
+                  m[1][0] * q2[0] + m[1][1] * q2[1]], axis=-1)
+    return a, b
+
+
 def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
     """Momentum kernel of the tensor for forward-cone momenta k1, k2.
 
@@ -179,8 +201,8 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
         m2 = k1p * k1m
         kl1 = _lower((k1p, k1m))
         kl2 = _lower((k2p, k2m))
-        k1_0, k1_1 = 0.5 * (k1p + k1m), 0.5 * (k1p - k1m)  # upper components
-        k2_0, k2_1 = 0.5 * (k2p + k2m), 0.5 * (k2p - k2m)
+        k1_0, k1_1 = kl1[0], -kl1[1]  # upper components
+        k2_0, k2_1 = kl2[0], -kl2[1]
         h12 = np.asarray(h1(m2)) * np.asarray(h2(m2))
         if ordering == "middle":
             q1 = kl1
@@ -344,6 +366,15 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     fixed_width set, a smooth unit-height Gaussian weight of that off-diagonal
     width is used instead of the sigma-narrowing one, and the result is
     independent of the sigma_sequence entries (bounded control case).
+
+    Each value is the 4-dimensional integral, with u = m2^2 = k2+ k2-,
+
+        (1/2) c^2 (1/4) int dk1+ dk1- dk2+ du  h_sigma^2 |K_mn(q1, q2)|^2
+            |fhat(k1 + k2)|^2 / k2+,      c = norm_const(2),
+
+    q1, q2 the lower components of k1 and k2, on n_nodes lightcone nodes per
+    k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
+    k1+ axis is walked one node at a time.
     """
     if kmax is None:
         kmax = 2.0 * _reach(f) + 10.0
@@ -351,35 +382,32 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])) or sigmas[-1] <= 0:
         raise DomainError("sigma_sequence must decrease to a positive value")
     k, w = lightcone_grid_nodes(n_nodes, kmax)
-    k1p = k[:, None, None, None]
-    k1m = k[None, :, None, None]
-    k2p = k[None, None, :, None]
-    w3 = (w[:, None, None, None] * w[None, :, None, None] *
-          w[None, None, :, None])
-    m1sq = k1p * k1m
+    k1m = k[:, None, None]
+    k2p = k[None, :, None]
+    w2 = w[:, None] * w[None, :]  # (k1-, k2+)
     t_nodes, t_w = np.polynomial.legendre.leggauss(n_inner)
 
     values = []
     for sigma in sigmas:
         width = fixed_width if fixed_width is not None else sigma
-        # inner integral over u = m2^2 on the +-6 width window of the weight
-        lo = np.maximum(m1sq - 6.0 * width, 1e-12)
-        hi = m1sq + 6.0 * width
-        u = 0.5 * (hi - lo) * (t_nodes[None, None, None, :] + 1.0) + lo
-        wu = 0.5 * (hi - lo) * t_w[None, None, None, :]
-        k2m = u / k2p
         norm = 1.0 if fixed_width is not None else \
             1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        hsq = norm ** 2 * np.exp(-((u - m1sq) / width) ** 2)
-        q1 = _lower((k1p * np.ones_like(u), k1m * np.ones_like(u)))
-        q2 = _lower((k2p * np.ones_like(u), k2m))
-        kern = _kernel_lower(q1, q2, mu, nu)
-        k1_0, k1_1 = 0.5 * (k1p + k1m), 0.5 * (k1p - k1m)
-        k2_0, k2_1 = 0.5 * (k2p + k2m), 0.5 * (k2p - k2m)
-        fv = f.fourier(k1_0 + k2_0, k1_1 + k2_1)
-        integrand = hsq * np.abs(kern) ** 2 * np.abs(fv) ** 2 / k2p
-        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
-                            np.sum(w3 * np.sum(wu * integrand, axis=-1))))
+        total = 0.0
+        for k1p, w1p in zip(k, w):
+            m1sq = k1p * k1m
+            # inner integral over u = m2^2 on the +-6 width window of the weight
+            lo = np.maximum(m1sq - 6.0 * width, 1e-12)
+            hi = m1sq + 6.0 * width
+            u = 0.5 * (hi - lo) * (t_nodes + 1.0) + lo
+            wu = 0.5 * (hi - lo) * t_w
+            hsq = norm ** 2 * np.exp(-((u - m1sq) / width) ** 2)
+            q1 = _lower((k1p, k1m))
+            q2 = _lower((k2p, u / k2p))
+            kern = _kernel_lower(q1, q2, mu, nu)
+            fv = f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
+            integrand = hsq * np.abs(kern) ** 2 * np.abs(fv) ** 2 / k2p
+            total += w1p * np.sum(w2 * np.sum(wu * integrand, axis=-1))
+        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 * total))
     logs = np.log(values)
     linv = np.log([1.0 / s for s in sigmas])
     slope = float(np.polyfit(linv, logs, 1)[0])
@@ -466,33 +494,36 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     The mass-diagonal constraint is relaxed, so this is a 4-dimensional
     lightcone quadrature; the k2- axis is densely resolved because the
     weight oscillates on the scale 2 pi m2 / (Z k2+).
+
+    The kernel enters through its rank-4 split (_kernel_factors)
+        K(q1, q2) = K(q1, 0) + K(0, q2) + q1^T M q2 = sum_t A_t(k1) B_t(k2),
+    so per k2+ node only the two truly 4-dimensional factors, the weight
+    times fhat(k1 - k2), are formed as one matrix G over rows (k1+, k1-) and
+    columns k2-, and the slice is sum(bra A * (G @ (ket B))).
     """
     if kmax is None:
         kmax = 2.0 * max(_reach(f1), _reach(f2))
     k, w = lightcone_grid_nodes(n_outer, kmax)
-    k2m_grid, w2m = lightcone_grid_nodes(n_inner, kmax)
+    k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
 
-    k1p = k[:, None, None]
-    k1m = k[None, :, None]
-    w1 = w[:, None, None] * w[None, :, None]
-    m1sq = k1p * k1m
-    k1_0, k1_1 = 0.5 * (k1p + k1m), 0.5 * (k1p - k1m)
-    bra = np.asarray(h1(m1sq)) * f1.fourier(-k1_0, -k1_1)
+    # rows: the (k1+, k1-) grid flattened; columns: (k2+, k2-)
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    k2p, k2m = k[:, None], k2m[None, :]
+    m1sq, m2sq = k1p * k1m, k2p * k2m
+    q1, kl2 = _lower((k1p, k1m)), _lower((k2p, k2m))
+    k1_0, k1_1 = q1[0], -q1[1]
+    k2_0, k2_1 = kl2[0], -kl2[1]
+    a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx, improvement)
+    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
+           f1.fourier(-k1_0, -k1_1))[:, None] * a
+    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
+           f2.fourier(k2_0, k2_1))[..., None] * b
 
     total = 0.0j
-    for i2, k2p in enumerate(k):
-        k2m = k2m_grid[None, None, :]
-        wk2 = w[i2] * w2m[None, None, :]
-        m2sq = k2p * k2m
-        wz = z_integral_weight_closed(nu, Z, m1sq, m2sq)
-        k2_0, k2_1 = 0.5 * (k2p + k2m), 0.5 * (k2p - k2m)
-        q1 = _lower((k1p, k1m))
-        q2 = (-0.5 * (k2p + k2m), 0.5 * (k2p - k2m))
-        kern = _kernel_lower((q1[0] + 0.0 * k2m, q1[1] + 0.0 * k2m),
-                             q2, mu, nu_idx, improvement)
-        vals = bra * np.asarray(h2(m2sq)) * f2.fourier(k2_0, k2_1) * \
-            f.fourier(k1_0 - k2_0, k1_1 - k2_1)
-        total += np.sum(w1 * wk2 * wz * kern * vals)
+    for i in range(n_outer):
+        g = z_integral_weight_closed(nu, Z, m1sq[:, None], m2sq[i]) * \
+            f.fourier(k1_0[:, None] - k2_0[i], k1_1[:, None] - k2_1[i])
+        total += np.sum(bra * (g @ ket[i]))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ class TestOutputOptions:
         _, timed = run(capsys, ["compute", "gamma", "--timings"])
         assert "runtime_s" not in plain
         assert "runtime_s" in timed
+
+    def test_verify_timings_per_record(self, monkeypatch):
+        # each record carries the time since the previous one, not an even
+        # share of its suite's wall time
+        def suite(cfg, rng):
+            time.sleep(0.05)
+            slow = cli._flag("fake.slow", True)
+            return [slow, cli._flag("fake.fast", True)]
+        monkeypatch.setitem(cli.SUITES, "fake", suite)
+        slow, fast = cli.run_verify("fake", {"seed": 0})
+        assert slow["runtime"] >= 0.05
+        assert fast["runtime"] < 0.01
 
     def test_config_file_with_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import GaussianPacket, Power
+from gffads.correlators import (GaussianPacket, Power, lightcone_grid_nodes,
+                                norm_const)
 from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, bessel_j
 from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
+                           _kernel_factors, _kernel_lower, _lower, _reach,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            lorentz_density_check, momentum_density_check,
@@ -77,6 +80,18 @@ class TestKernel:
         for nu in (0, 1):
             val = set_kernel(k, k, (1, -1), 0, nu)
             assert val == pytest.approx(2.0 * klow[0] * klow[nu])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    def test_rank4_factors_rebuild_kernel(self, q, improvement):
+        q1, q2 = (q[0], q[1]), (q[2], q[3])
+        scale = (1.0 + sum(x * x for x in q)) * (1.0 + abs(improvement))
+        for mu in (0, 1):
+            for nu in (0, 1):
+                a, b = _kernel_factors(q1, q2, mu, nu, improvement)
+                want = _kernel_lower(q1, q2, mu, nu, improvement)
+                assert abs(np.sum(a * b) - want) <= 1e-13 * scale
 
     def test_improvement_conserved_off_shell(self, rng):
         # the improvement term alone contracts to zero for arbitrary momenta
@@ -198,7 +213,45 @@ class TestCommutatorLocality:
         assert max(abs(v) for v in rep["orderings"]) > 1e-4
 
 
+def _divergence_oracle(f, sigma, mu, nu, n, n_inner, kmax):
+    """||Theta^sigma(f) Omega||^2 as an explicitly weighted 4-fold loop."""
+    k, w = lightcone_grid_nodes(n, kmax)
+    t, tw = np.polynomial.legendre.leggauss(n_inner)
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    total = 0.0
+    for a in range(n):
+        for b in range(n):
+            m1sq = k[a] * k[b]
+            lo, hi = max(m1sq - 6.0 * sigma, 1e-12), m1sq + 6.0 * sigma
+            k1 = lc_vector(k[a], k[b])
+            for c in range(n):
+                for j in range(n_inner):
+                    u = 0.5 * (hi - lo) * (t[j] + 1.0) + lo
+                    k2 = lc_vector(k[c], u / k[c])
+                    kern = set_kernel(k1, k2, (1, 1), mu, nu)
+                    fv = f.fourier(k1.components[0] + k2.components[0],
+                                   k1.components[1] + k2.components[1])
+                    hsq = norm ** 2 * math.exp(-((u - m1sq) / sigma) ** 2)
+                    total += (w[a] * w[b] * w[c] * 0.5 * (hi - lo) * tw[j] *
+                              hsq * abs(kern) ** 2 * abs(fv) ** 2 / k[c])
+    return 0.5 * norm_const(2) ** 2 * 0.25 * total
+
+
 class TestVacuumFluctuation:
+    @pytest.mark.parametrize("f,mu,nu", [
+        (AnisoGaussian(0.8, 0.8), 0, 0),
+        # a carrier makes |fhat|^2 uneven in k^1
+        (GaussianPacket(MinkVector((0.0, 0.0)), 0.8, MinkVector((1.5, 0.6))),
+         0, 1)])
+    def test_matches_weighted_oracle(self, f, mu, nu):
+        sigmas = (0.4, 0.2)
+        rep = vacuum_fluctuation_divergence(f, sigmas, mu, nu, n_nodes=5,
+                                            n_inner=3)
+        kmax = 2.0 * _reach(f) + 10.0
+        for sigma, got in zip(sigmas, rep["values"]):
+            want = _divergence_oracle(f, sigma, mu, nu, 5, 3, kmax)
+            assert rel_err(got, want) < 1e-12
+
     def test_divergence_with_narrowing_weight(self):
         f = AnisoGaussian(0.8, 0.8)
         sigmas = [0.4 * 2.0 ** -i for i in range(6)]
@@ -251,7 +304,49 @@ class TestZIntegralWeight:
             z_integral_weight_delta_check(0.5, 10.0, -1.0)
 
 
+def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner,
+                   improvement=0.0):
+    """ads_set_matrix_element with the kernel and every factor broadcast over
+    the (k1+, k1-, k2-) grid of each k2+ node (reference)."""
+    kmax = 2.0 * max(_reach(f1), _reach(f2))
+    k, w = lightcone_grid_nodes(n_outer, kmax)
+    k2m_grid, w2m = lightcone_grid_nodes(n_inner, kmax)
+    k1p = k[:, None, None]
+    k1m = k[None, :, None]
+    w1 = w[:, None, None] * w[None, :, None]
+    m1sq = k1p * k1m
+    k1_0, k1_1 = 0.5 * (k1p + k1m), 0.5 * (k1p - k1m)
+    bra = np.asarray(h1(m1sq)) * f1.fourier(-k1_0, -k1_1)
+    total = 0.0j
+    for i2, k2p in enumerate(k):
+        k2m = k2m_grid[None, None, :]
+        wk2 = w[i2] * w2m[None, None, :]
+        m2sq = k2p * k2m
+        wz = z_integral_weight_closed(nu, Z, m1sq, m2sq)
+        k2_0, k2_1 = 0.5 * (k2p + k2m), 0.5 * (k2p - k2m)
+        q1 = _lower((k1p, k1m))
+        q2 = (-0.5 * (k2p + k2m), 0.5 * (k2p - k2m))
+        kern = _kernel_lower((q1[0] + 0.0 * k2m, q1[1] + 0.0 * k2m),
+                             q2, mu, nu_idx, improvement)
+        vals = bra * np.asarray(h2(m2sq)) * f2.fourier(k2_0, k2_1) * \
+            f.fourier(k1_0 - k2_0, k1_1 - k2_1)
+        total += np.sum(w1 * wk2 * wz * kern * vals)
+    return complex(norm_const(2) ** 2 * 0.25 * total)
+
+
 class TestAdsReduction:
+    @pytest.mark.parametrize("mu,nu_idx", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("improvement", [0.0, 0.3])
+    def test_matches_broadcast_reference(self, packet_trio, hpow, mu, nu_idx,
+                                         improvement):
+        f1, f2, f = packet_trio
+        args = (0.5, 4.0, f, hpow, f1, hpow, f2, mu, nu_idx)
+        got = ads_set_matrix_element(*args, n_outer=10, n_inner=80,
+                                     improvement=improvement)
+        want = _ads_broadcast(*args, 10, 80, improvement)
+        assert rel_err(got, want) < 1e-12
+
+
     def test_depth_cutoff_converges_to_sharp_element(self, packet_trio, hpow):
         f1, f2, f = packet_trio
         rep = ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, hpow, f1, hpow, f2,
