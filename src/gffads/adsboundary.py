@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LightConeProximityError
-from .specfun import Order, bessel_j, gamma, j_even
+from .specfun import Order, _nu, bessel_j, gamma, j_even
 from .quadrature import (AbelSchedule, QuadratureResult, adaptive_finite,
                          neville_zero, oscillatory_semi_infinite)
 from .correlators import BesselZ, Correlator, Power, gff2pt, gff_commutator
@@ -206,7 +206,7 @@ def bonus_locality(mu, nu, a, b, c, schedule=None):
     """
     if min(a, b, c) <= 0:
         raise DomainError("bonus_locality requires positive a, b, c")
-    nu_f = nu.nu if isinstance(nu, Order) else float(nu)
+    nu_f = _nu(nu)
 
     def f(u):
         u = np.asarray(u, dtype=float)
@@ -266,8 +266,8 @@ def mass_change_kernel_check(nu, nup, z, m, d=2,
     polynomial extrapolation in eps^2.  Returns the composed value, the
     direct h_z(m^2) and their relative deviation.
     """
-    nu_f = nu.nu if isinstance(nu, Order) else float(nu)
-    nup_f = nup.nu if isinstance(nup, Order) else float(nup)
+    nu_f = _nu(nu)
+    nup_f = _nu(nup)
     if z <= 0 or m <= 0:
         raise DomainError("mass_change_kernel_check requires z, m > 0")
     eps_list = tuple(float(e) for e in epsilons)

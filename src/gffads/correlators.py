@@ -276,13 +276,8 @@ def commutator_kg(m, x, d=None):
     sign = 1.0 if x.components[0] > 0 else -1.0
     nu = 0.5 * (d - 2)
     val = -1j * np.pi * (2.0 * np.pi) ** (-d / 2.0) * sign * \
-        (m / tau) ** nu * _jv_signed(-nu, m * tau)
+        (m / tau) ** nu * bessel_j(-nu, m * tau)
     return Correlator(complex(val), 1e-13 * abs(complex(val)))
-
-
-def _jv_signed(order, u):
-    import scipy.special as _sp
-    return _sp.jv(order, u)
 
 
 def commutator_kg_eps(m, x, d=None, eps_factors=(4e-3, 2e-3, 1e-3, 5e-4)):
@@ -385,7 +380,7 @@ def gff_commutator(h1, h2, x, d=None, schedule=None):
         m = np.asarray(m, dtype=float)
         mm = np.where(m > 0, m, 1.0)
         val = 2.0 * mm * np.asarray(h1(mm ** 2)) * np.asarray(h2(mm ** 2)) * \
-            (mm / tau) ** nu * _jv_signed(-nu, mm * tau)
+            (mm / tau) ** nu * bessel_j(-nu, mm * tau)
         return np.where(m > 0, val, 0.0)
 
     res = oscillatory_semi_infinite(f, schedule, panel=np.pi / tau)

@@ -225,34 +225,66 @@ def symbolic_generator(G, expr, kp, km, d=2):
     """Apply the defining differential operator of G to a sympy expression.
 
     This is the independent route used to pin signs and to build the exact
-    commutator oracle; it shares no code with apply_generator.
+    commutator oracle; it shares no code with apply_generator.  Each partial
+    derivative of expr is taken once, and the composite terms of K are
+    written out from them by the product rule.
     """
     import sympy as sym
     k_0 = (kp + km) / 2
     k_1 = -(kp - km) / 2
-
-    def d_up(mu, e):
-        return sym.diff(e, kp) + (1 if mu == 0 else -1) * sym.diff(e, km)
-
     if G.kind == "P":
         return (k_0 if G.mu == 0 else k_1) * expr
+    if G.kind == "M" and G.mu == G.nu_idx:
+        return sym.Integer(0)
+    ep, em = sym.diff(expr, kp), sym.diff(expr, km)
+    # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
+    d_up = lambda mu, e_p, e_m: e_p + (1 if mu == 0 else -1) * e_m
     if G.kind == "M":
-        if G.mu == G.nu_idx:
-            return sym.Integer(0)
         sgn = 1 if (G.mu, G.nu_idx) == (0, 1) else -1
-        return sgn * sym.I * (k_1 * d_up(0, expr) - k_0 * d_up(1, expr))
+        return sgn * sym.I * (k_1 * d_up(0, ep, em) - k_0 * d_up(1, ep, em))
     if G.kind == "D":
-        scal = kp * sym.diff(expr, kp) + km * sym.diff(expr, km)
-        return sym.I * (scal + sym.Rational(d, 2) * expr)
+        return sym.I * (kp * ep + km * em + sym.Rational(d, 2) * expr)
     # K(mu, Delta)
     nu_par = sym.nsimplify(G.delta - d / 2, rational=False)
     klow = k_0 if G.mu == 0 else k_1
-    box = 4 * sym.diff(expr, kp, km)
-    scal = lambda e: kp * sym.diff(e, kp) + km * sym.diff(e, km)
-    dmu = lambda e: d_up(G.mu, e)
-    return (dmu(expr) + klow * box - scal(dmu(expr))
-            - dmu(scal(expr)) - d * dmu(expr)
+    epp, epm, emm = sym.diff(ep, kp), sym.diff(ep, km), sym.diff(em, km)
+    dmu = d_up(G.mu, ep, em)
+    box = 4 * epm
+    scal_dmu = kp * d_up(G.mu, epp, epm) + km * d_up(G.mu, epm, emm)
+    # d/dk^mu of (k . d/dk) expr = kp ep + km em
+    dmu_scal = d_up(G.mu, ep + kp * epp + km * epm, kp * epm + em + km * emm)
+    return (dmu + klow * box - scal_dmu - dmu_scal - d * dmu
             + nu_par ** 2 * klow / (kp * km) * expr)
+
+
+def _symbolic_commutator(G1, G2, expr, kp, km, d=2):
+    """Exact [G1, G2] expr, built as an operator on a generic function.
+
+    G1 G2 - G2 G1 is applied to an undefined F(kp, km) and expanded, which
+    leaves at most a few derivative terms (none for commuting pairs).  Then
+    F and each derivative of F become the matching derivative of expr, each
+    one taken from the next lower one.
+    """
+    import sympy as sym
+    F = sym.Function("F")(kp, km)
+    # expanding G F first halves the cost of the outer application
+    g1, g2 = (sym.expand(symbolic_generator(G, F, kp, km, d))
+              for G in (G1, G2))
+    op = sym.expand(symbolic_generator(G1, g2, kp, km, d)
+                    - symbolic_generator(G2, g1, kp, km, d))
+    derivs = {(0, 0): expr}
+
+    def deriv(a, b):  # d^a/dkp^a d^b/dkm^b expr
+        if (a, b) not in derivs:
+            derivs[a, b] = (sym.diff(deriv(a - 1, b), kp) if a
+                            else sym.diff(deriv(a, b - 1), km))
+        return derivs[a, b]
+
+    subs = {F: expr}
+    for dF in op.atoms(sym.Derivative):
+        count = dict(dF.variable_count)
+        subs[dF] = deriv(count.get(kp, 0), count.get(km, 0))
+    return op.xreplace(subs)
 
 
 def _commutator(G1, G2, f, d):
@@ -265,12 +297,15 @@ def _commutator(G1, G2, f, d):
 def algebra_closure_check(G1, G2, f, expr=None, d=2):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
-    expr must be the sympy expression (in symbols kp, km) matching f; the
-    symbolic commutator is evaluated exactly and the grid result must agree
-    in relative L2 norm.  The same commutator on the grid of half the order
-    is the second opinion: grid_drift is its distance from the full-grid
-    result, and ResolutionError is raised when both that drift and the
-    discrepancy exceed 0.1.
+    expr must be the sympy expression (in symbols kp, km) matching f.  The
+    oracle is exact: [G1, G2] is first built as a differential operator on
+    an undefined F(kp, km) (symbolic_generator twice, then expanded to at
+    most a few derivative terms, exactly zero for commuting pairs), and
+    then F and its derivatives are replaced by those of expr.  The grid
+    result must agree with it in relative L2 norm.  The same commutator on
+    the grid of half the order is the second opinion: grid_drift is its
+    distance from the full-grid result, and ResolutionError is raised when
+    both that drift and the discrepancy exceed 0.1.
     """
     import sympy as sym
     if expr is None or f.func is None:
@@ -283,11 +318,10 @@ def algebra_closure_check(G1, G2, f, expr=None, d=2):
     if set(names) != {"kp", "km"}:
         raise DomainError("expr must use exactly the symbols kp and km")
     kp, km = names["kp"], names["km"]
-    e12 = symbolic_generator(G1, symbolic_generator(G2, expr, kp, km, d),
-                             kp, km, d)
-    e21 = symbolic_generator(G2, symbolic_generator(G1, expr, kp, km, d),
-                             kp, km, d)
-    oracle = sym.lambdify((kp, km), sym.expand(e12 - e21), "numpy")
+    # no docstring: printing the expression for it would cost as much again
+    oracle = sym.lambdify(
+        (kp, km), _symbolic_commutator(G1, G2, expr, kp, km, d), "numpy",
+        docstring_limit=0)
 
     kpg, kmg, w = f.grid.mesh()
     want = np.broadcast_to(np.asarray(oracle(kpg, kmg), dtype=complex),

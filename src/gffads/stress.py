@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .specfun import bessel_j
+from .specfun import _nu, bessel_j
 from .quadrature import adaptive_finite
 from .correlators import Correlator, lightcone_grid_nodes, norm_const
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
@@ -422,7 +422,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
 
 def z_integral_weight(nu, Z, m1sq, m2sq, tol=1e-12):
     """(1/2) int_0^Z z J_nu(z m1) J_nu(z m2) dz by adaptive quadrature."""
-    nu_f = nu.nu if hasattr(nu, "nu") else float(nu)
+    nu_f = _nu(nu)
     if Z <= 0 or m1sq <= 0 or m2sq <= 0:
         raise DomainError("z_integral_weight requires positive arguments")
     m1, m2 = math.sqrt(m1sq), math.sqrt(m2sq)
@@ -440,7 +440,7 @@ def z_integral_weight_closed(nu, Z, m1sq, m2sq, diag_tol=1e-9):
     with J' = (J_{nu-1} - J_{nu+1})/2; the diagonal uses
         (Z^2/4)[J_nu^2 - J_{nu-1} J_{nu+1}].
     """
-    nu_f = nu.nu if hasattr(nu, "nu") else float(nu)
+    nu_f = _nu(nu)
     m1 = np.sqrt(np.asarray(m1sq, dtype=float))
     m2 = np.sqrt(np.asarray(m2sq, dtype=float))
     j1, j2 = bessel_j(nu_f, Z * m1), bessel_j(nu_f, Z * m2)

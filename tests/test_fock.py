@@ -7,8 +7,9 @@ import sympy as sym
 from gffads.correlators import GaussianPacket, Power, smeared2pt
 from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
-                         algebra_closure_check, apply_generator, gaussian_mode,
-                         inner_product, npoint, position_wavefunction,
+                         _symbolic_commutator, algebra_closure_check,
+                         apply_generator, gaussian_mode, inner_product,
+                         npoint, position_wavefunction,
                          special_conformal_field_law, symbolic_generator)
 from gffads.spacetime import MinkVector
 
@@ -25,6 +26,44 @@ def sym_gaussian(center=(3.0, 3.0), width=1.0, phase=None, grid=None):
     if phase is not None:
         expr = expr * sym.exp(sym.I * (phase[0] * KP + phase[1] * KM))
     return f, expr
+
+
+P0, P1 = GeneratorKind("P", mu=0), GeneratorKind("P", mu=1)
+M01, D = GeneratorKind("M", mu=0, nu_idx=1), GeneratorKind("D")
+K0, K1 = GeneratorKind("K", mu=0, delta=1.5), GeneratorKind("K", mu=1, delta=1.5)
+
+
+def _literal_generator(G, expr, kp, km, d=2):
+    """The generators exactly as the fock docstring writes them.
+
+    Nested derivatives: every composite term is differentiated as it stands.
+    """
+    k_0, k_1 = (kp + km) / 2, -(kp - km) / 2
+    d_up = lambda mu, e: sym.diff(e, kp) + (1 - 2 * mu) * sym.diff(e, km)
+    scal = lambda e: kp * sym.diff(e, kp) + km * sym.diff(e, km)
+    if G.kind == "P":
+        return (k_0 if G.mu == 0 else k_1) * expr
+    if G.kind == "M":
+        sgn = G.nu_idx - G.mu
+        return sgn * sym.I * (k_1 * d_up(0, expr) - k_0 * d_up(1, expr))
+    if G.kind == "D":
+        return sym.I * (scal(expr) + sym.Rational(d, 2) * expr)
+    nu_par = sym.nsimplify(G.delta - d / 2, rational=False)
+    klow = k_0 if G.mu == 0 else k_1
+    dmu = lambda e: d_up(G.mu, e)
+    return (dmu(expr) + klow * 4 * sym.diff(expr, kp, km) - scal(dmu(expr))
+            - dmu(scal(expr)) - d * dmu(expr)
+            + nu_par ** 2 * klow / (kp * km) * expr)
+
+
+def _direct_commutator(G1, G2, expr):
+    """Reference oracle: both orderings applied to expr itself, expanded.
+
+    Returns [G1, G2] expr and G2 G1 expr, the size of what cancels.
+    """
+    e12 = symbolic_generator(G1, symbolic_generator(G2, expr, KP, KM), KP, KM)
+    e21 = symbolic_generator(G2, symbolic_generator(G1, expr, KP, KM), KP, KM)
+    return sym.expand(e12 - e21), e21
 
 
 class TestGridAndModes:
@@ -100,6 +139,18 @@ class TestGenerators:
         den = np.sqrt(np.sum(w * np.abs(oracle(kp, km)) ** 2))
         assert num / den < tol
 
+    @pytest.mark.parametrize("G", [
+        P0, P1, M01, GeneratorKind("M", mu=1, nu_idx=0),
+        GeneratorKind("M", mu=1, nu_idx=1), D, K0, K1,
+        GeneratorKind("K", mu=1, delta=1.25),
+    ])
+    def test_symbolic_matches_literal_operator(self, G):
+        # exact identity on an undefined function, so on every expression
+        F = sym.Function("F")(KP, KM)
+        diff = symbolic_generator(G, F, KP, KM) - \
+            _literal_generator(G, F, KP, KM)
+        assert sym.expand(diff) == 0
+
     def test_m_diagonal_vanishes(self):
         f = gaussian_mode(LightconeGrid())
         out = apply_generator(GeneratorKind("M", mu=1, nu_idx=1), f)
@@ -156,6 +207,32 @@ class TestAlgebraClosure:
         rep = algebra_closure_check(G1, G2, f, expr)
         assert rep["relative_discrepancy"] < 1e-4
         assert not rep["vanishes"]
+
+    @pytest.mark.parametrize("prefactor", [1, KP * KM],
+                             ids=["gaussian", "kp_km_gaussian"])
+    @pytest.mark.parametrize("G1,G2", [(D, K1), (M01, K0), (P0, K1), (M01, D)],
+                             ids=["D-K1", "M01-K0", "P0-K1", "M01-D"])
+    def test_operator_oracle_matches_direct_route(self, G1, G2, prefactor):
+        _, gauss = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
+        expr = prefactor * gauss
+        want, e21 = _direct_commutator(G1, G2, expr)
+        got = _symbolic_commutator(G1, G2, expr, KP, KM)
+        kp, km, w = LightconeGrid().mesh()
+        on_grid = lambda e: np.broadcast_to(
+            sym.lambdify((KP, KM), e, "numpy")(kp, km), w.shape)
+        l2 = lambda a: np.sqrt(np.sum(w * np.abs(a) ** 2))
+        diff = l2(on_grid(got) - on_grid(want))
+        # relative to the terms the commutator cancels (M01, D commute)
+        assert diff <= 1e-12 * max(l2(on_grid(want)), l2(on_grid(e21)))
+
+    @pytest.mark.parametrize("G1,G2", [(P0, P1), (M01, D), (K0, K1)],
+                             ids=["P0-P1", "M01-D", "K0-K1"])
+    def test_commuting_pairs_have_vanishing_oracle(self, G1, G2):
+        f, expr = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
+        assert _symbolic_commutator(G1, G2, expr, KP, KM) == 0
+        rep = algebra_closure_check(G1, G2, f, expr)
+        assert rep["denominator"] == 0.0
+        assert rep["vanishes"]
 
     def test_translations_commute(self):
         f, expr = sym_gaussian((3.0, 2.0), 0.9)
