@@ -52,7 +52,7 @@ class AdSFieldSpec:
         return BesselZ(z, self.order, self.d)
 
 
-def ads2pt(spec, z, zp, dx, epsilon=1e-3, cutoff=None):
+def ads2pt(spec, z, zp, dx, epsilon=1e-3):
     """Bulk 2-point function (1/2)(z z')^{d/2} int dm^2 J_nu(zm)J_nu(z'm) W_m(dx).
 
     Same code path as the boundary superposition with Bessel weights.
@@ -60,7 +60,7 @@ def ads2pt(spec, z, zp, dx, epsilon=1e-3, cutoff=None):
     if z <= 0 or zp <= 0:
         raise DomainError("ads2pt requires z, zp > 0")
     return gff2pt(spec.weight(z), spec.weight(zp), dx, spec.d,
-                  epsilon=epsilon, cutoff=cutoff)
+                  epsilon=epsilon)
 
 
 def boundary_limit_const(nu):
@@ -93,7 +93,7 @@ def holographic_lift(spec, z, fhat, method="bessel_j"):
                         lambda kp, km: weight(kp * km) * fhat.func(kp, km))
 
 
-def boundary_limit_check(spec, z_sequence, dx, epsilon=1e-3, cutoff=None):
+def boundary_limit_check(spec, z_sequence, dx):
     """Check z^(-2 Delta) ads2pt(z, z, dx) -> c_nu^2 * boundary 2pt as z -> 0.
 
     The reference is the generalized free field with homogeneous weight m^nu.
@@ -106,11 +106,11 @@ def boundary_limit_check(spec, z_sequence, dx, epsilon=1e-3, cutoff=None):
         raise DomainError("boundary limit check needs spacelike dx")
     c = boundary_limit_const(spec.nu)
     h = Power(spec.nu)
-    ref = gff2pt(h, h, dx, spec.d, epsilon=epsilon, cutoff=cutoff)
+    ref = gff2pt(h, h, dx, spec.d)
     target = c ** 2 * ref.value
     ratios, deviations = [], []
     for z in zs:
-        val = ads2pt(spec, z, z, dx, epsilon=epsilon, cutoff=cutoff).value
+        val = ads2pt(spec, z, z, dx).value
         scaled = val / z ** (2.0 * spec.delta)
         ratios.append(scaled / target)
         deviations.append(abs(scaled - target) / abs(target))
@@ -139,8 +139,7 @@ def _profile_bessel_moment(g, support, nu, m_values, power):
     return out
 
 
-def ccr_check(spec, g, gp, f, fp, g_support, gp_support, n_m=600, mmax=60.0,
-              n_x=400, x_halfwidth=12.0):
+def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
     """Equal-time commutator <[phi(g x f), pi(gp x fp)]> vs the product formula.
 
     pi = z^(1-d) d_t phi is the canonical momentum of the z^(-2) Poincare
@@ -158,22 +157,22 @@ def ccr_check(spec, g, gp, f, fp, g_support, gp_support, n_m=600, mmax=60.0,
     # cutoff suffices; the half-resolution grid supplies the error estimate
     def m_int(n):
         t, w = np.polynomial.legendre.leggauss(n)
-        m = 0.5 * mmax * (t + 1.0)
-        wm = 0.5 * mmax * w
+        m = 0.5 * 60.0 * (t + 1.0)
+        wm = 0.5 * 60.0 * w
         G = _profile_bessel_moment(g, g_support, nu, m, 1.0)
         Gp = _profile_bessel_moment(gp, gp_support, nu, m, 0.0)
         return float(np.sum(wm * m * G * Gp))
 
-    m_integral = m_int(n_m)
-    m_integral_half = m_int(n_m // 2)
+    m_integral = m_int(600)
+    m_integral_half = m_int(300)
 
     # spatial factor int dk [F(k)Fp(-k) + F(-k)Fp(k)] = 4 pi int f fp dx,
     # evaluated as a k-integral to keep the route in momentum space
-    tk, wk = np.polynomial.legendre.leggauss(n_x)
+    tk, wk = np.polynomial.legendre.leggauss(400)
     kmax = 40.0
     k = kmax * tk
     wkk = kmax * wk
-    xs = np.linspace(-x_halfwidth, x_halfwidth, 4001)
+    xs = np.linspace(-12.0, 12.0, 4001)
     dxs = xs[1] - xs[0]
     fv, fpv = np.asarray(f(xs)), np.asarray(fp(xs))
     F = np.trapezoid(fv[None, :] * np.exp(1j * k[:, None] * xs[None, :]),
@@ -218,12 +217,12 @@ def bonus_locality(mu, nu, a, b, c, schedule=None):
     return oscillatory_semi_infinite(f, schedule, panel=np.pi / (a + b + c))
 
 
-def ads_commutator(spec, z, zp, dx, schedule=None, guard=0.05):
+def ads_commutator(spec, z, zp, dx, schedule=None):
     """Bulk commutator (1/2)(z z')^{d/2} int dm^2 J_nu(zm) J_nu(z'm) Delta_m(dx).
 
     Spacelike dx gives exactly zero; timelike dx reduces to the triple-Bessel
-    integral with tau = sqrt(dx^2).  Points inside the guard band around the
-    AdS light cone tau^2 = (z - z')^2 raise a proximity error.
+    integral with tau = sqrt(dx^2).  Points inside the 5% guard band around
+    the AdS light cone tau^2 = (z - z')^2 raise a proximity error.
     """
     if z <= 0 or zp <= 0:
         raise DomainError("ads_commutator requires z, zp > 0")
@@ -233,7 +232,7 @@ def ads_commutator(spec, z, zp, dx, schedule=None, guard=0.05):
     if s == 0:
         raise DomainError("commutator undefined on the boundary light cone")
     thresh = (z - zp) ** 2
-    if thresh > 0 and abs(s - thresh) < guard * thresh:
+    if thresh > 0 and abs(s - thresh) < 0.05 * thresh:
         raise LightConeProximityError(
             "dx^2 within the guard band around the AdS light cone")
     d = spec.d
@@ -255,9 +254,8 @@ def ads_commutator_mass_route(spec, z, zp, dx, schedule=None):
 # ---------------------------------------------------------------------------
 # mass-change kernel
 
-def mass_change_kernel_check(nu, nup, z, m, d=2,
-                             epsilons=(0.2, 0.1, 0.05, 0.025),
-                             n_window=80, window=12.0):
+def mass_change_kernel_check(nu, nup, z, m,
+                             epsilons=(0.2, 0.1, 0.05, 0.025)):
     """Check int z' dz' K_{nu nu'}(z,z') h'_{z'}(m^2) = h_z(m^2).
 
     The composition is int m' dm' J_nu(z m') A_eps(m') with the inner
@@ -276,9 +274,9 @@ def mass_change_kernel_check(nu, nup, z, m, d=2,
 
     vals = []
     for eps in eps_list:
-        lo = max(1e-8, m - window * eps)
-        hi = m + window * eps
-        t, w = np.polynomial.legendre.leggauss(n_window)
+        lo = max(1e-8, m - 12.0 * eps)
+        hi = m + 12.0 * eps
+        t, w = np.polynomial.legendre.leggauss(80)
         mp = 0.5 * (hi - lo) * (t + 1.0) + lo
         wmp = 0.5 * (hi - lo) * w
         # inner z'-integral, vectorized over the m' window
@@ -294,8 +292,8 @@ def mass_change_kernel_check(nu, nup, z, m, d=2,
 
     eps2 = [e ** 2 for e in eps_list]
     limit, spread = neville_zero(eps2, vals, len(eps_list) - 1)
-    composed = (1.0 / math.sqrt(2.0)) * z ** (d / 2.0) * limit.real
-    direct = (1.0 / math.sqrt(2.0)) * z ** (d / 2.0) * bessel_j(nu_f, z * m)
+    composed = (1.0 / math.sqrt(2.0)) * z * limit.real
+    direct = (1.0 / math.sqrt(2.0)) * z * bessel_j(nu_f, z * m)
     return {"composed": composed, "direct": direct,
             "relative_deviation": abs(composed - direct) / abs(direct),
             "extrapolation_spread": spread, "eps_values": vals}

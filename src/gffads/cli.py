@@ -148,9 +148,8 @@ def _bound(name, value, tolerance, error=0.0, inputs=None):
                    inputs=inputs)
 
 
-def _flag(name, condition, value=0.0, inputs=None):
-    return _record(name, complex(value), passed=bool(condition), tolerance=0.0,
-                   inputs=inputs)
+def _flag(name, condition, value=0.0):
+    return _record(name, complex(value), passed=bool(condition), tolerance=0.0)
 
 
 def _fmt17(x):
@@ -502,9 +501,8 @@ def run_verify(suite, cfg):
 # ---------------------------------------------------------------------------
 # single quantities
 
-def _vector(p, tkey="t", xkey="x", default=(0.0, 2.0)):
-    return MinkVector((_param(p, tkey, default[0]),
-                       _param(p, xkey, default[1])))
+def _vector(p, default=(0.0, 2.0)):
+    return MinkVector((_param(p, "t", default[0]), _param(p, "x", default[1])))
 
 
 def _q_gamma(p):

@@ -202,6 +202,12 @@ class GaussianPacket:
         return GaussianPacket(self.center + a, self.width, self.carrier)
 
 
+def _lower(k):
+    """Lower components (k_0, k_1) from lightcone (k+, k-) arrays."""
+    kp, km = k
+    return (0.5 * (kp + km), -0.5 * (kp - km))
+
+
 @dataclass(frozen=True)
 class Correlator:
     value: complex
@@ -220,12 +226,12 @@ def _sigma_eps(x, epsilon):
     return float(np.dot(comps[1:], comps[1:])) - (comps[0] - 1j * epsilon) ** 2
 
 
-def wightman_kg(m, x, d=None, epsilon=1e-3):
+def wightman_kg(m, x, epsilon=1e-3):
     """Wightman function W_m(x) of the mass-m Klein-Gordon field."""
     if np.any(np.asarray(m) <= 0) or epsilon <= 0:
         raise DomainError("wightman_kg requires m > 0 and epsilon > 0")
-    d = d or x.d
-    val = _wightman_closed(np.asarray(m, dtype=float), _sigma_eps(x, epsilon), d)
+    val = _wightman_closed(np.asarray(m, dtype=float), _sigma_eps(x, epsilon),
+                           x.d)
     if np.ndim(m) == 0:
         return Correlator(complex(val), 1e-14 * abs(complex(val)))
     return val
@@ -262,11 +268,11 @@ def wightman_kg_momentum_oracle(m, x, epsilon=1e-3):
                       (plus.error_estimate + minus.error_estimate) / (2 * np.pi))
 
 
-def commutator_kg(m, x, d=None):
+def commutator_kg(m, x):
     """Commutator function Delta_m(x); exactly zero at spacelike separation."""
     if m <= 0:
         raise DomainError("commutator_kg requires m > 0")
-    d = d or x.d
+    d = x.d
     s = x.square()
     if s < 0:
         return Correlator(0.0, 0.0)
@@ -280,17 +286,16 @@ def commutator_kg(m, x, d=None):
     return Correlator(complex(val), 1e-13 * abs(complex(val)))
 
 
-def commutator_kg_eps(m, x, d=None, eps_factors=(4e-3, 2e-3, 1e-3, 5e-4)):
+def commutator_kg_eps(m, x):
     """Delta_m(x) as the eps -> 0 extrapolation of W_m(x) - W_m(-x).
 
     Independent of the closed Bessel form; pins its constant.  Raises
     LightConeProximityError when the extrapolation does not settle.
     """
-    d = d or x.d
     s = x.square()
     scale = math.sqrt(abs(s)) if s != 0 else 1.0
-    eps_list = [f * scale for f in eps_factors]
-    vals = [wightman_kg(m, x, d, e).value - wightman_kg(m, -x, d, e).value
+    eps_list = [f * scale for f in (4e-3, 2e-3, 1e-3, 5e-4)]
+    vals = [wightman_kg(m, x, e).value - wightman_kg(m, -x, e).value
             for e in eps_list]
     val, spread = neville_zero(eps_list, vals, len(eps_list) - 1)
     from .errors import LightConeProximityError
@@ -303,15 +308,15 @@ def commutator_kg_eps(m, x, d=None, eps_factors=(4e-3, 2e-3, 1e-3, 5e-4)):
 # ---------------------------------------------------------------------------
 # mass superpositions
 
-def default_cutoff(x, target=35.0):
-    """Mass cutoff (in m^2) for spacelike x: m_max * distance = target."""
+def default_cutoff(x):
+    """Mass cutoff (in m^2) for spacelike x: m_max * distance = 35."""
     s = x.square()
     if s >= 0:
         raise DomainError("default_cutoff needs spacelike x")
-    return (target / math.sqrt(-s)) ** 2
+    return (35.0 / math.sqrt(-s)) ** 2
 
 
-def gff2pt(h1, h2, x, d=None, epsilon=1e-3, cutoff=None, tol=1e-10):
+def gff2pt(h1, h2, x, d=None, epsilon=1e-3, cutoff=None):
     """2-point function int_0^cutoff dm^2 h1(m^2) h2(m^2) W_m(x)."""
     d = d or x.d
     s = x.square()
@@ -325,7 +330,7 @@ def gff2pt(h1, h2, x, d=None, epsilon=1e-3, cutoff=None, tol=1e-10):
         return 2.0 * m * np.asarray(h1(m ** 2)) * np.asarray(h2(m ** 2)) * \
             _wightman_closed(m, sigma, d)
 
-    res = adaptive_finite(integrand, 1e-10, mmax, tol=tol)
+    res = adaptive_finite(integrand, 1e-10, mmax)
     tail_scale = abs(complex(np.asarray(integrand(np.array([mmax])))[0]))
     if s < 0:
         # K_nu tail decays like exp(-m r): one decay length beyond the cutoff
@@ -336,14 +341,14 @@ def gff2pt(h1, h2, x, d=None, epsilon=1e-3, cutoff=None, tol=1e-10):
     return Correlator(res.value, res.error_estimate + tail)
 
 
-def kallen_lehmann_2pt(rho, x, d=None, epsilon=1e-3, tol=1e-10):
+def kallen_lehmann_2pt(rho, x):
     """Superposition int d rho(m^2) W_m(x) for a MassWeight measure.
 
     Second code path for the consistency check against gff2pt with
     d rho = h^2 dm^2.
     """
-    d = d or x.d
-    sigma = _sigma_eps(x, epsilon)
+    d = x.d
+    sigma = _sigma_eps(x, 1e-3)
     lo, hi = rho.support
     if not np.isfinite(hi):
         if x.square() >= 0:
@@ -355,8 +360,7 @@ def kallen_lehmann_2pt(rho, x, d=None, epsilon=1e-3, tol=1e-10):
         return 2.0 * m * np.asarray(rho.density(m ** 2)) * \
             _wightman_closed(m, sigma, d)
 
-    res = adaptive_finite(integrand, math.sqrt(lo) + 1e-10, math.sqrt(hi),
-                          tol=tol)
+    res = adaptive_finite(integrand, math.sqrt(lo) + 1e-10, math.sqrt(hi))
     total = res.value
     for m2, w in rho.point_masses:
         total = total + w * _wightman_closed(math.sqrt(m2), sigma, d)
@@ -403,7 +407,7 @@ def lightcone_grid_nodes(n, kmax):
     return t ** 4, 4.0 * t ** 3 * w
 
 
-def smeared2pt(h1, f1, h2, f2, d=2, n_nodes=120, kmax=None, epsilon=0.0):
+def smeared2pt(h1, f1, h2, f2, d=2, n_nodes=120, epsilon=0.0):
     """(2 pi)^-(d-1) int_{V+} d^dk h1 h2 conj(fhat1) fhat2 (d = 2 cone).
 
     A nonzero epsilon inserts the damping e^{-eps k^0} matching the
@@ -411,8 +415,7 @@ def smeared2pt(h1, f1, h2, f2, d=2, n_nodes=120, kmax=None, epsilon=0.0):
     """
     if d != 2:
         raise DomainError("smeared momentum quadrature is implemented for d = 2")
-    if kmax is None:
-        kmax = _cone_kmax(f1, f2)
+    kmax = _cone_kmax(f1, f2)
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -438,7 +441,7 @@ def _cone_kmax(*packets):
     return kmax
 
 
-def wick2pt(h, x, d=None, epsilon=1e-3, cutoff=None, n_nodes=160):
+def wick2pt(h, x, cutoff=None):
     """2-point function of the generalized Wick square with weight h(m1^2, m2^2):
 
         2 int dm1^2 dm2^2 h^2 W_m1(x) W_m2(x).
@@ -451,15 +454,14 @@ def wick2pt(h, x, d=None, epsilon=1e-3, cutoff=None, n_nodes=160):
             "delta(m1^2 - m2^2) weight is not square integrable: the vacuum "
             "fluctuation diverges; run the mollified cutoff scan "
             "(stress.vacuum_fluctuation_divergence) for the diagnostic")
-    d = d or x.d
     if cutoff is None:
         cutoff = default_cutoff(x)
-    sigma = _sigma_eps(x, epsilon)
+    sigma = _sigma_eps(x, 1e-3)
     mmax = math.sqrt(cutoff)
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    t, w = np.polynomial.legendre.leggauss(160)
     m = 0.5 * mmax * (t + 1.0)
     wm = 0.5 * mmax * w
-    wvals = _wightman_closed(m, sigma, d)
+    wvals = _wightman_closed(m, sigma, x.d)
     m1sq = (m ** 2)[:, None]
     m2sq = (m ** 2)[None, :]
     hh = np.asarray(h(m1sq, m2sq))
@@ -468,7 +470,7 @@ def wick2pt(h, x, d=None, epsilon=1e-3, cutoff=None, n_nodes=160):
     return Correlator(complex(value), 1e-8 * abs(complex(value)))
 
 
-def scaling_covariance_check(h, lam, x, d=2, epsilon=1e-3, cutoff=None):
+def scaling_covariance_check(h, lam, x):
     """Check gff2pt(h, h, x / lambda) = gff2pt(h_lambda, h_lambda, x).
 
     The dilation acts on weights as h_lambda(m^2) = lambda^(d/2) h(lambda^2 m^2),
@@ -478,11 +480,9 @@ def scaling_covariance_check(h, lam, x, d=2, epsilon=1e-3, cutoff=None):
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    left = gff2pt(h, h, x.scale(1.0 / lam), d, epsilon=epsilon / lam,
-                  cutoff=cutoff)
-    hl = ScaledWeight(h, lam, d)
-    cut_right = cutoff if cutoff is None else cutoff * lam ** 2
-    right = gff2pt(hl, hl, x, d, epsilon=epsilon, cutoff=cut_right)
+    left = gff2pt(h, h, x.scale(1.0 / lam), epsilon=1e-3 / lam)
+    hl = ScaledWeight(h, lam, x.d)
+    right = gff2pt(hl, hl, x)
     disc = abs(left.value - right.value)
     return {
         "left": left,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .correlators import norm_const, smeared2pt
+from .correlators import _lower, norm_const, smeared2pt
 
 __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
            "apply_generator", "algebra_closure_check", "symbolic_generator",
@@ -181,12 +181,7 @@ class GeneratorKind:
             raise DomainError("index out of range for d = 2")
 
 
-def _k_lower(mu, kp, km):
-    # k_0 = k^0 = (k+ + k-)/2,  k_1 = -k^1 = -(k+ - k-)/2
-    return 0.5 * (kp + km) if mu == 0 else -0.5 * (kp - km)
-
-
-def apply_generator(G, f, d=2):
+def apply_generator(G, f):
     """Apply a generator to a mode function, returning a new mode function.
 
     Axis 0 of the samples is k+ and axis 1 is k-, so k+ d/dk+ is D_s from
@@ -200,28 +195,27 @@ def apply_generator(G, f, d=2):
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
     d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
     scaling = lambda a: ds @ a + a @ ds.T  # k . d/dk
+    klow = _lower((kp, km))
     if G.kind == "P":
-        out = _k_lower(G.mu, kp, km) * F
+        out = klow[G.mu] * F
     elif G.kind == "M":
         sgn = G.nu_idx - G.mu  # +1 for M01, -1 for M10, 0 on the diagonal
-        out = sgn * 1j * (_k_lower(1, kp, km) * d_upper(0, F)
-                          - _k_lower(0, kp, km) * d_upper(1, F))
+        out = sgn * 1j * (klow[1] * d_upper(0, F) - klow[0] * d_upper(1, F))
     elif G.kind == "D":
-        out = 1j * (scaling(F) + 0.5 * d * F)
+        out = 1j * (scaling(F) + F)
     else:
-        nu_par = G.delta - 0.5 * d
-        klow = _k_lower(G.mu, kp, km)
+        nu_par = G.delta - 1.0
         d_mu = d_upper(G.mu, F)
-        out = (d_mu + klow * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
-               - d_upper(G.mu, scaling(F)) - d * d_mu
-               + nu_par ** 2 * klow / (kp * km) * F)
+        out = (d_mu + klow[G.mu] * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
+               - d_upper(G.mu, scaling(F)) - 2 * d_mu
+               + nu_par ** 2 * klow[G.mu] / (kp * km) * F)
     return ModeFunction(f.grid, samples=out)
 
 
 # ---------------------------------------------------------------------------
 # symbolic oracle
 
-def symbolic_generator(G, expr, kp, km, d=2):
+def symbolic_generator(G, expr, kp, km):
     """Apply the defining differential operator of G to a sympy expression.
 
     This is the independent route used to pin signs and to build the exact
@@ -243,9 +237,9 @@ def symbolic_generator(G, expr, kp, km, d=2):
         sgn = 1 if (G.mu, G.nu_idx) == (0, 1) else -1
         return sgn * sym.I * (k_1 * d_up(0, ep, em) - k_0 * d_up(1, ep, em))
     if G.kind == "D":
-        return sym.I * (kp * ep + km * em + sym.Rational(d, 2) * expr)
+        return sym.I * (kp * ep + km * em + expr)
     # K(mu, Delta)
-    nu_par = sym.nsimplify(G.delta - d / 2, rational=False)
+    nu_par = sym.nsimplify(G.delta - 1.0, rational=False)
     klow = k_0 if G.mu == 0 else k_1
     epp, epm, emm = sym.diff(ep, kp), sym.diff(ep, km), sym.diff(em, km)
     dmu = d_up(G.mu, ep, em)
@@ -253,11 +247,11 @@ def symbolic_generator(G, expr, kp, km, d=2):
     scal_dmu = kp * d_up(G.mu, epp, epm) + km * d_up(G.mu, epm, emm)
     # d/dk^mu of (k . d/dk) expr = kp ep + km em
     dmu_scal = d_up(G.mu, ep + kp * epp + km * epm, kp * epm + em + km * emm)
-    return (dmu + klow * box - scal_dmu - dmu_scal - d * dmu
+    return (dmu + klow * box - scal_dmu - dmu_scal - 2 * dmu
             + nu_par ** 2 * klow / (kp * km) * expr)
 
 
-def _symbolic_commutator(G1, G2, expr, kp, km, d=2):
+def _symbolic_commutator(G1, G2, expr, kp, km):
     """Exact [G1, G2] expr, built as an operator on a generic function.
 
     G1 G2 - G2 G1 is applied to an undefined F(kp, km) and expanded, which
@@ -268,10 +262,9 @@ def _symbolic_commutator(G1, G2, expr, kp, km, d=2):
     import sympy as sym
     F = sym.Function("F")(kp, km)
     # expanding G F first halves the cost of the outer application
-    g1, g2 = (sym.expand(symbolic_generator(G, F, kp, km, d))
-              for G in (G1, G2))
-    op = sym.expand(symbolic_generator(G1, g2, kp, km, d)
-                    - symbolic_generator(G2, g1, kp, km, d))
+    g1, g2 = (sym.expand(symbolic_generator(G, F, kp, km)) for G in (G1, G2))
+    op = sym.expand(symbolic_generator(G1, g2, kp, km)
+                    - symbolic_generator(G2, g1, kp, km))
     derivs = {(0, 0): expr}
 
     def deriv(a, b):  # d^a/dkp^a d^b/dkm^b expr
@@ -287,14 +280,14 @@ def _symbolic_commutator(G1, G2, expr, kp, km, d=2):
     return op.xreplace(subs)
 
 
-def _commutator(G1, G2, f, d):
+def _commutator(G1, G2, f):
     """Samples of [G1, G2] f, and the norm of G2 G1 f."""
-    g21 = apply_generator(G2, apply_generator(G1, f, d), d)
-    g12 = apply_generator(G1, apply_generator(G2, f, d), d)
+    g21 = apply_generator(G2, apply_generator(G1, f))
+    g12 = apply_generator(G1, apply_generator(G2, f))
     return g12.samples - g21.samples, g21.norm()
 
 
-def algebra_closure_check(G1, G2, f, expr=None, d=2):
+def algebra_closure_check(G1, G2, f, expr=None):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
     expr must be the sympy expression (in symbols kp, km) matching f.  The
@@ -311,7 +304,7 @@ def algebra_closure_check(G1, G2, f, expr=None, d=2):
     if expr is None or f.func is None:
         raise DomainError("algebra_closure_check needs f as a callable and "
                           "its symbolic form")
-    comm, scale_ops = _commutator(G1, G2, f, d)
+    comm, scale_ops = _commutator(G1, G2, f)
     scale_ops = max(scale_ops, 1e-300)
 
     names = {s.name: s for s in expr.free_symbols}
@@ -320,7 +313,7 @@ def algebra_closure_check(G1, G2, f, expr=None, d=2):
     kp, km = names["kp"], names["km"]
     # no docstring: printing the expression for it would cost as much again
     oracle = sym.lambdify(
-        (kp, km), _symbolic_commutator(G1, G2, expr, kp, km, d), "numpy",
+        (kp, km), _symbolic_commutator(G1, G2, expr, kp, km), "numpy",
         docstring_limit=0)
 
     kpg, kmg, w = f.grid.mesh()
@@ -333,7 +326,7 @@ def algebra_closure_check(G1, G2, f, expr=None, d=2):
     # (rounded down to even: every odd order has a node at t = 0, and a
     # node shared with f's grid would divide by zero in the interpolation)
     half = dataclasses.replace(f.grid, n=max(2 * (f.grid.n // 4), 8))
-    coarse = _commutator(G1, G2, ModeFunction(half, f.func), d)[0]
+    coarse = _commutator(G1, G2, ModeFunction(half, f.func))[0]
     t, bw = _spectral(half)[3:]  # barycentric interpolation onto f's nodes
     lift = bw / (_spectral(f.grid)[3][:, None] - t)
     lift /= lift.sum(axis=1, keepdims=True)
@@ -349,7 +342,7 @@ def algebra_closure_check(G1, G2, f, expr=None, d=2):
 # ---------------------------------------------------------------------------
 # special conformal transformation law at the field level
 
-def special_conformal_field_law(f_position, mu, delta, d=2, grid=None):
+def special_conformal_field_law(f_position, mu, delta):
     """One-particle check of the position-space special conformal law.
 
     Left side: the momentum generator K(mu, delta) applied (spectrally on
@@ -361,16 +354,14 @@ def special_conformal_field_law(f_position, mu, delta, d=2, grid=None):
     relative L2 discrepancy.
     """
     import sympy as sym
-    if d != 2:
-        raise DomainError("implemented for d = 2")
-    grid = grid or LightconeGrid()
-    nu_par = delta - 0.5 * d
+    grid = LightconeGrid()
+    nu_par = delta - 1.0
 
     def h_pow(m2):
         return np.asarray(m2) ** (nu_par / 2.0)
 
     psi = position_wavefunction(f_position, h_pow, grid)
-    left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi, d)
+    left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi)
 
     # exact Fourier transform of the transformed test function
     k0s, k1s = sym.symbols("k0 k1", real=True)
@@ -400,7 +391,7 @@ def special_conformal_field_law(f_position, mu, delta, d=2, grid=None):
     xmu = lambda e: (x_op(0, e) if mu == 0 else -x_op(1, e))  # x_mu = eta x^nu
 
     ghat = -sym.I * (-2 * xmu(xdotgrad) + x2dmu
-                     + (2 * delta - 2 * d) * xmu(fhat))
+                     + (2 * delta - 4) * xmu(fhat))
     ghat_fn = sym.lambdify((k0s, k1s), sym.expand(ghat), "numpy")
 
     def right_func(kp, km):
@@ -431,7 +422,7 @@ def _pairings(indices):
             yield (pair,) + sub
 
 
-def npoint(weights, packets, d=2, n_nodes=120):
+def npoint(weights, packets):
     """Gaussian n-point function: sum over pairings of smeared 2-point values.
 
     Pairs (i, j) with i < j contribute smeared2pt(h_i, f_i, h_j, f_j); odd n
@@ -445,8 +436,7 @@ def npoint(weights, packets, d=2, n_nodes=120):
 
     @functools.lru_cache(maxsize=None)
     def pair_value(i, j):
-        return smeared2pt(weights[i], packets[i], weights[j], packets[j],
-                          d=d, n_nodes=n_nodes).value
+        return smeared2pt(weights[i], packets[i], weights[j], packets[j]).value
 
     return sum((math.prod(pair_value(i, j) for i, j in matching)
                 for matching in _pairings(tuple(range(n)))), 0j)

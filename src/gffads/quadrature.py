@@ -98,10 +98,10 @@ def _gk15(f, a, b):
     return ik, err
 
 
-def adaptive_finite(f, a, b, tol=1e-10, abs_floor=1e-14, max_panels=4000):
+def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
-    The target is |value - integral| <= max(tol * |value|, abs_floor).  The
+    The target is |value - integral| <= max(tol * |value|, 1e-14).  The
     panel results are summed in a fixed (left-to-right) order so the returned
     value does not depend on the refinement history.
     """
@@ -114,7 +114,7 @@ def adaptive_finite(f, a, b, tol=1e-10, abs_floor=1e-14, max_panels=4000):
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(-p[0] for p in panels)
-        if total_err <= max(tol * abs(total), abs_floor):
+        if total_err <= max(tol * abs(total), 1e-14):
             break
         if len(panels) >= max_panels:
             ordered = sorted(panels, key=lambda p: p[1])
@@ -198,7 +198,7 @@ def wynn_epsilon(partial_sums):
     return table.limit()
 
 
-def _damped_semi_infinite(f, eps, panel, max_panels=2000, atol=1e-13):
+def _damped_semi_infinite(f, eps, panel, max_panels=2000):
     """integral_0^inf f(u) exp(-eps u) du by panel sums + epsilon acceleration."""
 
     def fd(u):
@@ -227,7 +227,7 @@ def _damped_semi_infinite(f, eps, panel, max_panels=2000, atol=1e-13):
         table.push(total)
         if len(sums) >= 8:
             best, best_err = table.limit()
-            tol = max(atol, 1e-14 * max(1.0, abs(best)))
+            tol = max(1e-13, 1e-14 * max(1.0, abs(best)))
             converged_streak = converged_streak + 1 if best_err <= tol else 0
             if converged_streak >= 3:
                 break

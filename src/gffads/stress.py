@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .specfun import _nu, bessel_j
 from .quadrature import adaptive_finite
-from .correlators import Correlator, lightcone_grid_nodes, norm_const
+from .correlators import Correlator, _lower, lightcone_grid_nodes, norm_const
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
 
 __all__ = ["set_kernel", "set_matrix_element", "conservation_check",
@@ -52,12 +52,6 @@ def _kernel_lower(q1, q2, mu, nu, improvement=0.0):
         Qsq = Q[0] * Q[0] - Q[1] * Q[1]
         val = val + improvement * 2.0 * (-Q[mu] * Q[nu] + _ETA[mu, nu] * Qsq)
     return val
-
-
-def _lower(k):
-    """Lower components (k_0, k_1) from lightcone (k+, k-) arrays."""
-    kp, km = k
-    return (0.5 * (kp + km), -0.5 * (kp - km))
 
 
 def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
@@ -172,8 +166,12 @@ def _reach(packet):
         return 10.0 / min(packet.wt, packet.ws)
 
 
+# the (eps1, eps2) sign pattern q_i = eps_i k_i of each ordering
+_ORDERINGS = {"left": (-1, -1), "middle": (1, -1), "right": (1, 1)}
+
+
 def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
-                       n_nodes=72, kmax=None, improvement=0.0):
+                       n_nodes=72, improvement=0.0):
     """Matrix element of the smeared tensor Theta_mn(f) between one-particle
     smearings, in one of the three orderings
 
@@ -186,10 +184,10 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
     """
     if d != 2:
         raise DomainError("tensor matrix elements are implemented for d = 2")
-    if ordering not in ("left", "middle", "right"):
+    if ordering not in _ORDERINGS:
         raise DomainError(f"unknown ordering {ordering!r}")
-    if kmax is None:
-        kmax = 2.0 * max(_reach(f1), _reach(f2))
+    e1, e2 = _ORDERINGS[ordering]
+    kmax = 2.0 * max(_reach(f1), _reach(f2))
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -199,26 +197,12 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
         wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
         k2m = k1p * k1m / k2p
         m2 = k1p * k1m
-        kl1 = _lower((k1p, k1m))
-        kl2 = _lower((k2p, k2m))
-        k1_0, k1_1 = kl1[0], -kl1[1]  # upper components
-        k2_0, k2_1 = kl2[0], -kl2[1]
+        q1 = tuple(e1 * c for c in _lower((k1p, k1m)))
+        q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
         h12 = np.asarray(h1(m2)) * np.asarray(h2(m2))
-        if ordering == "middle":
-            q1 = kl1
-            q2 = (-kl2[0], -kl2[1])
-            vals = f1.fourier(-k1_0, -k1_1) * f2.fourier(k2_0, k2_1) * \
-                f.fourier(k1_0 - k2_0, k1_1 - k2_1)
-        elif ordering == "left":
-            q1 = (-kl1[0], -kl1[1])
-            q2 = (-kl2[0], -kl2[1])
-            vals = f1.fourier(k1_0, k1_1) * f2.fourier(k2_0, k2_1) * \
-                f.fourier(-k1_0 - k2_0, -k1_1 - k2_1)
-        else:
-            q1 = kl1
-            q2 = kl2
-            vals = f1.fourier(-k1_0, -k1_1) * f2.fourier(-k2_0, -k2_1) * \
-                f.fourier(k1_0 + k2_0, k1_1 + k2_1)
+        # fourier takes upper components: f1 at -q1, f2 at -q2, f at q1 + q2
+        vals = f1.fourier(-q1[0], q1[1]) * f2.fourier(-q2[0], q2[1]) * \
+            f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
         kern = _kernel_lower(q1, q2, mu, nu, improvement)
         return complex(norm_const(2) ** 2 * 0.25 *
                        np.sum(wt / k2p * h12 * kern * vals))
@@ -242,24 +226,22 @@ def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
             "error_estimate": err}
 
 
-def generator_matrix_element(h1, f1, h2, f2, G, grid=None):
+def generator_matrix_element(h1, f1, h2, f2, G):
     """One-particle element <Omega phi_{h1}(f1) G phi_{h2}(f2) Omega>, d = 2.
 
     Equals (2 pi)^-1 * (1/2) int dk+ dk-  fhat1(-k) h1 (G psi2)(k) with
     psi2 = h2 fhat2, the generator applied through the mode machinery.
     """
-    grid = grid or LightconeGrid(n=96, kmin=0.01, kmax=40.0)
+    grid = LightconeGrid(n=96, kmin=0.01, kmax=40.0)
     psi2 = ModeFunction(grid, lambda kp, km:
                         np.asarray(h2(kp * km)) * f2.fourier_lc(kp, km))
     gpsi = apply_generator(G, psi2)
     kp, km, w = grid.mesh()
-    k0, k1 = 0.5 * (kp + km), 0.5 * (kp - km)
-    bra = f1.fourier(-k0, -k1) * np.asarray(h1(kp * km))
+    bra = f1.fourier_lc(-kp, -km) * np.asarray(h1(kp * km))
     return complex(norm_const(2) * 0.5 * np.sum(w * bra * gpsi.samples))
 
 
-def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence,
-                           time_width=0.5, **kwargs):
+def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence):
     """Spatially integrated Theta_0n approaches the momentum generator P_n.
 
     The tensor is smeared with a unit-time-area Gaussian times a height-one
@@ -267,23 +249,16 @@ def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence,
     one-particle matrix element of P_n.
     """
     target = generator_matrix_element(h1, f1, h2, f2, GeneratorKind("P", mu=nu))
-    n_base = kwargs.pop("n_nodes", None)
-    values, deviations = [], []
-    for s in broadening_sequence:
-        f = _unit_time_area(time_width, s)
-        # the spatial momentum transfer narrows like 1/s: refine with s
-        n = n_base if n_base is not None else max(72, int(20 * s))
-        el = set_matrix_element(f, h1, f1, h2, f2, 0, nu, n_nodes=n, **kwargs)
-        values.append(el.value)
-        deviations.append(abs(el.value - target) / abs(target))
-    return {"target": target, "values": values,
-            "relative_deviations": deviations,
-            "monotone": all(b < a for a, b in
-                            zip(deviations, deviations[1:]))}
+
+    def value(f, n):
+        return set_matrix_element(f, h1, f1, h2, f2, 0, nu, n_nodes=n).value
+
+    return _broadening(target, value, broadening_sequence)
 
 
-def _unit_time_area(time_width, s):
-    """Gaussian with int dt = 1 in time, height 1 in space."""
+def _unit_time_area(s):
+    """Gaussian with int dt = 1 in time (width 0.5), height 1 in space
+    (width s)."""
 
     class _Scaled(AnisoGaussian):
         # fourier_derivative inherits correctly: it builds on self.fourier
@@ -291,11 +266,10 @@ def _unit_time_area(time_width, s):
             return AnisoGaussian.fourier(self, k0, k1) / \
                 (math.sqrt(2.0 * math.pi) * self.wt)
 
-    return _Scaled(time_width, s)
+    return _Scaled(0.5, s)
 
 
-def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence,
-                          time_width=0.5, **kwargs):
+def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
     """Spatially integrated x_m Theta_0n - x_n Theta_0m approaches M_mn."""
     if mu == nu:
         return {"target": 0.0, "values": [0.0], "relative_deviations": [0.0],
@@ -306,22 +280,26 @@ def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence,
     # both are pinned independently by the commutator oracle).
     target = -generator_matrix_element(
         h1, f1, h2, f2, GeneratorKind("M", mu=mu, nu_idx=nu))
-    n_base = kwargs.pop("n_nodes", None)
+    # x_0 = x^0 -> MomentPacket(mu=0); x_1 = -x^1 -> -MomentPacket(mu=1)
+    sign = (1.0, -1.0)
+
+    def value(f, n):
+        va = set_matrix_element(MomentPacket(f, mu), h1, f1, h2, f2, 0, nu,
+                                n_nodes=n).value
+        vb = set_matrix_element(MomentPacket(f, nu), h1, f1, h2, f2, 0, mu,
+                                n_nodes=n).value
+        return sign[mu] * va - sign[nu] * vb
+
+    return _broadening(target, value, broadening_sequence)
+
+
+def _broadening(target, value, broadening_sequence):
+    """Deviations from target of value(f, n) along the broadening widths s,
+    f the tensor smearing of width s and n its node count."""
     values, deviations = [], []
     for s in broadening_sequence:
-        f = _unit_time_area(time_width, s)
-        n = n_base if n_base is not None else max(72, int(20 * s))
-        # x_0 = x^0 -> MomentPacket(mu=0); x_1 = -x^1 -> -MomentPacket(mu=1)
-        def x_low(idx):
-            pack = MomentPacket(f, idx)
-            return pack, (1.0 if idx == 0 else -1.0)
-        pa, sa = x_low(mu)
-        pb, sb = x_low(nu)
-        va = set_matrix_element(pa, h1, f1, h2, f2, 0, nu,
-                                n_nodes=n, **kwargs).value
-        vb = set_matrix_element(pb, h1, f1, h2, f2, 0, mu,
-                                n_nodes=n, **kwargs).value
-        val = sa * va - sb * vb
+        # the spatial momentum transfer narrows like 1/s: refine with s
+        val = value(_unit_time_area(s), max(72, int(20 * s)))
         values.append(val)
         deviations.append(abs(val - target) / abs(target))
     return {"target": target, "values": values,
@@ -357,7 +335,7 @@ def commutator_locality_check(f, g, h, h1, f1, mu, nu, **kwargs):
 # vacuum fluctuations of the mollified tensor
 
 def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
-                                  n_inner=24, kmax=None, fixed_width=None):
+                                  n_inner=24, fixed_width=None):
     """||Theta^sigma_mn(f) Omega||^2 for delta-mollified diagonal weights.
 
     The weight is h_sigma(m1^2, m2^2) = N_sigma exp(-(m1^2-m2^2)^2/2 sigma^2)
@@ -376,8 +354,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
     k1+ axis is walked one node at a time.
     """
-    if kmax is None:
-        kmax = 2.0 * _reach(f) + 10.0
+    kmax = 2.0 * _reach(f) + 10.0
     sigmas = tuple(float(s) for s in sigma_sequence)
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])) or sigmas[-1] <= 0:
         raise DomainError("sigma_sequence must decrease to a positive value")
@@ -420,7 +397,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
 # ---------------------------------------------------------------------------
 # z-integration reduction of the AdS tensor
 
-def z_integral_weight(nu, Z, m1sq, m2sq, tol=1e-12):
+def z_integral_weight(nu, Z, m1sq, m2sq):
     """(1/2) int_0^Z z J_nu(z m1) J_nu(z m2) dz by adaptive quadrature."""
     nu_f = _nu(nu)
     if Z <= 0 or m1sq <= 0 or m2sq <= 0:
@@ -428,11 +405,11 @@ def z_integral_weight(nu, Z, m1sq, m2sq, tol=1e-12):
     m1, m2 = math.sqrt(m1sq), math.sqrt(m2sq)
     res = adaptive_finite(
         lambda z: 0.5 * z * bessel_j(nu_f, m1 * z) * bessel_j(nu_f, m2 * z),
-        1e-12, Z, tol=tol)
+        1e-12, Z, tol=1e-12)
     return float(res.value.real)
 
 
-def z_integral_weight_closed(nu, Z, m1sq, m2sq, diag_tol=1e-9):
+def z_integral_weight_closed(nu, Z, m1sq, m2sq):
     """Closed-form (Lommel) evaluation of z_integral_weight; vectorized.
 
     For m1 != m2:
@@ -447,7 +424,7 @@ def z_integral_weight_closed(nu, Z, m1sq, m2sq, diag_tol=1e-9):
     j1p = 0.5 * (bessel_j(nu_f - 1.0, Z * m1) - bessel_j(nu_f + 1.0, Z * m1))
     j2p = 0.5 * (bessel_j(nu_f - 1.0, Z * m2) - bessel_j(nu_f + 1.0, Z * m2))
     diff = m2 ** 2 - m1 ** 2
-    diag = np.abs(diff) < diag_tol
+    diag = np.abs(diff) < 1e-9
     safe = np.where(diag, 1.0, diff)
     off = 0.5 * Z * (m1 * j1p * j2 - m2 * j1 * j2p) / safe
     jm = bessel_j(nu_f - 1.0, Z * m1) * bessel_j(nu_f + 1.0, Z * m1)
@@ -456,7 +433,7 @@ def z_integral_weight_closed(nu, Z, m1sq, m2sq, diag_tol=1e-9):
     return float(out) if out.ndim == 0 else out
 
 
-def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2, n_nodes=None):
+def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2):
     """Smear z_integral_weight against a Gaussian in m2^2; compare with the
     delta-limit value g(m1^2).
 
@@ -473,8 +450,7 @@ def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2, n_nodes=None):
     lo = max(m1sq - 8.0 * g_width, 1e-10)
     hi = m1sq + 8.0 * g_width
     # oscillation period of the weight is ~ 2 pi m2 / Z in the m2^2 variable
-    if n_nodes is None:
-        n_nodes = max(800, int(4.0 * Z * (math.sqrt(hi) - math.sqrt(lo))))
+    n_nodes = max(800, int(4.0 * Z * (math.sqrt(hi) - math.sqrt(lo))))
     t, w = np.polynomial.legendre.leggauss(min(n_nodes, 6000))
     u = 0.5 * (hi - lo) * (t + 1.0) + lo
     wu = 0.5 * (hi - lo) * w
@@ -486,8 +462,7 @@ def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2, n_nodes=None):
 
 
 def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
-                           n_outer=48, n_inner=1000, kmax=None,
-                           improvement=0.0):
+                           n_outer=48, n_inner=1000, improvement=0.0):
     """Middle-ordering matrix element with the depth-integrated Bessel weight
     z_integral_weight(nu, Z, k1^2, k2^2) in place of delta(k1^2 - k2^2).
 
@@ -501,8 +476,7 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     times fhat(k1 - k2), are formed as one matrix G over rows (k1+, k1-) and
     columns k2-, and the slice is sum(bra A * (G @ (ket B))).
     """
-    if kmax is None:
-        kmax = 2.0 * max(_reach(f1), _reach(f2))
+    kmax = 2.0 * max(_reach(f1), _reach(f2))
     k, w = lightcone_grid_nodes(n_outer, kmax)
     k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
 
@@ -528,7 +502,7 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
 
 
 def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx,
-                      n_outer=48, n_inner=1000, kmax=None, **kwargs):
+                      n_outer=48, n_inner=1000):
     """Z-cutoff bulk reduction of the tensor vs the sharp mass-diagonal limit.
 
     Evaluates ads_set_matrix_element along the increasing Z_sequence and
@@ -538,13 +512,12 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx,
     if any(b <= a for a, b in zip(Zs, Zs[1:])) or Zs[0] <= 0:
         raise DomainError("Z_sequence must be positive and increasing")
     target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx,
-                                n_nodes=max(n_outer, 64), kmax=kmax, **kwargs)
+                                n_nodes=max(n_outer, 64))
     scale = abs(target.value)
     values, deviations = [], []
     for Z in Zs:
         val = ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
-                                     n_outer=n_outer, n_inner=n_inner,
-                                     kmax=kmax, **kwargs)
+                                     n_outer=n_outer, n_inner=n_inner)
         values.append(val)
         deviations.append(abs(val - target.value) / scale)
     return {"target": target.value, "values": values,
