@@ -1,8 +1,8 @@
-"""AdS side of the boundary dictionary in the Poincare chart.
+"""AdS_3 side of the boundary dictionary in the Poincare chart (d = 2).
 
-The bulk Klein-Gordon field of mass M^2 = nu^2 - d^2/4 at depth z is the
+The bulk Klein-Gordon field of mass M^2 = nu^2 - 1 at depth z is the
 boundary generalized free field with Bessel weight
-    h_z(m^2) = (1/sqrt 2) z^(d/2) J_nu(z m),
+    h_z(m^2) = (1/sqrt 2) z J_nu(z m),
 so bulk 2-point functions, commutators, the boundary (z -> 0) limit, the
 canonical equal-time commutator and the mass-change kernel all reduce to
 weighted mass integrals of the fixed-mass building blocks.
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LightConeProximityError
-from .specfun import Order, _nu, bessel_j, gamma, j_even
-from .quadrature import (AbelSchedule, QuadratureResult, adaptive_finite,
-                         neville_zero, oscillatory_semi_infinite)
+from .specfun import Order, _nu, bessel_j, gamma
+from .quadrature import adaptive_finite, neville_zero, oscillatory_semi_infinite
 from .correlators import BesselZ, Correlator, Power, gff2pt, gff_commutator
 from .fock import ModeFunction
 
@@ -27,14 +26,9 @@ __all__ = ["AdSFieldSpec", "ads2pt", "holographic_lift", "boundary_limit_const",
 
 @dataclass(frozen=True)
 class AdSFieldSpec:
-    """Bulk scalar of Bessel order nu on AdS_{d+1}; Delta = d/2 + nu."""
+    """Bulk scalar of Bessel order nu on AdS_3; Delta = 1 + nu."""
 
     order: Order
-    d: int = 2
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError("boundary dimension must be >= 2")
 
     @property
     def nu(self):
@@ -42,25 +36,24 @@ class AdSFieldSpec:
 
     @property
     def delta(self):
-        return 0.5 * self.d + self.nu
+        return 1.0 + self.nu
 
     @property
     def mass_squared(self):
-        return self.nu ** 2 - 0.25 * self.d ** 2
+        return self.nu ** 2 - 1.0
 
     def weight(self, z):
-        return BesselZ(z, self.order, self.d)
+        return BesselZ(z, self.order)
 
 
 def ads2pt(spec, z, zp, dx, epsilon=1e-3):
-    """Bulk 2-point function (1/2)(z z')^{d/2} int dm^2 J_nu(zm)J_nu(z'm) W_m(dx).
+    """Bulk 2-point function (1/2) z z' int dm^2 J_nu(zm) J_nu(z'm) W_m(dx).
 
     Same code path as the boundary superposition with Bessel weights.
     """
     if z <= 0 or zp <= 0:
         raise DomainError("ads2pt requires z, zp > 0")
-    return gff2pt(spec.weight(z), spec.weight(zp), dx, spec.d,
-                  epsilon=epsilon)
+    return gff2pt(spec.weight(z), spec.weight(zp), dx, epsilon=epsilon)
 
 
 def boundary_limit_const(nu):
@@ -68,27 +61,15 @@ def boundary_limit_const(nu):
     return 2.0 ** (-nu - 0.5) / gamma(nu + 1.0)
 
 
-def holographic_lift(spec, z, fhat, method="bessel_j"):
-    """Multiply a cone wavefunction by the depth-z Bessel weight h_z(k^2).
-
-    method selects between the direct J_nu evaluation and the even-series
-    form (1/sqrt 2) z^Delta (k^2)^(nu/2) jEven(nu, z^2 k^2); both agree and
-    the latter stays smooth through k^2 -> 0.
-    """
+def holographic_lift(spec, z, fhat):
+    """Multiply a cone wavefunction by the depth-z Bessel weight h_z(k^2)."""
     if z <= 0:
         raise DomainError("holographic_lift requires z > 0")
-    nu, d = spec.nu, spec.d
-    if method == "bessel_j":
-        def weight(m2):
-            return (1.0 / math.sqrt(2.0)) * z ** (d / 2.0) * \
-                bessel_j(nu, z * np.sqrt(m2))
-    elif method == "j_even":
-        def weight(m2):
-            m2 = np.asarray(m2, dtype=float)
-            return (1.0 / math.sqrt(2.0)) * z ** spec.delta * \
-                m2 ** (nu / 2.0) * j_even(nu, z ** 2 * m2)
-    else:
-        raise DomainError(f"unknown lift method {method!r}")
+    nu = spec.nu
+
+    def weight(m2):
+        return (1.0 / math.sqrt(2.0)) * z * bessel_j(nu, z * np.sqrt(m2))
+
     return ModeFunction(fhat.grid,
                         lambda kp, km: weight(kp * km) * fhat.func(kp, km))
 
@@ -106,7 +87,7 @@ def boundary_limit_check(spec, z_sequence, dx):
         raise DomainError("boundary limit check needs spacelike dx")
     c = boundary_limit_const(spec.nu)
     h = Power(spec.nu)
-    ref = gff2pt(h, h, dx, spec.d)
+    ref = gff2pt(h, h, dx)
     target = c ** 2 * ref.value
     ratios, deviations = [], []
     for z in zs:
@@ -126,8 +107,8 @@ def boundary_limit_check(spec, z_sequence, dx):
 def _profile_bessel_moment(g, support, nu, m_values, power):
     """int g(z) (1/sqrt 2) z^power J_nu(z m) dz on the support interval.
 
-    power = d/2 for the field smearing; the canonical momentum pi carries the
-    metric factor z^(1-d), giving power = 1 - d/2 for the pi smearing.
+    power = 1 for the field smearing; the canonical momentum pi carries the
+    metric factor z^(-1), giving power = 0 for the pi smearing.
     """
     out = np.empty_like(np.asarray(m_values, dtype=float))
     a, b = support
@@ -142,14 +123,12 @@ def _profile_bessel_moment(g, support, nu, m_values, power):
 def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
     """Equal-time commutator <[phi(g x f), pi(gp x fp)]> vs the product formula.
 
-    pi = z^(1-d) d_t phi is the canonical momentum of the z^(-2) Poincare
-    metric.  Mode route (d = 2): i/(2 pi) * int_0^inf m dm G(m) Gp(m) *
-    int dk [F(k) Fp(-k) + F(-k) Fp(k)], with G the z^(d/2) Bessel moment of
-    g, Gp the z^(1-d/2) moment of gp, and F, Fp the spatial Fourier
-    transforms of f, fp.  Compared with i*(int g gp dz)*(int f fp dx).
+    pi = z^(-1) d_t phi is the canonical momentum of the z^(-2) Poincare
+    metric.  Mode route: i/(2 pi) * int_0^inf m dm G(m) Gp(m) *
+    int dk [F(k) Fp(-k) + F(-k) Fp(k)], with G the z Bessel moment of g, Gp
+    the z^0 moment of gp, and F, Fp the spatial Fourier transforms of f, fp.
+    Compared with i*(int g gp dz)*(int f fp dx).
     """
-    if spec.d != 2:
-        raise DomainError("ccr check implemented for d = 2")
     nu = spec.nu
 
     # mode route: m-integral on a Gauss-Legendre grid; the profile moments
@@ -218,7 +197,7 @@ def bonus_locality(mu, nu, a, b, c, schedule=None):
 
 
 def ads_commutator(spec, z, zp, dx, schedule=None):
-    """Bulk commutator (1/2)(z z')^{d/2} int dm^2 J_nu(zm) J_nu(z'm) Delta_m(dx).
+    """Bulk commutator (1/2) z z' int dm^2 J_nu(zm) J_nu(z'm) Delta_m(dx).
 
     Spacelike dx gives exactly zero; timelike dx reduces to the triple-Bessel
     integral with tau = sqrt(dx^2).  Points inside the 5% guard band around
@@ -235,19 +214,16 @@ def ads_commutator(spec, z, zp, dx, schedule=None):
     if thresh > 0 and abs(s - thresh) < 0.05 * thresh:
         raise LightConeProximityError(
             "dx^2 within the guard band around the AdS light cone")
-    d = spec.d
     tau = math.sqrt(s)
     sign = 1.0 if dx.components[0] > 0 else -1.0
-    mu = 0.5 * (2 - d)
-    const = -1j * np.pi * (2.0 * np.pi) ** (-d / 2.0) * sign * \
-        (z * zp) ** (d / 2.0) * tau ** mu
-    res = bonus_locality(mu, spec.order, tau, z, zp, schedule)
+    const = -1j * np.pi * (2.0 * np.pi) ** -1.0 * sign * (z * zp)
+    res = bonus_locality(0.0, spec.order, tau, z, zp, schedule)
     return Correlator(const * res.value, abs(const) * res.error_estimate)
 
 
 def ads_commutator_mass_route(spec, z, zp, dx, schedule=None):
     """Cross-check route: the same commutator as a weighted mass integral."""
-    return gff_commutator(spec.weight(z), spec.weight(zp), dx, spec.d,
+    return gff_commutator(spec.weight(z), spec.weight(zp), dx,
                           schedule=schedule)
 
 

@@ -11,13 +11,12 @@ lightcone coordinates k+- > 0 with d^2 k = (1/2) dk+ dk-.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .quadrature import AbelSchedule, adaptive_finite, neville_zero, \
-    oscillatory_semi_infinite
+from .quadrature import adaptive_finite, neville_zero, oscillatory_semi_infinite
 from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
 
@@ -76,19 +75,17 @@ class Power(WeightFunction):
 
 
 class BesselZ(WeightFunction):
-    """h_z(m^2) = 2^(-1/2) z^(d/2) J_nu(z m): the bulk field at depth z."""
+    """h_z(m^2) = 2^(-1/2) z J_nu(z m): the AdS_3 bulk field at depth z."""
 
-    def __init__(self, z, order, d=2):
+    def __init__(self, z, order):
         if z <= 0:
             raise DomainError("BesselZ requires z > 0")
         self.z = float(z)
         self.order = order
-        self.d = int(d)
 
     def __call__(self, m2):
         m = np.sqrt(np.asarray(m2, dtype=float))
-        return self.z ** (self.d / 2.0) / math.sqrt(2.0) * \
-            bessel_j(self.order, self.z * m)
+        return self.z / math.sqrt(2.0) * bessel_j(self.order, self.z * m)
 
 
 class Tabulated(WeightFunction):
@@ -198,8 +195,11 @@ class GaussianPacket:
         kp, km = np.asarray(kp), np.asarray(km)
         return self.fourier(0.5 * (kp + km), 0.5 * (kp - km))
 
-    def shifted(self, a):
-        return GaussianPacket(self.center + a, self.width, self.carrier)
+    @property
+    def reach(self):
+        """Momentum radius beyond which fhat is negligible."""
+        k0 = self.carrier.components
+        return abs(k0[0]) + sum(abs(c) for c in k0[1:]) + 10.0 / self.width
 
 
 def _lower(k):
@@ -316,9 +316,9 @@ def default_cutoff(x):
     return (35.0 / math.sqrt(-s)) ** 2
 
 
-def gff2pt(h1, h2, x, d=None, epsilon=1e-3, cutoff=None):
+def gff2pt(h1, h2, x, epsilon=1e-3, cutoff=None):
     """2-point function int_0^cutoff dm^2 h1(m^2) h2(m^2) W_m(x)."""
-    d = d or x.d
+    d = x.d
     s = x.square()
     if cutoff is None:
         cutoff = default_cutoff(x)
@@ -367,9 +367,9 @@ def kallen_lehmann_2pt(rho, x):
     return Correlator(total, res.error_estimate)
 
 
-def gff_commutator(h1, h2, x, d=None, schedule=None):
+def gff_commutator(h1, h2, x, schedule=None):
     """Commutator int dm^2 h1 h2 Delta_m(x); zero at spacelike separation."""
-    d = d or x.d
+    d = x.d
     s = x.square()
     if s < 0:
         return Correlator(0.0, 0.0)
@@ -407,15 +407,13 @@ def lightcone_grid_nodes(n, kmax):
     return t ** 4, 4.0 * t ** 3 * w
 
 
-def smeared2pt(h1, f1, h2, f2, d=2, n_nodes=120, epsilon=0.0):
-    """(2 pi)^-(d-1) int_{V+} d^dk h1 h2 conj(fhat1) fhat2 (d = 2 cone).
+def smeared2pt(h1, f1, h2, f2, n_nodes=120, epsilon=0.0):
+    """(2 pi)^-1 int_{V+} d^2k h1 h2 conj(fhat1) fhat2 on the d = 2 cone.
 
     A nonzero epsilon inserts the damping e^{-eps k^0} matching the
     i-epsilon prescription of the position-space route.
     """
-    if d != 2:
-        raise DomainError("smeared momentum quadrature is implemented for d = 2")
-    kmax = _cone_kmax(f1, f2)
+    kmax = 2.0 * max(f1.reach, f2.reach)
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -430,15 +428,6 @@ def smeared2pt(h1, f1, h2, f2, d=2, n_nodes=120, epsilon=0.0):
     value = on_grid(n_nodes)
     value_half = on_grid(n_nodes // 2)
     return Correlator(complex(value), abs(value - value_half))
-
-
-def _cone_kmax(*packets):
-    kmax = 0.0
-    for f in packets:
-        k0 = f.carrier.components
-        reach = abs(k0[0]) + sum(abs(c) for c in k0[1:]) + 10.0 / f.width
-        kmax = max(kmax, 2.0 * reach)
-    return kmax
 
 
 def wick2pt(h, x, cutoff=None):

@@ -14,7 +14,7 @@ integrand is evaluated once per panel for all of them.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .errors import BudgetExceededError, DivergenceError, DomainError
 from .specfun import bessel_j
 
 __all__ = ["QuadratureResult", "AbelSchedule", "adaptive_finite",
-           "oscillatory_semi_infinite", "hankel_transform", "wynn_epsilon",
-           "neville_zero", "partial_sum_limit", "FINE_SCHEDULE",
-           "DEFAULT_EPSILONS", "FINE_EPSILONS"]
+           "oscillatory_semi_infinite", "hankel_transform", "neville_zero",
+           "partial_sum_limit", "FINE_SCHEDULE", "DEFAULT_EPSILONS",
+           "FINE_EPSILONS"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,6 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     val, err = _gk15(f, a, b)
     panels = [(-err, a, b, val)]
     evals = 15
-    counter = 0
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(-p[0] for p in panels)
@@ -123,12 +122,11 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
             raise BudgetExceededError(
                 f"adaptive_finite: {max_panels} panels without convergence",
                 result=res)
-        neg_err, pa, pb, _ = heapq.heappop(panels)
+        _, pa, pb, _ = heapq.heappop(panels)
         pm = 0.5 * (pa + pb)
         v1, e1 = _gk15(f, pa, pm)
         v2, e2 = _gk15(f, pm, pb)
         evals += 30
-        counter += 1
         heapq.heappush(panels, (-e1, pa, pm, v1))
         heapq.heappush(panels, (-e2, pm, pb, v2))
     ordered = sorted(panels, key=lambda p: p[1])
@@ -183,33 +181,20 @@ class _EpsilonTable:
         return best, abs(best - prev_best)
 
 
-def wynn_epsilon(partial_sums):
-    """Wynn's epsilon acceleration of a sequence of partial sums.
-
-    Returns (limit_estimate, error_estimate) from the deepest even column.
-    """
-    s = [complex(x) for x in partial_sums]
-    n = len(s)
-    if n < 3:
-        return s[-1], abs(s[-1] - s[0])
-    table = _EpsilonTable(n)
-    for x in s:
-        table.push(x)
-    return table.limit()
-
-
 def _damped_semi_infinite(f, eps, panel, max_panels=2000):
-    """integral_0^inf f(u) exp(-eps u) du by panel sums + epsilon acceleration."""
+    """integral_0^inf f(u) exp(-eps u) du by panel sums + epsilon acceleration.
+
+    The limit is read from the table from the eighth panel on, so
+    max_panels >= 8 always yields one.
+    """
 
     def fd(u):
         return np.asarray(f(u)) * np.exp(-eps * u)
 
-    sums = []
     table = _EpsilonTable(_WYNN_WINDOW)
     total = 0.0j
     evals = 0
     panel_err = 0.0
-    best, best_err = None, np.inf
     scale = 0.0
     converged_streak = 0
     for j in range(max_panels):
@@ -223,17 +208,14 @@ def _damped_semi_infinite(f, eps, panel, max_panels=2000):
         total += v
         panel_err += e
         scale = max(scale, abs(v))
-        sums.append(total)
         table.push(total)
-        if len(sums) >= 8:
+        if table.count >= 8:
             best, best_err = table.limit()
             tol = max(1e-13, 1e-14 * max(1.0, abs(best)))
             converged_streak = converged_streak + 1 if best_err <= tol else 0
             if converged_streak >= 3:
                 break
-    if best is None:
-        best, best_err = wynn_epsilon(sums)
-    if not np.isfinite(best) or (scale > 0 and abs(sums[-1]) > 1e8 * scale):
+    if not np.isfinite(best) or (scale > 0 and abs(total) > 1e8 * scale):
         raise DivergenceError("damped semi-infinite integral does not converge")
     return best, best_err + panel_err, evals
 
@@ -244,6 +226,8 @@ def partial_sum_limit(f, panel=np.pi, max_panels=2000):
     Accelerates the sequence of panel partial sums with Wynn's epsilon
     algorithm.  Serves as the independent cross-check for the Abel route.
     """
+    if max_panels < 8:
+        raise DomainError("partial_sum_limit needs max_panels >= 8")
     v, e, n = _damped_semi_infinite(f, 0.0, panel, max_panels=max_panels)
     return QuadratureResult(complex(v), e, n)
 

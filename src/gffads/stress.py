@@ -140,6 +140,11 @@ class AnisoGaussian:
         self.wt, self.ws = float(wt), float(ws)
         self.center = (float(center[0]), float(center[1]))
 
+    @property
+    def reach(self):
+        """Momentum radius beyond which fhat is negligible."""
+        return 10.0 / min(self.wt, self.ws)
+
     def fourier(self, k0, k1):
         c0, c1 = self.center
         return (2.0 * np.pi) * self.wt * self.ws * \
@@ -158,19 +163,11 @@ class AnisoGaussian:
 # ---------------------------------------------------------------------------
 # matrix elements
 
-def _reach(packet):
-    try:
-        k0 = packet.carrier.components
-        return abs(k0[0]) + abs(k0[1]) + 10.0 / packet.width
-    except AttributeError:
-        return 10.0 / min(packet.wt, packet.ws)
-
-
 # the (eps1, eps2) sign pattern q_i = eps_i k_i of each ordering
 _ORDERINGS = {"left": (-1, -1), "middle": (1, -1), "right": (1, 1)}
 
 
-def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
+def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
                        n_nodes=72, improvement=0.0):
     """Matrix element of the smeared tensor Theta_mn(f) between one-particle
     smearings, in one of the three orderings
@@ -182,12 +179,10 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, d=2, ordering="middle",
     evaluated as the 3-dimensional lightcone quadrature (k1+, k1-, k2+) with
     k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint.
     """
-    if d != 2:
-        raise DomainError("tensor matrix elements are implemented for d = 2")
     if ordering not in _ORDERINGS:
         raise DomainError(f"unknown ordering {ordering!r}")
     e1, e2 = _ORDERINGS[ordering]
-    kmax = 2.0 * max(_reach(f1), _reach(f2))
+    kmax = 2.0 * max(f1.reach, f2.reach)
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -354,7 +349,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
     k1+ axis is walked one node at a time.
     """
-    kmax = 2.0 * _reach(f) + 10.0
+    kmax = 2.0 * f.reach + 10.0
     sigmas = tuple(float(s) for s in sigma_sequence)
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])) or sigmas[-1] <= 0:
         raise DomainError("sigma_sequence must decrease to a positive value")
@@ -442,7 +437,6 @@ def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2):
     """
     if m1sq <= 0 or g_width <= 0 or Z <= 0:
         raise DomainError("delta check needs positive m1sq, width and Z")
-    m1 = math.sqrt(m1sq)
 
     def g(u):
         return np.exp(-(u - m1sq) ** 2 / (2.0 * g_width ** 2))
@@ -476,7 +470,7 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     times fhat(k1 - k2), are formed as one matrix G over rows (k1+, k1-) and
     columns k2-, and the slice is sum(bra A * (G @ (ket B))).
     """
-    kmax = 2.0 * max(_reach(f1), _reach(f2))
+    kmax = 2.0 * max(f1.reach, f2.reach)
     k, w = lightcone_grid_nodes(n_outer, kmax)
     k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
 

@@ -13,7 +13,7 @@ from gffads.errors import DomainError, LightConeProximityError
 from gffads.fock import LightconeGrid, inner_product, position_wavefunction
 from gffads.quadrature import FINE_SCHEDULE
 from gffads.spacetime import MinkVector
-from gffads.specfun import Order
+from gffads.specfun import Order, j_even
 
 from conftest import rel_err
 
@@ -26,10 +26,6 @@ class TestAdSFieldSpec:
         assert SPEC.delta == pytest.approx(1.5)
         assert SPEC.mass_squared == pytest.approx(-0.75)
         assert AdSFieldSpec(Order(0.0)).mass_squared == pytest.approx(-1.0)
-
-    def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            AdSFieldSpec(Order(0.5), d=1)
 
 
 class TestAds2pt:
@@ -89,10 +85,15 @@ class TestHolographicLift:
         self.psi = position_wavefunction(self.f, None, self.grid)
 
     def test_methods_agree(self):
+        # reference: the even-series form (1/sqrt 2) z^Delta (k^2)^(nu/2)
+        # jEven(nu, z^2 k^2) of the Bessel weight, smooth through k^2 -> 0
         kp, km, _ = self.grid.mesh()
-        a = holographic_lift(SPEC, 0.4, self.psi, method="bessel_j")
-        b = holographic_lift(SPEC, 0.4, self.psi, method="j_even")
-        assert np.max(np.abs(a(kp, km) - b(kp, km))) < 1e-10
+        z, m2 = 0.4, kp * km
+        a = holographic_lift(SPEC, z, self.psi)
+        b = (1.0 / math.sqrt(2.0)) * z ** SPEC.delta * \
+            m2 ** (SPEC.nu / 2.0) * j_even(SPEC.nu, z ** 2 * m2) * \
+            self.psi(kp, km)
+        assert np.max(np.abs(a(kp, km) - b)) < 1e-10
 
     def test_boundary_scaling_limit(self):
         # z^(-Delta) h_z(k^2) -> c_nu (k^2)^(nu/2) as z -> 0
@@ -115,8 +116,6 @@ class TestHolographicLift:
     def test_validation(self):
         with pytest.raises(DomainError):
             holographic_lift(SPEC, 0.0, self.psi)
-        with pytest.raises(DomainError):
-            holographic_lift(SPEC, 0.4, self.psi, method="nope")
 
 
 class TestCcr:

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -68,6 +69,13 @@ class TestCompute:
         assert cli.main(["compute", "gff2pt",
                          "--param", "hfile=/no/such/file"]) == 2
 
+    @pytest.mark.parametrize("name", sorted(cli.QUANTITIES))
+    def test_quantity_defaults(self, capsys, name):
+        rc, out = run(capsys, ["compute", name])
+        assert rc == 0
+        value = json.loads(out)["records"][0]["value"]
+        assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+
     def test_determinism(self, capsys):
         argv = ["compute", "setmatrixelement", "--param", "n=48"]
         rc1, out1 = run(capsys, argv)
@@ -121,6 +129,15 @@ class TestScan:
 class TestVerify:
     def test_specfun_suite_passes(self, capsys):
         rc, out = run(capsys, ["verify", "specfun"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["status"] == "pass"
+        assert all(r["status"] in ("pass", "info") for r in doc["records"])
+
+    @pytest.mark.parametrize("suite", ["correlators", "fock", "holography",
+                                       "set"])
+    def test_suite_passes(self, capsys, suite):
+        rc, out = run(capsys, ["verify", suite])
         assert rc == 0
         doc = json.loads(out)
         assert doc["status"] == "pass"

@@ -304,11 +304,6 @@ class TestSmeared2pt:
         assert res.value.real > 0
         assert abs(res.value.imag) < 1e-10 * res.value.real
 
-    def test_d_guard(self):
-        f = GaussianPacket(MinkVector((0.0, 0.0)), 1.0, MinkVector((0.0, 0.0)))
-        with pytest.raises(DomainError):
-            smeared2pt(One(), f, One(), f, d=4)
-
 
 class TestWick2pt:
     def test_factorized_weight(self):

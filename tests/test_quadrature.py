@@ -8,7 +8,7 @@ from gffads.errors import BudgetExceededError, DomainError
 from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                adaptive_finite, hankel_transform, neville_zero,
                                oscillatory_semi_infinite, partial_sum_limit,
-                               wynn_epsilon, _EpsilonTable, _WYNN_WINDOW,
+                               _EpsilonTable, _WYNN_WINDOW,
                                _gk15, _WG, _WK, _XK)
 from gffads.specfun import bessel_j
 
@@ -102,7 +102,10 @@ class TestGK15:
 class TestAcceleration:
     def test_wynn_geometric(self):
         partial = np.cumsum(0.7 ** np.arange(25))
-        val, err = wynn_epsilon(partial)
+        table = _EpsilonTable(len(partial))
+        for s in partial:
+            table.push(s)
+        val, err = table.limit()
         assert abs(val - 1.0 / 0.3) < 1e-10
 
     def test_neville_polynomial_exact(self):
@@ -173,14 +176,6 @@ class TestEpsilonTable:
                 want = _wynn_columnwise(sums[max(0, n - window):n])
                 assert _same(got[0], want[0]) and _same(got[1], want[1])
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(_TERMS, min_size=1, max_size=60))
-    def test_wynn_epsilon_equals_columnwise(self, terms):
-        sums = _partial_sums(terms)
-        for n in range(1, len(sums) + 1):
-            got, want = wynn_epsilon(sums[:n]), _wynn_columnwise(sums[:n])
-            assert _same(got[0], want[0]) and _same(got[1], want[1])
-
 
 class TestOscillatorySemiInfinite:
     def test_exponential(self):
@@ -220,6 +215,11 @@ class TestOscillatorySemiInfinite:
         abel = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
         zeros = partial_sum_limit(f)
         assert abs(abel.value - zeros.value) < 1e-8
+
+    def test_partial_sum_needs_eight_panels(self):
+        # the epsilon table is read from the eighth panel sum on
+        with pytest.raises(DomainError):
+            partial_sum_limit(lambda u: bessel_j(0.0, u), max_panels=7)
 
     def test_integrand_runs_once_per_panel(self):
         seen = []
