@@ -63,13 +63,7 @@ def boundary_limit_const(nu):
 
 def holographic_lift(spec, z, fhat):
     """Multiply a cone wavefunction by the depth-z Bessel weight h_z(k^2)."""
-    if z <= 0:
-        raise DomainError("holographic_lift requires z > 0")
-    nu = spec.nu
-
-    def weight(m2):
-        return (1.0 / math.sqrt(2.0)) * z * bessel_j(nu, z * np.sqrt(m2))
-
+    weight = spec.weight(z)
     return ModeFunction(fhat.grid,
                         lambda kp, km: weight(kp * km) * fhat.func(kp, km))
 

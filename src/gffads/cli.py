@@ -8,7 +8,9 @@ Three subcommands:
 
 Suites bundle the fast invariant checks of each module; compute evaluates one
 public quantity; scan tabulates it along one numeric parameter (CSV output
-only; an explicit --format json is a configuration error).
+only; an explicit --format json is a configuration error).  A compute
+record's inputs are the parameters its quantity read, as given, so passing
+them back as --param reproduces the record.
 
 Exit codes:
 
@@ -80,10 +82,11 @@ def load_config(args):
         params = doc.pop("params", {})
         if not isinstance(params, dict):
             raise ConfigError("config 'params' must be an object")
-        for key in ("seed", "format", "timings"):
-            if key in doc:
-                cfg[key] = doc.pop(key)
-        cfg["params"].update(doc)   # stray top-level keys act as parameters
+        unknown = sorted(set(doc) - {"seed", "format", "timings"})
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; parameters "
+                              f"belong under 'params'")
+        cfg.update(doc)
         cfg["params"].update(params)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -106,13 +109,27 @@ def load_config(args):
     return cfg
 
 
-def _param(p, key, default, cast=float):
-    """Parameter key (or its default) through cast; ConfigError if malformed."""
-    value = p.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"malformed parameter {key}={value!r}") from None
+class Params:
+    """Reader of a request's parameters.  read() casts a parameter (or its
+    default) and keeps the value as given in `inputs`, so a record's inputs
+    are exactly the --param set that reproduces it."""
+
+    def __init__(self, given):
+        self.given = given
+        self.inputs = {}
+
+    def __contains__(self, key):
+        return key in self.given
+
+    def read(self, key, default, cast=float):
+        value = self.given.get(key, default)
+        try:
+            out = cast(value)
+        except (TypeError, ValueError, OSError) as exc:
+            raise ConfigError(f"malformed parameter {key}={value!r}: "
+                              f"{exc}") from None
+        self.inputs[key] = value
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +138,8 @@ def _param(p, key, default, cast=float):
 def _record(name, value, error=0.0, reference=None, tolerance=None,
             passed=None, inputs=None):
     if hasattr(value, "error_estimate"):   # Correlator / QuadratureResult
-        error = max(float(error), float(value.error_estimate))
+        # estimate first: max keeps its first argument, so a NaN survives
+        error = max(float(value.error_estimate), float(error))
         value = value.value
     if hasattr(reference, "error_estimate"):
         reference = reference.value
@@ -341,8 +359,8 @@ def _suite_holography(cfg, rng):
 
 
 def _suite_locality(cfg, rng):
-    p = cfg["params"]
-    a, b, c, nu = (_param(p, k, v) for k, v in
+    p = Params(cfg["params"])
+    a, b, c, nu = (p.read(k, v) for k, v in
                    (("a", 0.3), ("b", 1.0), ("c", 1.4), ("nu", 0.5)))
     band = (b - c) ** 2
     if abs(a * a - band) < 0.05 * band:
@@ -354,7 +372,7 @@ def _suite_locality(cfg, rng):
     recs.append(_bound("locality.bonus_locality_ratio",
                        abs(inner.value) / abs(ref.value), 1e-5,
                        error=inner.error_estimate / abs(ref.value),
-                       inputs={"a": a, "b": b, "c": c, "nu": nu}))
+                       inputs=p.inputs))
     if abs(nu - 0.5) < 1e-12:
         ai = 0.5 * (b + c)
         oracle = 1.0 / (np.pi * math.sqrt(b * c)
@@ -501,177 +519,89 @@ def run_verify(suite, cfg):
 # ---------------------------------------------------------------------------
 # single quantities
 
-def _vector(p, default=(0.0, 2.0)):
-    return MinkVector((_param(p, "t", default[0]), _param(p, "x", default[1])))
+def _gff2pt(p):
+    h = (p.read("hfile", None, lambda f: corr.Tabulated.from_file(str(f)))
+         if "hfile" in p else corr.Power(p.read("nu", 0.5)))
+    x = (MinkVector((0.0, p.read("s", None, lambda s: math.sqrt(float(s)))))
+         if "s" in p else MinkVector((p.read("t", 0.0), p.read("x", 2.0))))
+    return corr.gff2pt(h, h, x)
 
 
-def _q_gamma(p):
-    return _record("gamma", gamma(_param(p, "x", 5.0)),
-                   inputs={"x": p.get("x", 5.0)})
+def _set_matrix_element(p):
+    _, f1, f2, f = _default_set_args()
+    h = corr.Power(p.read("hnu", 0.5))
+    return stress.set_matrix_element(
+        f, h, f1, h, f2, p.read("mu", 0, int), p.read("nu_idx", 0, int),
+        ordering=p.read("ordering", "middle", str),
+        n_nodes=p.read("n", 72, int))
 
 
-def _q_besselj(p):
-    nu, u = _param(p, "nu", 0.5), _param(p, "u", 1.0)
-    return _record("besselj", bessel_j(nu, u), inputs={"nu": nu, "u": u})
+def _point(v):
+    return MinkVector(tuple(v))
 
 
-def _q_besselk(p):
-    nu, u = _param(p, "nu", 0.5), _param(p, "u", 1.0)
-    return _record("besselk", bessel_k(nu, u), inputs={"nu": nu, "u": u})
-
-
-def _q_wightman(p):
-    m = _param(p, "m", 1.0)
-    x = _vector(p)
-    v = corr.wightman_kg(m, x, epsilon=_param(p, "epsilon", 1e-3))
-    return _record("wightman", v, inputs={"m": m, "x": list(x.components)})
-
-
-def _q_gff2pt(p):
-    inputs = {"x": None}
-    if "hfile" in p:
-        try:
-            h = corr.Tabulated.from_file(str(p["hfile"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read weight table {p['hfile']!r}: {exc}")
-        inputs["hfile"] = str(p["hfile"])
-    else:
-        h = corr.Power(_param(p, "nu", 0.5))
-        inputs["nu"] = p.get("nu", 0.5)
-    if "s" in p:
-        x = MinkVector((0.0, _param(p, "s", None,
-                                    lambda s: math.sqrt(float(s)))))
-    else:
-        x = _vector(p)
-    inputs["x"] = list(x.components)
-    res = corr.gff2pt(h, h, x)
-    return _record("gff2pt", res.value, error=res.error_estimate,
-                   inputs=inputs)
-
-
-def _q_ads2pt(p):
-    spec = adsb.AdSFieldSpec(Order(_param(p, "nu", 0.5)))
-    z, zp = _param(p, "z", 0.5), _param(p, "zp", 0.8)
-    x = _vector(p)
-    res = adsb.ads2pt(spec, z, zp, x)
-    return _record("ads2pt", res.value, error=res.error_estimate,
-                   inputs={"nu": p.get("nu", 0.5), "z": z, "zp": zp,
-                           "dx": list(x.components)})
-
-
-def _q_bonus_locality(p):
-    nu = _param(p, "nu", 0.5)
-    d = _param(p, "d", 2, int)
-    a, b, c = (_param(p, k, v) for k, v in
-               (("a", 0.3), ("b", 1.0), ("c", 1.4)))
-    res = adsb.bonus_locality(0.5 * d - 1.0, nu, a, b, c)
-    return _record("bonusLocality", res.value, error=res.error_estimate,
-                   inputs={"a": a, "b": b, "c": c, "nu": nu, "d": d})
-
-
-def _q_ads_commutator(p):
-    spec = adsb.AdSFieldSpec(Order(_param(p, "nu", 0.5)))
-    z, zp = _param(p, "z", 0.5), _param(p, "zp", 1.5)
-    x = _vector(p, default=(0.6, 0.0))
-    res = adsb.ads_commutator(spec, z, zp, x)
-    return _record("adsCommutator", res.value, error=res.error_estimate,
-                   inputs={"z": z, "zp": zp, "dx": list(x.components)})
-
-
-def _q_chordal(p):
-    z, zp = _param(p, "z", 0.5), _param(p, "zp", 0.8)
-    x = _vector(p)
-    val = chordal_distance(AdSPoint(z, MinkVector((0.0, 0.0))),
-                           AdSPoint(zp, x))
-    return _record("chordalDistance", val,
-                   inputs={"z": z, "zp": zp, "dx": list(x.components)})
-
-
-def _q_boundary_limit_const(p):
-    nu = _param(p, "nu", 0.5)
-    return _record("boundaryLimitConst", adsb.boundary_limit_const(nu),
-                   inputs={"nu": nu})
-
-
-def _q_boundary_limit_check(p):
-    nu = _param(p, "nu", 0.5)
-    z = _param(p, "z", 0.02)
-    x = _vector(p, default=(0.0, 4.0))
-    spec = adsb.AdSFieldSpec(Order(nu))
-    r = adsb.boundary_limit_check(spec, (z,), x)
-    return _record("boundaryLimitCheck", r["relative_deviations"][0],
-                   inputs={"nu": nu, "z": z, "dx": list(x.components)})
-
-
-def _q_z_integral_weight(p):
-    nu = _param(p, "nu", 0.5)
-    Z = _param(p, "Z", p.get("cutoff", 20.0))
-    m1sq = _param(p, "m1sq", 1.0)
-    m2sq = _param(p, "m2sq", 1.2)
-    return _record("zIntegralWeight",
-                   stress.z_integral_weight(nu, Z, m1sq, m2sq),
-                   inputs={"nu": nu, "Z": Z, "m1sq": m1sq, "m2sq": m2sq})
-
-
-def _q_set_kernel(p):
-    vector = lambda v: MinkVector(tuple(v))
-    k1 = _param(p, "k1", (1.3, 0.4), vector)
-    k2 = _param(p, "k2", (1.1, -0.2), vector)
-    signs = (_param(p, "eps1", 1, int), _param(p, "eps2", -1, int))
-    mu, nu = _param(p, "mu", 0, int), _param(p, "nu_idx", 0, int)
-    val = stress.set_kernel(k1, k2, signs, mu, nu,
-                            improvement=_param(p, "improvement", 0.0))
-    return _record("setKernel", val,
-                   inputs={"k1": list(k1.components),
-                           "k2": list(k2.components),
-                           "signs": list(signs), "mu": mu, "nu": nu})
-
-
-def _q_set_matrix_element(p):
-    h, f1, f2, f = _default_set_args()
-    h = corr.Power(_param(p, "hnu", 0.5))
-    mu, nu = _param(p, "mu", 0, int), _param(p, "nu_idx", 0, int)
-    res = stress.set_matrix_element(
-        f, h, f1, h, f2, mu, nu,
-        ordering=str(p.get("ordering", "middle")),
-        n_nodes=_param(p, "n", 72, int))
-    return _record("setMatrixElement", res.value, error=res.error_estimate,
-                   inputs={"mu": mu, "nu": nu,
-                           "ordering": p.get("ordering", "middle"),
-                           "n": p.get("n", 72)})
-
-
+# Each quantity, keyed by its record name, computed from a Params reader.
 QUANTITIES = {
-    "gamma": _q_gamma, "besselj": _q_besselj, "besselk": _q_besselk,
-    "wightman": _q_wightman, "gff2pt": _q_gff2pt, "ads2pt": _q_ads2pt,
-    "bonuslocality": _q_bonus_locality, "adscommutator": _q_ads_commutator,
-    "chordaldistance": _q_chordal,
-    "boundarylimitconst": _q_boundary_limit_const,
-    "boundarylimitcheck": _q_boundary_limit_check,
-    "zintegralweight": _q_z_integral_weight,
-    "setkernel": _q_set_kernel, "setmatrixelement": _q_set_matrix_element,
+    "gamma": lambda p: gamma(p.read("x", 5.0)),
+    "besselj": lambda p: bessel_j(p.read("nu", 0.5), p.read("u", 1.0)),
+    "besselk": lambda p: bessel_k(p.read("nu", 0.5), p.read("u", 1.0)),
+    "wightman": lambda p: corr.wightman_kg(
+        p.read("m", 1.0), MinkVector((p.read("t", 0.0), p.read("x", 2.0))),
+        epsilon=p.read("epsilon", 1e-3)),
+    "gff2pt": _gff2pt,
+    "ads2pt": lambda p: adsb.ads2pt(
+        adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), p.read("z", 0.5),
+        p.read("zp", 0.8), MinkVector((p.read("t", 0.0), p.read("x", 2.0)))),
+    "bonusLocality": lambda p: adsb.bonus_locality(
+        0.5 * p.read("d", 2, int) - 1.0, p.read("nu", 0.5), p.read("a", 0.3),
+        p.read("b", 1.0), p.read("c", 1.4)),
+    "adsCommutator": lambda p: adsb.ads_commutator(
+        adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), p.read("z", 0.5),
+        p.read("zp", 1.5), MinkVector((p.read("t", 0.6), p.read("x", 0.0)))),
+    "chordalDistance": lambda p: chordal_distance(
+        AdSPoint(p.read("z", 0.5), MinkVector((0.0, 0.0))),
+        AdSPoint(p.read("zp", 0.8),
+                 MinkVector((p.read("t", 0.0), p.read("x", 2.0))))),
+    "boundaryLimitConst": lambda p: adsb.boundary_limit_const(
+        p.read("nu", 0.5)),
+    "boundaryLimitCheck": lambda p: adsb.boundary_limit_check(
+        adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), (p.read("z", 0.02),),
+        MinkVector((p.read("t", 0.0), p.read("x", 4.0))),
+    )["relative_deviations"][0],
+    "zIntegralWeight": lambda p: stress.z_integral_weight(
+        p.read("nu", 0.5), p.read("Z", 20.0), p.read("m1sq", 1.0),
+        p.read("m2sq", 1.2)),
+    "setKernel": lambda p: stress.set_kernel(
+        p.read("k1", (1.3, 0.4), _point), p.read("k2", (1.1, -0.2), _point),
+        (p.read("eps1", 1, int), p.read("eps2", -1, int)),
+        p.read("mu", 0, int), p.read("nu_idx", 0, int),
+        improvement=p.read("improvement", 0.0)),
+    "setMatrixElement": _set_matrix_element,
 }
 
 
 def _lookup_quantity(name):
+    """Record name of a quantity, matched ignoring case, '_' and '-'."""
     key = name.lower().replace("_", "").replace("-", "")
-    if key not in QUANTITIES:
-        raise ConfigError(f"unknown quantity {name!r}; choose from "
-                          f"{sorted(QUANTITIES)}")
-    return QUANTITIES[key]
+    for record in QUANTITIES:
+        if record.lower() == key:
+            return record
+    raise ConfigError(f"unknown quantity {name!r}; choose from "
+                      f"{sorted(QUANTITIES)}")
 
 
 def run_compute(name, cfg):
-    fn = _lookup_quantity(name)
+    name = _lookup_quantity(name)
+    p = Params(cfg["params"])
     t0 = time.perf_counter()
-    rec = fn(cfg["params"])
+    rec = _record(name, QUANTITIES[name](p), inputs=p.inputs)
     rec["runtime"] = time.perf_counter() - t0
     return [rec]
 
 
 def run_scan(name, axis, cfg):
     """CSV text of the scan and whether every number in it is finite."""
-    fn = _lookup_quantity(name)
+    fn = QUANTITIES[_lookup_quantity(name)]
     try:
         param, start, stop, steps = axis.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
@@ -682,9 +612,7 @@ def run_scan(name, axis, cfg):
     lines = [",".join([param, "value_re", "value_im", "error_estimate"])]
     ok = True
     for v in np.linspace(start, stop, steps):
-        params = dict(cfg["params"])
-        params[param] = float(v)
-        rec = fn(params)
+        rec = _record(name, fn(Params({**cfg["params"], param: float(v)})))
         row = (v, rec["value"].real, rec["value"].imag, rec["error_estimate"])
         ok = ok and all(math.isfinite(x) for x in row)
         lines.append(",".join(_fmt17(x) for x in row))

@@ -1,14 +1,16 @@
 """Real-order special functions: Gamma, Bessel J/K/I and the even Bessel series.
 
 The Bessel order is restricted to nu > -1 throughout: `Order` enforces it,
-while the raw functions bessel_j, bessel_k and bessel_i accept any finite
-order (the z-weights of `stress` need J_(nu-1)) and check only their
-argument, which must lie in the stated domain (NaN does not).  Evaluation is
-delegated to scipy.special (which meets the accuracy targets on the required
-ranges); the even entire function j_nu is evaluated by its own power series
-near the origin so that it is defined for arguments of either sign.
+while the raw functions bessel_j, bessel_k, bessel_i and j_even accept any
+finite order (the z-weights of `stress` need J_(nu-1)) and reject a NaN or
+infinite one.  Their argument must lie in the stated domain (NaN does not).
+Evaluation is delegated to scipy.special (which meets the accuracy targets on
+the required ranges); the even entire function j_nu is evaluated by its own
+power series near the origin so that it is defined for arguments of either
+sign.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,13 @@ class Order:
 
 
 def _nu(order) -> float:
-    return order.nu if isinstance(order, Order) else float(order)
+    """The order as a float; DomainError unless it is finite."""
+    if isinstance(order, Order):
+        return order.nu
+    nu = float(order)
+    if not math.isfinite(nu):
+        raise DomainError(f"Bessel order must be finite, got {nu}")
+    return nu
 
 
 def gamma(x):

@@ -17,6 +17,39 @@ def run(capsys, argv):
     return rc, out
 
 
+def read_x(p):
+    """A quantity that returns its parameter x as read."""
+    return p.read("x", 1.0)
+
+
+def as_param(key, value):
+    """--param argument that reads back as value (str of a float is repr)."""
+    if isinstance(value, list):
+        value = ",".join(repr(v) for v in value)
+    return f"{key}={value}"
+
+
+# non-default values of every parameter each quantity reads
+NON_DEFAULT = {
+    "gamma": ["x=3.5"],
+    "besselj": ["nu=1.3", "u=2.5"],
+    "besselk": ["nu=1.3", "u=2.5"],
+    "wightman": ["m=1.4", "t=0.3", "x=2.5", "epsilon=0.01"],
+    "gff2pt": ["nu=1.3", "s=3.0"],
+    "ads2pt": ["nu=1.3", "z=0.6", "zp=0.9", "t=0.2", "x=2.5"],
+    "bonusLocality": ["d=3", "nu=1.3", "a=0.2", "b=1.1", "c=1.5"],
+    "adsCommutator": ["nu=1.3", "z=0.6", "zp=1.5", "t=0.7", "x=0.1"],
+    "chordalDistance": ["z=0.6", "zp=0.9", "t=0.2", "x=2.5"],
+    "boundaryLimitConst": ["nu=1.3"],
+    "boundaryLimitCheck": ["nu=1.3", "z=0.03", "t=0.1", "x=3.5"],
+    "zIntegralWeight": ["nu=1.3", "Z=30.0", "m1sq=1.5", "m2sq=0.8"],
+    "setKernel": ["k1=1.5,0.2", "k2=0.9,0.3", "eps1=-1", "eps2=1", "mu=1",
+                  "nu_idx=1", "improvement=0.3"],
+    "setMatrixElement": ["hnu=1.3", "mu=1", "nu_idx=1", "ordering=left",
+                         "n=40"],
+}
+
+
 class TestCompute:
     def test_gamma(self, capsys):
         rc, out = run(capsys, ["compute", "gamma", "--param", "x=5"])
@@ -35,13 +68,16 @@ class TestCompute:
         ["compute", "setkernel", "--param", "k1=1.3"],
         ["compute", "setkernel", "--param", "k1=1.3,abc"],
         ["verify", "locality", "--param", "a=abc"],
+        ["compute", "besselj", "--param", "nu=nan"],
     ])
     def test_malformed_param_value(self, capsys, argv):
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
 
-    def test_non_finite_value_fails_as_strict_json(self, capsys):
-        rc, out = run(capsys, ["compute", "besselj", "--param", "nu=nan"])
+    def test_non_finite_value_fails_as_strict_json(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.setitem(cli.QUANTITIES, "gamma", read_x)
+        rc, out = run(capsys, ["compute", "gamma", "--param", "x=nan"])
         assert rc == 1
 
         def reject(token):
@@ -50,7 +86,7 @@ class TestCompute:
         assert doc["status"] == "fail"
         rec = doc["records"][0]
         assert rec["status"] == "fail"
-        assert rec["value"]["re"] is None and rec["inputs"]["nu"] is None
+        assert rec["value"]["re"] is None and rec["inputs"]["x"] is None
 
     def test_weight_table_file(self, capsys, tmp_path):
         grid = np.linspace(0.0, 130.0, 40000)
@@ -69,12 +105,34 @@ class TestCompute:
         assert cli.main(["compute", "gff2pt",
                          "--param", "hfile=/no/such/file"]) == 2
 
-    @pytest.mark.parametrize("name", sorted(cli.QUANTITIES))
+    # lower-case names: quantities are looked up ignoring case
+    @pytest.mark.parametrize("name", sorted(q.lower() for q in cli.QUANTITIES))
     def test_quantity_defaults(self, capsys, name):
         rc, out = run(capsys, ["compute", name])
         assert rc == 0
         value = json.loads(out)["records"][0]["value"]
         assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+
+    @pytest.mark.parametrize("name", sorted(cli.QUANTITIES))
+    def test_record_replays(self, capsys, name):
+        # a record's inputs, passed back as --param, reproduce its numbers
+        argv = ["compute", name]
+        for item in NON_DEFAULT[name]:
+            argv += ["--param", item]
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        rec = json.loads(out)["records"][0]
+        assert {item.partition("=")[0] for item in NON_DEFAULT[name]} \
+            <= set(rec["inputs"])
+        argv = ["compute", name]
+        for key, value in rec["inputs"].items():
+            argv += ["--param", as_param(key, value)]
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        again = json.loads(out)["records"][0]
+        assert again["inputs"] == rec["inputs"]
+        assert again["value"] == rec["value"]
+        assert again["error_estimate"] == rec["error_estimate"]
 
     def test_determinism(self, capsys):
         argv = ["compute", "setmatrixelement", "--param", "n=48"]
@@ -105,9 +163,10 @@ class TestScan:
     def test_bad_axis(self, capsys):
         assert cli.main(["scan", "gamma", "--axis", "x:1:2"]) == 2
 
-    def test_non_finite_row_fails(self, capsys):
-        rc, out = run(capsys, ["scan", "besselj", "--axis", "u:0:1:3",
-                               "--param", "nu=nan"])
+    def test_non_finite_row_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.QUANTITIES, "gamma", read_x)
+        rc, out = run(capsys, ["scan", "gamma", "--axis", "u:0:1:3",
+                               "--param", "x=nan"])
         assert rc == 1
         lines = out.strip().splitlines()
         assert len(lines) == 4
@@ -218,5 +277,9 @@ class TestOutputOptions:
 
     def test_malformed_config(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.json"
-        cfgfile.write_text("[1, 2]")
-        assert cli.main(["compute", "gamma", "--config", str(cfgfile)]) == 2
+        # not an object; a parameter outside "params"
+        for text in ("[1, 2]", json.dumps({"x": 5.0})):
+            cfgfile.write_text(text)
+            assert cli.main(["compute", "gamma", "--config",
+                             str(cfgfile)]) == 2
+            assert capsys.readouterr().out == ""

@@ -117,6 +117,12 @@ class TestArgumentCheck:
         with pytest.raises(DomainError):
             fn(0.5, np.array([1.0, np.nan, 2.0]))
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"),
+                                    -float("inf")])
+    def test_non_finite_order_rejected(self, fn, nu):
+        with pytest.raises(DomainError):
+            fn(nu, 1.0)
+
     def test_empty_array(self, fn):
         out = fn(0.5, np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import (GaussianPacket, Power, lightcone_grid_nodes,
-                                norm_const)
+from gffads.correlators import GaussianPacket, lightcone_grid_nodes, norm_const
 from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
-from gffads.specfun import Order, bessel_j
+from gffads.specfun import Order
 from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
                            _kernel_factors, _kernel_lower, _lower,
                            ads_set_matrix_element, ads_set_reduction,
