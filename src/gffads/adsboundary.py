@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import DomainError, LightConeProximityError
 from .specfun import Order, _nu, bessel_j, gamma
-from .quadrature import adaptive_finite, neville_zero, oscillatory_semi_infinite
-from .correlators import BesselZ, Correlator, Power, gff2pt, gff_commutator
+from .quadrature import (_gauss_legendre, adaptive_finite, neville_zero,
+                         oscillatory_semi_infinite)
+from .correlators import (BesselZ, Correlator, Power, _commutator_prefactor,
+                          gff2pt, gff_commutator)
 from .fock import ModeFunction
 
 __all__ = ["AdSFieldSpec", "ads2pt", "holographic_lift", "boundary_limit_const",
@@ -99,19 +101,18 @@ def boundary_limit_check(spec, z_sequence, dx):
 # canonical equal-time commutator
 
 def _profile_bessel_moment(g, support, nu, m_values, power):
-    """int g(z) (1/sqrt 2) z^power J_nu(z m) dz on the support interval.
+    """int g(z) (1/sqrt 2) z^power J_nu(z m) dz on the support interval,
+    for all m at once: one product on a 200-node Gauss-Legendre rule in z
+    (it matches adaptive GK15 to about 1e-15 while m times the support
+    width stays below about 600, so ccr_check's m <= 60 allows supports up
+    to 10 wide).
 
     power = 1 for the field smearing; the canonical momentum pi carries the
     metric factor z^(-1), giving power = 0 for the pi smearing.
     """
-    out = np.empty_like(np.asarray(m_values, dtype=float))
-    a, b = support
-    for i, m in enumerate(np.atleast_1d(m_values)):
-        res = adaptive_finite(
-            lambda zz: np.asarray(g(zz)) * (1.0 / math.sqrt(2.0)) *
-            zz ** power * bessel_j(nu, zz * m), a, b, tol=1e-12)
-        out.flat[i] = res.value.real
-    return out
+    z, wz = _gauss_legendre(200, *support)
+    return (wz * np.asarray(g(z)) * z ** power / math.sqrt(2.0)) @ \
+        bessel_j(nu, np.outer(z, m_values))
 
 
 def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
@@ -129,9 +130,7 @@ def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
     # G(m) decay superalgebraically for smooth bump profiles, so a fixed
     # cutoff suffices; the half-resolution grid supplies the error estimate
     def m_int(n):
-        t, w = np.polynomial.legendre.leggauss(n)
-        m = 0.5 * 60.0 * (t + 1.0)
-        wm = 0.5 * 60.0 * w
+        m, wm = _gauss_legendre(n, 0.0, 60.0)
         G = _profile_bessel_moment(g, g_support, nu, m, 1.0)
         Gp = _profile_bessel_moment(gp, gp_support, nu, m, 0.0)
         return float(np.sum(wm * m * G * Gp))
@@ -141,10 +140,7 @@ def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
 
     # spatial factor int dk [F(k)Fp(-k) + F(-k)Fp(k)] = 4 pi int f fp dx,
     # evaluated as a k-integral to keep the route in momentum space
-    tk, wk = np.polynomial.legendre.leggauss(400)
-    kmax = 40.0
-    k = kmax * tk
-    wkk = kmax * wk
+    k, wk = _gauss_legendre(400, -40.0, 40.0)
     xs = np.linspace(-12.0, 12.0, 4001)
     dxs = xs[1] - xs[0]
     fv, fpv = np.asarray(f(xs)), np.asarray(fp(xs))
@@ -152,7 +148,7 @@ def ccr_check(spec, g, gp, f, fp, g_support, gp_support):
                      dx=dxs, axis=1)
     Fp = np.trapezoid(fpv[None, :] * np.exp(-1j * k[:, None] * xs[None, :]),
                       dx=dxs, axis=1)
-    spatial = complex(np.sum(wkk * (F * Fp + np.conj(F) * np.conj(Fp))))
+    spatial = complex(np.sum(wk * (F * Fp + np.conj(F) * np.conj(Fp))))
     mode_value = 1j / (2.0 * np.pi) * m_integral * spatial
 
     # product formula oracle
@@ -197,20 +193,15 @@ def ads_commutator(spec, z, zp, dx, schedule=None):
     integral with tau = sqrt(dx^2).  Points inside the 5% guard band around
     the AdS light cone tau^2 = (z - z')^2 raise a proximity error.
     """
-    if z <= 0 or zp <= 0:
-        raise DomainError("ads_commutator requires z, zp > 0")
-    s = dx.square()
-    if s < 0:
+    if z <= 0 or zp <= 0 or dx.d != 2:
+        raise DomainError("ads_commutator requires z, zp > 0 and a d = 2 dx")
+    if (pre := _commutator_prefactor(dx)) is None:
         return Correlator(0.0, 0.0)
-    if s == 0:
-        raise DomainError("commutator undefined on the boundary light cone")
     thresh = (z - zp) ** 2
-    if thresh > 0 and abs(s - thresh) < 0.05 * thresh:
+    if thresh > 0 and abs(dx.square() - thresh) < 0.05 * thresh:
         raise LightConeProximityError(
             "dx^2 within the guard band around the AdS light cone")
-    tau = math.sqrt(s)
-    sign = 1.0 if dx.components[0] > 0 else -1.0
-    const = -1j * np.pi * (2.0 * np.pi) ** -1.0 * sign * (z * zp)
+    tau, const = pre[0], pre[1] * (z * zp)
     res = bonus_locality(0.0, spec.order, tau, z, zp, schedule)
     return Correlator(const * res.value, abs(const) * res.error_estimate)
 
@@ -246,15 +237,11 @@ def mass_change_kernel_check(nu, nup, z, m,
     for eps in eps_list:
         lo = max(1e-8, m - 12.0 * eps)
         hi = m + 12.0 * eps
-        t, w = np.polynomial.legendre.leggauss(80)
-        mp = 0.5 * (hi - lo) * (t + 1.0) + lo
-        wmp = 0.5 * (hi - lo) * w
+        mp, wmp = _gauss_legendre(80, lo, hi)
         # inner z'-integral, vectorized over the m' window
         zmax = math.sqrt(2.0 * 40.0) / eps
         nz = int(max(400, 8 * zmax * max(m, mp.max()) / math.pi))
-        tz, wz = np.polynomial.legendre.leggauss(min(nz, 12000))
-        zq = 0.5 * zmax * (tz + 1.0)
-        wzq = 0.5 * zmax * wz
+        zq, wzq = _gauss_legendre(min(nz, 12000), 0.0, zmax)
         damp = np.exp(-0.5 * eps ** 2 * zq ** 2)
         inner = (wzq * zq * damp * bessel_j(nup_f, zq * m)) @ \
             bessel_j(nup_f, np.outer(zq, mp))

@@ -109,6 +109,13 @@ def load_config(args):
     return cfg
 
 
+def _integer(value):
+    """value as an int; a fractional or non-finite number raises."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 class Params:
     """Reader of a request's parameters.  read() casts a parameter (or its
     default) and keeps the value as given in `inputs`, so a record's inputs
@@ -158,12 +165,6 @@ def _check(name, value, reference, tolerance, error=0.0, inputs=None):
     scale = abs(ref) if ref != 0 else 1.0
     rec["passed"] = bool(abs(rec["value"] - ref) <= tolerance * scale)
     return rec
-
-
-def _bound(name, value, tolerance, error=0.0, inputs=None):
-    return _record(name, complex(value), error=error, reference=0.0,
-                   tolerance=tolerance, passed=abs(value) <= tolerance,
-                   inputs=inputs)
 
 
 def _flag(name, condition, value=0.0):
@@ -243,8 +244,8 @@ def _suite_specfun(cfg, rng):
         d1 = (jp - jm) / (2.0 * h)
         d2 = (jp - 2.0 * j0 + jm) / h ** 2
         res = (u ** 2 * d2 + u * d1 + (u ** 2 - nu ** 2) * j0) / (1.0 + u ** 2)
-        recs.append(_bound(f"specfun.bessel_ode_residual_nu{nu}",
-                           float(np.max(np.abs(res))), 1e-6,
+        recs.append(_check(f"specfun.bessel_ode_residual_nu{nu}",
+                           float(np.max(np.abs(res))), 0.0, 1e-6,
                            inputs={"nu": nu, "fd_step": h}))
         u0 = 1.3
         ht = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0), u0,
@@ -282,7 +283,7 @@ def _suite_correlators(cfg, rng):
                         tolerance=max(sc["combined_error"], 1e-10),
                         passed=sc["pass"], inputs={"lambda": 1.6}))
     cv = corr.gff_commutator(h, h, x)
-    recs.append(_bound("correlators.spacelike_commutator_zero", cv.value,
+    recs.append(_check("correlators.spacelike_commutator_zero", cv.value, 0.0,
                        1e-8, error=cv.error_estimate,
                        inputs={"x": list(x.components)}))
     return recs
@@ -304,20 +305,20 @@ def _suite_fock(cfg, rng):
              ("D_K1", G("D"), G("K", mu=1, delta=1.5))]
     for label, g1, g2 in pairs:
         r = fock.algebra_closure_check(g1, g2, f, expr=expr)
-        recs.append(_bound(f"fock.algebra_closure_{label}",
-                           r["relative_discrepancy"], 1e-4,
+        recs.append(_check(f"fock.algebra_closure_{label}",
+                           r["relative_discrepancy"], 0.0, 1e-4,
                            inputs={"grid_drift": r["grid_drift"]}))
     packet = corr.GaussianPacket(MinkVector((0.1, -0.3)), 1.1,
                                  MinkVector((2.2, 0.4)))
     law = fock.special_conformal_field_law(packet, 0, 1.5)
-    recs.append(_bound("fock.special_conformal_field_law",
-                       law["relative_l2"], 1e-4, inputs={"delta": 1.5}))
+    recs.append(_check("fock.special_conformal_field_law",
+                       law["relative_l2"], 0.0, 1e-4, inputs={"delta": 1.5}))
     h = corr.Power(0.5)
     packs = [corr.GaussianPacket(MinkVector((0.2 * i, 0.1 * i)), 1.0 + 0.1 * i,
                                  MinkVector((1.5 + 0.2 * i, 0.1)))
              for i in range(4)]
     odd = fock.npoint([h] * 3, packs[:3])
-    recs.append(_bound("fock.npoint_odd_vanishes", odd, 1e-14))
+    recs.append(_check("fock.npoint_odd_vanishes", odd, 0.0, 1e-14))
     full = fock.npoint([h] * 4, packs)
     w = {}
     for i in range(4):
@@ -333,8 +334,8 @@ def _suite_holography(cfg, rng):
     spec = adsb.AdSFieldSpec(Order(0.5))
     dx = MinkVector((0.0, 4.0))
     bl = adsb.boundary_limit_check(spec, (0.04, 0.02), dx)
-    recs.append(_bound("holography.boundary_limit_deviation",
-                       bl["relative_deviations"][-1], 1e-2,
+    recs.append(_check("holography.boundary_limit_deviation",
+                       bl["relative_deviations"][-1], 0.0, 1e-2,
                        inputs={"z": 0.02, "dx": list(dx.components)}))
     recs.append(_flag("holography.boundary_limit_monotone", bl["monotone"]))
     lam = 1.5
@@ -352,8 +353,8 @@ def _suite_holography(cfg, rng):
                         passed=abs(a.value - b.value) <= tol,
                         inputs={"lambda": lam}))
     mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
-    recs.append(_bound("holography.mass_change_kernel",
-                       mk["relative_deviation"], 5e-3,
+    recs.append(_check("holography.mass_change_kernel",
+                       mk["relative_deviation"], 0.0, 5e-3,
                        inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7, "m": 1.2}))
     return recs
 
@@ -369,8 +370,8 @@ def _suite_locality(cfg, rng):
     recs = []
     inner = adsb.bonus_locality(0.0, nu, a, b, c, schedule=FINE_SCHEDULE)
     ref = adsb.bonus_locality(0.0, nu, 0.5 * (b + c), b, c)
-    recs.append(_bound("locality.bonus_locality_ratio",
-                       abs(inner.value) / abs(ref.value), 1e-5,
+    recs.append(_check("locality.bonus_locality_ratio",
+                       abs(inner.value) / abs(ref.value), 0.0, 1e-5,
                        error=inner.error_estimate / abs(ref.value),
                        inputs=p.inputs))
     if abs(nu - 0.5) < 1e-12:
@@ -384,9 +385,10 @@ def _suite_locality(cfg, rng):
     spec = adsb.AdSFieldSpec(Order(nu))
     for z, zp, t in ((0.5, 1.5, 0.6), (0.8, 2.0, 0.9)):
         cv = adsb.ads_commutator(spec, z, zp, MinkVector((t, 0.0)))
-        recs.append(_bound(f"locality.ads_commutator_z{z}_zp{zp}",
-                           cv.value, 1e-5, error=cv.error_estimate,
-                           inputs={"z": z, "z_prime": zp, "dt": t}))
+        recs.append(_check(f"locality.ads_commutator_z{z}_zp{zp}",
+                           cv.value, 0.0, 1e-5, error=cv.error_estimate,
+                           inputs={"z": z, "z_prime": zp, "dt": t,
+                                   "nu": p.inputs["nu"]}))
     h1 = corr.Power(0.5)
     f1 = corr.GaussianPacket(MinkVector((0.0, 0.0)), 1.0,
                              MinkVector((-2.0, -0.5)))
@@ -396,8 +398,8 @@ def _suite_locality(cfg, rng):
                              MinkVector((1.5, -0.3)))
     loc = stress.commutator_locality_check(fa, gb, h1, h1, f1, 0, 0,
                                            n_nodes=120)
-    recs.append(_bound("locality.set_commutator_spacelike", loc["commutator"],
-                       1e-6, error=loc["error_estimate"],
+    recs.append(_check("locality.set_commutator_spacelike", loc["commutator"],
+                       0.0, 1e-6, error=loc["error_estimate"],
                        inputs={"separation": 6.0, "widths": 0.5}))
     return recs
 
@@ -436,9 +438,9 @@ def _suite_set(cfg, rng):
         sym = abs(stress.set_kernel(k1, k2, (1, -1), 0, 1)
                   - stress.set_kernel(k1, k2, (1, -1), 1, 0))
         worst_sym = max(worst_sym, sym)
-    recs.append(_bound("set.kernel_onshell_conservation", worst_cons, 1e-12,
-                       inputs={"pairs": n, "seed": cfg["seed"]}))
-    recs.append(_bound("set.kernel_symmetry", worst_sym, 1e-14))
+    recs.append(_check("set.kernel_onshell_conservation", worst_cons, 0.0,
+                       1e-12, inputs={"pairs": n, "seed": cfg["seed"]}))
+    recs.append(_check("set.kernel_symmetry", worst_sym, 0.0, 1e-14))
     k = MinkVector((1.3, 0.6))
     for nu_i in (0, 1):
         want = 2.0 * 1.3 * (1.3 if nu_i == 0 else -0.6)
@@ -450,18 +452,18 @@ def _suite_set(cfg, rng):
     freal = corr.GaussianPacket(MinkVector((0.0, 0.0)), 0.8,
                                 MinkVector((0.0, 0.0)))
     herm = stress.set_matrix_element(freal, h, f1, h, f1, 0, 0)
-    recs.append(_bound("set.hermiticity_imag_part",
-                       herm.value.imag / abs(herm.value), 1e-10,
+    recs.append(_check("set.hermiticity_imag_part",
+                       herm.value.imag / abs(herm.value), 0.0, 1e-10,
                        error=herm.error_estimate))
     for nu_i in (0, 1):
         cons = stress.conservation_check(h, f1, h, f2, f, nu_i)
-        recs.append(_bound(f"set.conservation_nu{nu_i}", cons["relative"],
-                           1e-8, error=cons["error_estimate"]))
+        recs.append(_check(f"set.conservation_nu{nu_i}", cons["relative"],
+                           0.0, 1e-8, error=cons["error_estimate"]))
     tr = stress.trace_check(h, f1, h, f2, f)
     recs.append(_flag("set.trace_significant", tr["significant"], tr["trace"]))
     md = stress.momentum_density_check(h, f1, h, f2, 0, (2.0, 4.0, 8.0))
-    recs.append(_bound("set.momentum_density_deviation",
-                       md["relative_deviations"][-1], 1e-2,
+    recs.append(_check("set.momentum_density_deviation",
+                       md["relative_deviations"][-1], 0.0, 1e-2,
                        inputs={"largest_s": 8.0}))
     recs.append(_flag("set.momentum_density_monotone", md["monotone"]))
 
@@ -474,13 +476,13 @@ def _suite_set(cfg, rng):
     recs.append(_check("set.z_weight_sine_oracle", w, sine, 1e-10,
                        inputs={"nu": 0.5, "Z": Z}))
     dc = stress.z_integral_weight_delta_check(0.5, 200.0, 1.0)
-    recs.append(_bound("set.z_weight_delta_smearing",
-                       dc["relative_deviation"], 1e-2,
+    recs.append(_check("set.z_weight_delta_smearing",
+                       dc["relative_deviation"], 0.0, 1e-2,
                        inputs={"Z": 200.0, "m1sq": 1.0, "g_width": 0.2}))
     red = stress.ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, h, f1, h, f2,
                                    0, 0, n_outer=32, n_inner=600)
-    recs.append(_bound("set.ads_reduction_deviation",
-                       red["final_relative_deviation"], 1e-2,
+    recs.append(_check("set.ads_reduction_deviation",
+                       red["final_relative_deviation"], 0.0, 1e-2,
                        inputs={"Z": 8.0, "nu": 0.5}))
     sig = [0.4 * 0.5 ** i for i in range(6)]
     div = stress.vacuum_fluctuation_divergence(f, sig)
@@ -492,7 +494,8 @@ def _suite_set(cfg, rng):
     ctrl = stress.vacuum_fluctuation_divergence(f, sig, fixed_width=0.3)
     spread = (max(ctrl["values"]) - min(ctrl["values"])) \
         / max(abs(v) for v in ctrl["values"])
-    recs.append(_bound("set.vacuum_fluctuation_smooth_control", spread, 1e-10))
+    recs.append(_check("set.vacuum_fluctuation_smooth_control", spread, 0.0,
+                       1e-10))
     return recs
 
 
@@ -531,9 +534,10 @@ def _set_matrix_element(p):
     _, f1, f2, f = _default_set_args()
     h = corr.Power(p.read("hnu", 0.5))
     return stress.set_matrix_element(
-        f, h, f1, h, f2, p.read("mu", 0, int), p.read("nu_idx", 0, int),
+        f, h, f1, h, f2, p.read("mu", 0, _integer),
+        p.read("nu_idx", 0, _integer),
         ordering=p.read("ordering", "middle", str),
-        n_nodes=p.read("n", 72, int))
+        n_nodes=p.read("n", 72, _integer))
 
 
 def _point(v):
@@ -553,8 +557,8 @@ QUANTITIES = {
         adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), p.read("z", 0.5),
         p.read("zp", 0.8), MinkVector((p.read("t", 0.0), p.read("x", 2.0)))),
     "bonusLocality": lambda p: adsb.bonus_locality(
-        0.5 * p.read("d", 2, int) - 1.0, p.read("nu", 0.5), p.read("a", 0.3),
-        p.read("b", 1.0), p.read("c", 1.4)),
+        0.5 * p.read("d", 2, _integer) - 1.0, p.read("nu", 0.5),
+        p.read("a", 0.3), p.read("b", 1.0), p.read("c", 1.4)),
     "adsCommutator": lambda p: adsb.ads_commutator(
         adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), p.read("z", 0.5),
         p.read("zp", 1.5), MinkVector((p.read("t", 0.6), p.read("x", 0.0)))),
@@ -573,8 +577,8 @@ QUANTITIES = {
         p.read("m2sq", 1.2)),
     "setKernel": lambda p: stress.set_kernel(
         p.read("k1", (1.3, 0.4), _point), p.read("k2", (1.1, -0.2), _point),
-        (p.read("eps1", 1, int), p.read("eps2", -1, int)),
-        p.read("mu", 0, int), p.read("nu_idx", 0, int),
+        (p.read("eps1", 1, _integer), p.read("eps2", -1, _integer)),
+        p.read("mu", 0, _integer), p.read("nu_idx", 0, _integer),
         improvement=p.read("improvement", 0.0)),
     "setMatrixElement": _set_matrix_element,
 }

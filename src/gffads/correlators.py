@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .quadrature import adaptive_finite, neville_zero, oscillatory_semi_infinite
+from .quadrature import (_gauss_legendre, adaptive_finite, neville_zero,
+                         oscillatory_semi_infinite)
 from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
 
@@ -228,13 +229,11 @@ def _sigma_eps(x, epsilon):
 
 def wightman_kg(m, x, epsilon=1e-3):
     """Wightman function W_m(x) of the mass-m Klein-Gordon field."""
-    if np.any(np.asarray(m) <= 0) or epsilon <= 0:
+    if m <= 0 or epsilon <= 0:
         raise DomainError("wightman_kg requires m > 0 and epsilon > 0")
     val = _wightman_closed(np.asarray(m, dtype=float), _sigma_eps(x, epsilon),
                            x.d)
-    if np.ndim(m) == 0:
-        return Correlator(complex(val), 1e-14 * abs(complex(val)))
-    return val
+    return Correlator(complex(val), 1e-14 * abs(complex(val)))
 
 
 def _wightman_closed(m, sigma, d):
@@ -268,21 +267,28 @@ def wightman_kg_momentum_oracle(m, x, epsilon=1e-3):
                       (plus.error_estimate + minus.error_estimate) / (2 * np.pi))
 
 
+def _commutator_prefactor(x):
+    """(tau, c) of the commutator functions at x: tau = sqrt(x^2) and
+    c = -i pi (2 pi)^(-d/2) sign(x^0).  None at spacelike x, where every
+    commutator vanishes exactly; on the light cone a DomainError."""
+    s = x.square()
+    if s < 0:
+        return None
+    if s == 0:
+        raise DomainError("commutator undefined on the light cone")
+    sign = 1.0 if x.components[0] > 0 else -1.0
+    return math.sqrt(s), -1j * np.pi * (2.0 * np.pi) ** (-x.d / 2.0) * sign
+
+
 def commutator_kg(m, x):
     """Commutator function Delta_m(x); exactly zero at spacelike separation."""
     if m <= 0:
         raise DomainError("commutator_kg requires m > 0")
-    d = x.d
-    s = x.square()
-    if s < 0:
+    if (pre := _commutator_prefactor(x)) is None:
         return Correlator(0.0, 0.0)
-    if s == 0:
-        raise DomainError("commutator undefined on the light cone")
-    tau = math.sqrt(s)
-    sign = 1.0 if x.components[0] > 0 else -1.0
-    nu = 0.5 * (d - 2)
-    val = -1j * np.pi * (2.0 * np.pi) ** (-d / 2.0) * sign * \
-        (m / tau) ** nu * bessel_j(-nu, m * tau)
+    tau, const = pre
+    nu = 0.5 * (x.d - 2)
+    val = const * (m / tau) ** nu * bessel_j(-nu, m * tau)
     return Correlator(complex(val), 1e-13 * abs(complex(val)))
 
 
@@ -369,16 +375,10 @@ def kallen_lehmann_2pt(rho, x):
 
 def gff_commutator(h1, h2, x, schedule=None):
     """Commutator int dm^2 h1 h2 Delta_m(x); zero at spacelike separation."""
-    d = x.d
-    s = x.square()
-    if s < 0:
+    if (pre := _commutator_prefactor(x)) is None:
         return Correlator(0.0, 0.0)
-    if s == 0:
-        raise DomainError("commutator undefined on the light cone")
-    tau = math.sqrt(s)
-    sign = 1.0 if x.components[0] > 0 else -1.0
-    nu = 0.5 * (d - 2)
-    const = -1j * np.pi * (2.0 * np.pi) ** (-d / 2.0) * sign
+    tau, const = pre
+    nu = 0.5 * (x.d - 2)
 
     def f(m):
         m = np.asarray(m, dtype=float)
@@ -400,10 +400,7 @@ def lightcone_grid_nodes(n, kmax):
     The quartic map clusters nodes at the cone boundary where weights like
     (k^2)^(nu/2) have fractional-power behaviour.
     """
-    t, w = np.polynomial.legendre.leggauss(n)
-    tmax = kmax ** 0.25
-    t = 0.5 * tmax * (t + 1.0)
-    w = 0.5 * tmax * w
+    t, w = _gauss_legendre(n, 0.0, kmax ** 0.25)
     return t ** 4, 4.0 * t ** 3 * w
 
 
@@ -446,10 +443,7 @@ def wick2pt(h, x, cutoff=None):
     if cutoff is None:
         cutoff = default_cutoff(x)
     sigma = _sigma_eps(x, 1e-3)
-    mmax = math.sqrt(cutoff)
-    t, w = np.polynomial.legendre.leggauss(160)
-    m = 0.5 * mmax * (t + 1.0)
-    wm = 0.5 * mmax * w
+    m, wm = _gauss_legendre(160, 0.0, math.sqrt(cutoff))
     wvals = _wightman_closed(m, sigma, x.d)
     m1sq = (m ** 2)[:, None]
     m2sq = (m ** 2)[None, :]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .correlators import _lower, norm_const, smeared2pt
+from .quadrature import _gauss_legendre, _legendre_table
 
 __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
            "apply_generator", "algebra_closure_check", "symbolic_generator",
@@ -39,15 +40,16 @@ __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
 def _spectral(grid):
     """Nodes k, weights dk and d/ds matrix (s = log k) of a grid, with its
     Gauss-Legendre nodes t and their barycentric weights (Berrut & Trefethen)."""
-    t, w = np.polynomial.legendre.leggauss(grid.n)
+    t, w = _legendre_table(grid.n)
     bw = (-1.0) ** np.arange(grid.n) * np.sqrt((1.0 - t * t) * w)
     a, b = math.log(grid.kmin), math.log(grid.kmax)
     s_diff = 0.5 * (b - a) * (t[:, None] - t[None, :])
     np.fill_diagonal(s_diff, np.inf)
     ds = bw[None, :] / bw[:, None] / s_diff
     np.fill_diagonal(ds, -ds.sum(axis=1))  # exact on constants
-    k = np.exp(0.5 * (b - a) * (t + 1.0) + a)
-    out = (k, 0.5 * (b - a) * w * k, ds, t, bw)  # dk = k ds
+    s, ws = _gauss_legendre(grid.n, a, b)
+    k = np.exp(s)
+    out = (k, ws * k, ds, t, bw)  # dk = k ds
     for arr in out:
         arr.flags.writeable = False
     return out

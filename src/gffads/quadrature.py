@@ -4,7 +4,9 @@ Three engines: an adaptive Gauss-Kronrod rule on finite intervals, a
 semi-infinite oscillatory integrator based on exponential (Abel) damping with
 polynomial extrapolation of the damping parameter to zero, and Hankel
 transforms built on top of it.  All integrands must accept numpy arrays of
-abscissae.
+abscissae.  The fixed-node grids of the other modules all take their
+Gauss-Legendre rule from _gauss_legendre, which maps cached read-only
+tables onto [a, b].
 
 Each damped integral is a sequence of panel partial sums accelerated by
 Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
@@ -13,6 +15,7 @@ damping parameters of one Abel integral share the same panels, and the
 integrand is evaluated once per panel for all of them.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -96,6 +99,26 @@ def _gk15(f, a, b):
     ig = half * sg
     err = (200.0 * abs(ik - ig)) ** 1.5
     return ik, err
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre_table(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _gauss_legendre(n, a, b):
+    """n-point Gauss-Legendre nodes and weights on [a, b].
+
+    a and b may be arrays; they broadcast against the nodes, which run
+    along the last axis.
+    """
+    t, w = _legendre_table(n)
+    half = 0.5 * (b - a)
+    return half * (t + 1.0) + a, half * w
 
 
 def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import _nu, bessel_j
-from .quadrature import adaptive_finite
+from .quadrature import _gauss_legendre, adaptive_finite
 from .correlators import Correlator, _lower, lightcone_grid_nodes, norm_const
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
 
@@ -357,7 +357,6 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     k1m = k[:, None, None]
     k2p = k[None, :, None]
     w2 = w[:, None] * w[None, :]  # (k1-, k2+)
-    t_nodes, t_w = np.polynomial.legendre.leggauss(n_inner)
 
     values = []
     for sigma in sigmas:
@@ -368,10 +367,9 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
         for k1p, w1p in zip(k, w):
             m1sq = k1p * k1m
             # inner integral over u = m2^2 on the +-6 width window of the weight
-            lo = np.maximum(m1sq - 6.0 * width, 1e-12)
-            hi = m1sq + 6.0 * width
-            u = 0.5 * (hi - lo) * (t_nodes + 1.0) + lo
-            wu = 0.5 * (hi - lo) * t_w
+            u, wu = _gauss_legendre(n_inner,
+                                    np.maximum(m1sq - 6.0 * width, 1e-12),
+                                    m1sq + 6.0 * width)
             hsq = norm ** 2 * np.exp(-((u - m1sq) / width) ** 2)
             q1 = _lower((k1p, k1m))
             q2 = _lower((k2p, u / k2p))
@@ -445,9 +443,7 @@ def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2):
     hi = m1sq + 8.0 * g_width
     # oscillation period of the weight is ~ 2 pi m2 / Z in the m2^2 variable
     n_nodes = max(800, int(4.0 * Z * (math.sqrt(hi) - math.sqrt(lo))))
-    t, w = np.polynomial.legendre.leggauss(min(n_nodes, 6000))
-    u = 0.5 * (hi - lo) * (t + 1.0) + lo
-    wu = 0.5 * (hi - lo) * w
+    u, wu = _gauss_legendre(min(n_nodes, 6000), lo, hi)
     wz = z_integral_weight_closed(nu, Z, np.full_like(u, m1sq), u)
     smeared = float(np.sum(wu * wz * g(u)))
     target = float(g(m1sq))

@@ -21,6 +21,21 @@ from conftest import rel_err
 SPEC = AdSFieldSpec(Order(0.5))
 
 
+def sonine_gegenbauer(nu, a, b, c):
+    """Closed form of int_0^inf u J_0(au) J_nu(bu) J_nu(cu) du, and its
+    envelope 1 / (pi b c sin phi) with a^2 = b^2 + c^2 - 2 b c cos phi.
+
+    The integral is 0 for a < |b - c|, where the envelope is taken at
+    a = max(b, c), and cos(nu phi) times the envelope for |b - c| < a < b + c.
+    """
+    inside = a > abs(b - c)
+    a_env = a if inside else max(b, c)
+    cos_phi = (b * b + c * c - a_env * a_env) / (2.0 * b * c)
+    envelope = 1.0 / (math.pi * b * c * math.sqrt(1.0 - cos_phi ** 2))
+    value = math.cos(nu * math.acos(cos_phi)) * envelope if inside else 0.0
+    return value, envelope
+
+
 class TestAdSFieldSpec:
     def test_delta_and_mass(self):
         assert SPEC.delta == pytest.approx(1.5)
@@ -86,7 +101,7 @@ class TestHolographicLift:
 
     def test_methods_agree(self):
         # reference: the even-series form (1/sqrt 2) z^Delta (k^2)^(nu/2)
-        # jEven(nu, z^2 k^2) of the Bessel weight, smooth through k^2 -> 0
+        # j_even(nu, z^2 k^2) of the Bessel weight, smooth through k^2 -> 0
         kp, km, _ = self.grid.mesh()
         z, m2 = 0.4, kp * km
         a = holographic_lift(SPEC, z, self.psi)
@@ -169,6 +184,16 @@ class TestBonusLocality:
             - 1.0 / math.sqrt(a * a - (b + c) ** 2))
         assert rel_err(res.value.real, oracle) < 1e-8
 
+    @pytest.mark.parametrize("nu", [0.0, 1.3])
+    @pytest.mark.parametrize("a, b, c", [(0.3, 1.0, 1.5), (1.0, 1.0, 1.5),
+                                         (1.6, 0.8, 1.1)])
+    def test_sonine_gegenbauer_closed_form(self, nu, a, b, c):
+        # the error is measured against the envelope, since cos(nu phi)
+        # has zeros inside the band
+        res = bonus_locality(0.0, Order(nu), a, b, c, schedule=FINE_SCHEDULE)
+        oracle, envelope = sonine_gegenbauer(nu, a, b, c)
+        assert abs(res.value - oracle) <= 1e-8 * envelope
+
     def test_depth_exchange_symmetry(self):
         r1 = bonus_locality(0.0, Order(0.7), 1.1, 0.8, 1.4,
                             schedule=FINE_SCHEDULE)
@@ -189,6 +214,10 @@ class TestAdsCommutator:
     def test_boundary_lightcone_rejected(self):
         with pytest.raises(DomainError):
             ads_commutator(SPEC, 0.5, 0.7, MinkVector((1.0, 1.0)))
+
+    def test_boundary_dimension_two(self):
+        with pytest.raises(DomainError):
+            ads_commutator(SPEC, 0.5, 0.8, MinkVector((1.6, 0.0, 0.0)))
 
     def test_guard_band(self):
         # tau^2 = 0.251 sits within 5 percent of (z - z')^2 = 0.25

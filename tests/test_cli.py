@@ -69,10 +69,23 @@ class TestCompute:
         ["compute", "setkernel", "--param", "k1=1.3,abc"],
         ["verify", "locality", "--param", "a=abc"],
         ["compute", "besselj", "--param", "nu=nan"],
+        ["compute", "setkernel", "--param", "mu=1.7"],
+        ["compute", "setmatrixelement", "--param", "n=40.5"],
+        ["compute", "bonusLocality", "--param", "d=2.5"],
+        ["compute", "setkernel", "--param", "eps1=inf"],
     ])
     def test_malformed_param_value(self, capsys, argv):
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    def test_integral_float_reads_as_integer(self, capsys):
+        values = []
+        for mu in ("1", "1.0"):
+            rc, out = run(capsys, ["compute", "setkernel", "--param",
+                                   f"mu={mu}"])
+            assert rc == 0
+            values.append(json.loads(out)["records"][0]["value"])
+        assert values[0] == values[1]
 
     def test_non_finite_value_fails_as_strict_json(self, capsys,
                                                    monkeypatch):
@@ -204,6 +217,15 @@ class TestVerify:
 
     def test_guard_band_is_config_error(self, capsys):
         assert cli.main(["verify", "locality", "--param", "a=0.4"]) == 2
+
+    def test_locality_commutators_record_nu(self, capsys):
+        # their values depend on nu, so their inputs must name it
+        rc, out = run(capsys, ["verify", "locality", "--param", "nu=1.3"])
+        assert rc == 0
+        recs = [r for r in json.loads(out)["records"]
+                if r["name"].startswith("locality.ads_commutator_")]
+        assert len(recs) == 2
+        assert all(r["inputs"]["nu"] == 1.3 for r in recs)
 
     def test_tolerance_failure_exits_one(self, capsys):
         # a = 0.6 leaves the vanishing region, so the ratio bound must fail

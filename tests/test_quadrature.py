@@ -9,7 +9,8 @@ from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                adaptive_finite, hankel_transform, neville_zero,
                                oscillatory_semi_infinite, partial_sum_limit,
                                _EpsilonTable, _WYNN_WINDOW,
-                               _gk15, _WG, _WK, _XK)
+                               _gauss_legendre, _gk15, _legendre_table,
+                               _WG, _WK, _XK)
 from gffads.specfun import bessel_j
 
 from conftest import rel_err
@@ -97,6 +98,27 @@ class TestGK15:
         f = lambda u: fx
         got, want = _gk15(f, a, a + width), _gk15_separate(f, a, a + width)
         assert _same(got, want) and type(got[0]) is type(want[0])
+
+
+class TestGaussLegendre:
+    def test_affine_map_of_the_table(self):
+        # bit for bit 0.5 (b - a) (t + 1) + a and 0.5 (b - a) w, for scalar
+        # endpoints and for array endpoints that broadcast
+        t, w = np.polynomial.legendre.leggauss(24)
+        lo = np.array([[0.5], [1e-12]])
+        for a, b in ((0.0, 60.0), (-40.0, 40.0), (lo, lo + 3.0)):
+            x, wx = _gauss_legendre(24, a, b)
+            assert np.array_equal(x, 0.5 * (b - a) * (t + 1.0) + a)
+            assert np.array_equal(wx, 0.5 * (b - a) * w)
+        assert x.shape == (2, 24)
+
+    def test_cached_table_is_read_only(self):
+        t, w = _legendre_table(8)
+        assert _legendre_table(8)[0] is t
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestAcceleration:
