@@ -368,7 +368,7 @@ def _suite_locality(cfg, rng):
         raise ConfigError(
             f"(a,b,c)=({a},{b},{c}) lies in the light-cone guard band")
     recs = []
-    inner = adsb.bonus_locality(0.0, nu, a, b, c, schedule=FINE_SCHEDULE)
+    inner = adsb.bonus_locality(0.0, nu, a, b, c)
     ref = adsb.bonus_locality(0.0, nu, 0.5 * (b + c), b, c)
     recs.append(_check("locality.bonus_locality_ratio",
                        abs(inner.value) / abs(ref.value), 0.0, 1e-5,

@@ -1,28 +1,38 @@
 """Integration engines.
 
-Three engines: an adaptive Gauss-Kronrod rule on finite intervals, a
+Four engines: an adaptive Gauss-Kronrod rule on finite intervals, a
 semi-infinite oscillatory integrator based on exponential (Abel) damping with
-polynomial extrapolation of the damping parameter to zero, and Hankel
-transforms built on top of it.  All integrands must accept numpy arrays of
-abscissae.  The fixed-node grids of the other modules all take their
-Gauss-Legendre rule from _gauss_legendre, which maps cached read-only
-tables onto [a, b].
+polynomial extrapolation of the damping parameter to zero, Hankel transforms
+built on top of it, and the Bessel-product integral
+int_0^inf u^(1-mu) J_mu(au) J_nu(bu) J_nu(cu) du by Hankel splitting and
+contour rotation.  All integrands must accept numpy arrays of abscissae.
+The fixed-node grids of the other modules all take their Gauss-Legendre
+rule from _gauss_legendre, which maps cached read-only tables onto [a, b];
+the rotated tails take theirs from the Gauss-Laguerre table beside it.
 
 Each damped integral is a sequence of panel partial sums accelerated by
 Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
 a window of the newest 48 sums, so a panel costs O(48) table updates.  All
 damping parameters of one Abel integral share the same panels, and the
 integrand is evaluated once per panel for all of them.
+
+The Bessel-product integral takes [0, U] by adaptive Gauss-Kronrod.  Beyond
+U each J is (H1 + H2)/2, which gives eight terms of a single frequency
+omega = +-a +- b +- c each; every term is integrated along U + i sgn(omega) t,
+where it decays like e^(-|omega| t), by a Gauss-Laguerre rule
+(S. K. Lucas, J. Comput. Appl. Math. 64, 1995).
 """
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DivergenceError, DomainError
-from .specfun import bessel_j
+from .errors import (BudgetExceededError, DivergenceError, DomainError,
+                     LightConeProximityError)
+from .specfun import bessel_j, hankel_scaled
 
 __all__ = ["QuadratureResult", "AbelSchedule", "adaptive_finite",
            "oscillatory_semi_infinite", "hankel_transform", "neville_zero",
@@ -108,6 +118,16 @@ def _legendre_table(n):
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+@functools.lru_cache(maxsize=8)
+def _laguerre_table(n):
+    """Read-only n-point Gauss-Laguerre nodes and weights for e^(-x) on
+    [0, inf)."""
+    x, w = np.polynomial.laguerre.laggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _gauss_legendre(n, a, b):
@@ -326,3 +346,80 @@ def hankel_transform(order, g, u, schedule=None):
     res = oscillatory_semi_infinite(f, schedule, panel=np.pi / u)
     return QuadratureResult(res.value.real if abs(res.value.imag) == 0
                             else res.value, res.error_estimate, res.evaluations)
+
+
+# The Hankel splitting of J_mu(au) J_nu(bu) J_nu(cu): the sign s_i = +1
+# takes H1 of the i-th factor, -1 takes H2, and the term has frequency
+# omega = s . (a, b, c).  For real orders the term of -s is the complex
+# conjugate of the term of s on the conjugate contour, so only the four with
+# s_1 = +1 are evaluated.
+_HANKEL_SIGNS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))
+
+
+def _rotated_tail(mu, nu, k, u0, n):
+    """int_u0^inf u^(1-mu) J_mu(k0 u) J_nu(k1 u) J_nu(k2 u) du on n nodes.
+
+    Each Hankel term runs along u0 + i sgn(omega) t; with the phase
+    e^(i omega u0 - |omega| t) pulled out of the scaled Hankel product, the
+    rest is smooth in x = |omega| t and is summed on the n-point
+    Gauss-Laguerre rule.
+    """
+    x, w = _laguerre_table(n)
+    total = 0.0j
+    for s in _HANKEL_SIGNS:
+        omega = s[0] * k[0] + s[1] * k[1] + s[2] * k[2]
+        step = 1j * math.copysign(1.0, omega) / abs(omega)
+        u = u0 + step * x
+        g = u ** (1.0 - mu)
+        for sign, order, ki in zip(s, (mu, nu, nu), k):
+            g = g * hankel_scaled(sign, order, ki * u)
+        total += np.exp(1j * omega * u0) * step * np.dot(w, g)
+    # each term carries 1/8 from the three (H1 + H2)/2; with its conjugate
+    # partner it adds twice its real part
+    return total.real / 4.0
+
+
+def _bessel_product(mu, nu, a, b, c):
+    """int_0^inf u^(1-mu) J_mu(a u) J_nu(b u) J_nu(c u) du for a, b, c > 0.
+
+    Adaptive GK15 on [0, U], the rotated Hankel tails beyond.  U is at
+    least 4 pi / min(a, b, c), so the Hankel functions on the contour are in
+    their asymptotic regime, and at least 4 pi / min |omega|, so the slowest
+    tail decays within the Laguerre rule's reach; near a light cone
+    (omega -> 0) U grows until adaptive_finite's panel budget raises
+    BudgetExceededError, and omega = 0 raises LightConeProximityError.
+
+    The error estimate is the larger of two changes of the value, taking the
+    tails on 30 instead of 60 nodes and splitting at 2U instead of U, plus
+    the head's GK15 estimate and a rounding floor of 16 eps U max|f| over
+    257 samples on [0, U].  evaluations counts the GK15 points, the samples
+    and the contour points.
+    """
+    k = (float(a), float(b), float(c))
+    omegas = [abs(s[0] * k[0] + s[1] * k[1] + s[2] * k[2])
+              for s in _HANKEL_SIGNS]
+    if min(omegas) == 0.0:
+        raise LightConeProximityError(
+            "Bessel-product integral on a light cone (a +- b +- c = 0)")
+    split = 4.0 * np.pi / min(min(k), min(omegas))
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        uu = np.where(u > 0, u, 1.0)
+        val = uu ** (1.0 - mu) * bessel_j(mu, k[0] * uu) * \
+            bessel_j(nu, k[1] * uu) * bessel_j(nu, k[2] * uu)
+        return np.where(u > 0, val, 0.0)
+
+    head = adaptive_finite(f, 0.0, split)
+    value = head.value + _rotated_tail(mu, nu, k, split, 60)
+    coarse = head.value + _rotated_tail(mu, nu, k, split, 30)
+    extra = adaptive_finite(f, split, 2.0 * split)
+    later = head.value + extra.value + \
+        _rotated_tail(mu, nu, k, 2.0 * split, 60)
+    samples = f(np.linspace(0.0, split, 257))
+    floor = 16.0 * np.finfo(float).eps * split * np.max(np.abs(samples))
+    err = max(abs(coarse - value), abs(later - value)) + \
+        head.error_estimate + floor
+    evals = head.evaluations + extra.evaluations + samples.size + \
+        len(_HANKEL_SIGNS) * (60 + 30 + 60)
+    return QuadratureResult(complex(value), float(err), evals)

@@ -1,4 +1,5 @@
-"""Real-order special functions: Gamma, Bessel J/K/I and the even Bessel series.
+"""Real-order special functions: Gamma, Bessel J/K/I, scaled Hankel functions
+and the even Bessel series.
 
 The Bessel order is restricted to nu > -1 throughout: `Order` enforces it,
 while the raw functions bessel_j, bessel_k, bessel_i and j_even accept any
@@ -19,7 +20,7 @@ import scipy.special as _sp
 from .errors import DomainError, RangeError
 
 __all__ = ["Order", "gamma", "bessel_j", "bessel_k", "bessel_i", "j_even",
-           "kv_complex"]
+           "kv_complex", "hankel_scaled"]
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,15 @@ def gamma(x):
 
 
 def bessel_j(order, u):
-    """Bessel function of the first kind J_nu(u) for u >= 0."""
+    """Bessel function of the first kind J_nu(u) for u >= 0.
+
+    u = +inf gives the limit 0 (scipy returns NaN there).
+    """
     nu = _nu(order)
     u = np.asarray(u, dtype=float)
     if u.size and not u.min() >= 0:
         raise DomainError("bessel_j requires u >= 0")
-    out = _sp.jv(nu, u)
+    out = np.where(u < np.inf, _sp.jv(nu, u), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -91,6 +95,26 @@ def kv_complex(nu, z):
     if np.any(np.real(z) <= 0):
         raise DomainError("kv_complex requires Re z > 0")
     out = 0.5 * np.pi * (1j) ** (nu + 1.0) * _sp.hankel1(nu, 1j * z)
+    return complex(out) if out.ndim == 0 else out
+
+
+def hankel_scaled(sign, nu, z):
+    """Scaled Hankel function H_nu(z) e^(-i sign z) for complex z, Re z > 0.
+
+    sign = +1 gives H1_nu(z) e^(-iz), sign = -1 gives H2_nu(z) e^(iz).  Both
+    stay O(|z|^(-1/2)) for large |z| off the real axis, where the unscaled
+    functions overflow in the half plane in which they grow.
+    """
+    nu = _nu(nu)
+    z = np.asarray(z, dtype=complex)
+    if z.size and not np.real(z).min() > 0:
+        raise DomainError("hankel_scaled requires Re z > 0")
+    if sign == 1:
+        out = _sp.hankel1e(nu, z)
+    elif sign == -1:
+        out = _sp.hankel2e(nu, z)
+    else:
+        raise DomainError(f"hankel_scaled sign must be +1 or -1, got {sign}")
     return complex(out) if out.ndim == 0 else out
 
 

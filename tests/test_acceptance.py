@@ -86,12 +86,10 @@ def test_criterion_03_boundary_limit(criterion):
 
 def test_criterion_04_bonus_locality(criterion):
     b, c = 1.0, 1.4
-    inner = bonus_locality(0.0, Order(0.5), 1.2, b, c,
-                           schedule=FINE_SCHEDULE)
+    inner = bonus_locality(0.0, Order(0.5), 1.2, b, c)
     oracle = 1.0 / (math.pi * math.sqrt(b * c)
                     * math.sqrt(1.2 ** 2 - (b - c) ** 2))
-    vanish = bonus_locality(0.0, Order(0.5), 0.3, b, c,
-                            schedule=FINE_SCHEDULE)
+    vanish = bonus_locality(0.0, Order(0.5), 0.3, b, c)
     ok = abs(vanish.value) <= 1e-5 * abs(inner.value)
     ok &= abs(inner.value - oracle) <= 1e-4 * abs(oracle)
     criterion(4, "triple-Bessel integral vanishes at (0.3, 1, 1.4) and "
@@ -102,8 +100,7 @@ def test_criterion_05_ads_locality(criterion):
     spec = AdSFieldSpec(Order(0.5))
     ok = True
     for z, zp, t in ((1.0, 1.8, 0.5), (0.5, 1.5, 0.6), (0.8, 2.0, 0.9)):
-        res = ads_commutator(spec, z, zp, MinkVector((t, 0.0)),
-                             schedule=FINE_SCHEDULE)
+        res = ads_commutator(spec, z, zp, MinkVector((t, 0.0)))
         ok &= bool(abs(res.value) <= 1e-5)
     criterion(5, "bulk commutator <= 1e-5 for three boundary-timelike, "
               "bulk-spacelike configurations", ok)

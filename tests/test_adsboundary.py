@@ -23,17 +23,35 @@ SPEC = AdSFieldSpec(Order(0.5))
 
 def sonine_gegenbauer(nu, a, b, c):
     """Closed form of int_0^inf u J_0(au) J_nu(bu) J_nu(cu) du, and its
-    envelope 1 / (pi b c sin phi) with a^2 = b^2 + c^2 - 2 b c cos phi.
+    envelope.
 
     The integral is 0 for a < |b - c|, where the envelope is taken at
-    a = max(b, c), and cos(nu phi) times the envelope for |b - c| < a < b + c.
+    a = max(b, c), and cos(nu phi) / (pi b c sin phi) for
+    |b - c| < a < b + c, with a^2 = b^2 + c^2 - 2 b c cos phi and envelope
+    1 / (pi b c sin phi).  For a > b + c it is
+    -sin(nu pi) e^(-nu psi) / (pi b c sinh psi), with
+    a^2 = b^2 + c^2 + 2 b c cosh psi and envelope 1 / (pi b c sinh psi).
     """
+    if a > b + c:
+        psi = math.acosh((a * a - b * b - c * c) / (2.0 * b * c))
+        envelope = 1.0 / (math.pi * b * c * math.sinh(psi))
+        return -math.sin(nu * math.pi) * math.exp(-nu * psi) * envelope, \
+            envelope
     inside = a > abs(b - c)
     a_env = a if inside else max(b, c)
     cos_phi = (b * b + c * c - a_env * a_env) / (2.0 * b * c)
     envelope = 1.0 / (math.pi * b * c * math.sqrt(1.0 - cos_phi ** 2))
     value = math.cos(nu * math.acos(cos_phi)) * envelope if inside else 0.0
     return value, envelope
+
+
+# (a, b, c) in the vanishing region, the band and the far region a > b + c
+SONINE_POINTS = [(0.3, 1.0, 1.5), (1.0, 1.0, 1.5), (1.6, 0.8, 1.1),
+                 (3.0, 1.0, 1.5), (2.4, 0.8, 1.1)]
+# 1% and 5% from either side of the light cones a = |b - c| = 0.4 and
+# a = b + c = 2.4, b, c = 1.0, 1.4
+NEAR_CONE_POINTS = [(cone * (1.0 + r), 1.0, 1.4) for cone in (0.4, 2.4)
+                    for r in (-0.05, -0.01, 0.01, 0.05)]
 
 
 class TestAdSFieldSpec:
@@ -47,6 +65,10 @@ class TestAds2pt:
     def test_depth_domain(self):
         with pytest.raises(DomainError):
             ads2pt(SPEC, 0.0, 1.0, MinkVector((0.0, 1.0)))
+
+    def test_boundary_dimension_two(self):
+        with pytest.raises(DomainError):
+            ads2pt(SPEC, 0.5, 0.8, MinkVector((0.0, 1.0, 0.0)))
 
     def test_depth_exchange_symmetry(self):
         x = MinkVector((0.0, 1.0))
@@ -90,6 +112,9 @@ class TestBoundaryLimit:
             boundary_limit_check(SPEC, (0.02, 0.04), MinkVector((0.0, 4.0)))
         with pytest.raises(DomainError):
             boundary_limit_check(SPEC, (0.04, 0.02), MinkVector((2.0, 0.5)))
+        with pytest.raises(DomainError):
+            boundary_limit_check(SPEC, (0.04, 0.02),
+                                 MinkVector((0.0, 4.0, 0.0)))
 
 
 class TestHolographicLift:
@@ -158,18 +183,15 @@ class TestBonusLocality:
         # a^2 < (b - c)^2: the integral vanishes even though the boundary
         # interval is timelike
         a, b, c = 0.4, 1.0, 1.5
-        res = bonus_locality(0.0, Order(0.5), a, b, c,
-                             schedule=FINE_SCHEDULE)
-        scale = abs(bonus_locality(0.0, Order(0.5), 1.0, b, c,
-                                   schedule=FINE_SCHEDULE).value)
+        res = bonus_locality(0.0, Order(0.5), a, b, c)
+        scale = abs(bonus_locality(0.0, Order(0.5), 1.0, b, c).value)
         assert abs(res.value) < 1e-5 * scale
 
     @pytest.mark.parametrize("a", [0.6, 1.2, 2.0])
     def test_interior_closed_form(self, a):
         # |b - c| < a < b + c: I = 1 / (pi sqrt(b c) sqrt(a^2 - (b - c)^2))
         b, c = 1.0, 1.5
-        res = bonus_locality(0.0, Order(0.5), a, b, c,
-                             schedule=FINE_SCHEDULE)
+        res = bonus_locality(0.0, Order(0.5), a, b, c)
         oracle = 1.0 / (math.pi * math.sqrt(b * c)
                         * math.sqrt(a * a - (b - c) ** 2))
         assert rel_err(res.value.real, oracle) < 1e-6
@@ -177,28 +199,44 @@ class TestBonusLocality:
     def test_far_region_closed_form(self):
         # a > b + c picks up both cosine terms
         a, b, c = 3.0, 1.0, 1.5
-        res = bonus_locality(0.0, Order(0.5), a, b, c,
-                             schedule=FINE_SCHEDULE)
+        res = bonus_locality(0.0, Order(0.5), a, b, c)
         oracle = (1.0 / (math.pi * math.sqrt(b * c))) * (
             1.0 / math.sqrt(a * a - (b - c) ** 2)
             - 1.0 / math.sqrt(a * a - (b + c) ** 2))
         assert rel_err(res.value.real, oracle) < 1e-8
 
-    @pytest.mark.parametrize("nu", [0.0, 1.3])
-    @pytest.mark.parametrize("a, b, c", [(0.3, 1.0, 1.5), (1.0, 1.0, 1.5),
-                                         (1.6, 0.8, 1.1)])
+    @pytest.mark.parametrize("nu", [0.0, 0.7, 1.3])
+    @pytest.mark.parametrize("a, b, c", SONINE_POINTS)
     def test_sonine_gegenbauer_closed_form(self, nu, a, b, c):
         # the error is measured against the envelope, since cos(nu phi)
         # has zeros inside the band
-        res = bonus_locality(0.0, Order(nu), a, b, c, schedule=FINE_SCHEDULE)
+        res = bonus_locality(0.0, Order(nu), a, b, c)
         oracle, envelope = sonine_gegenbauer(nu, a, b, c)
         assert abs(res.value - oracle) <= 1e-8 * envelope
 
+    @pytest.mark.parametrize(
+        "nu, a, b, c",
+        [(nu, *p) for nu in (0.0, 0.7, 1.3) for p in SONINE_POINTS]
+        + [(0.7, *p) for p in NEAR_CONE_POINTS])
+    def test_error_estimate_covers_error(self, nu, a, b, c):
+        res = bonus_locality(0.0, Order(nu), a, b, c)
+        oracle, _ = sonine_gegenbauer(nu, a, b, c)
+        assert abs(res.value - oracle) <= res.error_estimate
+
+    @pytest.mark.parametrize("nu", [0.0, 1.3])
+    @pytest.mark.parametrize("a, b, c", SONINE_POINTS[:3])
+    def test_evaluation_ceiling(self, nu, a, b, c):
+        # evaluation counts do not depend on the machine
+        assert bonus_locality(0.0, Order(nu), a, b, c).evaluations <= 20000
+
+    @pytest.mark.parametrize("a, b, c", [(0.5, 1.0, 1.5), (2.5, 1.0, 1.5)])
+    def test_light_cone_raises(self, a, b, c):
+        with pytest.raises(LightConeProximityError):
+            bonus_locality(0.0, Order(0.5), a, b, c)
+
     def test_depth_exchange_symmetry(self):
-        r1 = bonus_locality(0.0, Order(0.7), 1.1, 0.8, 1.4,
-                            schedule=FINE_SCHEDULE)
-        r2 = bonus_locality(0.0, Order(0.7), 1.1, 1.4, 0.8,
-                            schedule=FINE_SCHEDULE)
+        r1 = bonus_locality(0.0, Order(0.7), 1.1, 0.8, 1.4)
+        r2 = bonus_locality(0.0, Order(0.7), 1.1, 1.4, 0.8)
         assert abs(r1.value - r2.value) < 1e-9
 
     def test_domain(self):
@@ -227,17 +265,16 @@ class TestAdsCommutator:
 
     def test_vanishes_inside_ads_spacelike_wedge(self):
         # tau^2 < (z - z')^2: boundary-timelike but bulk-spacelike
-        res = ads_commutator(SPEC, 0.5, 1.5, MinkVector((0.6, 0.0)),
-                             schedule=FINE_SCHEDULE)
-        scale = abs(ads_commutator(SPEC, 0.5, 0.7, MinkVector((1.0, 0.2)),
-                                   schedule=FINE_SCHEDULE).value)
+        res = ads_commutator(SPEC, 0.5, 1.5, MinkVector((0.6, 0.0)))
+        scale = abs(ads_commutator(SPEC, 0.5, 0.7,
+                                   MinkVector((1.0, 0.2))).value)
         assert abs(res.value) < 1e-5 * scale
 
     @pytest.mark.parametrize("z,zp,t", [(0.5, 0.7, 1.0), (0.8, 1.0, 1.4),
                                         (0.3, 0.9, 1.1)])
     def test_two_routes_agree(self, z, zp, t):
         x = MinkVector((t, 0.2))
-        a = ads_commutator(SPEC, z, zp, x, schedule=FINE_SCHEDULE)
+        a = ads_commutator(SPEC, z, zp, x)
         b = ads_commutator_mass_route(SPEC, z, zp, x,
                                       schedule=FINE_SCHEDULE)
         assert abs(a.value - b.value) < 1e-8
@@ -245,8 +282,8 @@ class TestAdsCommutator:
 
     def test_antisymmetry(self):
         x = MinkVector((1.0, 0.2))
-        a = ads_commutator(SPEC, 0.5, 0.7, x, schedule=FINE_SCHEDULE)
-        b = ads_commutator(SPEC, 0.5, 0.7, -x, schedule=FINE_SCHEDULE)
+        a = ads_commutator(SPEC, 0.5, 0.7, x)
+        b = ads_commutator(SPEC, 0.5, 0.7, -x)
         assert abs(a.value + b.value) < 1e-8
 
 

@@ -101,6 +101,15 @@ class TestCompute:
         assert rec["status"] == "fail"
         assert rec["value"]["re"] is None and rec["inputs"]["x"] is None
 
+    def test_besselj_at_infinity_is_zero(self, capsys):
+        # the value is the limit 0; the input u = inf itself is non-finite,
+        # so strict JSON writes it as null and the record fails
+        rc, out = run(capsys, ["compute", "besselj", "--param", "u=inf"])
+        rec = json.loads(out)["records"][0]
+        assert rec["value"] == {"re": 0.0, "im": 0.0}
+        assert rec["inputs"]["u"] is None
+        assert rc == 1
+
     def test_weight_table_file(self, capsys, tmp_path):
         grid = np.linspace(0.0, 130.0, 40000)
         path = tmp_path / "weights.txt"

@@ -1,10 +1,12 @@
-"""Every Gauss-Legendre rule comes from quadrature.
+"""Every Gauss-Legendre and Gauss-Laguerre rule comes from quadrature.
 
 quadrature._gauss_legendre maps cached, read-only Gauss-Legendre tables
-onto [a, b].  A module that calls numpy's leggauss itself holds a second
-copy of that map and rebuilds a table the cache already has.  Each mention
-of `leggauss` in src/gffads (an attribute, a bare name or an imported name)
-is found with `ast`, so a copy fails here whichever import path it takes.
+onto [a, b], and quadrature._laguerre_table caches the read-only
+Gauss-Laguerre tables of the rotated Bessel-product tails.  A module that
+calls numpy's leggauss or laggauss itself holds a second copy of that code
+and rebuilds a table the cache already has.  Each mention of these names in
+src/gffads (an attribute, a bare name or an imported name) is found with
+`ast`, so a copy fails here whichever import path it takes.
 """
 
 import ast
@@ -13,8 +15,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gffads"
 
 
-def leggauss_uses():
-    """Labels file:line of each mention of leggauss outside quadrature.py."""
+def rule_uses(rule):
+    """Labels file:line of each mention of rule outside quadrature.py."""
     culprits = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "quadrature.py":
@@ -24,12 +26,18 @@ def leggauss_uses():
                 name = node.name.rpartition(".")[2]
             else:
                 name = getattr(node, "attr", None) or getattr(node, "id", None)
-            if name == "leggauss":
+            if name == rule:
                 culprits.append(f"{path.name}:{node.lineno}")
     return culprits
 
 
 def test_only_quadrature_calls_leggauss():
-    culprits = leggauss_uses()
+    culprits = rule_uses("leggauss")
     assert not culprits, ("leggauss outside quadrature (use "
                           "quadrature._gauss_legendre): " + ", ".join(culprits))
+
+
+def test_only_quadrature_calls_laggauss():
+    culprits = rule_uses("laggauss")
+    assert not culprits, ("laggauss outside quadrature (use "
+                          "quadrature._laguerre_table): " + ", ".join(culprits))

@@ -6,7 +6,7 @@ import pytest
 from gffads.errors import DomainError, RangeError
 from gffads.quadrature import adaptive_finite
 from gffads.specfun import (Order, bessel_i, bessel_j, bessel_k, gamma,
-                            j_even, kv_complex)
+                            hankel_scaled, j_even, kv_complex)
 
 from conftest import rel_err
 
@@ -57,6 +57,14 @@ class TestBesselJ:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             bessel_j(0.5, -0.1)
+        with pytest.raises(DomainError):
+            bessel_j(0.5, float("nan"))
+
+    def test_limit_at_infinity(self):
+        for nu in (0.0, 0.5, -0.3):
+            assert bessel_j(nu, math.inf) == 0.0
+        out = bessel_j(1.3, np.array([1.0, math.inf]))
+        assert out[1] == 0.0 and out[0] == bessel_j(1.3, 1.0)
 
     def test_ode_residual(self):
         # (u d/du)^2 J + (u^2 - nu^2) J = 0, finite-difference derivatives
@@ -78,6 +86,29 @@ class TestBesselJ:
             rhs = 2.0 * nu / u * bessel_j(nu, u)
             scale = np.maximum(np.abs(rhs), 1e-3)
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-9
+
+
+class TestHankelScaled:
+    def test_half_integer_oracle(self):
+        # H1_(1/2)(z) = -i sqrt(2 / (pi z)) e^(iz), H2 its mirror image
+        z = np.array([0.5 + 0.0j, 3.0 + 40.0j, 3.0 - 40.0j, 20.0 + 700.0j])
+        amp = np.sqrt(2.0 / (np.pi * z))
+        assert np.max(np.abs(hankel_scaled(1, 0.5, z) + 1j * amp)
+                      / np.abs(amp)) < 1e-13
+        assert np.max(np.abs(hankel_scaled(-1, 0.5, z) - 1j * amp)
+                      / np.abs(amp)) < 1e-13
+
+    def test_sum_is_twice_besselj(self):
+        u = 2.7
+        total = hankel_scaled(1, 1.3, u) * np.exp(1j * u) + \
+            hankel_scaled(-1, 1.3, u) * np.exp(-1j * u)
+        assert abs(total - 2.0 * bessel_j(1.3, u)) < 1e-14
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            hankel_scaled(1, 0.5, -1.0 + 2.0j)
+        with pytest.raises(DomainError):
+            hankel_scaled(0, 0.5, 1.0)
 
 
 class TestBesselK:
