@@ -434,6 +434,8 @@ def wick2pt(h, x, cutoff=None):
 
     h must be a symmetric callable; the singular diagonal delta weight is
     rejected with a DivergenceError (see the vacuum-fluctuation diagnostic).
+    The value is taken on a 160-node Gauss-Legendre grid in each mass; the
+    error estimate is its change from the 80-node grid.
     """
     if isinstance(h, DeltaDiagonalWeight):
         raise DivergenceError(
@@ -443,14 +445,19 @@ def wick2pt(h, x, cutoff=None):
     if cutoff is None:
         cutoff = default_cutoff(x)
     sigma = _sigma_eps(x, 1e-3)
-    m, wm = _gauss_legendre(160, 0.0, math.sqrt(cutoff))
-    wvals = _wightman_closed(m, sigma, x.d)
-    m1sq = (m ** 2)[:, None]
-    m2sq = (m ** 2)[None, :]
-    hh = np.asarray(h(m1sq, m2sq))
-    jac = (2.0 * m * wm)[:, None] * (2.0 * m * wm)[None, :]
-    value = 2.0 * np.sum(jac * hh ** 2 * wvals[:, None] * wvals[None, :])
-    return Correlator(complex(value), 1e-8 * abs(complex(value)))
+
+    def on_grid(n):
+        m, wm = _gauss_legendre(n, 0.0, math.sqrt(cutoff))
+        wvals = _wightman_closed(m, sigma, x.d)
+        m1sq = (m ** 2)[:, None]
+        m2sq = (m ** 2)[None, :]
+        hh = np.asarray(h(m1sq, m2sq))
+        jac = (2.0 * m * wm)[:, None] * (2.0 * m * wm)[None, :]
+        return 2.0 * np.sum(jac * hh ** 2 * wvals[:, None] * wvals[None, :])
+
+    value = on_grid(160)
+    value_half = on_grid(80)
+    return Correlator(complex(value), abs(value - value_half))
 
 
 def scaling_covariance_check(h, lam, x):

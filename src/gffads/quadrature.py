@@ -10,6 +10,12 @@ The fixed-node grids of the other modules all take their Gauss-Legendre
 rule from _gauss_legendre, which maps cached read-only tables onto [a, b];
 the rotated tails take theirs from the Gauss-Laguerre table beside it.
 
+The adaptive rule refines in rounds: each round bisects, in one integrand
+call, the panels of largest error whose errors together cover the excess of
+the total error over the target.  A GK15 call on many panels reduces each
+panel's row as it would a single panel, so the panel values, and with them
+the result, are those of bisecting one panel per step.
+
 Each damped integral is a sequence of panel partial sums accelerated by
 Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
 a window of the newest 48 sums, so a panel costs O(48) table updates.  All
@@ -101,14 +107,25 @@ _W2 = np.stack([_WK, _WG])
 
 
 def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _XK))
-    sk, sg = (_W2 * fx).sum(axis=1)
+    """GK15 value and error estimate of f on [a, b].
+
+    a and b may be arrays of panel endpoints: f then runs once on the nodes
+    of all the panels, and each panel's row is reduced as for a single
+    panel, so its value and error do not depend on its company.
+    """
+    half = 0.5 * (np.asarray(b) - a)
+    mid = 0.5 * (np.asarray(a) + b)
+    x = mid[..., None] + half[..., None] * _XK
+    fx = np.asarray(f(x.ravel())).reshape(x.shape)
+    sk, sg = np.moveaxis((_W2 * fx[..., None, :]).sum(axis=-1), -1, 0)
     ik = half * sk
     ig = half * sg
-    err = (200.0 * abs(ik - ig)) ** 1.5
-    return ik, err
+    if np.ndim(ik):
+        # libm's abs and power, as for a single panel: numpy's vector loops
+        # for them differ from libm in the last bit on some arguments
+        return ik, np.array([(200.0 * abs(e)) ** 1.5
+                             for e in (ik - ig).tolist()])
+    return ik, (200.0 * abs(ik - ig)) ** 1.5
 
 
 @functools.lru_cache(maxsize=32)
@@ -144,9 +161,12 @@ def _gauss_legendre(n, a, b):
 def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
-    The target is |value - integral| <= max(tol * |value|, 1e-14).  The
-    panel results are summed in a fixed (left-to-right) order so the returned
-    value does not depend on the refinement history.
+    The target is |value - integral| <= max(tol * |value|, 1e-14).  Each
+    round pops the panels of largest error until their errors cover the
+    excess of the total error over the target, never more than would take
+    the panel count past max_panels, and bisects them all with one call of
+    f.  The panel results are summed in a fixed (left-to-right) order so
+    the returned value does not depend on the refinement history.
     """
     if not b > a:
         raise DomainError("adaptive_finite requires a < b")
@@ -156,7 +176,8 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(-p[0] for p in panels)
-        if total_err <= max(tol * abs(total), 1e-14):
+        target = max(tol * abs(total), 1e-14)
+        if total_err <= target:
             break
         if len(panels) >= max_panels:
             ordered = sorted(panels, key=lambda p: p[1])
@@ -165,13 +186,21 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
             raise BudgetExceededError(
                 f"adaptive_finite: {max_panels} panels without convergence",
                 result=res)
-        _, pa, pb, _ = heapq.heappop(panels)
+        worst, covered = [], 0.0
+        while panels and covered < total_err - target and \
+                len(panels) + 2 * len(worst) < max_panels:
+            p = heapq.heappop(panels)
+            worst.append(p)
+            covered -= p[0]
+        pa = np.array([p[1] for p in worst])
+        pb = np.array([p[2] for p in worst])
         pm = 0.5 * (pa + pb)
-        v1, e1 = _gk15(f, pa, pm)
-        v2, e2 = _gk15(f, pm, pb)
-        evals += 30
-        heapq.heappush(panels, (-e1, pa, pm, v1))
-        heapq.heappush(panels, (-e2, pm, pb, v2))
+        lo, hi = np.concatenate([pa, pm]), np.concatenate([pm, pb])
+        vals, errs = _gk15(f, lo, hi)
+        evals += 15 * lo.size
+        for p in zip((-errs).tolist(), lo.tolist(), hi.tolist(),
+                     vals.tolist()):
+            heapq.heappush(panels, p)
     ordered = sorted(panels, key=lambda p: p[1])
     value = sum(p[3] for p in ordered)
     total_err = sum(-p[0] for p in ordered)
@@ -243,8 +272,9 @@ def _damped_semi_infinite(f, eps, panel, max_panels=2000):
     for j in range(max_panels):
         v, e = _gk15(fd, j * panel, (j + 1) * panel)
         if e > 1e-11 * max(1.0, abs(v)):
-            v1, e1 = _gk15(fd, j * panel, (j + 0.5) * panel)
-            v2, e2 = _gk15(fd, (j + 0.5) * panel, (j + 1) * panel)
+            (v1, v2), (e1, e2) = _gk15(
+                fd, np.array([j, j + 0.5]) * panel,
+                np.array([j + 0.5, j + 1]) * panel)
             v, e = v1 + v2, e1 + e2
             evals += 30
         evals += 15

@@ -316,6 +316,9 @@ class TestWick2pt:
         w = wick2pt(h2, x, cutoff=cut)
         g = gff2pt(h1, h1, x, cutoff=cut)
         assert rel_err(w.value, 2.0 * g.value ** 2) < 1e-5
+        # 2 g^2 carries the error 4 |g| of g's own estimate
+        assert abs(w.value - 2.0 * g.value ** 2) <= \
+            w.error_estimate + 4.0 * abs(g.value) * g.error_estimate
 
     def test_delta_diagonal_rejected(self):
         with pytest.raises(DivergenceError):

@@ -1,9 +1,13 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gffads import correlators, quadrature
+from gffads.adsboundary import bonus_locality
+from gffads.correlators import Power, gff2pt
 from gffads.errors import BudgetExceededError, DomainError
 from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                adaptive_finite, hankel_transform, neville_zero,
@@ -11,9 +15,11 @@ from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
                                _EpsilonTable, _WYNN_WINDOW,
                                _gauss_legendre, _gk15, _legendre_table,
                                _WG, _WK, _XK)
-from gffads.specfun import bessel_j
+from gffads.spacetime import MinkVector
+from gffads.specfun import Order, bessel_j
 
 from conftest import rel_err
+from test_adsboundary import NEAR_CONE_POINTS, SONINE_POINTS
 
 
 class TestResultTypes:
@@ -59,10 +65,14 @@ class TestAdaptiveFinite:
         assert abs(res.value - exact) <= max(10.0 * res.error_estimate, 1e-13)
 
     def test_budget_error_carries_estimate(self):
-        with pytest.raises(BudgetExceededError) as exc:
-            adaptive_finite(lambda x: np.sin(1.0 / (x + 1e-8)), 0.0, 1.0,
-                            tol=1e-14, max_panels=8)
-        assert exc.value.result.evaluations > 0
+        # the budget stops refinement at exactly max_panels panels, made by
+        # max_panels - 1 bisections of 30 points after the first 15
+        for max_panels in (8, 64):
+            with pytest.raises(BudgetExceededError) as exc:
+                adaptive_finite(lambda x: np.sin(1.0 / (x + 1e-8)), 0.0, 1.0,
+                                tol=1e-14, max_panels=max_panels)
+            assert exc.value.result.evaluations > 0
+            assert exc.value.result.evaluations == 15 * (2 * max_panels - 1)
 
     def test_linearity(self, rng):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x)
@@ -72,6 +82,89 @@ class TestAdaptiveFinite:
         rhs = (a * adaptive_finite(f, 0.0, 2.0).value
                + b * adaptive_finite(g, 0.0, 2.0).value)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def _adaptive_finite_sequential(f, a, b, tol=1e-10, max_panels=4000):
+    """Reference: the greedy loop that bisects one panel per step, with two
+    integrand calls per bisection and the stopping test after each."""
+    val, err = _gk15(f, a, b)
+    panels = [(-err, a, b, val)]
+    evals = 15
+    while True:
+        total = sum(p[3] for p in panels)
+        total_err = sum(-p[0] for p in panels)
+        if total_err <= max(tol * abs(total), 1e-14):
+            break
+        if len(panels) >= max_panels:
+            raise BudgetExceededError("sequential reference out of panels")
+        _, pa, pb, _ = heapq.heappop(panels)
+        pm = 0.5 * (pa + pb)
+        v1, e1 = _gk15(f, pa, pm)
+        v2, e2 = _gk15(f, pm, pb)
+        evals += 30
+        heapq.heappush(panels, (-e1, pa, pm, v1))
+        heapq.heappush(panels, (-e2, pm, pb, v2))
+    ordered = sorted(panels, key=lambda p: p[1])
+    return QuadratureResult(sum(p[3] for p in ordered),
+                            sum(-p[0] for p in ordered), evals)
+
+
+# spacelike points with |x| from 0.3 to 10, one of them 3% from the cone
+GFF2PT_POINTS = [(0.0, 0.3), (0.7, 1.8), (-1.0, 1.5), (8.0, 10.0), (2.9, 3.0)]
+# bonus_locality reaches adaptive_finite through quadrature._bessel_product,
+# gff2pt through correlators; the integrand calls per adaptive_finite call
+# stay under the ceiling of their kind
+REFINEMENT_CASES = [("locality", nu, p) for nu in (0.0, 0.7, 1.3)
+                    for p in SONINE_POINTS + NEAR_CONE_POINTS] + \
+    [("gff2pt", nu, x) for nu in (-0.4, 0.0, 0.5, 1.9) for x in GFF2PT_POINTS]
+REFINEMENT_IDS = [f"{kind}-nu={nu:g}-" + ",".join(f"{v:g}" for v in point)
+                  for kind, nu, point in REFINEMENT_CASES]
+CALL_CEILING = {"locality": 20, "gff2pt": 32}
+
+
+def _integrals(monkeypatch, kind, nu, point):
+    """(f, a, b, calls) of every adaptive_finite call one request makes;
+    calls is the number of times that call ran f."""
+    seen = []
+
+    def capture(f, a, b, **kwargs):
+        calls = []
+
+        def counted(u):
+            calls.append(u.size)
+            return f(u)
+
+        seen.append((f, a, b, calls))
+        return adaptive_finite(counted, a, b, **kwargs)
+
+    module = quadrature if kind == "locality" else correlators
+    with monkeypatch.context() as m:
+        m.setattr(module, "adaptive_finite", capture)
+        if kind == "locality":
+            bonus_locality(0.0, Order(nu), *point)
+        else:
+            gff2pt(Power(nu), Power(nu), MinkVector(point))
+    assert seen
+    return seen
+
+
+class TestBatchedRounds:
+    @pytest.mark.parametrize("kind, nu, point", REFINEMENT_CASES,
+                             ids=REFINEMENT_IDS)
+    def test_matches_sequential_bisection(self, monkeypatch, kind, nu, point):
+        for f, a, b, _ in _integrals(monkeypatch, kind, nu, point):
+            got = adaptive_finite(f, a, b)
+            want = _adaptive_finite_sequential(f, a, b)
+            assert got.evaluations == want.evaluations
+            assert abs(got.value - want.value) <= \
+                min(got.error_estimate, want.error_estimate)
+
+    @pytest.mark.parametrize("kind, nu, point", REFINEMENT_CASES,
+                             ids=REFINEMENT_IDS)
+    def test_integrand_call_ceiling(self, monkeypatch, kind, nu, point):
+        # call counts do not depend on the machine
+        for _, _, _, calls in _integrals(monkeypatch, kind, nu, point):
+            assert len(calls) <= CALL_CEILING[kind]
 
 
 def _gk15_separate(f, a, b):
@@ -98,6 +191,24 @@ class TestGK15:
         f = lambda u: fx
         got, want = _gk15(f, a, a + width), _gk15_separate(f, a, a + width)
         assert _same(got, want) and type(got[0]) is type(want[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0)),
+                    min_size=1, max_size=64),
+           st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans())
+    def test_panel_rows_equal_single_panels(self, panels, p, q, real):
+        # a rational integrand: +, * and / round the same way whatever the
+        # length of the array, so every row can be compared bit for bit
+        def f(u):
+            v = (p + u) / (1.0 + u * u)
+            return v if real else v + 1j * q * u / (2.0 + u)
+
+        a = np.array([lo for lo, _ in panels])
+        b = a + np.array([width for _, width in panels])
+        vals, errs = _gk15(f, a, b)
+        assert vals.shape == errs.shape == a.shape
+        for i in range(a.size):
+            assert _same((vals[i], errs[i]), _gk15_separate(f, a[i], b[i]))
 
 
 class TestGaussLegendre:
