@@ -13,8 +13,8 @@ the rotated tails take theirs from the Gauss-Laguerre table beside it.
 The adaptive rule refines in rounds: each round bisects, in one integrand
 call, the panels of largest error whose errors together cover the excess of
 the total error over the target.  A GK15 call on many panels reduces each
-panel's row as it would a single panel, so the panel values, and with them
-the result, are those of bisecting one panel per step.
+panel's row as it would a single panel, so a panel's value and error do not
+depend on the panels that share its call.
 
 Each damped integral is a sequence of panel partial sums accelerated by
 Wynn's epsilon algorithm; its table advances one anti-diagonal per panel over
@@ -109,18 +109,18 @@ _W2 = np.stack([_WK, _WG])
 def _gk15(f, a, b):
     """GK15 value and error estimate of f on [a, b].
 
-    a and b may be arrays of panel endpoints: f then runs once on the nodes
-    of all the panels, and each panel's row is reduced as for a single
+    a and b may be 1-d arrays of panel endpoints: f then runs once on the
+    nodes of all the panels, and each panel's row is reduced as for a single
     panel, so its value and error do not depend on its company.
     """
     half = 0.5 * (np.asarray(b) - a)
     mid = 0.5 * (np.asarray(a) + b)
     x = mid[..., None] + half[..., None] * _XK
     fx = np.asarray(f(x.ravel())).reshape(x.shape)
-    sk, sg = np.moveaxis((_W2 * fx[..., None, :]).sum(axis=-1), -1, 0)
+    sk, sg = (_W2 * fx[..., None, :]).sum(axis=-1).T
     ik = half * sk
     ig = half * sg
-    if np.ndim(ik):
+    if isinstance(ik, np.ndarray):
         # libm's abs and power, as for a single panel: numpy's vector loops
         # for them differ from libm in the last bit on some arguments
         return ik, np.array([(200.0 * abs(e)) ** 1.5
@@ -192,14 +192,12 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
             p = heapq.heappop(panels)
             worst.append(p)
             covered -= p[0]
-        pa = np.array([p[1] for p in worst])
-        pb = np.array([p[2] for p in worst])
-        pm = 0.5 * (pa + pb)
-        lo, hi = np.concatenate([pa, pm]), np.concatenate([pm, pb])
-        vals, errs = _gk15(f, lo, hi)
-        evals += 15 * lo.size
-        for p in zip((-errs).tolist(), lo.tolist(), hi.tolist(),
-                     vals.tolist()):
+        mid = [0.5 * (p[1] + p[2]) for p in worst]
+        lo = [p[1] for p in worst] + mid
+        hi = mid + [p[2] for p in worst]
+        vals, errs = _gk15(f, np.array(lo), np.array(hi))
+        evals += 15 * len(lo)
+        for p in zip((-errs).tolist(), lo, hi, vals.tolist()):
             heapq.heappush(panels, p)
     ordered = sorted(panels, key=lambda p: p[1])
     value = sum(p[3] for p in ordered)
