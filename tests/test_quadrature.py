@@ -201,7 +201,7 @@ class TestGK15:
         # length of the array, so every row can be compared bit for bit
         def f(u):
             v = (p + u) / (1.0 + u * u)
-            return v if real else v + 1j * q * u / (2.0 + u)
+            return v if real else v + 1j * q * u / (2.0 + u * u)
 
         a = np.array([lo for lo, _ in panels])
         b = a + np.array([width for _, width in panels])
