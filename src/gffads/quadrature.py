@@ -111,12 +111,16 @@ def _gk15(f, a, b):
 
     a and b may be 1-d arrays of panel endpoints: f then runs once on the
     nodes of all the panels, and each panel's row is reduced as for a single
-    panel, so its value and error do not depend on its company.
+    panel, so its value and error do not depend on its company.  f may
+    return one value per node or a scalar that stands for all of them.
     """
     half = 0.5 * (np.asarray(b) - a)
     mid = 0.5 * (np.asarray(a) + b)
     x = mid[..., None] + half[..., None] * _XK
-    fx = np.asarray(f(x.ravel())).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()))
+    if fx.size != x.size:
+        fx = np.broadcast_to(fx, x.size)
+    fx = fx.reshape(x.shape)
     sk, sg = (_W2 * fx[..., None, :]).sum(axis=-1).T
     ik = half * sk
     ig = half * sg
@@ -165,7 +169,9 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     round pops the panels of largest error until their errors cover the
     excess of the total error over the target, never more than would take
     the panel count past max_panels, and bisects them all with one call of
-    f.  The panel results are summed in a fixed (left-to-right) order so
+    f.  A round bisects at least one panel, so a NaN error or value (which
+    no excess covers) refines one panel per round until the budget error.
+    The panel results are summed in a fixed (left-to-right) order so
     the returned value does not depend on the refinement history.
     """
     if not b > a:
@@ -187,8 +193,9 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
                 f"adaptive_finite: {max_panels} panels without convergence",
                 result=res)
         worst, covered = [], 0.0
-        while panels and covered < total_err - target and \
-                len(panels) + 2 * len(worst) < max_panels:
+        # the budget test above leaves room for the first bisection
+        while not worst or (panels and covered < total_err - target and
+                            len(panels) + 2 * len(worst) < max_panels):
             p = heapq.heappop(panels)
             worst.append(p)
             covered -= p[0]

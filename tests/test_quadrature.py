@@ -74,6 +74,28 @@ class TestAdaptiveFinite:
             assert exc.value.result.evaluations > 0
             assert exc.value.result.evaluations == 15 * (2 * max_panels - 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_exhausts_budget(self, bad):
+        # no excess covers a NaN error, yet every round must bisect a panel;
+        # the integrand stops a loop that would never end
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            assert len(calls) <= 64, "refinement does not end"
+            return np.where(x > 0.6, bad, x)
+
+        for max_panels in (8, 16):
+            calls.clear()
+            with pytest.raises(BudgetExceededError) as exc:
+                adaptive_finite(f, 0.0, 1.0, max_panels=max_panels)
+            assert exc.value.result.evaluations == 15 * (2 * max_panels - 1)
+
+    def test_scalar_integrand(self):
+        res = adaptive_finite(lambda x: 2.0, 0.0, 1.0)
+        assert abs(res.value - 2.0) < 1e-14
+        assert res.evaluations == 15
+
     def test_linearity(self, rng):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x)
         g = lambda x: x ** 3 / (1.0 + x ** 2)
