@@ -424,11 +424,15 @@ def _bessel_product(mu, nu, a, b, c):
     (omega -> 0) U grows until adaptive_finite's panel budget raises
     BudgetExceededError, and omega = 0 raises LightConeProximityError.
 
+    The head is taken as two adaptive_finite calls, on [0, U/2] and
+    [U/2, U]; an oscillatory head bisects [0, U] in its first round anyway.
     The error estimate is the larger of two changes of the value, taking the
-    tails on 30 instead of 60 nodes and splitting at 2U instead of U, plus
-    the head's GK15 estimate and a rounding floor of 16 eps U max|f| over
-    257 samples on [0, U].  evaluations counts the GK15 points, the samples
-    and the contour points.
+    tails on 30 instead of 60 nodes and splitting at U/2 instead of U (GK15
+    on [U/2, U] against the difference of the two rotated tails; U/2 is
+    still at least 2 pi / min k and 2 pi / min |omega|), plus the two head
+    pieces' GK15 estimates and a rounding floor of 16 eps U max|f| over 257
+    samples on [0, U].  evaluations counts the GK15 points of both pieces,
+    the 257 samples and the 4 (60 + 30 + 60) contour points.
     """
     k = (float(a), float(b), float(c))
     omegas = [abs(s[0] * k[0] + s[1] * k[1] + s[2] * k[2])
@@ -445,16 +449,15 @@ def _bessel_product(mu, nu, a, b, c):
             bessel_j(nu, k[1] * uu) * bessel_j(nu, k[2] * uu)
         return np.where(u > 0, val, 0.0)
 
-    head = adaptive_finite(f, 0.0, split)
-    value = head.value + _rotated_tail(mu, nu, k, split, 60)
-    coarse = head.value + _rotated_tail(mu, nu, k, split, 30)
-    extra = adaptive_finite(f, split, 2.0 * split)
-    later = head.value + extra.value + \
-        _rotated_tail(mu, nu, k, 2.0 * split, 60)
+    lo = adaptive_finite(f, 0.0, 0.5 * split)
+    hi = adaptive_finite(f, 0.5 * split, split)
+    value = lo.value + hi.value + _rotated_tail(mu, nu, k, split, 60)
+    coarse = lo.value + hi.value + _rotated_tail(mu, nu, k, split, 30)
+    later = lo.value + _rotated_tail(mu, nu, k, 0.5 * split, 60)
     samples = f(np.linspace(0.0, split, 257))
     floor = 16.0 * np.finfo(float).eps * split * np.max(np.abs(samples))
     err = max(abs(coarse - value), abs(later - value)) + \
-        head.error_estimate + floor
-    evals = head.evaluations + extra.evaluations + samples.size + \
+        lo.error_estimate + hi.error_estimate + floor
+    evals = lo.evaluations + hi.evaluations + samples.size + \
         len(_HANKEL_SIGNS) * (60 + 30 + 60)
     return QuadratureResult(complex(value), float(err), evals)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gffads.adsboundary import (AdSFieldSpec, ads2pt, ads_commutator,
                                 ads_commutator_mass_route, bonus_locality,
@@ -52,6 +53,34 @@ SONINE_POINTS = [(0.3, 1.0, 1.5), (1.0, 1.0, 1.5), (1.6, 0.8, 1.1),
 # a = b + c = 2.4, b, c = 1.0, 1.4
 NEAR_CONE_POINTS = [(cone * (1.0 + r), 1.0, 1.4) for cone in (0.4, 2.4)
                     for r in (-0.05, -0.01, 0.01, 0.05)]
+# (nu, a, b, c) whose error estimate once fell short of the error: one in the
+# vanishing region, one in the far region
+ESTIMATE_MISS_POINTS = [
+    (0.08319807465228324, 4.359897660481928, 7.474487490958063,
+     0.5883059335142035),
+    (0.0245, 5.27, 0.71, 0.165)]
+
+
+def cone_distance(a, b, c):
+    """Distance of a from the nearer light cone |b - c| or b + c, in units
+    of b + c."""
+    return min(abs(a - abs(b - c)), abs(a - (b + c))) / (b + c)
+
+
+def calibration_points(n, seed):
+    """n points (nu, a, b, c): nu uniform in [0, 2], a, b, c log-uniform in
+    [0.1, 10], at least 1% from both light cones."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        nu = rng.uniform(0.0, 2.0)
+        a, b, c = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3))
+        if cone_distance(a, b, c) >= 0.01:
+            points.append((float(nu), float(a), float(b), float(c)))
+    return points
+
+
+CALIBRATION_POINTS = calibration_points(40, seed=12)
 
 
 class TestAdSFieldSpec:
@@ -217,17 +246,48 @@ class TestBonusLocality:
     @pytest.mark.parametrize(
         "nu, a, b, c",
         [(nu, *p) for nu in (0.0, 0.7, 1.3) for p in SONINE_POINTS]
-        + [(0.7, *p) for p in NEAR_CONE_POINTS])
+        + [(0.7, *p) for p in NEAR_CONE_POINTS] + ESTIMATE_MISS_POINTS)
     def test_error_estimate_covers_error(self, nu, a, b, c):
         res = bonus_locality(0.0, Order(nu), a, b, c)
         oracle, _ = sonine_gegenbauer(nu, a, b, c)
         assert abs(res.value - oracle) <= res.error_estimate
+
+    @pytest.mark.parametrize("nu, a, b, c", CALIBRATION_POINTS)
+    def test_error_estimate_covers_error_random(self, nu, a, b, c):
+        res = bonus_locality(0.0, Order(nu), a, b, c)
+        oracle, _ = sonine_gegenbauer(nu, a, b, c)
+        assert abs(res.value - oracle) <= res.error_estimate
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.3])
+    def test_wide_ratio_vanishing_point(self, nu):
+        # max k / min k = 677, deep in the vanishing region (oracle 0)
+        res = bonus_locality(0.0, Order(nu), 0.0279, 18.9, 14.8)
+        assert abs(res.value) <= res.error_estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 2.0), st.floats(0.5, 2.0),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_scaling_law(self, nu, lam, a, b, c):
+        # substituting v = lam u: I(lam a, lam b, lam c) = lam^-2 I(a, b, c)
+        assume(cone_distance(a, b, c) >= 0.02)
+        res = bonus_locality(0.0, Order(nu), a, b, c)
+        scaled = bonus_locality(0.0, Order(nu), lam * a, lam * b, lam * c)
+        assert abs(lam ** 2 * scaled.value - res.value) <= \
+            lam ** 2 * scaled.error_estimate + res.error_estimate
 
     @pytest.mark.parametrize("nu", [0.0, 1.3])
     @pytest.mark.parametrize("a, b, c", SONINE_POINTS[:3])
     def test_evaluation_ceiling(self, nu, a, b, c):
         # evaluation counts do not depend on the machine
         assert bonus_locality(0.0, Order(nu), a, b, c).evaluations <= 20000
+
+    def test_evaluation_total(self):
+        # summed over the SONINE_POINTS and NEAR_CONE_POINTS at three orders;
+        # evaluation counts do not depend on the machine
+        total = sum(bonus_locality(0.0, Order(nu), *p).evaluations
+                    for nu in (0.0, 0.7, 1.3)
+                    for p in SONINE_POINTS + NEAR_CONE_POINTS)
+        assert total <= 700000
 
     @pytest.mark.parametrize("a, b, c", [(0.5, 1.0, 1.5), (2.5, 1.0, 1.5)])
     def test_light_cone_raises(self, a, b, c):

@@ -110,6 +110,22 @@ class TestCompute:
         assert rec["inputs"]["u"] is None
         assert rc == 1
 
+    def test_ads_commutator_wide_ratio(self, capsys):
+        # tau = 0.0279 against depths 18.9 and 14.8: a wide-ratio point deep
+        # in the vanishing region
+        rc, out = run(capsys, ["compute", "adsCommutator",
+                               "--param", "z=18.9", "--param", "zp=14.8",
+                               "--param", "t=0.0279"])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["status"] == "pass"
+        rec = doc["records"][0]
+        assert abs(complex(rec["value"]["re"], rec["value"]["im"])) <= \
+            rec["error_estimate"]
+
     def test_weight_table_file(self, capsys, tmp_path):
         grid = np.linspace(0.0, 130.0, 40000)
         path = tmp_path / "weights.txt"
