@@ -17,6 +17,13 @@ def run(capsys, argv):
     return rc, out
 
 
+def strict_json(out):
+    """out parsed as JSON, refusing the non-standard NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(out, parse_constant=reject)
+
+
 def read_x(p):
     """A quantity that returns its parameter x as read."""
     return p.read("x", 1.0)
@@ -92,10 +99,7 @@ class TestCompute:
         monkeypatch.setitem(cli.QUANTITIES, "gamma", read_x)
         rc, out = run(capsys, ["compute", "gamma", "--param", "x=nan"])
         assert rc == 1
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["status"] == "fail"
         rec = doc["records"][0]
         assert rec["status"] == "fail"
@@ -117,10 +121,7 @@ class TestCompute:
                                "--param", "z=18.9", "--param", "zp=14.8",
                                "--param", "t=0.0279"])
         assert rc == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["status"] == "pass"
         rec = doc["records"][0]
         assert abs(complex(rec["value"]["re"], rec["value"]["im"])) <= \
