@@ -17,6 +17,14 @@ Generator conventions (wavefunction operators, lower Minkowski indices):
 with box_k = (d/dk^0)^2 - (d/dk^1)^2 = 4 d/dk+ d/dk- and
 (k . d/dk) = k+ d/dk+ + k- d/dk-.  All relative signs are fixed by the
 symbolic-commutator oracle (see symbolic_generator / tests).
+
+The oracle holds each generator as an exact coefficient table
+{(i, j, a, b): c}, the operator sum c k+^i k-^j d^a/dk+^a d^b/dk-^b with
+sympy-exact c (Rational, I, nu^2); nu^2 k_mu / k^2 has i or j = -1.
+Tables compose by the Leibniz rule, so a commutator [G1, G2] is a table
+too (the standard conformal-algebra relations, Di Francesco, Mathieu &
+Senechal, Conformal Field Theory, 1997, sec. 4.1), and only that table is
+applied to a mode's sympy expression.
 """
 
 import dataclasses
@@ -181,6 +189,8 @@ class GeneratorKind:
             raise DomainError(f"unknown generator kind {self.kind!r}")
         if self.mu not in (0, 1) or self.nu_idx not in (0, 1):
             raise DomainError("index out of range for d = 2")
+        if not math.isfinite(self.delta):
+            raise DomainError(f"delta must be finite, got {self.delta!r}")
 
 
 def apply_generator(G, f):
@@ -215,58 +225,70 @@ def apply_generator(G, f):
 
 
 # ---------------------------------------------------------------------------
-# symbolic oracle
+# symbolic oracle: an exact algebra of differential operators
 
-def symbolic_generator(G, expr, kp, km):
-    """Apply the defining differential operator of G to a sympy expression.
+def _table(terms):
+    """Sum (key, coefficient) pairs into an operator table, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c != 0}
 
-    This is the independent route used to pin signs and to build the exact
-    commutator oracle; it shares no code with apply_generator.  Each partial
-    derivative of expr is taken once, and the composite terms of K are
-    written out from them by the product rule.
+
+def _combine(*terms):
+    """The table of sum w A over the (w, A) pairs."""
+    return _table((key, w * c) for w, op in terms for key, c in op.items())
+
+
+def _compose(A, B):
+    """The table of A o B, by the Leibniz rule.
+
+    d^a/dkp^a kp^i = sum_r C(a, r) (i)_r kp^(i-r) d^(a-r)/dkp^(a-r), with
+    the falling factorial (i)_r = i (i-1) ... (i-r+1), so i may be negative.
     """
+    ff = lambda i, r: math.prod(range(i, i - r, -1))
+    return _table(
+        ((i1 + i2 - r, j1 + j2 - s, a1 - r + a2, b1 - s + b2),
+         c1 * c2 * math.comb(a1, r) * math.comb(b1, s) * ff(i2, r) * ff(j2, s))
+        for (i1, j1, a1, b1), c1 in A.items()
+        for (i2, j2, a2, b2), c2 in B.items()
+        for r in range(a1 + 1) for s in range(b1 + 1))
+
+
+def _operator(G):
+    """The coefficient table of G, composed as the module docstring has it."""
     import sympy as sym
-    k_0 = (kp + km) / 2
-    k_1 = -(kp - km) / 2
-    if G.kind == "P":
-        return (k_0 if G.mu == 0 else k_1) * expr
-    if G.kind == "M" and G.mu == G.nu_idx:
-        return sym.Integer(0)
-    ep, em = sym.diff(expr, kp), sym.diff(expr, km)
+    half = sym.Rational(1, 2)
+    k_low = ({(1, 0, 0, 0): half, (0, 1, 0, 0): half},    # k_0
+             {(1, 0, 0, 0): -half, (0, 1, 0, 0): half})   # k_1
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
-    d_up = lambda mu, e_p, e_m: e_p + (1 if mu == 0 else -1) * e_m
+    d_up = ({(0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
+            {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1})
+    scaling = {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}  # k . d/dk
+    if G.kind == "P":
+        return k_low[G.mu]
     if G.kind == "M":
-        sgn = 1 if (G.mu, G.nu_idx) == (0, 1) else -1
-        return sgn * sym.I * (k_1 * d_up(0, ep, em) - k_0 * d_up(1, ep, em))
+        sgn = G.nu_idx - G.mu  # +1 for M01, -1 for M10, 0 on the diagonal
+        return _combine((sgn * sym.I, _compose(k_low[1], d_up[0])),
+                        (-sgn * sym.I, _compose(k_low[0], d_up[1])))
     if G.kind == "D":
-        return sym.I * (kp * ep + km * em + expr)
-    # K(mu, Delta)
+        return _combine((sym.I, scaling), (sym.I, {(0, 0, 0, 0): 1}))
     nu_par = sym.nsimplify(G.delta - 1.0, rational=False)
-    klow = k_0 if G.mu == 0 else k_1
-    epp, epm, emm = sym.diff(ep, kp), sym.diff(ep, km), sym.diff(em, km)
-    dmu = d_up(G.mu, ep, em)
-    box = 4 * epm
-    scal_dmu = kp * d_up(G.mu, epp, epm) + km * d_up(G.mu, epm, emm)
-    # d/dk^mu of (k . d/dk) expr = kp ep + km em
-    dmu_scal = d_up(G.mu, ep + kp * epp + km * epm, kp * epm + em + km * emm)
-    return (dmu + klow * box - scal_dmu - dmu_scal - 2 * dmu
-            + nu_par ** 2 * klow / (kp * km) * expr)
+    klow, d_mu = k_low[G.mu], d_up[G.mu]
+    box = {(0, 0, 1, 1): 4}
+    return _combine((1, d_mu), (1, _compose(klow, box)),
+                    (-1, _compose(scaling, d_mu)),
+                    (-1, _compose(d_mu, scaling)), (-2, d_mu),
+                    (nu_par ** 2, _compose(klow, {(-1, -1, 0, 0): 1})))
 
 
-def _symbolic_commutator(G1, G2, expr, kp, km):
-    """Exact [G1, G2] expr, built as an operator on a generic function.
+def _apply(op, expr, kp, km):
+    """The operator table op applied to a sympy expression in kp, km.
 
-    G1 G2 - G2 G1 is applied to an undefined F(kp, km) and expanded, which
-    leaves at most a few derivative terms (none for commuting pairs).  Then
-    F and each derivative of F become the matching derivative of expr, each
-    one taken from the next lower one.
+    Each partial derivative of expr that op needs is taken once, from the
+    next lower one.
     """
     import sympy as sym
-    F = sym.Function("F")(kp, km)
-    # expanding G F first halves the cost of the outer application
-    g1, g2 = (sym.expand(symbolic_generator(G, F, kp, km)) for G in (G1, G2))
-    op = sym.expand(symbolic_generator(G1, g2, kp, km)
-                    - symbolic_generator(G2, g1, kp, km))
     derivs = {(0, 0): expr}
 
     def deriv(a, b):  # d^a/dkp^a d^b/dkm^b expr
@@ -275,11 +297,32 @@ def _symbolic_commutator(G1, G2, expr, kp, km):
                             else sym.diff(deriv(a, b - 1), km))
         return derivs[a, b]
 
-    subs = {F: expr}
-    for dF in op.atoms(sym.Derivative):
-        count = dict(dF.variable_count)
-        subs[dF] = deriv(count.get(kp, 0), count.get(km, 0))
-    return op.xreplace(subs)
+    return sym.Add(*(c * kp ** i * km ** j * deriv(a, b)
+                     for (i, j, a, b), c in op.items()))
+
+
+def symbolic_generator(G, expr, kp, km):
+    """Apply the defining differential operator of G to a sympy expression.
+
+    G is held as an exact coefficient table {(i, j, a, b): c}, the operator
+    sum c kp^i km^j d^a/dkp^a d^b/dkm^b, composed from k_mu, d/dk^mu and
+    k . d/dk as the module docstring writes it (the nu^2 k_mu / (k+ k-)
+    term of K has i or j = -1).  This is the independent route used to pin
+    signs and to build the exact commutator oracle; it shares no code with
+    apply_generator.  Each partial derivative of expr is taken once.
+    """
+    return _apply(_operator(G), expr, kp, km)
+
+
+def _symbolic_commutator(G1, G2, expr, kp, km):
+    """Exact [G1, G2] expr: the table of G1 G2 - G2 G1, applied to expr.
+
+    The composed tables cancel to at most a few terms (none for commuting
+    pairs), so expr is differentiated only as far as those need.
+    """
+    A, B = _operator(G1), _operator(G2)
+    op = _combine((1, _compose(A, B)), (-1, _compose(B, A)))
+    return _apply(op, expr, kp, km)
 
 
 def _commutator(G1, G2, f):
@@ -289,24 +332,31 @@ def _commutator(G1, G2, f):
     return g12.samples - g21.samples, g21.norm()
 
 
+def _require_finite(samples, what, grid):
+    if not np.all(np.isfinite(samples)):
+        raise DomainError(f"the {what} has non-finite samples on the "
+                          f"{grid.n}-point grid")
+
+
 def algebra_closure_check(G1, G2, f, expr=None):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
     expr must be the sympy expression (in symbols kp, km) matching f.  The
-    oracle is exact: [G1, G2] is first built as a differential operator on
-    an undefined F(kp, km) (symbolic_generator twice, then expanded to at
-    most a few derivative terms, exactly zero for commuting pairs), and
-    then F and its derivatives are replaced by those of expr.  The grid
-    result must agree with it in relative L2 norm.  The same commutator on
-    the grid of half the order is the second opinion: grid_drift is its
-    distance from the full-grid result, and ResolutionError is raised when
-    both that drift and the discrepancy exceed 0.1.
+    oracle is exact: the coefficient table of [G1, G2] is composed from
+    those of G1 and G2 (at most a few terms, none for commuting pairs) and
+    then applied to expr.  The grid result must agree with it in relative
+    L2 norm; a non-finite sample of either raises DomainError.  The same
+    commutator on the grid of half the order is the second opinion:
+    grid_drift is its distance from the full-grid result, and
+    ResolutionError is raised when both that drift and the discrepancy
+    exceed 0.1.
     """
     import sympy as sym
     if expr is None or f.func is None:
         raise DomainError("algebra_closure_check needs f as a callable and "
                           "its symbolic form")
     comm, scale_ops = _commutator(G1, G2, f)
+    _require_finite(comm, "grid commutator", f.grid)
     scale_ops = max(scale_ops, 1e-300)
 
     names = {s.name: s for s in expr.free_symbols}
@@ -321,6 +371,7 @@ def algebra_closure_check(G1, G2, f, expr=None):
     kpg, kmg, w = f.grid.mesh()
     want = np.broadcast_to(np.asarray(oracle(kpg, kmg), dtype=complex),
                            comm.shape)
+    _require_finite(want, "symbolic oracle", f.grid)
     l2 = lambda a: math.sqrt(0.5 * np.sum(w * np.abs(a) ** 2))
     num, den = l2(comm - want), l2(want)
     rel = num / den if den > 1e-12 * scale_ops else num / scale_ops

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import sympy as sym
+from hypothesis import given, settings, strategies as st
 
 from gffads.correlators import GaussianPacket, Power, smeared2pt
 from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
+                         _apply, _combine, _compose, _operator,
                          _symbolic_commutator, algebra_closure_check,
                          apply_generator, gaussian_mode, inner_product,
                          npoint, position_wavefunction,
@@ -192,6 +194,54 @@ class TestGenerators:
         with pytest.raises(DomainError):
             GeneratorKind("P", mu=2)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(DomainError, match="finite"):
+            GeneratorKind("K", mu=0, delta=delta)
+
+
+def _operator_commutator(G1, G2):
+    A, B = _operator(G1), _operator(G2)
+    return _combine((1, _compose(A, B)), (-1, _compose(B, A)))
+
+
+# [G1, G2] = sum c G over (c, G): the conformal algebra in these conventions
+CLOSURE = [
+    ("P0", "M01", [(-sym.I, "P1")]), ("P0", "D", [(-sym.I, "P0")]),
+    ("P0", "K0", [(-2 * sym.I, "D")]), ("P0", "K1", [(2 * sym.I, "M01")]),
+    ("P1", "M01", [(-sym.I, "P0")]), ("P1", "D", [(-sym.I, "P1")]),
+    ("P1", "K0", [(-2 * sym.I, "M01")]), ("P1", "K1", [(2 * sym.I, "D")]),
+    ("M01", "K0", [(sym.I, "K1")]), ("M01", "K1", [(sym.I, "K0")]),
+    ("D", "K0", [(-sym.I, "K0")]), ("D", "K1", [(-sym.I, "K1")]),
+    ("P0", "P1", []), ("M01", "D", []), ("K0", "K1", []),
+]
+
+# random operator tables: powers of kp, km in [-1, 2], derivatives up to 2
+_KEYS = st.tuples(st.integers(-1, 2), st.integers(-1, 2),
+                  st.integers(0, 2), st.integers(0, 2))
+_COEFS = st.builds(sym.Rational, st.integers(-3, 3).filter(bool),
+                   st.integers(1, 3))
+_TABLES = st.dictionaries(_KEYS, _COEFS, min_size=1, max_size=3)
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("delta", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("g1,g2,rhs", CLOSURE,
+                             ids=[f"{a}-{b}" for a, b, _ in CLOSURE])
+    def test_algebra_closes_exactly(self, g1, g2, rhs, delta):
+        named = {"P0": P0, "P1": P1, "M01": M01, "D": D,
+                 "K0": GeneratorKind("K", mu=0, delta=delta),
+                 "K1": GeneratorKind("K", mu=1, delta=delta)}
+        want = _combine(*((c, _operator(named[g])) for c, g in rhs))
+        assert _operator_commutator(named[g1], named[g2]) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TABLES, _TABLES)
+    def test_compose_is_the_operator_product(self, A, B):
+        F = sym.Function("F")(KP, KM)
+        nested = _apply(A, _apply(B, F, KP, KM), KP, KM)
+        assert sym.expand(_apply(_compose(A, B), F, KP, KM) - nested) == 0
+
 
 class TestAlgebraClosure:
     @pytest.mark.parametrize("G1,G2", [
@@ -251,6 +301,20 @@ class TestAlgebraClosure:
         f, _ = sym_gaussian()
         with pytest.raises(DomainError):
             algebra_closure_check(GeneratorKind("P"), GeneratorKind("D"), f)
+
+    def test_non_finite_grid_commutator_raises(self):
+        g, expr = sym_gaussian((3.0, 2.0), 0.9)
+        f = ModeFunction(g.grid, lambda kp, km: np.where(kp > 5.0, np.nan,
+                                                         g.func(kp, km)))
+        with pytest.raises(DomainError, match="grid commutator"):
+            algebra_closure_check(D, K1, f, expr)
+
+    def test_non_finite_oracle_raises(self):
+        # sqrt(kp - 3) is NaN on the grid nodes below kp = 3
+        f, expr = sym_gaussian((3.0, 2.0), 0.9)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DomainError, match="symbolic oracle"):
+            algebra_closure_check(D, K1, f, sym.sqrt(KP - 3) * expr)
 
     def test_expr_symbols_checked(self):
         f, _ = sym_gaussian()
