@@ -191,6 +191,20 @@ class GaussianPacket:
         return (2.0 * np.pi) ** (self.d / 2.0) * sig ** self.d * \
             np.exp(1j * phase) * gauss
 
+    @property
+    def gaussian(self):
+        """fhat in d = 2 as the diagonal Gaussian (A, s2, kappa, c) of
+
+            fhat(k) = A exp(-(1/2) sum_mu s2_mu (k^mu - kappa^mu)^2
+                            + i (c_0 (k^0 - kappa^0) - c_1 (k^1 - kappa^1))),
+
+        the form the stress-tensor kernels build their integrands from."""
+        if self.d != 2:
+            raise DomainError("the Gaussian form is for d = 2 packets")
+        s2 = self.width ** 2
+        return (2.0 * np.pi * s2, (s2, s2), self.carrier.components,
+                self.center.components)
+
     def fourier_lc(self, kp, km):
         """fhat on the d = 2 cone in lightcone coordinates k+- = k^0 +- k^1."""
         kp, km = np.asarray(kp), np.asarray(km)

@@ -14,6 +14,13 @@ which satisfies (q1+q2)^m K_mn = 0 identically on the shell q1^2 = q2^2.
 Matrix elements between smeared one-particle states are 3-dimensional
 integrals after the delta(k1^2 - k2^2) constraint is resolved in lightcone
 coordinates (k2- = k1+ k1- / k2+).
+
+Every smearing that reaches the momentum grids is a diagonal Gaussian
+(GaussianPacket.gaussian), for derivative and moment smearings times a
+polynomial prefactor.  The matrix-element, bulk-reduction and divergence
+kernels build their integrands from that closed form and the kernel's
+polynomial splits, walking the k2+ axis one node at a time over the
+flattened (k1+, k1-) grid, so no array spans the full grid.
 """
 
 import math
@@ -76,6 +83,29 @@ def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
     return a, b
 
 
+def _kernel_lightcone(q1, e2, mu, nu, improvement=0.0):
+    """The kernel as a polynomial in the lightcone components of k2.
+
+    With q2 = e2 lower(k2) = k2+ l+ + k2- l-, l+- = e2 (1/2, -+1/2), the
+    rank-4 split (_kernel_factors) gives exactly
+        K_mn(q1, q2) = c0 + c+ k2+ + c- k2- + d++ k2+^2 + d-- k2-^2
+                       + d+- k2+ k2-,
+    c0 = K(q1, 0), c+- = q1^T M l+- and the d from the quadratic K(0, q2).
+    Returns ((c0, c+, c-), (d++, d--, d+-)); the c are arrays over q1.
+    """
+    a, b = _kernel_factors(q1, (e2 * np.array([0.5, 0.5, 1.0]),
+                                e2 * np.array([-0.5, 0.5, 0.0])),
+                           mu, nu, improvement)
+    cp, cm = (a[..., 2] * b[i, 2] + a[..., 3] * b[i, 3] for i in (0, 1))
+    dpp, dmm = b[0, 1], b[1, 1]
+    return (a[..., 0], cp, cm), (dpp, dmm, b[2, 1] - dpp - dmm)
+
+
+def _check_indices(mu, nu):
+    if mu not in (0, 1) or nu not in (0, 1):
+        raise DomainError("tensor indices out of range for d = 2")
+
+
 def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
     """Momentum kernel of the tensor for forward-cone momenta k1, k2.
 
@@ -86,8 +116,7 @@ def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
     for k in (k1, k2):
         if k.d != 2 or k.square() <= 0 or k.components[0] <= 0:
             raise DomainError("momenta must lie in the open forward cone")
-    if mu not in (0, 1) or nu not in (0, 1):
-        raise DomainError("tensor indices out of range for d = 2")
+    _check_indices(mu, nu)
     e1, e2 = signs
     q1 = (e1 * k1.components[0], -e1 * k1.components[1])
     q2 = (e2 * k2.components[0], -e2 * k2.components[1])
@@ -97,33 +126,47 @@ def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
 # ---------------------------------------------------------------------------
 # test-function wrappers (closed-form Fourier transforms)
 
-class DerivativePacket:
+def _exponent(g, k0, k1):
+    """log(fhat / A) of the diagonal Gaussian g = (A, s2, kappa, c) at the
+    upper momentum components (k0, k1)."""
+    _, (s0, s1), (p0, p1), (c0, c1) = g
+    d0, d1 = k0 - p0, k1 - p1
+    return -0.5 * (s0 * d0 * d0 + s1 * d1 * d1) + 1j * (c0 * d0 - c1 * d1)
+
+
+def _log_derivative(g, mu, k0, k1):
+    """d/dk^mu of the exponent of the diagonal Gaussian g."""
+    _, s2, kappa, c = g
+    phase = 1j * c[0] if mu == 0 else -1j * c[1]
+    return phase - s2[mu] * (np.asarray(k0 if mu == 0 else k1) - kappa[mu])
+
+
+class _PolynomialPacket:
+    """A packet whose fhat is prefactor(k0, k1) times the fhat of its base."""
+
+    def __init__(self, base, mu):
+        self.base = base
+        self.mu = mu
+
+    def fourier(self, k0, k1):
+        return self.prefactor(k0, k1) * self.base.fourier(k0, k1)
+
+
+class DerivativePacket(_PolynomialPacket):
     """d^mu f for a packet f: multiplies fhat by -i k^mu."""
 
-    def __init__(self, base, mu):
-        self.base = base
-        self.mu = mu
-
-    def fourier(self, k0, k1):
-        kup = k0 if self.mu == 0 else k1
-        return -1j * kup * self.base.fourier(k0, k1)
+    def prefactor(self, k0, k1):
+        return -1j * (k0 if self.mu == 0 else k1)
 
 
-class MomentPacket:
-    """x^mu f for a packet f: applies -i d/dk_mu to fhat in closed form.
+class MomentPacket(_PolynomialPacket):
+    """x^mu f for a Gaussian packet f: applies -i d/dk_mu to fhat in closed
+    form, the derivative of the base's Gaussian exponent times fhat."""
 
-    Requires the base to expose fourier_derivative(mu, k0, k1) returning
-    d fhat / d k^mu.
-    """
-
-    def __init__(self, base, mu):
-        self.base = base
-        self.mu = mu
-
-    def fourier(self, k0, k1):
+    def prefactor(self, k0, k1):
         # -i d/dk_0 = -i d/dk0 ; -i d/dk_1 = +i d/dk1
         s = -1j if self.mu == 0 else 1j
-        return s * self.base.fourier_derivative(self.mu, k0, k1)
+        return s * _log_derivative(self.base.gaussian, self.mu, k0, k1)
 
 
 class AnisoGaussian:
@@ -145,19 +188,21 @@ class AnisoGaussian:
         """Momentum radius beyond which fhat is negligible."""
         return 10.0 / min(self.wt, self.ws)
 
+    @property
+    def gaussian(self):
+        """fhat as (A, s2, kappa, c), the form of GaussianPacket.gaussian."""
+        return ((2.0 * np.pi) * self.wt * self.ws,
+                (self.wt ** 2, self.ws ** 2), (0.0, 0.0), self.center)
+
     def fourier(self, k0, k1):
-        c0, c1 = self.center
-        return (2.0 * np.pi) * self.wt * self.ws * \
-            np.exp(1j * (np.asarray(k0) * c0 - np.asarray(k1) * c1)
-                   - 0.5 * self.wt ** 2 * np.asarray(k0) ** 2
-                   - 0.5 * self.ws ** 2 * np.asarray(k1) ** 2)
+        amp, (s0, s1), _, (c0, c1) = self.gaussian
+        k0, k1 = np.asarray(k0), np.asarray(k1)
+        return amp * np.exp(1j * (k0 * c0 - k1 * c1)
+                            - 0.5 * s0 * k0 ** 2 - 0.5 * s1 * k1 ** 2)
 
     def fourier_derivative(self, mu, k0, k1):
-        c0, c1 = self.center
-        base = self.fourier(k0, k1)
-        if mu == 0:
-            return (1j * c0 - self.wt ** 2 * np.asarray(k0)) * base
-        return (-1j * c1 - self.ws ** 2 * np.asarray(k1)) * base
+        return _log_derivative(self.gaussian, mu, k0, k1) * \
+            self.fourier(k0, k1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,34 +222,52 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
         right:  <Omega, phi_{h1}(f1) phi_{h2}(f2) Theta(f) Omega>
 
     evaluated as the 3-dimensional lightcone quadrature (k1+, k1-, k2+) with
-    k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint.
+    k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint.  The k2+ axis
+    is walked one node at a time over the flattened (k1+, k1-) rows; on each
+    slice fhat2(-q2) fhat(q1 + q2), two diagonal Gaussians, is one complex
+    exponential times the prefactors of derivative and moment smearings.
+    error_estimate is the difference to the same quadrature on n_nodes // 2
+    nodes.
     """
     if ordering not in _ORDERINGS:
         raise DomainError(f"unknown ordering {ordering!r}")
+    _check_indices(mu, nu)
+    if n_nodes < 2:
+        raise DomainError("set_matrix_element needs n_nodes >= 2")
     e1, e2 = _ORDERINGS[ordering]
     kmax = 2.0 * max(f1.reach, f2.reach)
+    g2 = f2.gaussian
+    # a derivative or moment smearing: its polynomial over its base's Gaussian
+    if isinstance(f, _PolynomialPacket):
+        poly, g = f.prefactor, f.base.gaussian
+    else:
+        poly, g = (lambda k0, k1: 1.0), f.gaussian
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
-        k1p = k[:, None, None]
-        k1m = k[None, :, None]
-        k2p = k[None, None, :]
-        wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
-        k2m = k1p * k1m / k2p
+        k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
         m2 = k1p * k1m
         q1 = tuple(e1 * c for c in _lower((k1p, k1m)))
-        q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
-        h12 = np.asarray(h1(m2)) * np.asarray(h2(m2))
         # fourier takes upper components: f1 at -q1, f2 at -q2, f at q1 + q2
-        vals = f1.fourier(-q1[0], q1[1]) * f2.fourier(-q2[0], q2[1]) * \
-            f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
-        kern = _kernel_lower(q1, q2, mu, nu, improvement)
-        return complex(norm_const(2) ** 2 * 0.25 *
-                       np.sum(wt / k2p * h12 * kern * vals))
+        bra = np.outer(w, w).ravel() * np.asarray(h1(m2)) * \
+            np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1])
+        (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
+                                                          improvement)
+        c0 = c0 + dpm * m2
+        total = 0.0j
+        for k2p, w2p in zip(k, w):
+            k2m = m2 / k2p
+            q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
+            x2 = (-q2[0], q2[1])
+            x = (q1[0] + q2[0], -(q1[1] + q2[1]))
+            vals = poly(*x) * \
+                np.exp(_exponent(g2, *x2) + _exponent(g, *x))
+            kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
+            total += w2p / k2p * np.dot(bra * kern, vals)
+        return complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
 
     value = on_grid(n_nodes)
-    value_half = on_grid(max(n_nodes // 2, 16))
-    return Correlator(value, abs(value - value_half))
+    return Correlator(value, abs(value - on_grid(n_nodes // 2)))
 
 
 def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
@@ -256,10 +319,11 @@ def _unit_time_area(s):
     (width s)."""
 
     class _Scaled(AnisoGaussian):
-        # fourier_derivative inherits correctly: it builds on self.fourier
-        def fourier(self, k0, k1):
-            return AnisoGaussian.fourier(self, k0, k1) / \
-                (math.sqrt(2.0 * math.pi) * self.wt)
+        # fourier and fourier_derivative build on the scaled amplitude
+        @property
+        def gaussian(self):
+            amp, s2, kappa, c = super().gaussian
+            return amp / (math.sqrt(2.0 * math.pi) * self.wt), s2, kappa, c
 
     return _Scaled(0.5, s)
 
@@ -347,37 +411,50 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
 
     q1, q2 the lower components of k1 and k2, on n_nodes lightcone nodes per
     k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
-    k1+ axis is walked one node at a time.
+    k2+ axis is walked one node at a time over (u, k1+, k1-) arrays.  f is a
+    diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential, and
+    the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).
     """
     kmax = 2.0 * f.reach + 10.0
     sigmas = tuple(float(s) for s in sigma_sequence)
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])) or sigmas[-1] <= 0:
         raise DomainError("sigma_sequence must decrease to a positive value")
+    _check_indices(mu, nu)
+    amp, (s0, s1), (p0, p1), _ = f.gaussian
     k, w = lightcone_grid_nodes(n_nodes, kmax)
-    k1m = k[:, None, None]
-    k2p = k[None, :, None]
-    w2 = w[:, None] * w[None, :]  # (k1-, k2+)
+    # rows: the (k1+, k1-) grid flattened, on the last axis of every array
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    m1sq = k1p * k1m
+    q1 = _lower((k1p, k1m))
+    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
+    w1 = np.outer(w, w).ravel()
 
     values = []
     for sigma in sigmas:
         width = fixed_width if fixed_width is not None else sigma
         norm = 1.0 if fixed_width is not None else \
             1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        # inner nodes u = m2^2 on the +-6 width window of the weight, as
+        # (n_inner, rows) arrays
+        u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
+            n_inner, np.maximum(m1sq - 6.0 * width, 1e-12)[:, None],
+            (m1sq + 6.0 * width)[:, None]))
+        weight = w1 * wu
+        c0u = c0 + dpm * u
+        hexp = -((u - m1sq) / width) ** 2
         total = 0.0
-        for k1p, w1p in zip(k, w):
-            m1sq = k1p * k1m
-            # inner integral over u = m2^2 on the +-6 width window of the weight
-            u, wu = _gauss_legendre(n_inner,
-                                    np.maximum(m1sq - 6.0 * width, 1e-12),
-                                    m1sq + 6.0 * width)
-            hsq = norm ** 2 * np.exp(-((u - m1sq) / width) ** 2)
-            q1 = _lower((k1p, k1m))
-            q2 = _lower((k2p, u / k2p))
-            kern = _kernel_lower(q1, q2, mu, nu)
-            fv = f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
-            integrand = hsq * np.abs(kern) ** 2 * np.abs(fv) ** 2 / k2p
-            total += w1p * np.sum(w2 * np.sum(wu * integrand, axis=-1))
-        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 * total))
+        for k2p, w2p in zip(k, w):
+            k2m = u / k2p
+            kern = c0u + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
+            # k1 + k2 - kappa has the upper components b0 + k2-/2 and
+            # b1 - k2-/2; its s2-weighted square is quadratic in k2-
+            b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
+            quad = (s0 * b0 - s1 * b1 + 0.25 * (s0 + s1) * k2m) * k2m
+            integrand = kern * kern * np.exp(
+                hexp - (s0 * b0 * b0 + s1 * b1 * b1) - quad)
+            total += w2p / k2p * np.vdot(weight, integrand)
+        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
+                            (norm * amp) ** 2 * total))
     logs = np.log(values)
     linv = np.log([1.0 / s for s in sigmas])
     slope = float(np.polyfit(linv, logs, 1)[0])
@@ -402,26 +479,32 @@ def z_integral_weight(nu, Z, m1sq, m2sq):
     return float(res.value.real)
 
 
+def _lommel_factors(nu, Z, msq):
+    """Per-mass factors (m, J, J', on) of the Lommel closed form.
+
+    m = sqrt(msq), J = J_nu(Z m), J' = (J_{nu-1} - J_{nu+1})/2 at Z m, and
+    on = (Z^2/4)[J^2 - J_{nu-1} J_{nu+1}], the weight at m1 = m2.
+    """
+    m = np.sqrt(np.asarray(msq, dtype=float))
+    j, jm, jp = (bessel_j(nu + s, Z * m) for s in (0.0, -1.0, 1.0))
+    return m, j, 0.5 * (jm - jp), 0.25 * Z ** 2 * (j ** 2 - jm * jp)
+
+
 def z_integral_weight_closed(nu, Z, m1sq, m2sq):
     """Closed-form (Lommel) evaluation of z_integral_weight; vectorized.
 
     For m1 != m2:
         (1/2) Z [m1 J'(Z m1) J(Z m2) - m2 J(Z m1) J'(Z m2)] / (m2^2 - m1^2),
-    with J' = (J_{nu-1} - J_{nu+1})/2; the diagonal uses
-        (Z^2/4)[J_nu^2 - J_{nu-1} J_{nu+1}].
+    with J' = (J_{nu-1} - J_{nu+1})/2; the diagonal |m2^2 - m1^2| < 1e-9
+    uses (Z^2/4)[J_nu^2 - J_{nu-1} J_{nu+1}].
     """
     nu_f = _nu(nu)
-    m1 = np.sqrt(np.asarray(m1sq, dtype=float))
-    m2 = np.sqrt(np.asarray(m2sq, dtype=float))
-    j1, j2 = bessel_j(nu_f, Z * m1), bessel_j(nu_f, Z * m2)
-    j1p = 0.5 * (bessel_j(nu_f - 1.0, Z * m1) - bessel_j(nu_f + 1.0, Z * m1))
-    j2p = 0.5 * (bessel_j(nu_f - 1.0, Z * m2) - bessel_j(nu_f + 1.0, Z * m2))
+    m1, j1, j1p, on = _lommel_factors(nu_f, Z, m1sq)
+    m2, j2, j2p, _ = _lommel_factors(nu_f, Z, m2sq)
     diff = m2 ** 2 - m1 ** 2
     diag = np.abs(diff) < 1e-9
     safe = np.where(diag, 1.0, diff)
     off = 0.5 * Z * (m1 * j1p * j2 - m2 * j1 * j2p) / safe
-    jm = bessel_j(nu_f - 1.0, Z * m1) * bessel_j(nu_f + 1.0, Z * m1)
-    on = 0.25 * Z ** 2 * (j1 ** 2 - jm)
     out = np.where(diag, on, off)
     return float(out) if out.ndim == 0 else out
 
@@ -460,12 +543,20 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     lightcone quadrature; the k2- axis is densely resolved because the
     weight oscillates on the scale 2 pi m2 / (Z k2+).
 
-    The kernel enters through its rank-4 split (_kernel_factors)
+    Rows are the (k1+, k1-) grid flattened, columns the k2- nodes of one k2+
+    node.  Every factor but two separates into a row and a column factor:
+    the kernel through its rank-4 split (_kernel_factors)
         K(q1, q2) = K(q1, 0) + K(0, q2) + q1^T M q2 = sum_t A_t(k1) B_t(k2),
-    so per k2+ node only the two truly 4-dimensional factors, the weight
-    times fhat(k1 - k2), are formed as one matrix G over rows (k1+, k1-) and
-    columns k2-, and the slice is sum(bra A * (G @ (ket B))).
+    and the Gaussian smearing f as
+        fhat(k1 - k2) = A e^{i phi(k1)} e^{-i phi(k2)} exp(E(k1, k2)),
+    phi the linear phase, E = -(1/2) sum_mu s2_mu (k1 - k2 - kappa)^mu^2 <= 0.
+    bra and ket carry the separable factors.  Per k2+ node the slice is
+    sum(bra (G @ ket)) with the real matrix G = weight * exp(E): the weight
+    is a rank-2 product of Bessel factors, computed once for the rows and
+    once for all columns, over m2^2 - m1^2, and E one rank-4 product.
     """
+    _check_indices(mu, nu_idx)
+    nu_f = _nu(nu)
     kmax = 2.0 * max(f1.reach, f2.reach)
     k, w = lightcone_grid_nodes(n_outer, kmax)
     k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
@@ -478,16 +569,38 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     k1_0, k1_1 = q1[0], -q1[1]
     k2_0, k2_1 = kl2[0], -kl2[1]
     a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx, improvement)
-    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
-           f1.fourier(-k1_0, -k1_1))[:, None] * a
-    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
-           f2.fourier(k2_0, k2_1))[..., None] * b
 
+    g = f.gaussian
+    amp, (s0, s1), (p0, p1), _ = g
+    e1 = _exponent(g, k1_0, k1_1)
+    e2 = _exponent(g, p0 - k2_0, p1 - k2_1)
+    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
+           f1.fourier(-k1_0, -k1_1) * amp * np.exp(1j * e1.imag))[:, None] * a
+    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
+           f2.fourier(k2_0, k2_1) * np.exp(1j * e2.imag))[..., None] * b
+    # E = e1.real + e2.real + sum_mu s2_mu (k1 - kappa)^mu k2^mu
+    e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
+                       np.ones_like(m1sq)], axis=-1)
+    e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
+    # the weight's numerator (Z/2)(m1 J1' J2 - m2 J1 J2') as a rank-2 product
+    m1, j1, j1p, on = _lommel_factors(nu_f, Z, m1sq)
+    m2, j2, j2p, _ = _lommel_factors(nu_f, Z, m2sq)
+    w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)
+    w_cols = np.stack([j2, 0.5 * Z * m2 * j2p], axis=1)
+    # m^2 as z_integral_weight_closed forms it for its diagonal test
+    sq1, sq2 = m1 ** 2, m2 ** 2
+
+    ket = ket.view(float)  # real and imaginary parts interleaved
+    gmat = np.empty((k1p.size, n_inner))
+    expo = np.empty_like(gmat)
     total = 0.0j
     for i in range(n_outer):
-        g = z_integral_weight_closed(nu, Z, m1sq[:, None], m2sq[i]) * \
-            f.fourier(k1_0[:, None] - k2_0[i], k1_1[:, None] - k2_1[i])
-        total += np.sum(bra * (g @ ket[i]))
+        diff = sq2[i] - sq1[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.matmul(w_rows, w_cols[i], out=gmat), diff, out=gmat)
+        np.copyto(gmat, on[:, None], where=np.abs(diff, out=diff) < 1e-9)
+        gmat *= np.exp(np.matmul(e_rows, e_cols[i], out=expo), out=expo)
+        total += np.sum(bra * (gmat @ ket[i]).view(complex))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 

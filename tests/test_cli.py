@@ -80,6 +80,9 @@ class TestCompute:
         ["compute", "setmatrixelement", "--param", "n=40.5"],
         ["compute", "bonusLocality", "--param", "d=2.5"],
         ["compute", "setkernel", "--param", "eps1=inf"],
+        ["compute", "setMatrixElement", "--param", "mu=2"],
+        ["compute", "setMatrixElement", "--param", "n=0"],
+        ["compute", "setMatrixElement", "--param", "nu_idx=-1"],
     ])
     def test_malformed_param_value(self, capsys, argv):
         assert cli.main(argv) == 2

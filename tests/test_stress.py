@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gffads.spacetime import MinkVector
 from gffads.specfun import Order
 from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
                            _kernel_factors, _kernel_lower, _lower,
+                           _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            lorentz_density_check, momentum_density_check,
@@ -153,6 +155,17 @@ class TestMatrixElement:
         f1, f2, f = packet_trio
         with pytest.raises(DomainError):
             set_matrix_element(f, hpow, f1, hpow, f2, 0, 0, ordering="x")
+        for mu, nu, n in ((2, 0, 8), (0, -1, 8), (0, 0, 1), (0, 0, 0)):
+            with pytest.raises(DomainError):
+                set_matrix_element(f, hpow, f1, hpow, f2, mu, nu, n_nodes=n)
+
+    def test_half_grid_estimate_covers_error(self, packet_trio, hpow):
+        # the estimate compares with n // 2 = 8 nodes, a coarser grid; the
+        # reference is the n = 120 value of test_reference_value
+        f1, f2, f = packet_trio
+        res = set_matrix_element(f, hpow, f1, hpow, f2, 0, 0, n_nodes=16)
+        ref = 93.41092874079663 + 19.00402555833334j
+        assert res.error_estimate >= abs(res.value - ref) > 1.0
 
     def test_hermiticity(self, hpow):
         # f2.fourier(k) = conj(f1.fourier(-k)) makes bra and ket the same
@@ -177,6 +190,60 @@ class TestMatrixElement:
         f1, f2, f = packet_trio
         rep = trace_check(hpow, f1, hpow, f2, f, n_nodes=96)
         assert rep["significant"]
+
+
+def _set_broadcast(f, h1, f1, h2, f2, mu, nu, ordering, n, improvement):
+    """set_matrix_element's value with the kernel and every packet's fourier
+    broadcast over the full n^3 (k1+, k1-, k2+) grid (reference)."""
+    e1, e2 = {"left": (-1, -1), "middle": (1, -1), "right": (1, 1)}[ordering]
+    k, w = lightcone_grid_nodes(n, 2.0 * max(f1.reach, f2.reach))
+    k1p = k[:, None, None]
+    k1m = k[None, :, None]
+    k2p = k[None, None, :]
+    wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    k2m = k1p * k1m / k2p
+    m2 = k1p * k1m
+    q1 = tuple(e1 * c for c in _lower((k1p, k1m)))
+    q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
+    h12 = np.asarray(h1(m2)) * np.asarray(h2(m2))
+    vals = f1.fourier(-q1[0], q1[1]) * f2.fourier(-q2[0], q2[1]) * \
+        f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
+    kern = _kernel_lower(q1, q2, mu, nu, improvement)
+    return complex(norm_const(2) ** 2 * 0.25 *
+                   np.sum(wt / k2p * h12 * kern * vals))
+
+
+def _smearing(name):
+    """Tensor smearings with carrier, center and unequal widths."""
+    gauss = GaussianPacket(MinkVector((0.3, -0.4)), 0.9,
+                           MinkVector((0.6, -0.3)))
+    aniso = AnisoGaussian(0.7, 1.2, center=(0.2, -0.3))
+    return {"gaussian": gauss, "aniso": aniso,
+            "derivative0": DerivativePacket(gauss, 0),
+            "derivative1": DerivativePacket(aniso, 1),
+            "moment0": MomentPacket(aniso, 0),
+            "moment1": MomentPacket(aniso, 1),
+            "unit_time_area": _unit_time_area(3.0)}[name]
+
+
+class TestSetBroadcast:
+    @pytest.mark.parametrize("smearing", [
+        "gaussian", "aniso", "derivative0", "derivative1", "moment0",
+        "moment1", "unit_time_area"])
+    @pytest.mark.parametrize("ordering", ["left", "middle", "right"])
+    @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("improvement", [0.0, 0.3])
+    def test_matches_broadcast_reference(self, packet_trio, hpow, smearing,
+                                         ordering, mu, nu, improvement):
+        f1, f2, _ = packet_trio
+        f = _smearing(smearing)
+        args = (f, hpow, f1, hpow, f2, mu, nu)
+        got = set_matrix_element(*args, ordering=ordering, n_nodes=12,
+                                 improvement=improvement)
+        want = _set_broadcast(*args, ordering, 12, improvement)
+        half = _set_broadcast(*args, ordering, 6, improvement)
+        assert rel_err(got.value, want) < 1e-12
+        assert abs(got.error_estimate - abs(want - half)) < 1e-12 * abs(want)
 
 
 class TestDensityLimits:
@@ -267,6 +334,8 @@ class TestVacuumFluctuation:
         f = AnisoGaussian(0.8, 0.8)
         with pytest.raises(DomainError):
             vacuum_fluctuation_divergence(f, (0.1, 0.2))
+        with pytest.raises(DomainError):
+            vacuum_fluctuation_divergence(f, (0.2, 0.1), mu=-1)
 
 
 class TestZIntegralWeight:
@@ -336,12 +405,19 @@ class TestAdsReduction:
     @pytest.mark.parametrize("improvement", [0.0, 0.3])
     def test_matches_broadcast_reference(self, packet_trio, hpow, mu, nu_idx,
                                          improvement):
-        f1, f2, f = packet_trio
-        args = (0.5, 4.0, f, hpow, f1, hpow, f2, mu, nu_idx)
-        got = ads_set_matrix_element(*args, n_outer=10, n_inner=80,
-                                     improvement=improvement)
-        want = _ads_broadcast(*args, 10, 80, improvement)
-        assert rel_err(got, want) < 1e-12
+        # packet_trio's smearing has no carrier or center; the other two
+        # exercise the phase and carrier terms of the row-column split.
+        # n_inner = n_outer puts k2 masses exactly on the k1 masses, so the
+        # diagonal Lommel value is taken too
+        f1, f2, f0 = packet_trio
+        for f in (f0, _smearing("gaussian"), _smearing("aniso")):
+            args = (0.5, 4.0, f, hpow, f1, hpow, f2, mu, nu_idx)
+            for n_inner in (80, 10):
+                got = ads_set_matrix_element(*args, n_outer=10,
+                                             n_inner=n_inner,
+                                             improvement=improvement)
+                want = _ads_broadcast(*args, 10, n_inner, improvement)
+                assert rel_err(got, want) < 1e-12
 
 
     def test_depth_cutoff_converges_to_sharp_element(self, packet_trio, hpow):
@@ -355,3 +431,31 @@ class TestAdsReduction:
         f1, f2, f = packet_trio
         with pytest.raises(DomainError):
             ads_set_reduction(0.5, (4.0, 2.0), f, hpow, f1, hpow, f2, 0, 0)
+        with pytest.raises(DomainError):
+            ads_set_matrix_element(0.5, 4.0, f, hpow, f1, hpow, f2, 0, 2)
+
+
+def _traced_peak(run):
+    """Peak bytes tracemalloc sees while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # the grids are walked one k2+ slice at a time: about 2.4 MB and 24 MB
+    # at these sizes, against 122 MB and 63 MB for n^3 broadcast arrays
+    def test_conservation_peak(self, packet_trio, hpow):
+        f1, f2, f = packet_trio
+        peak = _traced_peak(lambda: conservation_check(
+            hpow, f1, hpow, f2, f, 0, n_nodes=96))
+        assert peak < 5e6
+
+    def test_ads_set_matrix_element_peak(self, packet_trio, hpow):
+        f1, f2, f = packet_trio
+        peak = _traced_peak(lambda: ads_set_matrix_element(
+            0.5, 8.0, f, hpow, f1, hpow, f2, 0, 0, n_outer=32, n_inner=600))
+        assert peak < 50e6
