@@ -260,8 +260,7 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
             q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
             x2 = (-q2[0], q2[1])
             x = (q1[0] + q2[0], -(q1[1] + q2[1]))
-            vals = poly(*x) * \
-                np.exp(_exponent(g2, *x2) + _exponent(g, *x))
+            vals = poly(*x) * np.exp(_exponent(g2, *x2) + _exponent(g, *x))
             kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
             total += w2p / k2p * np.dot(bra * kern, vals)
         return complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
@@ -572,13 +571,14 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
 
     g = f.gaussian
     amp, (s0, s1), (p0, p1), _ = g
+    # log(fhat(k1 - k2) / A) = e1 + e2 + sum_mu s2_mu (k1 - kappa)^mu k2^mu
     e1 = _exponent(g, k1_0, k1_1)
     e2 = _exponent(g, p0 - k2_0, p1 - k2_1)
     bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
            f1.fourier(-k1_0, -k1_1) * amp * np.exp(1j * e1.imag))[:, None] * a
     ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
            f2.fourier(k2_0, k2_1) * np.exp(1j * e2.imag))[..., None] * b
-    # E = e1.real + e2.real + sum_mu s2_mu (k1 - kappa)^mu k2^mu
+    # E, the real part, as a rank-4 product
     e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
                        np.ones_like(m1sq)], axis=-1)
     e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
