@@ -10,8 +10,8 @@ from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order
 from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
-                           _kernel_factors, _kernel_lower, _lower,
-                           _unit_time_area,
+                           _kernel_factors, _kernel_lightcone, _kernel_lower,
+                           _lower, _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            lorentz_density_check, momentum_density_check,
@@ -93,6 +93,24 @@ class TestKernel:
                 a, b = _kernel_factors(q1, q2, mu, nu, improvement)
                 want = _kernel_lower(q1, q2, mu, nu, improvement)
                 assert abs(np.sum(a * b) - want) <= 1e-13 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           st.sampled_from([1, -1]))
+    def test_lightcone_polynomial_rebuilds_kernel(self, q, improvement, e2):
+        # q2 = e2 lower(k2) has k2+ = e2 (q2_0 - q2_1), k2- = e2 (q2_0 + q2_1)
+        q1, q2 = (q[0], q[1]), (q[2], q[3])
+        kp, km = e2 * (q[2] - q[3]), e2 * (q[2] + q[3])
+        scale = (1.0 + sum(x * x for x in q)) * (1.0 + abs(improvement))
+        for mu in (0, 1):
+            for nu in (0, 1):
+                (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(
+                    q1, e2, mu, nu, improvement)
+                got = c0 + cp * kp + cm * km + dpp * kp * kp + \
+                    dmm * km * km + dpm * kp * km
+                want = _kernel_lower(q1, q2, mu, nu, improvement)
+                assert abs(got - want) <= 1e-13 * scale
 
     def test_improvement_conserved_off_shell(self, rng):
         # the improvement term alone contracts to zero for arbitrary momenta
