@@ -17,8 +17,7 @@ from .errors import DomainError, LightConeProximityError
 from .specfun import Order, _nu, bessel_j, gamma
 from .quadrature import (_bessel_product, _gauss_legendre, adaptive_finite,
                          neville_zero)
-from .correlators import (BesselZ, Correlator, Power, _commutator_prefactor,
-                          gff2pt, gff_commutator)
+from .correlators import BesselZ, Power, gff2pt, gff_commutator
 from .fock import ModeFunction
 
 __all__ = ["AdSFieldSpec", "ads2pt", "holographic_lift", "boundary_limit_const",
@@ -171,41 +170,30 @@ def bonus_locality(mu, nu, a, b, c, schedule=None):
 
     Vanishes for a^2 < (b - c)^2 although the boundary interval a is
     timelike there.  Evaluated by Hankel splitting and contour rotation
-    (quadrature._bessel_product), which has no Abel schedule: `schedule` is
-    accepted and ignored, because the benchmark's locality workload passes
-    one positionally; it goes with the next change to the benchmark.
+    (quadrature._bessel_product).  `schedule` is ignored: the benchmark's
+    locality workload passes one positionally, and the slot goes with the
+    next change to the benchmark.
     """
     if min(a, b, c) <= 0:
         raise DomainError("bonus_locality requires positive a, b, c")
-    return _bessel_product(mu, _nu(nu), a, b, c)
+    return _bessel_product(1.0 - mu, ((mu, a), (_nu(nu), b), (_nu(nu), c)))
 
 
 def ads_commutator(spec, z, zp, dx):
     """Bulk commutator (1/2) z z' int dm^2 J_nu(zm) J_nu(z'm) Delta_m(dx).
 
-    Spacelike dx gives exactly zero; timelike dx reduces to the triple-Bessel
-    integral with tau = sqrt(dx^2).  Points inside the 5% guard band around
-    the AdS light cone tau^2 = (z - z')^2 raise a proximity error.
+    gff_commutator of the Bessel weights h_z, h_z': zero at spacelike dx,
+    the triple-Bessel integral z z' I(tau, z, z') at timelike dx.  Points
+    inside the 5% guard band around the AdS light cone tau^2 = (z - z')^2
+    raise a proximity error.
     """
     if z <= 0 or zp <= 0 or dx.d != 2:
         raise DomainError("ads_commutator requires z, zp > 0 and a d = 2 dx")
-    if (pre := _commutator_prefactor(dx)) is None:
-        return Correlator(0.0, 0.0)
     thresh = (z - zp) ** 2
     if thresh > 0 and abs(dx.square() - thresh) < 0.05 * thresh:
         raise LightConeProximityError(
             "dx^2 within the guard band around the AdS light cone")
-    tau, const = pre[0], pre[1] * (z * zp)
-    res = bonus_locality(0.0, spec.order, tau, z, zp)
-    return Correlator(const * res.value, abs(const) * res.error_estimate)
-
-
-def ads_commutator_mass_route(spec, z, zp, dx, schedule=None):
-    """Cross-check route: the same commutator as a weighted mass integral,
-    on the Abel engine (independent of the contour rotation of
-    ads_commutator)."""
-    return gff_commutator(spec.weight(z), spec.weight(zp), dx,
-                          schedule=schedule)
+    return gff_commutator(spec.weight(z), spec.weight(zp), dx)
 
 
 # ---------------------------------------------------------------------------

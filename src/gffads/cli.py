@@ -44,7 +44,7 @@ from . import correlators as corr
 from . import fock
 from . import stress
 from .errors import GffadsError
-from .quadrature import FINE_SCHEDULE, hankel_transform
+from .quadrature import hankel_transform
 from .spacetime import AdSPoint, MinkVector, chordal_distance
 from .specfun import Order, bessel_j, bessel_k, gamma, j_even
 
@@ -248,8 +248,7 @@ def _suite_specfun(cfg, rng):
                            float(np.max(np.abs(res))), 0.0, 1e-6,
                            inputs={"nu": nu, "fd_step": h}))
         u0 = 1.3
-        ht = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0), u0,
-                              schedule=FINE_SCHEDULE)
+        ht = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0), u0)
         recs.append(_check(f"specfun.hankel_self_reciprocal_nu{nu}",
                            ht.value, u0 ** nu * np.exp(-u0 * u0 / 2.0), 1e-8,
                            error=ht.error_estimate,

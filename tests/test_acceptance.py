@@ -18,7 +18,7 @@ from gffads.correlators import (GaussianPacket, Power, gff2pt, norm_const,
                                 smeared2pt)
 from gffads.fock import (GeneratorKind, LightconeGrid, algebra_closure_check,
                          gaussian_mode, npoint, special_conformal_field_law)
-from gffads.quadrature import FINE_SCHEDULE, hankel_transform
+from gffads.quadrature import hankel_transform
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, bessel_j
 from gffads.stress import (AnisoGaussian, ads_set_reduction,
@@ -56,7 +56,7 @@ def test_criterion_01_bessel_ode_and_hankel(criterion):
         ok &= bool(np.max(np.abs(res)) <= 1e-6)
         g = lambda t: t ** nu * np.exp(-t * t / 2.0)
         u0 = 1.3
-        tr = hankel_transform(nu, g, u0, schedule=FINE_SCHEDULE)
+        tr = hankel_transform(nu, g, u0)
         ok &= bool(abs(tr.value - g(u0)) <= 1e-8 * abs(g(u0)))
     criterion(1, "Bessel ODE residual <= 1e-6 and Hankel self-reciprocity "
               "to 1e-8 at nu in {0, 0.5, 1.3}", ok)

@@ -92,6 +92,23 @@ class TestWightman:
             oracle = wightman_kg_momentum_oracle(m, x, epsilon=eps)
             assert abs(closed.value - oracle.value) < 1e-6
 
+    @pytest.mark.parametrize("m", [1.0, 1.3])
+    @pytest.mark.parametrize("eps", [0.05, 1e-3])
+    @pytest.mark.parametrize("x", [(0.4, 2.0), (0.4, 1.1), (0.9, 0.2),
+                                   (1.0, 0.3), (0.5, 0.5)])
+    def test_momentum_oracle_estimate_covers_error(self, m, eps, x):
+        x = MinkVector(x)
+        closed = wightman_kg(m, x, epsilon=eps)
+        oracle = wightman_kg_momentum_oracle(m, x, epsilon=eps)
+        assert abs(closed.value - oracle.value) <= oracle.error_estimate
+
+    def test_momentum_oracle_on_the_light_cone(self):
+        # t = x^1: one half-line decays only through eps
+        x = MinkVector((0.5, 0.5))
+        closed = wightman_kg(1.0, x, epsilon=1e-3)
+        oracle = wightman_kg_momentum_oracle(1.0, x, epsilon=1e-3)
+        assert abs(closed.value - oracle.value) < 1e-12
+
     def test_d2_spacelike_limit(self):
         # eps -> 0 at spacelike x: (2 pi)^-1 K_0(m r)
         m, r = 1.3, 0.9
@@ -223,12 +240,38 @@ class TestGffCommutator:
     def test_power_weight_closed_form(self):
         # int_0^inf u^2 J_0(u) du = -1 in the Abel sense, so the d = 2
         # commutator with dm^2 h1 h2 = 2 m^2 dm is i sgn(x^0) tau^-3
-        from gffads.quadrature import FINE_SCHEDULE
         x = MinkVector((1.1, 0.2))
         tau = math.sqrt(float(x.square()))
-        res = gff_commutator(Power(0.5), Power(0.5), x,
-                             schedule=FINE_SCHEDULE)
+        res = gff_commutator(Power(0.5), Power(0.5), x)
         assert abs(res.value - 1.0j * tau ** -3) < 1e-5 * tau ** -3
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.077, 3.0])
+    def test_power_weight_estimate_covers_error(self, tau):
+        x = MinkVector((math.sqrt(tau * tau + 0.04), 0.2))
+        res = gff_commutator(Power(0.5), Power(0.5), x)
+        assert abs(res.value - 1.0j * tau ** -3) <= res.error_estimate
+
+    def test_gaussian_weight_estimate_covers_error(self):
+        x = MinkVector((1.3, 0.4))
+        tau = math.sqrt(float(x.square()))
+        h = lambda m2: np.exp(-np.asarray(m2) / 2.0)
+        res = gff_commutator(h, h, x)
+        oracle = -0.5j * math.exp(-tau ** 2 / 4.0)
+        assert abs(res.value - oracle) <= res.error_estimate
+
+    def test_scaled_power_weight(self):
+        # h_lambda = lambda^(3/2) m^(1/2) for h = m^(1/2), so the commutator
+        # scales by lambda^(3/2)
+        x = MinkVector((1.1, 0.2))
+        a = gff_commutator(ScaledWeight(Power(0.5), 1.7), Power(0.5), x)
+        b = gff_commutator(Power(0.5), Power(0.5), x)
+        assert abs(a.value - 1.7 ** 1.5 * b.value) <= \
+            a.error_estimate + 1.7 ** 1.5 * b.error_estimate
+
+    def test_weight_without_decay_raises(self):
+        h = Polynomial((1.0, 1.0))
+        with pytest.raises(DivergenceError, match="gff_commutator"):
+            gff_commutator(h, h, MinkVector((1.1, 0.2)))
 
     def test_gaussian_weight_closed_form(self):
         # int_0^inf 2 m e^{-m^2} J_0(m tau) dm = e^{-tau^2 / 4}

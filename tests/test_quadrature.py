@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from gffads import correlators, quadrature
 from gffads.adsboundary import bonus_locality
 from gffads.correlators import Power, gff2pt
-from gffads.errors import BudgetExceededError, DomainError
-from gffads.quadrature import (AbelSchedule, FINE_SCHEDULE, QuadratureResult,
-                               adaptive_finite, hankel_transform, neville_zero,
-                               oscillatory_semi_infinite, partial_sum_limit,
-                               _EpsilonTable, _WYNN_WINDOW,
-                               _gauss_legendre, _gk15, _legendre_table,
-                               _WG, _WK, _XK)
+from gffads.errors import BudgetExceededError, DivergenceError, DomainError
+from gffads.quadrature import (QuadratureResult, adaptive_finite,
+                               hankel_transform, neville_zero,
+                               _bessel_product, _doubling, _gauss_legendre,
+                               _gk15, _legendre_table, _WG, _WK, _XK)
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, bessel_j
 
@@ -29,15 +27,6 @@ class TestResultTypes:
             QuadratureResult(1.0, -1e-3, 1)
         with pytest.raises(DomainError):
             QuadratureResult(1.0, 0.0, 0)
-
-    def test_abel_schedule_validation(self):
-        AbelSchedule((0.2, 0.1, 0.05))
-        with pytest.raises(DomainError):
-            AbelSchedule((0.1, 0.2))
-        with pytest.raises(DomainError):
-            AbelSchedule((0.1, 1e-8))
-        with pytest.raises(DomainError):
-            AbelSchedule((0.2, 0.1), extrapolation_order=0)
 
 
 class TestAdaptiveFinite:
@@ -255,14 +244,6 @@ class TestGaussLegendre:
 
 
 class TestAcceleration:
-    def test_wynn_geometric(self):
-        partial = np.cumsum(0.7 ** np.arange(25))
-        table = _EpsilonTable(len(partial))
-        for s in partial:
-            table.push(s)
-        val, err = table.limit()
-        assert abs(val - 1.0 / 0.3) < 1e-10
-
     def test_neville_polynomial_exact(self):
         xs = [0.4, 0.2, 0.1, 0.05]
         ys = [3.0 + 2.0 * x - 5.0 * x ** 2 for x in xs]
@@ -270,132 +251,69 @@ class TestAcceleration:
         assert abs(val - 3.0) < 1e-12
 
 
-def _wynn_columnwise(partial_sums):
-    """Reference: Wynn's table rebuilt column by column from all the sums."""
-    s = [complex(x) for x in partial_sums]
-    n = len(s)
-    if n < 3:
-        return s[-1], abs(s[-1] - s[0])
-    prev = [0.0] * (n + 1)
-    cur = list(s)
-    best = s[-1]
-    prev_best = s[-2]
-    col = 0
-    while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if d == 0:
-                nxt.append(prev[i + 1])
-            else:
-                nxt.append(prev[i + 1] + 1.0 / d)
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
-            prev_best, best = best, cur[-1]
-    return best, abs(best - prev_best)
-
-
 def _same(a, b):
     # exact equality that also matches NaN with NaN and tells -0.0 from 0.0
     return repr(a) == repr(b)
 
 
-# terms drawn so that partial sums repeat (zero terms) and table entries
-# collide (small exact values), mixed with arbitrary finite complex numbers
-_TERMS = st.one_of(
-    st.sampled_from([0.0, 0.0j, 1.0, -1.0, 0.5, 2.0, 1j, -0.5j, 1 + 1j]),
-    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                       allow_infinity=False))
-
-
-def _partial_sums(terms):
-    sums, total = [], 0.0j
-    for t in terms:
-        total += t
-        sums.append(total)
-    return sums
-
-
-class TestEpsilonTable:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_TERMS, min_size=3, max_size=120),
-           st.one_of(st.just(_WYNN_WINDOW), st.integers(3, 120)))
-    def test_streamed_equals_columnwise(self, terms, window):
-        sums = _partial_sums(terms)
-        table = _EpsilonTable(window)
-        for n, s in enumerate(sums, 1):
-            table.push(s)
-            if n >= 3:
-                got = table.limit()
-                want = _wynn_columnwise(sums[max(0, n - window):n])
-                assert _same(got[0], want[0]) and _same(got[1], want[1])
-
-
 class TestOscillatorySemiInfinite:
+    """Integrals over [0, inf) on the two engines: the Bessel-product
+    contour for a power times Bessel factors, the doubling route for an
+    integrand that decays."""
+
     def test_exponential(self):
-        res = oscillatory_semi_infinite(lambda u: np.exp(-u))
-        assert rel_err(res.value, 1.0) < 1e-5
-        assert abs(res.value - 1.0) <= 10.0 * res.error_estimate
-        fine = oscillatory_semi_infinite(lambda u: np.exp(-u),
-                                         schedule=FINE_SCHEDULE)
-        assert rel_err(fine.value, 1.0) < 1e-9
+        res = _doubling(lambda u: np.exp(-u), 1.0, "test")
+        assert rel_err(res.value, 1.0) < 1e-9
+        assert abs(res.value - 1.0) <= res.error_estimate
+
+    def test_gaussian(self):
+        res = _doubling(lambda u: np.exp(-u * u), 1.0, "test")
+        assert abs(res.value - 0.5 * math.sqrt(math.pi)) <= \
+            res.error_estimate < 1e-12
 
     def test_bessel_j0(self):
-        res = oscillatory_semi_infinite(lambda u: bessel_j(0.0, u),
-                                        schedule=FINE_SCHEDULE)
-        assert rel_err(res.value, 1.0) < 1e-8
+        res = _bessel_product(0.0, ((0.0, 1.0),))
+        assert abs(res.value - 1.0) <= res.error_estimate < 1e-8
+
+    def test_power_times_bessel(self):
+        # int_0^inf u^2 J_0(tau u) du = -1 / tau^3 in the Abel sense
+        for tau in (0.5, 1.0, 3.0):
+            res = _bessel_product(2.0, ((0.0, tau),))
+            assert abs(res.value + tau ** -3) <= res.error_estimate
+            assert res.error_estimate < 1e-10 * tau ** -3
 
     def test_damped_oracle(self):
         # int_0^inf J0(a u) e^(-eps u) du = 1 / sqrt(a^2 + eps^2)
-        a = 1.7
-        res = oscillatory_semi_infinite(lambda u: bessel_j(0.0, a * u))
-        assert rel_err(res.value, 1.0 / a) < 1e-7
+        a, eps = 1.7, 0.5
+        res = _doubling(lambda u: bessel_j(0.0, a * u) * np.exp(-eps * u),
+                        1.0, "test")
+        oracle = 1.0 / math.sqrt(a * a + eps * eps)
+        assert abs(res.value - oracle) <= res.error_estimate < 1e-8
 
     def test_dirichlet(self):
-        res = oscillatory_semi_infinite(
-            lambda u: np.where(u == 0, 1.0, np.sin(u) / np.maximum(u, 1e-300)),
-            schedule=FINE_SCHEDULE)
-        assert rel_err(res.value, math.pi / 2.0) < 1e-8
-
-    def test_schedule_independence(self):
-        f = lambda u: bessel_j(0.0, 1.3 * u)
-        r1 = oscillatory_semi_infinite(f)
-        r2 = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
-        assert abs(r1.value - r2.value) <= \
-            10.0 * (r1.error_estimate + r2.error_estimate) + 1e-12
-
-    def test_partial_sum_cross_check(self):
-        f = lambda u: bessel_j(0.0, u)
-        abel = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
-        zeros = partial_sum_limit(f)
-        assert abs(abel.value - zeros.value) < 1e-8
-
-    def test_partial_sum_needs_eight_panels(self):
-        # the epsilon table is read from the eighth panel sum on
-        with pytest.raises(DomainError):
-            partial_sum_limit(lambda u: bessel_j(0.0, u), max_panels=7)
-
-    def test_integrand_runs_once_per_panel(self):
-        seen = []
-
-        def f(u):
-            seen.append(u.tobytes())
-            return bessel_j(0.0, 1.3 * u)
-
-        res = oscillatory_semi_infinite(f, schedule=FINE_SCHEDULE)
-        assert len(seen) == len(set(seen))
-        # every damping parameter integrates the first panels again
-        assert 15 * len(seen) < res.evaluations
+        # u^(-1/2) J_(1/2)(u) = sqrt(2 / pi) sin(u) / u
+        res = _bessel_product(-0.5, ((0.5, 1.0),))
+        oracle = math.sqrt(2.0 / math.pi) * math.pi / 2.0
+        assert abs(res.value - oracle) <= res.error_estimate < 1e-8
 
     def test_linearity(self, rng):
         f = lambda u: np.exp(-0.5 * u) * np.cos(u)
-        g = lambda u: bessel_j(0.0, 2.0 * u)
+        g = lambda u: np.exp(-u) * bessel_j(0.0, 2.0 * u)
         a, b = rng.standard_normal(2)
-        lhs = oscillatory_semi_infinite(lambda u: a * f(u) + b * g(u)).value
-        rhs = (a * oscillatory_semi_infinite(f).value
-               + b * oscillatory_semi_infinite(g).value)
-        assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
+        lhs = _doubling(lambda u: a * f(u) + b * g(u), 1.0, "test").value
+        rhs = (a * _doubling(f, 1.0, "test").value
+               + b * _doubling(g, 1.0, "test").value)
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("f", [lambda u: np.cos(u),
+                                   lambda u: np.sqrt(u) * np.sin(u),
+                                   lambda u: u * bessel_j(0.0, u)])
+    def test_no_decay_raises(self, f):
+        # from L = 2 pi every piece spans whole periods of cos and sin, so
+        # its value nearly cancels, and an evenly spaced grid on it can sit
+        # on the zeros of sin
+        with pytest.raises(DivergenceError, match="caller"):
+            _doubling(f, 2.0 * np.pi, "caller")
 
 
 class TestHankel:
@@ -404,14 +322,21 @@ class TestHankel:
         for u in (0.5, 1.0, 3.0):
             res = hankel_transform(nu,
                                    lambda t: t ** nu * np.exp(-t * t / 2.0),
-                                   u, schedule=FINE_SCHEDULE)
+                                   u)
             assert rel_err(res.value, u ** nu * np.exp(-u * u / 2.0)) < 1e-8
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.3])
+    @pytest.mark.parametrize("u", [0.5, 1.0, 1.3, 3.0])
+    def test_error_estimate_covers_error(self, nu, u):
+        res = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0),
+                               u)
+        assert abs(res.value - u ** nu * np.exp(-u * u / 2.0)) <= \
+            res.error_estimate
 
     def test_table_formula(self):
         # int_0^inf e^(-p t^2) J_nu(a t) t^(nu+1) dt = a^nu (2p)^(-nu-1) e^(-a^2/4p)
         nu, p, a = 1.3, 0.7, 2.0
-        res = hankel_transform(nu, lambda t: t ** nu * np.exp(-p * t * t), a,
-                               schedule=FINE_SCHEDULE)
+        res = hankel_transform(nu, lambda t: t ** nu * np.exp(-p * t * t), a)
         oracle = a ** nu * (2.0 * p) ** (-nu - 1.0) * math.exp(-a * a / (4 * p))
         assert rel_err(res.value, oracle) < 1e-8
 
@@ -422,13 +347,10 @@ class TestHankel:
         nu = 0.5
         g = lambda t: t ** nu * np.exp(-t * t)
         # H[g](u) = u^nu x (entire function of u^2); interpolate the smooth
-        # factor in u^2 so the u^nu cusp at the origin is treated exactly.
-        # Nodes start away from u = 0 (the oscillatory engine loses accuracy
-        # when the Bessel period pi/u exceeds the support of g); the smooth
-        # factor is extrapolated in u^2 over the short remaining interval.
+        # factor in u^2 so the u^nu cusp at the origin is treated exactly;
+        # below the first node the spline extrapolates it in u^2.
         grid = np.linspace(0.3, 12.0, 235)
-        inner = np.array([hankel_transform(nu, g, u,
-                                           schedule=FINE_SCHEDULE).value.real
+        inner = np.array([hankel_transform(nu, g, u).value.real
                           for u in grid])
         spline = CubicSpline(grid ** 2, inner / grid ** nu)
 
@@ -436,16 +358,18 @@ class TestHankel:
             t = np.asarray(t, dtype=float)
             return np.where(t > grid[-1], 0.0, spline(t ** 2) * t ** nu)
 
-        # the integrand decays like exp(-t^2/4), so the damping can sit at the
-        # smallest admissible epsilons without affecting the value
-        tiny = AbelSchedule((2e-6, 1e-6), extrapolation_order=1)
         for t0 in (0.7, 1.4):
-            res = hankel_transform(nu, hg, t0, schedule=tiny)
+            res = hankel_transform(nu, hg, t0)
             assert rel_err(res.value, g(t0)) < 1e-6
 
     def test_zero_function(self):
         res = hankel_transform(0.5, lambda t: np.zeros_like(t), 1.0)
         assert abs(res.value) < 1e-12
+
+    @pytest.mark.parametrize("g", [lambda t: np.ones_like(t), lambda t: t])
+    def test_no_decay_raises(self, g):
+        with pytest.raises(DivergenceError, match="hankel_transform"):
+            hankel_transform(0.5, g, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
