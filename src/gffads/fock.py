@@ -16,15 +16,19 @@ Generator conventions (wavefunction operators, lower Minkowski indices):
              - d/dk^mu ((k . d/dk) + d) + nu^2 k_mu / k^2
 with box_k = (d/dk^0)^2 - (d/dk^1)^2 = 4 d/dk+ d/dk- and
 (k . d/dk) = k+ d/dk+ + k- d/dk-.  All relative signs are fixed by the
-symbolic-commutator oracle (see symbolic_generator / tests).
+commutator oracle, and the tests check the tables against these formulas
+applied literally with sympy.
 
 The oracle holds each generator as an exact coefficient table
 {(i, j, a, b): c}, the operator sum c k+^i k-^j d^a/dk+^a d^b/dk-^b with
 sympy-exact c (Rational, I, nu^2); nu^2 k_mu / k^2 has i or j = -1.
 Tables compose by the Leibniz rule, so a commutator [G1, G2] is a table
 too (the standard conformal-algebra relations, Di Francesco, Mathieu &
-Senechal, Conformal Field Theory, 1997, sec. 4.1), and only that table is
-applied to a mode's sympy expression.
+Senechal, Conformal Field Theory, 1997, sec. 4.1).  Only that table is
+applied to the mode, which must be P exp(E) with P and E polynomials:
+each derivative of it is Q exp(E) with Q a polynomial, got from the next
+lower one by d/dk (Q e^E) = (dQ/dk + Q dE/dk) e^E on coefficient arrays,
+so the oracle needs no symbolic calculus.
 """
 
 import dataclasses
@@ -39,7 +43,7 @@ from .correlators import _lower, norm_const, smeared2pt
 from .quadrature import _gauss_legendre, _legendre_table
 
 __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
-           "apply_generator", "algebra_closure_check", "symbolic_generator",
+           "apply_generator", "algebra_closure_check",
            "special_conformal_field_law", "npoint", "gaussian_mode",
            "position_wavefunction"]
 
@@ -282,47 +286,66 @@ def _operator(G):
                     (nu_par ** 2, _compose(klow, {(-1, -1, 0, 0): 1})))
 
 
-def _apply(op, expr, kp, km):
-    """The operator table op applied to a sympy expression in kp, km.
+def _read_form(expr, kp, km):
+    """Coefficient arrays [P, E] of expr = P exp(E), P and E polynomials.
 
-    Each partial derivative of expr that op needs is taken once, from the
-    next lower one.
+    c[i, j] is the coefficient of kp^i km^j.  Each part is rebuilt in
+    sympy's polynomial ring over CC, which, unlike sympy.Poly, does not
+    expand the expression first.
     """
     import sympy as sym
-    derivs = {(0, 0): expr}
+    from sympy.polys.rings import ring
+    R = ring((kp, km), sym.CC)[0]
+    factors = sym.Mul.make_args(expr)
+    out = []
+    for part in (sym.Mul(*(a for a in factors if not isinstance(a, sym.exp))),
+                 sym.Add(*(a.args[0] for a in factors
+                           if isinstance(a, sym.exp)))):
+        try:
+            terms = R.from_expr(part)
+        except ValueError as exc:
+            raise DomainError("the symbolic oracle needs expr = P exp(E) with "
+                              f"P and E polynomials in kp, km: {exc}") from exc
+        arr = np.zeros(np.max([(0, 0), *terms], axis=0) + 1, dtype=complex)
+        for ij, c in terms.items():
+            arr[ij] = complex(c)
+        out.append(arr)
+    return out
 
-    def deriv(a, b):  # d^a/dkp^a d^b/dkm^b expr
-        if (a, b) not in derivs:
-            derivs[a, b] = (sym.diff(deriv(a - 1, b), kp) if a
-                            else sym.diff(deriv(a, b - 1), km))
-        return derivs[a, b]
 
-    return sym.Add(*(c * kp ** i * km ** j * deriv(a, b)
-                     for (i, j, a, b), c in op.items()))
+def _polymul(a, b):
+    """The coefficients of the product of two 2-D polynomials."""
+    out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
+    for (i, j), c in np.ndenumerate(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += c * b
+    return out
 
 
-def symbolic_generator(G, expr, kp, km):
-    """Apply the defining differential operator of G to a sympy expression.
+def _oracle(op, P, E, k):
+    """The table op applied to P e^E, on the tensor grid k x k.
 
-    G is held as an exact coefficient table {(i, j, a, b): c}, the operator
-    sum c kp^i km^j d^a/dkp^a d^b/dkm^b, composed from k_mu, d/dk^mu and
-    k . d/dk as the module docstring writes it (the nu^2 k_mu / (k+ k-)
-    term of K has i or j = -1).  This is the independent route used to pin
-    signs and to build the exact commutator oracle; it shares no code with
-    apply_generator.  Each partial derivative of expr is taken once.
+    d/dkp (Q e^E) = (dQ/dkp + Q dE/dkp) e^E, and likewise for km, so each
+    derivative of P e^E is Q_ab e^E with a polynomial Q_ab, taken once from
+    the next lower one.  An empty table gives exact zeros.
     """
-    return _apply(_operator(G), expr, kp, km)
+    poly = np.polynomial.polynomial
+    dE = (poly.polyder(E, axis=0), poly.polyder(E, axis=1))
+    Q = {(0, 0): P}
 
+    def q(a, b):  # d^a/dkp^a d^b/dkm^b (P e^E) = Q_ab e^E
+        if (a, b) not in Q:
+            axis = 0 if a else 1
+            R = q(a - 1, b) if a else q(a, b - 1)
+            dR, out = poly.polyder(R, axis=axis), _polymul(R, dE[axis])
+            out[:dR.shape[0], :dR.shape[1]] += dR  # out is never smaller
+            Q[a, b] = out
+        return Q[a, b]
 
-def _symbolic_commutator(G1, G2, expr, kp, km):
-    """Exact [G1, G2] expr: the table of G1 G2 - G2 G1, applied to expr.
-
-    The composed tables cancel to at most a few terms (none for commuting
-    pairs), so expr is differentiated only as far as those need.
-    """
-    A, B = _operator(G1), _operator(G2)
-    op = _combine((1, _compose(A, B)), (-1, _compose(B, A)))
-    return _apply(op, expr, kp, km)
+    kp, km = k[:, None], k[None, :]
+    want = np.zeros((k.size, k.size), dtype=complex)
+    for (i, j, a, b), c in op.items():
+        want += complex(c) * kp ** i * km ** j * poly.polygrid2d(k, k, q(a, b))
+    return want * np.exp(poly.polygrid2d(k, k, E)) if op else want
 
 
 def _commutator(G1, G2, f):
@@ -341,17 +364,19 @@ def _require_finite(samples, what, grid):
 def algebra_closure_check(G1, G2, f, expr=None):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
-    expr must be the sympy expression (in symbols kp, km) matching f.  The
-    oracle is exact: the coefficient table of [G1, G2] is composed from
-    those of G1 and G2 (at most a few terms, none for commuting pairs) and
-    then applied to expr.  The grid result must agree with it in relative
-    L2 norm; a non-finite sample of either raises DomainError.  The same
-    commutator on the grid of half the order is the second opinion:
-    grid_drift is its distance from the full-grid result, and
-    ResolutionError is raised when both that drift and the discrepancy
-    exceed 0.1.
+    expr must be the sympy expression (in symbols kp, km) matching f, of the
+    form P exp(E) with P and E polynomials in kp, km (exp(E) may come as
+    several exp factors); any other form raises DomainError.  The oracle is
+    exact in form: the coefficient table of [G1, G2] is composed from those
+    of G1 and G2 (at most a few terms, none for commuting pairs), applied to
+    P e^E by the recurrence of the module docstring and summed on the grid;
+    it shares no grid differentiation with apply_generator.  The grid
+    result must agree with it in relative L2 norm; a non-finite sample of
+    either raises DomainError.  The same commutator on the grid of half the
+    order is the second opinion: grid_drift is its distance from the
+    full-grid result, and ResolutionError is raised when both that drift
+    and the discrepancy exceed 0.1.
     """
-    import sympy as sym
     if expr is None or f.func is None:
         raise DomainError("algebra_closure_check needs f as a callable and "
                           "its symbolic form")
@@ -362,16 +387,12 @@ def algebra_closure_check(G1, G2, f, expr=None):
     names = {s.name: s for s in expr.free_symbols}
     if set(names) != {"kp", "km"}:
         raise DomainError("expr must use exactly the symbols kp and km")
-    kp, km = names["kp"], names["km"]
-    # no docstring: printing the expression for it would cost as much again
-    oracle = sym.lambdify(
-        (kp, km), _symbolic_commutator(G1, G2, expr, kp, km), "numpy",
-        docstring_limit=0)
-
-    kpg, kmg, w = f.grid.mesh()
-    want = np.broadcast_to(np.asarray(oracle(kpg, kmg), dtype=complex),
-                           comm.shape)
+    P, E = _read_form(expr, names["kp"], names["km"])
+    A, B = _operator(G1), _operator(G2)
+    op = _combine((1, _compose(A, B)), (-1, _compose(B, A)))
+    want = _oracle(op, P, E, f.grid.axis()[0])
     _require_finite(want, "symbolic oracle", f.grid)
+    w = f.grid.mesh()[2]
     l2 = lambda a: math.sqrt(0.5 * np.sum(w * np.abs(a) ** 2))
     num, den = l2(comm - want), l2(want)
     rel = num / den if den > 1e-12 * scale_ops else num / scale_ops

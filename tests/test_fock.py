@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from gffads.correlators import GaussianPacket, Power, smeared2pt
 from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
-                         _apply, _combine, _compose, _operator,
-                         _symbolic_commutator, algebra_closure_check,
-                         apply_generator, gaussian_mode, inner_product,
-                         npoint, position_wavefunction,
-                         special_conformal_field_law, symbolic_generator)
+                         _combine, _compose, _operator, _oracle, _read_form,
+                         algebra_closure_check, apply_generator,
+                         gaussian_mode, inner_product, npoint,
+                         position_wavefunction, special_conformal_field_law)
 from gffads.spacetime import MinkVector
 
 from conftest import rel_err
@@ -54,6 +53,34 @@ def _literal_generator(G, expr, kp, km, d=2):
     return (dmu(expr) + klow * 4 * sym.diff(expr, kp, km) - scal(dmu(expr))
             - dmu(scal(expr)) - d * dmu(expr)
             + nu_par ** 2 * klow / (kp * km) * expr)
+
+
+def _apply(op, expr, kp, km):
+    """The operator table op applied to a sympy expression in kp, km.
+
+    The sympy-calculus reference for the library's coefficient recurrence:
+    each partial derivative of expr that op needs is taken once, from the
+    next lower one.
+    """
+    derivs = {(0, 0): expr}
+
+    def deriv(a, b):  # d^a/dkp^a d^b/dkm^b expr
+        if (a, b) not in derivs:
+            derivs[a, b] = (sym.diff(deriv(a - 1, b), kp) if a
+                            else sym.diff(deriv(a, b - 1), km))
+        return derivs[a, b]
+
+    return sym.Add(*(c * kp ** i * km ** j * deriv(a, b)
+                     for (i, j, a, b), c in op.items()))
+
+
+def symbolic_generator(G, expr, kp, km):
+    """Apply the coefficient table of G to a sympy expression with sympy.
+
+    Shares no code with apply_generator, and checks the tables against the
+    literal operators of the fock docstring.
+    """
+    return _apply(_operator(G), expr, kp, km)
 
 
 def _direct_commutator(G1, G2, expr):
@@ -216,12 +243,21 @@ CLOSURE = [
     ("P0", "P1", []), ("M01", "D", []), ("K0", "K1", []),
 ]
 
+def _named(delta):
+    """The six generators by their CLOSURE names; delta is used by K only."""
+    return {"P0": P0, "P1": P1, "M01": M01, "D": D,
+            "K0": GeneratorKind("K", mu=0, delta=delta),
+            "K1": GeneratorKind("K", mu=1, delta=delta)}
+
+
 # random operator tables: powers of kp, km in [-1, 2], derivatives up to 2
 _KEYS = st.tuples(st.integers(-1, 2), st.integers(-1, 2),
                   st.integers(0, 2), st.integers(0, 2))
 _COEFS = st.builds(sym.Rational, st.integers(-3, 3).filter(bool),
                    st.integers(1, 3))
 _TABLES = st.dictionaries(_KEYS, _COEFS, min_size=1, max_size=3)
+_COMPLEX = st.builds(lambda re, im: re + sym.I * im,
+                     st.floats(-1, 1), st.floats(-1, 1))
 
 
 class TestOperatorTable:
@@ -229,9 +265,7 @@ class TestOperatorTable:
     @pytest.mark.parametrize("g1,g2,rhs", CLOSURE,
                              ids=[f"{a}-{b}" for a, b, _ in CLOSURE])
     def test_algebra_closes_exactly(self, g1, g2, rhs, delta):
-        named = {"P0": P0, "P1": P1, "M01": M01, "D": D,
-                 "K0": GeneratorKind("K", mu=0, delta=delta),
-                 "K1": GeneratorKind("K", mu=1, delta=delta)}
+        named = _named(delta)
         want = _combine(*((c, _operator(named[g])) for c, g in rhs))
         assert _operator_commutator(named[g1], named[g2]) == want
 
@@ -241,6 +275,12 @@ class TestOperatorTable:
         F = sym.Function("F")(KP, KM)
         nested = _apply(A, _apply(B, F, KP, KM), KP, KM)
         assert sym.expand(_apply(_compose(A, B), F, KP, KM) - nested) == 0
+
+
+def _grid_oracle(G1, G2, expr, grid):
+    """The library's oracle for [G1, G2] expr on the grid's nodes."""
+    return _oracle(_operator_commutator(G1, G2), *_read_form(expr, KP, KM),
+                   grid.axis()[0])
 
 
 class TestAlgebraClosure:
@@ -264,12 +304,13 @@ class TestAlgebraClosure:
         _, gauss = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
         expr = prefactor * gauss
         want, e21 = _direct_commutator(G1, G2, expr)
-        got = _symbolic_commutator(G1, G2, expr, KP, KM)
-        kp, km, w = LightconeGrid().mesh()
+        grid = LightconeGrid()
+        got = _grid_oracle(G1, G2, expr, grid)
+        kp, km, w = grid.mesh()
         on_grid = lambda e: np.broadcast_to(
             sym.lambdify((KP, KM), e, "numpy")(kp, km), w.shape)
         l2 = lambda a: np.sqrt(np.sum(w * np.abs(a) ** 2))
-        diff = l2(on_grid(got) - on_grid(want))
+        diff = l2(got - on_grid(want))
         # relative to the terms the commutator cancels (M01, D commute)
         assert diff <= 1e-12 * max(l2(on_grid(want)), l2(on_grid(e21)))
 
@@ -277,7 +318,8 @@ class TestAlgebraClosure:
                              ids=["P0-P1", "M01-D", "K0-K1"])
     def test_commuting_pairs_have_vanishing_oracle(self, G1, G2):
         f, expr = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
-        assert _symbolic_commutator(G1, G2, expr, KP, KM) == 0
+        assert _operator_commutator(G1, G2) == {}
+        assert np.all(_grid_oracle(G1, G2, expr, f.grid) == 0.0)
         rep = algebra_closure_check(G1, G2, f, expr)
         assert rep["denominator"] == 0.0
         assert rep["vanishes"]
@@ -322,6 +364,77 @@ class TestAlgebraClosure:
         with pytest.raises(DomainError):
             algebra_closure_check(GeneratorKind("P"), GeneratorKind("D"), f,
                                   bad)
+
+    @pytest.mark.parametrize("form", ["exp_sqrt", "sum", "rational"])
+    def test_expr_not_polynomial_times_exp_rejected(self, form):
+        f, g1 = sym_gaussian((3.0, 2.0), 0.9)
+        _, g2 = sym_gaussian((2.5, 2.5), 1.1)
+        expr = {"exp_sqrt": sym.exp(sym.sqrt(KP)) * g1, "sum": g1 + g2,
+                "rational": g1 / (KP + 1)}[form]
+        with pytest.raises(DomainError, match=r"symbolic oracle needs"):
+            algebra_closure_check(D, K1, f, expr)
+
+    def test_overflowing_oracle_raises(self):
+        # exp(kp^3) overflows on the largest grid nodes (kmax = 12)
+        f, expr = sym_gaussian((3.0, 2.0), 0.9)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="symbolic oracle has"):
+            algebra_closure_check(D, K1, f, sym.exp(KP ** 3) * expr)
+
+    @pytest.mark.parametrize("G1,G2", [(D, K1), (M01, K0), (P0, K1)],
+                             ids=["D-K1", "M01-K0", "P0-K1"])
+    def test_single_exp_form_gives_the_same_oracle(self, G1, G2):
+        # the form the CLI's fock suite passes: one exp(A + iB)
+        _, two = sym_gaussian((3.0, 2.0), 0.9, phase=(0.3, -0.2))
+        one = sym.exp(-((KP - 3.0) ** 2 + (KM - 2.0) ** 2) / (2.0 * 0.9 ** 2)
+                      + sym.I * (0.3 * KP - 0.2 * KM))
+        grid = LightconeGrid()
+        a, b = (_grid_oracle(G1, G2, e, grid) for e in (one, two))
+        w = grid.mesh()[2]
+        l2 = lambda x: np.sqrt(np.sum(w * np.abs(x) ** 2))
+        assert l2(a - b) <= 1e-14 * l2(b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_COMPLEX, min_size=6, max_size=6),
+           st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           st.floats(-0.8, 0.8), st.tuples(st.floats(1, 8), st.floats(1, 8)),
+           st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           st.sampled_from(CLOSURE), st.sampled_from([1.25, 1.5, 2.0]))
+    def test_oracle_matches_sympy_route(self, p, widths, rho, center, phase,
+                                        pair, delta):
+        # P of degree <= 2 times exp(E), E with a negative-definite real
+        # quadratic part and a linear phase
+        G1, G2 = (_named(delta)[g] for g in pair[:2])
+        x, y = KP - center[0], KM - center[1]
+        a, d = widths[0] ** -2, widths[1] ** -2
+        b = rho * (a * d) ** 0.5
+        E = (-(a * x ** 2 + 2 * b * x * y + d * y ** 2) / 2
+             + sym.I * (phase[0] * KP + phase[1] * KM))
+        P = sum(c * m for c, m in zip(
+            p, (1, KP, KM, KP ** 2, KP * KM, KM ** 2)))
+        expr = P * sym.exp(E)
+        grid = LightconeGrid()
+        kp, km, w = grid.mesh()
+        on_grid = lambda e: np.broadcast_to(
+            sym.lambdify((KP, KM), e, "numpy")(kp, km), w.shape)
+        want = on_grid(_apply(_operator_commutator(G1, G2), expr, KP, KM))
+        f = ModeFunction(grid, lambda kp, km: on_grid(expr))
+        scale = apply_generator(G2, apply_generator(G1, f)).norm()
+        l2 = lambda z: np.sqrt(0.5 * np.sum(w * np.abs(z) ** 2))
+        got = _grid_oracle(G1, G2, expr, grid)
+        assert l2(got - want) <= 1e-12 * max(l2(want), scale)
+
+    def test_oracle_needs_no_symbolic_calculus(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not call sympy calculus")
+
+        f, expr = sym_gaussian((3.0, 2.0), 0.9, phase=(0.3, -0.2))
+        for owner, name in ((sym, "diff"), (sym, "Derivative"),
+                            (sym, "lambdify"), (sym.Expr, "diff")):
+            monkeypatch.setattr(owner, name, forbidden)
+        rep = algebra_closure_check(D, K1, f, expr)
+        assert rep["relative_discrepancy"] < 1e-4
+        assert not rep["vanishes"]
 
 
 class TestSpecialConformalFieldLaw:
