@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LightConeProximityError
+from .errors import DomainError, LightConeProximityError, checked_sequence
 from .specfun import Order, _nu, bessel_j, gamma
 from .quadrature import (_bessel_product, _gauss_legendre, adaptive_finite,
                          neville_zero)
@@ -75,9 +75,9 @@ def boundary_limit_check(spec, z_sequence, dx):
     The reference is the generalized free field with homogeneous weight m^nu.
     Returns the per-z relative deviations and the reference value.
     """
-    zs = tuple(float(z) for z in z_sequence)
-    if any(z2 >= z1 for z1, z2 in zip(zs, zs[1:])) or zs[-1] <= 0:
-        raise DomainError("z_sequence must decrease to a positive value")
+    # one depth is allowed: `gffads compute boundaryLimitCheck` reads one
+    zs = checked_sequence(z_sequence, "z_sequence", increasing=False,
+                          least=1)
     if dx.d != 2 or dx.square() >= 0:
         raise DomainError("boundary limit check needs a spacelike d = 2 dx")
     c = boundary_limit_const(spec.nu)
@@ -213,9 +213,8 @@ def mass_change_kernel_check(nu, nup, z, m,
     nup_f = _nu(nup)
     if z <= 0 or m <= 0:
         raise DomainError("mass_change_kernel_check requires z, m > 0")
-    eps_list = tuple(float(e) for e in epsilons)
-    if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise DomainError("epsilons must be a decreasing sequence, length >= 3")
+    eps_list = checked_sequence(epsilons, "epsilons", increasing=False,
+                                least=3)
 
     vals = []
     for eps in eps_list:

@@ -6,11 +6,12 @@ Three subcommands:
     gffads compute <name>  [--param k=v ...]
     gffads scan <name> --axis param:start:stop:steps [--param k=v ...]
 
-Suites bundle the fast invariant checks of each module; compute evaluates one
-public quantity; scan tabulates it along one numeric parameter (CSV output
-only; an explicit --format json is a configuration error).  A compute
-record's inputs are the parameters its quantity read, as given, so passing
-them back as --param reproduces the record.
+Suites hold the package's checks, each implemented once; the acceptance gate
+(tests/test_acceptance.py) asserts the records of `verify all`.  Compute
+evaluates one public quantity; scan tabulates it along one numeric parameter
+(CSV output only; an explicit --format json is a configuration error).  A
+compute record's inputs are the parameters its quantity read, as given, so
+passing them back as --param reproduces the record.
 
 Exit codes:
 
@@ -22,7 +23,7 @@ Exit codes:
        (ConfigError and the ValueError family of GffadsError)
     3  a numerical method gave up: quadrature budget exhausted, divergent
        extrapolation, grid too coarse, too close to a light cone, overflow
-       (the ArithmeticError family of GffadsError)
+       (the ArithmeticError family of GffadsError, and OverflowError)
 
 Output is deterministic for a fixed config and seed.  Wall-clock timings are
 recorded but only emitted with --timings so that default output is
@@ -32,6 +33,7 @@ check shows its own cost.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -236,17 +238,17 @@ def _suite_specfun(cfg, rng):
     recs.append(_check("specfun.gamma_reflection", val,
                        np.pi / np.sin(np.pi * x), 1e-12,
                        inputs={"x": x}))
-    u = np.linspace(0.5, 20.0, 64)
+    u = np.linspace(0.5, 40.0, 100)
     h = 1e-3
     for nu in (0.0, 0.5, 1.3):
         jm, j0, jp = (bessel_j(nu, u - h), bessel_j(nu, u),
                       bessel_j(nu, u + h))
-        d1 = (jp - jm) / (2.0 * h)
-        d2 = (jp - 2.0 * j0 + jm) / h ** 2
-        res = (u ** 2 * d2 + u * d1 + (u ** 2 - nu ** 2) * j0) / (1.0 + u ** 2)
+        res = (jp - 2.0 * j0 + jm) / h ** 2 + (jp - jm) / (2.0 * h * u) \
+            + (1.0 - nu ** 2 / u ** 2) * j0
         recs.append(_check(f"specfun.bessel_ode_residual_nu{nu}",
                            float(np.max(np.abs(res))), 0.0, 1e-6,
-                           inputs={"nu": nu, "fd_step": h}))
+                           inputs={"nu": nu, "fd_step": h,
+                                   "u_range": [0.5, 40.0]}))
         u0 = 1.3
         ht = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0), u0)
         recs.append(_check(f"specfun.hankel_self_reciprocal_nu{nu}",
@@ -291,52 +293,68 @@ def _suite_correlators(cfg, rng):
 def _suite_fock(cfg, rng):
     recs = []
     import sympy as sym
-    grid = fock.LightconeGrid()
-    f = fock.gaussian_mode(grid, center=(3.0, 2.0), width=0.9,
-                           phase=(0.3, -0.2))
-    kp, km = sym.symbols("kp km", positive=True)
-    expr = sym.exp(-((kp - 3.0) ** 2 + (km - 2.0) ** 2) / (2.0 * 0.9 ** 2)
-                   + sym.I * (0.3 * kp - 0.2 * km))
     G = fock.GeneratorKind
-    pairs = [("P0_M01", G("P", mu=0), G("M", mu=0, nu_idx=1)),
-             ("D_P1", G("D"), G("P", mu=1)),
-             ("M01_K0", G("M", mu=0, nu_idx=1), G("K", mu=0, delta=1.5)),
-             ("D_K1", G("D"), G("K", mu=1, delta=1.5))]
-    for label, g1, g2 in pairs:
-        r = fock.algebra_closure_check(g1, g2, f, expr=expr)
-        recs.append(_check(f"fock.algebra_closure_{label}",
-                           r["relative_discrepancy"], 0.0, 1e-4,
-                           inputs={"grid_drift": r["grid_drift"]}))
+    gens = {"P0": G("P", mu=0), "P1": G("P", mu=1),
+            "M01": G("M", mu=0, nu_idx=1), "D": G("D"),
+            "K0": G("K", mu=0, delta=1.5), "K1": G("K", mu=1, delta=1.5)}
+    kp, km = sym.symbols("kp km", positive=True)
+    grid = fock.LightconeGrid()
+    modes = (((3.0, 2.6), 0.9, (0.15, -0.1)), ((2.4, 3.2), 1.1, (-0.2, 0.25)))
+    for mode, (center, width, phase) in enumerate(modes):
+        f = fock.gaussian_mode(grid, center, width, phase)
+        expr = sym.exp(-((kp - center[0]) ** 2 + (km - center[1]) ** 2)
+                       / (2 * width ** 2)) * \
+            sym.exp(sym.I * (phase[0] * kp + phase[1] * km))
+        for (l1, g1), (l2, g2) in itertools.combinations(gens.items(), 2):
+            r = fock.algebra_closure_check(g1, g2, f, expr)
+            recs.append(_check(f"fock.algebra_closure_mode{mode}_{l1}_{l2}",
+                               r["relative_discrepancy"], 0.0, 1e-4,
+                               inputs={"grid_drift": r["grid_drift"]}))
     packet = corr.GaussianPacket(MinkVector((0.1, -0.3)), 1.1,
                                  MinkVector((2.2, 0.4)))
     law = fock.special_conformal_field_law(packet, 0, 1.5)
     recs.append(_check("fock.special_conformal_field_law",
                        law["relative_l2"], 0.0, 1e-4, inputs={"delta": 1.5}))
     h = corr.Power(0.5)
-    packs = [corr.GaussianPacket(MinkVector((0.2 * i, 0.1 * i)), 1.0 + 0.1 * i,
-                                 MinkVector((1.5 + 0.2 * i, 0.1)))
-             for i in range(4)]
-    odd = fock.npoint([h] * 3, packs[:3])
-    recs.append(_check("fock.npoint_odd_vanishes", odd, 0.0, 1e-14))
-    full = fock.npoint([h] * 4, packs)
-    w = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            w[i, j] = fock.npoint([h, h], [packs[i], packs[j]])
-    paired = w[0, 1] * w[2, 3] + w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2]
-    recs.append(_check("fock.npoint_truncated_vanishes", full, paired, 1e-12))
+    packs = [corr.GaussianPacket(MinkVector(x), w, MinkVector(k))
+             for x, w, k in (((0.0, 0.0), 1.0, (1.5, 0.2)),
+                             ((0.3, -0.2), 0.9, (1.2, -0.3)),
+                             ((-0.2, 0.4), 1.1, (1.8, 0.1)),
+                             ((0.5, 0.1), 0.8, (1.0, 0.4)))]
+    # tolerance 0: odd n must give exactly zero
+    recs.append(_check("fock.npoint_odd_vanishes",
+                       fock.npoint([h] * 3, packs[:3]), 0.0, 0.0))
+    s = lambda i, j: corr.smeared2pt(h, packs[i], h, packs[j]).value
+    paired = s(0, 1) * s(2, 3) + s(0, 2) * s(1, 3) + s(0, 3) * s(1, 2)
+    recs.append(_check("fock.npoint_truncated_vanishes",
+                       fock.npoint([h] * 4, packs), paired, 1e-12))
     return recs
 
 
 def _suite_holography(cfg, rng):
     recs = []
-    spec = adsb.AdSFieldSpec(Order(0.5))
     dx = MinkVector((0.0, 4.0))
-    bl = adsb.boundary_limit_check(spec, (0.04, 0.02), dx)
-    recs.append(_check("holography.boundary_limit_deviation",
-                       bl["relative_deviations"][-1], 0.0, 1e-2,
-                       inputs={"z": 0.02, "dx": list(dx.components)}))
-    recs.append(_flag("holography.boundary_limit_monotone", bl["monotone"]))
+    for nu in (0.0, 0.5):
+        bl = adsb.boundary_limit_check(adsb.AdSFieldSpec(Order(nu)),
+                                       (0.08, 0.04), dx)
+        recs.append(_check(f"holography.boundary_limit_deviation_nu{nu}",
+                           bl["relative_deviations"][-1], 0.0, 1e-2,
+                           inputs={"nu": nu, "z": [0.08, 0.04],
+                                   "dx": list(dx.components)}))
+        recs.append(_flag(f"holography.boundary_limit_monotone_nu{nu}",
+                          bl["monotone"]))
+    spec = adsb.AdSFieldSpec(Order(0.5))
+    bump = lambda c, w: lambda x: np.exp(-(x - c) ** 2 / (2.0 * w * w))
+    g, f, fp = bump(1.0, 0.12), bump(0.0, 1.0), bump(0.3, 0.8)
+    ccr = adsb.ccr_check(spec, g, bump(1.1, 0.15), f, fp, (0.4, 1.6),
+                         (0.4, 1.8))
+    recs.append(_check("holography.ccr_product_formula",
+                       ccr["relative_discrepancy"], 0.0, 1e-3,
+                       inputs={"nu": 0.5}))
+    ccr = adsb.ccr_check(spec, g, bump(2.5, 0.15), f, fp, (0.4, 1.6),
+                         (1.9, 3.1))
+    recs.append(_check("holography.ccr_disjoint_supports", ccr["mode_value"],
+                       0.0, 1e-6, inputs={"nu": 0.5}))
     lam = 1.5
     eps = 1e-3
     a = adsb.ads2pt(spec, 0.6, 0.9, MinkVector((0.2, 3.0)), epsilon=eps)
@@ -382,15 +400,13 @@ def _suite_locality(cfg, rng):
                            error=ref.error_estimate,
                            inputs={"a": ai, "b": b, "c": c}))
     spec = adsb.AdSFieldSpec(Order(nu))
-    for z, zp, t in ((0.5, 1.5, 0.6), (0.8, 2.0, 0.9)):
+    for z, zp, t in ((1.0, 1.8, 0.5), (0.5, 1.5, 0.6), (0.8, 2.0, 0.9)):
         cv = adsb.ads_commutator(spec, z, zp, MinkVector((t, 0.0)))
         recs.append(_check(f"locality.ads_commutator_z{z}_zp{zp}",
                            cv.value, 0.0, 1e-5, error=cv.error_estimate,
                            inputs={"z": z, "z_prime": zp, "dt": t,
                                    "nu": p.inputs["nu"]}))
-    h1 = corr.Power(0.5)
-    f1 = corr.GaussianPacket(MinkVector((0.0, 0.0)), 1.0,
-                             MinkVector((-2.0, -0.5)))
+    h1, f1, _, _ = _default_set_args()
     fa = corr.GaussianPacket(MinkVector((0.0, -3.0)), 0.5,
                              MinkVector((0.0, 0.0)))
     gb = corr.GaussianPacket(MinkVector((0.0, 3.0)), 0.5,
@@ -448,17 +464,16 @@ def _suite_set(cfg, rng):
                            1e-12, inputs={"k": list(k.components)}))
 
     h, f1, f2, f = _default_set_args()
-    freal = corr.GaussianPacket(MinkVector((0.0, 0.0)), 0.8,
-                                MinkVector((0.0, 0.0)))
-    herm = stress.set_matrix_element(freal, h, f1, h, f1, 0, 0)
+    herm = stress.set_matrix_element(f, h, f1, h, f1, 0, 0)
     recs.append(_check("set.hermiticity_imag_part",
                        herm.value.imag / abs(herm.value), 0.0, 1e-10,
                        error=herm.error_estimate))
     for nu_i in (0, 1):
-        cons = stress.conservation_check(h, f1, h, f2, f, nu_i)
+        cons = stress.conservation_check(h, f1, h, f2, f, nu_i, n_nodes=96)
         recs.append(_check(f"set.conservation_nu{nu_i}", cons["relative"],
-                           0.0, 1e-8, error=cons["error_estimate"]))
-    tr = stress.trace_check(h, f1, h, f2, f)
+                           0.0, 1e-8, error=cons["error_estimate"],
+                           inputs={"n_nodes": 96}))
+    tr = stress.trace_check(h, f1, h, f2, f, n_nodes=96)
     recs.append(_flag("set.trace_significant", tr["significant"], tr["trace"]))
     md = stress.momentum_density_check(h, f1, h, f2, 0, (2.0, 4.0, 8.0))
     recs.append(_check("set.momentum_density_deviation",
@@ -474,10 +489,12 @@ def _suite_set(cfg, rng):
         / (np.pi * math.sqrt(m1 * m2))
     recs.append(_check("set.z_weight_sine_oracle", w, sine, 1e-10,
                        inputs={"nu": 0.5, "Z": Z}))
-    dc = stress.z_integral_weight_delta_check(0.5, 200.0, 1.0)
+    m1sq = 1.3
+    Z = 200.0 / math.sqrt(m1sq)
+    dc = stress.z_integral_weight_delta_check(0.5, Z, m1sq, g_width=0.2)
     recs.append(_check("set.z_weight_delta_smearing",
                        dc["relative_deviation"], 0.0, 1e-2,
-                       inputs={"Z": 200.0, "m1sq": 1.0, "g_width": 0.2}))
+                       inputs={"Z": Z, "m1sq": m1sq, "g_width": 0.2}))
     red = stress.ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, h, f1, h, f2,
                                    0, 0, n_outer=32, n_inner=600)
     recs.append(_check("set.ads_reduction_deviation",
@@ -670,7 +687,7 @@ def main(argv=None):
             text, ok = _emit(records, cfg)
         else:
             text, ok = run_scan(args.quantity, args.axis, cfg)
-    except (ConfigError, GffadsError) as exc:
+    except (ConfigError, GffadsError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2
     print(text)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the check that raises
+DomainError for a malformed sequence argument."""
 
 
 class GffadsError(Exception):
@@ -42,3 +43,16 @@ class BudgetExceededError(GffadsError, ArithmeticError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def checked_sequence(values, name, increasing, least=2):
+    """values as a tuple of floats: at least `least` entries, all positive
+    and strictly increasing (or decreasing); DomainError otherwise."""
+    seq = tuple(float(v) for v in values)
+    steps = zip(seq, seq[1:]) if increasing else zip(seq[1:], seq)
+    if len(seq) < least or not all(v > 0 for v in seq) or \
+            not all(b > a for a, b in steps):
+        order = "increasing" if increasing else "decreasing"
+        raise DomainError(f"{name} must hold at least {least} positive, "
+                          f"strictly {order} values")
+    return seq

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, checked_sequence
 from .specfun import _nu, bessel_j
 from .quadrature import _gauss_legendre, adaptive_finite
 from .correlators import Correlator, _lower, lightcone_grid_nodes, norm_const
@@ -355,7 +355,8 @@ def _broadening(target, value, broadening_sequence):
     """Deviations from target of value(f, n) along the broadening widths s,
     f the tensor smearing of width s and n its node count."""
     values, deviations = [], []
-    for s in broadening_sequence:
+    for s in checked_sequence(broadening_sequence, "broadening_sequence",
+                              increasing=True):
         # the spatial momentum transfer narrows like 1/s: refine with s
         val = value(_unit_time_area(s), max(72, int(20 * s)))
         values.append(val)
@@ -415,9 +416,8 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).
     """
     kmax = 2.0 * f.reach + 10.0
-    sigmas = tuple(float(s) for s in sigma_sequence)
-    if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])) or sigmas[-1] <= 0:
-        raise DomainError("sigma_sequence must decrease to a positive value")
+    sigmas = checked_sequence(sigma_sequence, "sigma_sequence",
+                              increasing=False)
     _check_indices(mu, nu)
     amp, (s0, s1), (p0, p1), _ = f.gaussian
     k, w = lightcone_grid_nodes(n_nodes, kmax)
@@ -611,9 +611,7 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx,
     Evaluates ads_set_matrix_element along the increasing Z_sequence and
     compares with set_matrix_element (the sharp delta-weight evaluation).
     """
-    Zs = tuple(float(Z) for Z in Z_sequence)
-    if any(b <= a for a, b in zip(Zs, Zs[1:])) or Zs[0] <= 0:
-        raise DomainError("Z_sequence must be positive and increasing")
+    Zs = checked_sequence(Z_sequence, "Z_sequence", increasing=True)
     target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx,
                                 n_nodes=max(n_outer, 64))
     scale = abs(target.value)

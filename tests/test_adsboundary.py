@@ -141,6 +141,8 @@ class TestBoundaryLimit:
         with pytest.raises(DomainError):
             boundary_limit_check(SPEC, (0.02, 0.04), MinkVector((0.0, 4.0)))
         with pytest.raises(DomainError):
+            boundary_limit_check(SPEC, (), MinkVector((0.0, 4.0)))
+        with pytest.raises(DomainError):
             boundary_limit_check(SPEC, (0.04, 0.02), MinkVector((2.0, 0.5)))
         with pytest.raises(DomainError):
             boundary_limit_check(SPEC, (0.04, 0.02),

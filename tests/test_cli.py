@@ -253,7 +253,7 @@ class TestVerify:
         assert rc == 0
         recs = [r for r in json.loads(out)["records"]
                 if r["name"].startswith("locality.ads_commutator_")]
-        assert len(recs) == 2
+        assert len(recs) == 3
         assert all(r["inputs"]["nu"] == 1.3 for r in recs)
 
     def test_tolerance_failure_exits_one(self, capsys):
@@ -281,6 +281,19 @@ class TestExitCodes:
             raise error
         monkeypatch.setitem(cli.QUANTITIES, "gamma", quantity)
         assert cli.main(["compute", "gamma"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    # a builtin OverflowError of float arithmetic is exit 3, not a traceback;
+    # numpy warns on the way, on purpose here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, param", [
+        ("chordalDistance", "z=1e308"), ("chordalDistance", "zp=1e308"),
+        ("zIntegralWeight", "Z=1e308"), ("boundaryLimitCheck", "z=1e308"),
+        ("adsCommutator", "z=1e308"), ("adsCommutator", "zp=1e308"),
+    ])
+    def test_overflow_exits_three(self, capsys, name, param):
+        assert cli.main(["compute", name, "--param", param]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 

@@ -280,6 +280,11 @@ class TestDensityLimits:
         assert rep["monotone"]
         assert rep["relative_deviations"][-1] < 2e-2
 
+    def test_empty_sequence(self, packet_trio, hpow):
+        f1, f2, _ = packet_trio
+        with pytest.raises(DomainError):
+            momentum_density_check(hpow, f1, hpow, f2, 0, ())
+
 
 class TestCommutatorLocality:
     def test_spacelike_smearing_commutes(self, hpow):
@@ -350,8 +355,10 @@ class TestVacuumFluctuation:
 
     def test_validation(self):
         f = AnisoGaussian(0.8, 0.8)
-        with pytest.raises(DomainError):
-            vacuum_fluctuation_divergence(f, (0.1, 0.2))
+        # a growth exponent needs two widths
+        for sigmas in ((0.1, 0.2), (), [0.4]):
+            with pytest.raises(DomainError):
+                vacuum_fluctuation_divergence(f, sigmas)
         with pytest.raises(DomainError):
             vacuum_fluctuation_divergence(f, (0.2, 0.1), mu=-1)
 
@@ -447,8 +454,9 @@ class TestAdsReduction:
 
     def test_sequence_validation(self, packet_trio, hpow):
         f1, f2, f = packet_trio
-        with pytest.raises(DomainError):
-            ads_set_reduction(0.5, (4.0, 2.0), f, hpow, f1, hpow, f2, 0, 0)
+        for zs in ((4.0, 2.0), ()):
+            with pytest.raises(DomainError):
+                ads_set_reduction(0.5, zs, f, hpow, f1, hpow, f2, 0, 0)
         with pytest.raises(DomainError):
             ads_set_matrix_element(0.5, 4.0, f, hpow, f1, hpow, f2, 0, 2)
 
