@@ -73,7 +73,9 @@ def boundary_limit_check(spec, z_sequence, dx):
     """Check z^(-2 Delta) ads2pt(z, z, dx) -> c_nu^2 * boundary 2pt as z -> 0.
 
     The reference is the generalized free field with homogeneous weight m^nu.
-    Returns the per-z relative deviations and the reference value.
+    Returns the per-z relative deviations and the reference value, and
+    whether the deviations decrease along the depths (None for one depth,
+    which has no trend).
     """
     # one depth is allowed: `gffads compute boundaryLimitCheck` reads one
     zs = checked_sequence(z_sequence, "z_sequence", increasing=False,
@@ -90,10 +92,10 @@ def boundary_limit_check(spec, z_sequence, dx):
         scaled = val / z ** (2.0 * spec.delta)
         ratios.append(scaled / target)
         deviations.append(abs(scaled - target) / abs(target))
+    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
     return {"reference": target, "z_sequence": zs, "ratios": ratios,
             "relative_deviations": deviations,
-            "monotone": all(b < a for a, b in
-                            zip(deviations, deviations[1:]))}
+            "monotone": monotone if len(zs) > 1 else None}
 
 
 # ---------------------------------------------------------------------------

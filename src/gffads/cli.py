@@ -688,7 +688,8 @@ def main(argv=None):
         else:
             text, ok = run_scan(args.quantity, args.axis, cfg)
     except (ConfigError, GffadsError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        step = args.suite if args.command == "verify" else args.quantity
+        print(f"error: {args.command} {step}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2
     print(text)
     return 0 if ok else 1

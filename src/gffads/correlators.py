@@ -22,12 +22,12 @@ from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
 
 __all__ = ["WeightFunction", "One", "Polynomial", "Power", "BesselZ",
-           "Tabulated", "ScaledWeight", "MassWeight", "GaussianPacket",
-           "Correlator", "DeltaDiagonalWeight", "norm_const", "wightman_kg",
-           "wightman_kg_momentum_oracle", "commutator_kg", "commutator_kg_eps",
-           "default_cutoff", "gff2pt", "kallen_lehmann_2pt", "gff_commutator",
-           "smeared2pt", "wick2pt", "scaling_covariance_check",
-           "lightcone_grid_nodes"]
+           "Tabulated", "ScaledWeight", "MassWeight", "Smearing",
+           "GaussianPacket", "Correlator", "DeltaDiagonalWeight", "norm_const",
+           "wightman_kg", "wightman_kg_momentum_oracle", "commutator_kg",
+           "commutator_kg_eps", "default_cutoff", "gff2pt",
+           "kallen_lehmann_2pt", "gff_commutator", "smeared2pt", "wick2pt",
+           "scaling_covariance_check", "lightcone_grid_nodes"]
 
 
 def norm_const(d):
@@ -163,61 +163,47 @@ class MassWeight:
             raise DomainError("point masses must be non-negative")
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Gaussian test function exp(-|x - c|_E^2 / 2 sigma^2) exp(-i k0 . x).
+def _exponent(g, k0, k1):
+    """log of the Gaussian factor of fhat / A, for the diagonal Gaussian
+    g = (A, s2, kappa, c) at the upper momentum components (k0, k1)."""
+    _, (s0, s1), (p0, p1), (c0, c1) = g
+    d0, d1 = k0 - p0, k1 - p1
+    return -0.5 * (s0 * d0 * d0 + s1 * d1 * d1) + 1j * (c0 * d0 - c1 * d1)
 
-    The Fourier transform fhat(k) = int d^dx f(x) exp(i k.x) (Minkowski phase)
-    is the closed-form Gaussian centred at the carrier k0.
+
+def _polyval(p, k0, k1):
+    """A smearing's prefactor p = {(i, j): c} at (k0, k1): the sum of
+    c k0^i k1^j over its terms."""
+    first, *rest = (math.prod((k0,) * i + (k1,) * j, start=c)
+                    for (i, j), c in p.items())
+    return sum(rest, first)
+
+
+class Smearing:
+    """A d = 2 test function f whose transform fhat(k) = int d^2x f(x)
+    exp(i k.x) (Minkowski phase) is a polynomial times a diagonal Gaussian,
+
+        fhat(k) = p(k^0, k^1) A exp(-(1/2) sum_mu s2_mu (k^mu - kappa^mu)^2
+                                    + i (c_0 (k^0 - kappa^0)
+                                         - c_1 (k^1 - kappa^1))).
+
+    gaussian is (A, s2, kappa, c), and prefactor the table {(i, j): c} of
+    p, the sum of c (k^0)^i (k^1)^j: {(0, 0): 1} for a plain Gaussian.
+    fourier, fourier_lc and reach read this one form, and the stress-tensor
+    kernels build their integrands from it.
     """
 
-    center: MinkVector
-    width: float
-    carrier: MinkVector
+    prefactor = {(0, 0): 1.0}  # a plain Gaussian's
 
-    def __post_init__(self):
-        if not self.width > 0:
-            raise DomainError("packet width must be positive")
-        if self.center.d != self.carrier.d:
-            raise DomainError("center and carrier dimensions differ")
+    def __init__(self, gaussian, prefactor):
+        self.gaussian, self.prefactor = gaussian, prefactor
 
-    @property
-    def d(self):
-        return self.center.d
-
-    def __call__(self, *xs):
-        """Position-space value; xs are the d coordinate arrays."""
-        c = self.center.components
-        k0 = self.carrier.components
-        expo = sum((np.asarray(x) - ci) ** 2 for x, ci in zip(xs, c))
-        phase = k0[0] * np.asarray(xs[0]) - sum(
-            k0[i] * np.asarray(xs[i]) for i in range(1, self.d))
-        return np.exp(-expo / (2.0 * self.width ** 2)) * np.exp(-1j * phase)
-
-    def fourier(self, *ks):
-        """fhat at momentum components ks (contravariant k^mu arrays)."""
-        sig = self.width
-        c = self.center.components
-        k0 = self.carrier.components
-        q = [np.asarray(k) - k0i for k, k0i in zip(ks, k0)]
-        gauss = np.exp(-0.5 * sig ** 2 * sum(qi ** 2 for qi in q))
-        phase = q[0] * c[0] - sum(q[i] * c[i] for i in range(1, self.d))
-        return (2.0 * np.pi) ** (self.d / 2.0) * sig ** self.d * \
-            np.exp(1j * phase) * gauss
-
-    @property
-    def gaussian(self):
-        """fhat in d = 2 as the diagonal Gaussian (A, s2, kappa, c) of
-
-            fhat(k) = A exp(-(1/2) sum_mu s2_mu (k^mu - kappa^mu)^2
-                            + i (c_0 (k^0 - kappa^0) - c_1 (k^1 - kappa^1))),
-
-        the form the stress-tensor kernels build their integrands from."""
-        if self.d != 2:
-            raise DomainError("the Gaussian form is for d = 2 packets")
-        s2 = self.width ** 2
-        return (2.0 * np.pi * s2, (s2, s2), self.carrier.components,
-                self.center.components)
+    def fourier(self, k0, k1):
+        """fhat at the upper momentum components (k0, k1)."""
+        k0, k1 = np.asarray(k0), np.asarray(k1)
+        g = self.gaussian
+        return _polyval(self.prefactor, k0, k1) * g[0] * \
+            np.exp(_exponent(g, k0, k1))
 
     def fourier_lc(self, kp, km):
         """fhat on the d = 2 cone in lightcone coordinates k+- = k^0 +- k^1."""
@@ -227,8 +213,38 @@ class GaussianPacket:
     @property
     def reach(self):
         """Momentum radius beyond which fhat is negligible."""
-        k0 = self.carrier.components
-        return abs(k0[0]) + sum(abs(c) for c in k0[1:]) + 10.0 / self.width
+        _, s2, kappa, _ = self.gaussian
+        return abs(kappa[0]) + abs(kappa[1]) + 10.0 / math.sqrt(min(s2))
+
+
+@dataclass(frozen=True)
+class GaussianPacket(Smearing):
+    """Gaussian test function exp(-|x - c|_E^2 / 2 sigma^2) exp(-i k0 . x)
+    in d = 2: fhat is the Gaussian of width 1/sigma centred at the carrier
+    k0, with phase from the center c."""
+
+    center: MinkVector
+    width: float
+    carrier: MinkVector
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise DomainError("packet width must be positive")
+        if self.center.d != 2 or self.carrier.d != 2:
+            raise DomainError("GaussianPacket is a d = 2 test function")
+
+    def __call__(self, x0, x1):
+        """Position-space value at the coordinate arrays (x0, x1)."""
+        (c0, c1), (p0, p1) = self.center.components, self.carrier.components
+        x0, x1 = np.asarray(x0), np.asarray(x1)
+        return np.exp(-((x0 - c0) ** 2 + (x1 - c1) ** 2)
+                      / (2.0 * self.width ** 2) - 1j * (p0 * x0 - p1 * x1))
+
+    @property
+    def gaussian(self):
+        s2 = self.width ** 2
+        return (2.0 * np.pi * s2, (s2, s2), self.carrier.components,
+                self.center.components)
 
 
 def _lower(k):

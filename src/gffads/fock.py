@@ -16,8 +16,8 @@ Generator conventions (wavefunction operators, lower Minkowski indices):
              - d/dk^mu ((k . d/dk) + d) + nu^2 k_mu / k^2
 with box_k = (d/dk^0)^2 - (d/dk^1)^2 = 4 d/dk+ d/dk- and
 (k . d/dk) = k+ d/dk+ + k- d/dk-.  All relative signs are fixed by the
-commutator oracle, and the tests check the tables against these formulas
-applied literally with sympy.
+commutator oracle.  Only the tests apply these formulas literally with
+sympy calculus, as the reference for the tables below.
 
 The oracle holds each generator as an exact coefficient table
 {(i, j, a, b): c}, the operator sum c k+^i k-^j d^a/dk+^a d^b/dk-^b with
@@ -28,7 +28,9 @@ Senechal, Conformal Field Theory, 1997, sec. 4.1).  Only that table is
 applied to the mode, which must be P exp(E) with P and E polynomials:
 each derivative of it is Q exp(E) with Q a polynomial, got from the next
 lower one by d/dk (Q e^E) = (dQ/dk + Q dE/dk) e^E on coefficient arrays,
-so the oracle needs no symbolic calculus.
+so the oracle needs no symbolic calculus.  The special conformal law takes
+its right side the same way, from a table applied to the packet's Gaussian
+A exp(E).  sympy is imported lazily, for the exact table coefficients only.
 """
 
 import dataclasses
@@ -259,8 +261,8 @@ def _compose(A, B):
         for r in range(a1 + 1) for s in range(b1 + 1))
 
 
-def _operator(G):
-    """The coefficient table of G, composed as the module docstring has it."""
+def _tables():
+    """Coefficient tables of k_mu, d/dk^mu (mu = 0, 1) and k . d/dk."""
     import sympy as sym
     half = sym.Rational(1, 2)
     k_low = ({(1, 0, 0, 0): half, (0, 1, 0, 0): half},    # k_0
@@ -269,6 +271,13 @@ def _operator(G):
     d_up = ({(0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
             {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1})
     scaling = {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}  # k . d/dk
+    return k_low, d_up, scaling
+
+
+def _operator(G):
+    """The coefficient table of G, composed as the module docstring has it."""
+    import sympy as sym
+    k_low, d_up, scaling = _tables()
     if G.kind == "P":
         return k_low[G.mu]
     if G.kind == "M":
@@ -416,64 +425,54 @@ def algebra_closure_check(G1, G2, f, expr=None):
 # ---------------------------------------------------------------------------
 # special conformal transformation law at the field level
 
+def _special_conformal_image(f_position, mu, delta, grid):
+    """Samples of the wavefunction (k^2)^(nu/2) ghat(k) of the field smeared
+    with the special conformal transform of f_position,
+
+        g = -i (-2 x_mu (x . grad f) + x^2 grad_mu f + (2 delta - 2 d) x_mu f).
+
+    In momentum space x^nu is -i d/dk_nu and d/dx^nu is -i k_nu (lower
+    index), so g is an operator table applied to fhat = A exp(E); the
+    multiplications by x sit outside the x-space derivatives, so their
+    images are composed outermost.  E's coefficients in (k+, k-) come from
+    f_position.gaussian, and _oracle applies the table to A exp(E).
+    """
+    import sympy as sym
+    k_low, d_up, _ = _tables()
+    dot = lambda a, b: _combine(*((1, _compose(a[n], b[n])) for n in (0, 1)))
+    # x_nu = -i d/dk^nu for both nu; x^1 = -x_1
+    x_low = [_combine((-sym.I, d)) for d in d_up]
+    x_up = (x_low[0], _combine((-1, x_low[1])))
+    grad = [_combine((-sym.I, k)) for k in k_low]  # d/dx^nu, index lowered
+    op = _combine((2 * sym.I, _compose(x_low[mu], dot(x_up, grad))),
+                  (-sym.I, _compose(dot(x_up, x_low), grad[mu])),
+                  (-sym.I * (2 * delta - 4), x_low[mu]))
+    amp, (s0, s1), (p0, p1), (c0, c1) = f_position.gaussian
+    # k^mu - kappa^mu as coefficient arrays in (k+, k-)
+    d0 = np.array([[-p0, 0.5], [0.5, 0.0]])
+    d1 = np.array([[-p1, -0.5], [0.5, 0.0]])
+    E = -0.5 * (s0 * _polymul(d0, d0) + s1 * _polymul(d1, d1))
+    E[:2, :2] += 1j * (c0 * d0 - c1 * d1)
+    kp, km, _ = grid.mesh()
+    return math.sqrt(norm_const(2)) * (kp * km) ** ((delta - 1.0) / 2.0) * \
+        _oracle(op, np.array([[amp]]), E, grid.axis()[0])
+
+
 def special_conformal_field_law(f_position, mu, delta):
     """One-particle check of the position-space special conformal law.
 
     Left side: the momentum generator K(mu, delta) applied (spectrally on
     the grid) to the wavefunction (k^2)^(nu/2) fhat(k) of the
     dimension-delta field smeared with f.  Right side: the wavefunction of
-    the field smeared with the position-space transform of f,
-        g = -i (-2 x_mu (x . grad f) + x^2 grad_mu f + (2 delta - 2 d) x_mu f),
-    whose Fourier transform is computed exactly with sympy.  Returns the
-    relative L2 discrepancy.
+    the field smeared with the position-space transform of f, exact in form
+    (_special_conformal_image).  Returns the relative L2 discrepancy.
     """
-    import sympy as sym
     grid = LightconeGrid()
-    nu_par = delta - 1.0
-
-    def h_pow(m2):
-        return np.asarray(m2) ** (nu_par / 2.0)
-
-    psi = position_wavefunction(f_position, h_pow, grid)
+    psi = position_wavefunction(
+        f_position, lambda m2: np.asarray(m2) ** ((delta - 1.0) / 2.0), grid)
     left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi)
-
-    # exact Fourier transform of the transformed test function
-    k0s, k1s = sym.symbols("k0 k1", real=True)
-    sig = f_position.width
-    c = f_position.center.components
-    q0 = k0s - f_position.carrier.components[0]
-    q1 = k1s - f_position.carrier.components[1]
-    fhat = (2 * sym.pi) * sig ** 2 * sym.exp(
-        sym.I * (q0 * c[0] - q1 * c[1])
-        - sig ** 2 * (q0 ** 2 + q1 ** 2) / 2)
-
-    # momentum-space images: x^nu -> -i d/dk_nu, d/dx^nu -> -i k_nu
-    def x_op(nu_i, e):  # multiplication by x^nu_i
-        return -sym.I * (sym.diff(e, k0s) if nu_i == 0 else -sym.diff(e, k1s))
-
-    # Operator order matters: multiplications by x sit outside the x-space
-    # derivatives, so their momentum images are applied outermost.
-    # x . grad f = x^0 d_0 f + x^1 d_1 f; FT(d/dx^nu f) = -i k_nu fhat
-    # with the lower-index component k_nu (k_0 = k0, k_1 = -k1).
-    d0f = -sym.I * k0s * fhat
-    d1f = -sym.I * (-k1s) * fhat
-    xdotgrad = x_op(0, d0f) + x_op(1, d1f)
-    klow_mu = k0s if mu == 0 else -k1s
-    dmu_f = -sym.I * klow_mu * fhat  # FT of d f / d x^mu (index lowered)
-    # x^2 (d_mu f): image of x.x = (x^0)^2 - (x^1)^2 applied to FT(d_mu f)
-    x2dmu = x_op(0, x_op(0, dmu_f)) - x_op(1, x_op(1, dmu_f))
-    xmu = lambda e: (x_op(0, e) if mu == 0 else -x_op(1, e))  # x_mu = eta x^nu
-
-    ghat = -sym.I * (-2 * xmu(xdotgrad) + x2dmu
-                     + (2 * delta - 4) * xmu(fhat))
-    ghat_fn = sym.lambdify((k0s, k1s), sym.expand(ghat), "numpy")
-
-    def right_func(kp, km):
-        k0 = 0.5 * (kp + km)
-        k1 = 0.5 * (kp - km)
-        return math.sqrt(norm_const(2)) * h_pow(kp * km) * ghat_fn(k0, k1)
-
-    right = ModeFunction(grid, right_func)
+    right = ModeFunction(grid, samples=_special_conformal_image(
+        f_position, mu, delta, grid))
     diff = left - right
     denom = right.norm()
     return {"relative_l2": diff.norm() / denom, "right_norm": denom,

@@ -15,12 +15,16 @@ Matrix elements between smeared one-particle states are 3-dimensional
 integrals after the delta(k1^2 - k2^2) constraint is resolved in lightcone
 coordinates (k2- = k1+ k1- / k2+).
 
-Every smearing that reaches the momentum grids is a diagonal Gaussian
-(GaussianPacket.gaussian), for derivative and moment smearings times a
-polynomial prefactor.  The matrix-element, bulk-reduction and divergence
-kernels build their integrands from that closed form and the kernel's
-polynomial splits, walking the k2+ axis one node at a time over the
-flattened (k1+, k1-) grid, so no array spans the full grid.
+Every smearing is a correlators.Smearing: a diagonal Gaussian (A, s2,
+kappa, c) times a polynomial prefactor, which is 1 for Gaussian packets and
+the unit-time-area smearing, -i k^mu for DerivativePacket and the
+derivative of the exponent for MomentPacket.  The matrix-element,
+bulk-reduction and divergence kernels build their integrands from that form
+and the kernel's polynomial splits, walking the k2+ axis one node at a time
+over the flattened (k1+, k1-) grid, so no array spans the full grid.  The
+ket of the matrix element, the tensor smearing of the bulk-reduction and
+divergence kernels and the base of a polynomial packet must be plain
+Gaussians: a prefactor there raises DomainError.
 """
 
 import math
@@ -30,7 +34,8 @@ import numpy as np
 from .errors import DomainError, checked_sequence
 from .specfun import _nu, bessel_j
 from .quadrature import _gauss_legendre, adaptive_finite
-from .correlators import Correlator, _lower, lightcone_grid_nodes, norm_const
+from .correlators import (Correlator, Smearing, _exponent, _lower, _polyval,
+                          lightcone_grid_nodes, norm_const)
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
 
 __all__ = ["set_kernel", "set_matrix_element", "conservation_check",
@@ -124,85 +129,52 @@ def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
 
 
 # ---------------------------------------------------------------------------
-# test-function wrappers (closed-form Fourier transforms)
+# polynomial smearings of a Gaussian
 
-def _exponent(g, k0, k1):
-    """log(fhat / A) of the diagonal Gaussian g = (A, s2, kappa, c) at the
-    upper momentum components (k0, k1)."""
-    _, (s0, s1), (p0, p1), (c0, c1) = g
-    d0, d1 = k0 - p0, k1 - p1
-    return -0.5 * (s0 * d0 * d0 + s1 * d1 * d1) + 1j * (c0 * d0 - c1 * d1)
-
-
-def _log_derivative(g, mu, k0, k1):
-    """d/dk^mu of the exponent of the diagonal Gaussian g."""
-    _, s2, kappa, c = g
-    phase = 1j * c[0] if mu == 0 else -1j * c[1]
-    return phase - s2[mu] * (np.asarray(k0 if mu == 0 else k1) - kappa[mu])
+def _plain_gaussian(f, where):
+    """The Gaussian form of the smearing f, which must have no polynomial
+    prefactor: where names the caller in the DomainError otherwise."""
+    if f.prefactor != Smearing.prefactor:
+        raise DomainError(f"{where} takes a plain Gaussian smearing, not one "
+                          "with a polynomial prefactor")
+    return f.gaussian
 
 
-class _PolynomialPacket:
-    """A packet whose fhat is prefactor(k0, k1) times the fhat of its base."""
+class DerivativePacket(Smearing):
+    """d^mu f for a plain Gaussian smearing f: multiplies fhat by -i k^mu."""
 
     def __init__(self, base, mu):
-        self.base = base
-        self.mu = mu
-
-    def fourier(self, k0, k1):
-        return self.prefactor(k0, k1) * self.base.fourier(k0, k1)
+        _check_indices(mu, 0)
+        super().__init__(_plain_gaussian(base, "DerivativePacket"),
+                         {(1 - mu, mu): -1j})
 
 
-class DerivativePacket(_PolynomialPacket):
-    """d^mu f for a packet f: multiplies fhat by -i k^mu."""
+class MomentPacket(Smearing):
+    """x^mu f for a plain Gaussian smearing f: -i d/dk_mu applied to fhat
+    multiplies it by -i (mu = 0) or +i (mu = 1, d/dk_1 = -d/dk^1) times the
+    k^mu-derivative of its exponent."""
 
-    def prefactor(self, k0, k1):
-        return -1j * (k0 if self.mu == 0 else k1)
-
-
-class MomentPacket(_PolynomialPacket):
-    """x^mu f for a Gaussian packet f: applies -i d/dk_mu to fhat in closed
-    form, the derivative of the base's Gaussian exponent times fhat."""
-
-    def prefactor(self, k0, k1):
-        # -i d/dk_0 = -i d/dk0 ; -i d/dk_1 = +i d/dk1
-        s = -1j if self.mu == 0 else 1j
-        return s * _log_derivative(self.base.gaussian, self.mu, k0, k1)
+    def __init__(self, base, mu):
+        _check_indices(mu, 0)
+        g = _plain_gaussian(base, "MomentPacket")
+        _, s2, kappa, c = g
+        sign = -1j if mu == 0 else 1j
+        phase = 1j * c[0] if mu == 0 else -1j * c[1]
+        super().__init__(g, {(0, 0): sign * (phase + s2[mu] * kappa[mu]),
+                             (1 - mu, mu): -sign * s2[mu]})
 
 
-class AnisoGaussian:
-    """exp(-(x0-c0)^2 / 2 wt^2) exp(-(x1-c1)^2 / 2 ws^2), heights 1.
-
-    fhat(k) = 2 pi wt ws exp(i(k0 c0 - k1 c1)) exp(-wt^2 k0^2/2 - ws^2 k1^2/2)
-    for centers (c0, c1); closed-form momentum derivatives are provided for
-    the first-moment smearings.
-    """
+class AnisoGaussian(Smearing):
+    """exp(-(x0-c0)^2 / 2 wt^2) exp(-(x1-c1)^2 / 2 ws^2), heights 1:
+    A = 2 pi wt ws, s2 = (wt^2, ws^2), no carrier, c = center."""
 
     def __init__(self, wt, ws, center=(0.0, 0.0)):
         if wt <= 0 or ws <= 0:
             raise DomainError("widths must be positive")
-        self.wt, self.ws = float(wt), float(ws)
-        self.center = (float(center[0]), float(center[1]))
-
-    @property
-    def reach(self):
-        """Momentum radius beyond which fhat is negligible."""
-        return 10.0 / min(self.wt, self.ws)
-
-    @property
-    def gaussian(self):
-        """fhat as (A, s2, kappa, c), the form of GaussianPacket.gaussian."""
-        return ((2.0 * np.pi) * self.wt * self.ws,
-                (self.wt ** 2, self.ws ** 2), (0.0, 0.0), self.center)
-
-    def fourier(self, k0, k1):
-        amp, (s0, s1), _, (c0, c1) = self.gaussian
-        k0, k1 = np.asarray(k0), np.asarray(k1)
-        return amp * np.exp(1j * (k0 * c0 - k1 * c1)
-                            - 0.5 * s0 * k0 ** 2 - 0.5 * s1 * k1 ** 2)
-
-    def fourier_derivative(self, mu, k0, k1):
-        return _log_derivative(self.gaussian, mu, k0, k1) * \
-            self.fourier(k0, k1)
+        wt, ws = float(wt), float(ws)
+        super().__init__(((2.0 * np.pi) * wt * ws, (wt ** 2, ws ** 2),
+                          (0.0, 0.0), (float(center[0]), float(center[1]))),
+                         Smearing.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +197,7 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
     k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint.  The k2+ axis
     is walked one node at a time over the flattened (k1+, k1-) rows; on each
     slice fhat2(-q2) fhat(q1 + q2), two diagonal Gaussians, is one complex
-    exponential times the prefactors of derivative and moment smearings.
+    exponential times the prefactor of f; f2 must be a plain Gaussian.
     error_estimate is the difference to the same quadrature on n_nodes // 2
     nodes.
     """
@@ -236,12 +208,7 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
         raise DomainError("set_matrix_element needs n_nodes >= 2")
     e1, e2 = _ORDERINGS[ordering]
     kmax = 2.0 * max(f1.reach, f2.reach)
-    g2 = f2.gaussian
-    # a derivative or moment smearing: its polynomial over its base's Gaussian
-    if isinstance(f, _PolynomialPacket):
-        poly, g = f.prefactor, f.base.gaussian
-    else:
-        poly, g = (lambda k0, k1: 1.0), f.gaussian
+    g2, g = _plain_gaussian(f2, "set_matrix_element's f2"), f.gaussian
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -260,7 +227,8 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
             q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
             x2 = (-q2[0], q2[1])
             x = (q1[0] + q2[0], -(q1[1] + q2[1]))
-            vals = poly(*x) * np.exp(_exponent(g2, *x2) + _exponent(g, *x))
+            vals = _polyval(f.prefactor, *x) * \
+                np.exp(_exponent(g2, *x2) + _exponent(g, *x))
             kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
             total += w2p / k2p * np.dot(bra * kern, vals)
         return complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
@@ -316,15 +284,9 @@ def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence):
 def _unit_time_area(s):
     """Gaussian with int dt = 1 in time (width 0.5), height 1 in space
     (width s)."""
-
-    class _Scaled(AnisoGaussian):
-        # fourier and fourier_derivative build on the scaled amplitude
-        @property
-        def gaussian(self):
-            amp, s2, kappa, c = super().gaussian
-            return amp / (math.sqrt(2.0 * math.pi) * self.wt), s2, kappa, c
-
-    return _Scaled(0.5, s)
+    amp, *form = AnisoGaussian(0.5, s).gaussian
+    return Smearing((amp / (math.sqrt(2.0 * math.pi) * 0.5), *form),
+                    Smearing.prefactor)
 
 
 def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
@@ -419,7 +381,8 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     sigmas = checked_sequence(sigma_sequence, "sigma_sequence",
                               increasing=False)
     _check_indices(mu, nu)
-    amp, (s0, s1), (p0, p1), _ = f.gaussian
+    amp, (s0, s1), (p0, p1), _ = _plain_gaussian(
+        f, "vacuum_fluctuation_divergence")
     k, w = lightcone_grid_nodes(n_nodes, kmax)
     # rows: the (k1+, k1-) grid flattened, on the last axis of every array
     k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
@@ -569,7 +532,7 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     k2_0, k2_1 = kl2[0], -kl2[1]
     a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx, improvement)
 
-    g = f.gaussian
+    g = _plain_gaussian(f, "ads_set_matrix_element")
     amp, (s0, s1), (p0, p1), _ = g
     # log(fhat(k1 - k2) / A) = e1 + e2 + sum_mu s2_mu (k1 - kappa)^mu k2^mu
     e1 = _exponent(g, k1_0, k1_1)
@@ -623,6 +586,4 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx,
         deviations.append(abs(val - target.value) / scale)
     return {"target": target.value, "values": values,
             "relative_deviations": deviations,
-            "final_relative_deviation": deviations[-1],
-            "monotone_tail": all(b < a for a, b in
-                                 zip(deviations[1:], deviations[2:]))}
+            "final_relative_deviation": deviations[-1]}

@@ -137,6 +137,12 @@ class TestBoundaryLimit:
         assert rep["monotone"]
         assert rep["relative_deviations"][-1] < 1e-2
 
+    def test_single_depth_has_no_trend(self):
+        # the form `gffads compute boundaryLimitCheck` uses
+        rep = boundary_limit_check(SPEC, (0.02,), MinkVector((0.0, 4.0)))
+        assert rep["monotone"] is None
+        assert rep["relative_deviations"][0] < 1e-2
+
     def test_validation(self):
         with pytest.raises(DomainError):
             boundary_limit_check(SPEC, (0.02, 0.04), MinkVector((0.0, 4.0)))

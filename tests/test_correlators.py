@@ -83,6 +83,13 @@ class TestGaussianPacket:
         with pytest.raises(DomainError):
             GaussianPacket(MinkVector((0.0, 0.0)), 0.0, MinkVector((0.0, 0.0)))
 
+    @pytest.mark.parametrize("center, carrier", [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 0.0, 0.0), (1.0, 0.0)),
+        ((0.0, 0.0), (1.0, 0.0, 0.0))])
+    def test_two_dimensional_only(self, center, carrier):
+        with pytest.raises(DomainError, match="d = 2"):
+            GaussianPacket(MinkVector(center), 1.0, MinkVector(carrier))
+
 
 class TestWightman:
     def test_momentum_oracle(self):

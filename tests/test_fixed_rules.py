@@ -1,12 +1,19 @@
-"""Every Gauss-Legendre and Gauss-Laguerre rule comes from quadrature.
+"""Fixed rules of the package source, checked on its syntax trees.
 
+Every Gauss-Legendre and Gauss-Laguerre rule comes from quadrature:
 quadrature._gauss_legendre maps cached, read-only Gauss-Legendre tables
 onto [a, b], and quadrature._laguerre_table caches the read-only
 Gauss-Laguerre tables of the rotated Bessel-product tails.  A module that
 calls numpy's leggauss or laggauss itself holds a second copy of that code
-and rebuilds a table the cache already has.  Each mention of these names in
-src/gffads (an attribute, a bare name or an imported name) is found with
-`ast`, so a copy fails here whichever import path it takes.
+and rebuilds a table the cache already has.
+
+No module turns a sympy expression into a numeric function with lambdify:
+the symbolic oracles of fock apply exact operator tables to coefficient
+arrays, and sympy calculus is kept for the references in tests.
+
+Each mention of these names in src/gffads (an attribute, a bare name or an
+imported name) is found with `ast`, so a use fails here whichever import
+path it takes.
 """
 
 import ast
@@ -15,11 +22,11 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gffads"
 
 
-def rule_uses(rule):
-    """Labels file:line of each mention of rule outside quadrature.py."""
+def rule_uses(rule, home="quadrature.py"):
+    """Labels file:line of each mention of rule outside the module home."""
     culprits = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "quadrature.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.alias):
@@ -41,3 +48,10 @@ def test_only_quadrature_calls_laggauss():
     culprits = rule_uses("laggauss")
     assert not culprits, ("laggauss outside quadrature (use "
                           "quadrature._laguerre_table): " + ", ".join(culprits))
+
+
+def test_no_lambdify():
+    culprits = rule_uses("lambdify", home=None)
+    assert not culprits, ("lambdify in the package (apply an operator table "
+                          "to coefficient arrays instead): "
+                          + ", ".join(culprits))

@@ -3,12 +3,12 @@ import pytest
 import sympy as sym
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import GaussianPacket, Power, smeared2pt
+from gffads.correlators import GaussianPacket, Power, norm_const, smeared2pt
 from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
                          _combine, _compose, _operator, _oracle, _read_form,
-                         algebra_closure_check, apply_generator,
-                         gaussian_mode, inner_product, npoint,
+                         _special_conformal_image, algebra_closure_check,
+                         apply_generator, gaussian_mode, inner_product, npoint,
                          position_wavefunction, special_conformal_field_law)
 from gffads.spacetime import MinkVector
 
@@ -435,6 +435,53 @@ class TestAlgebraClosure:
         rep = algebra_closure_check(D, K1, f, expr)
         assert rep["relative_discrepancy"] < 1e-4
         assert not rep["vanishes"]
+        # the special conformal law builds its right side the same way
+        law = special_conformal_field_law(CONFORMAL_PACKETS[0], 0, 1.5)
+        assert law["relative_l2"] < 1e-4
+
+
+def _sympy_special_conformal_image(f, mu, delta, grid):
+    """The right side of special_conformal_field_law by sympy calculus.
+
+    The reference for the library's operator-table route: fhat is rebuilt
+    as a sympy expression in (k^0, k^1), the transform
+        g = -i (-2 x_mu (x . grad f) + x^2 grad_mu f + (2 delta - 4) x_mu f)
+    is taken literally with x^nu -> -i d/dk_nu and d/dx^nu -> -i k_nu, and
+    the result is expanded and lambdified onto the grid.
+    """
+    k0s, k1s = sym.symbols("k0 k1", real=True)
+    sig = f.width
+    c = f.center.components
+    q0 = k0s - f.carrier.components[0]
+    q1 = k1s - f.carrier.components[1]
+    fhat = (2 * sym.pi) * sig ** 2 * sym.exp(
+        sym.I * (q0 * c[0] - q1 * c[1]) - sig ** 2 * (q0 ** 2 + q1 ** 2) / 2)
+
+    def x_op(nu_i, e):  # multiplication by x^nu_i
+        return -sym.I * (sym.diff(e, k0s) if nu_i == 0 else -sym.diff(e, k1s))
+
+    # the multiplications by x sit outside the x-space derivatives, so
+    # their momentum images are applied outermost; FT(d/dx^nu f) is
+    # -i k_nu fhat with k_0 = k0, k_1 = -k1
+    xdotgrad = x_op(0, -sym.I * k0s * fhat) + x_op(1, sym.I * k1s * fhat)
+    dmu_f = -sym.I * (k0s if mu == 0 else -k1s) * fhat
+    x2dmu = x_op(0, x_op(0, dmu_f)) - x_op(1, x_op(1, dmu_f))
+    xmu = lambda e: (x_op(0, e) if mu == 0 else -x_op(1, e))  # x_mu
+    ghat = -sym.I * (-2 * xmu(xdotgrad) + x2dmu
+                     + (2 * delta - 4) * xmu(fhat))
+    ghat_fn = sym.lambdify((k0s, k1s), sym.expand(ghat), "numpy")
+    kp, km, _ = grid.mesh()
+    return np.sqrt(norm_const(2)) * (kp * km) ** ((delta - 1.0) / 2.0) * \
+        ghat_fn(0.5 * (kp + km), 0.5 * (kp - km))
+
+
+CONFORMAL_PACKETS = [
+    GaussianPacket(MinkVector((0.1, -0.3)), 1.1, MinkVector((2.2, 0.4))),
+    GaussianPacket(MinkVector((-0.2, 0.4)), 0.9, MinkVector((2.0, -0.5))),
+    GaussianPacket(MinkVector((0.0, 0.0)), 1.0, MinkVector((1.5, 0.0))),
+    GaussianPacket(MinkVector((0.5, 0.2)), 0.7, MinkVector((3.0, 1.2))),
+    GaussianPacket(MinkVector((-0.4, -0.6)), 1.3, MinkVector((1.8, -0.9))),
+]
 
 
 class TestSpecialConformalFieldLaw:
@@ -449,6 +496,18 @@ class TestSpecialConformalFieldLaw:
                            MinkVector((2.0, -0.5)))
         rep = special_conformal_field_law(f, mu=1, delta=1.7)
         assert rep["relative_l2"] < 1e-4
+
+    @pytest.mark.parametrize("delta", [1.5, 1.7])
+    @pytest.mark.parametrize("mu", [0, 1])
+    @pytest.mark.parametrize("packet", range(len(CONFORMAL_PACKETS)))
+    def test_table_route_matches_sympy_route(self, packet, mu, delta):
+        f = CONFORMAL_PACKETS[packet]
+        grid = LightconeGrid()
+        got = _special_conformal_image(f, mu, delta, grid)
+        want = _sympy_special_conformal_image(f, mu, delta, grid)
+        w = grid.mesh()[2]
+        l2 = lambda z: np.sqrt(np.sum(w * np.abs(z) ** 2))
+        assert l2(got - want) <= 1e-12 * l2(want)
 
 
 class TestPositionWavefunction:

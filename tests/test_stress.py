@@ -134,23 +134,54 @@ class TestPackets:
         with pytest.raises(DomainError):
             AnisoGaussian(0.0, 1.0)
 
+    def test_gaussian_forms_match_grid_transform(self):
+        # fhat(k) = int d^2x f(x) exp(i (k0 x0 - k1 x1)) by the trapezoid
+        # rule, for the heights-1 AnisoGaussian and the smearing of unit
+        # time integral
+        x = np.linspace(-12.0, 12.0, 1201)
+        t, y = np.meshgrid(x, x, indexing="ij")
+        k = (0.7, -0.3)
+        phase = np.exp(1j * (k[0] * t - k[1] * y))
+        for f, values in (
+                (AnisoGaussian(0.7, 1.2, center=(0.2, -0.3)),
+                 np.exp(-(t - 0.2) ** 2 / (2 * 0.49)
+                        - (y + 0.3) ** 2 / (2 * 1.44))),
+                (_unit_time_area(1.5),
+                 np.exp(-t ** 2 / 0.5 - y ** 2 / 4.5)
+                 / math.sqrt(0.5 * np.pi))):
+            num = np.trapezoid(np.trapezoid(values * phase, x, axis=1), x)
+            assert abs(num - f.fourier(*k)) < 1e-10 * abs(num)
+
     def test_moment_packet_matches_fd(self):
-        base = AnisoGaussian(0.7, 1.1, center=(0.2, -0.4))
+        # x_0 smearing is -i d/dk^0, x^1 smearing flips the metric sign;
+        # the second base has a carrier
         k0, k1 = 0.9, -0.3
         h = 1e-5
-        fd0 = (base.fourier(k0 + h, k1) - base.fourier(k0 - h, k1)) / (2 * h)
-        fd1 = (base.fourier(k0, k1 + h) - base.fourier(k0, k1 - h)) / (2 * h)
-        assert abs(base.fourier_derivative(0, k0, k1) - fd0) < 1e-8
-        assert abs(base.fourier_derivative(1, k0, k1) - fd1) < 1e-8
-        # x_0 smearing is -i d/dk^0, x^1 smearing flips the metric sign
-        assert MomentPacket(base, 0).fourier(k0, k1) == pytest.approx(
-            -1j * base.fourier_derivative(0, k0, k1))
+        for base in (AnisoGaussian(0.7, 1.1, center=(0.2, -0.4)),
+                     GaussianPacket(MinkVector((0.2, -0.4)), 0.8,
+                                    MinkVector((0.6, -0.3)))):
+            for mu, sign, (a, b) in ((0, -1j, (h, 0.0)), (1, 1j, (0.0, h))):
+                fd = (base.fourier(k0 + a, k1 + b)
+                      - base.fourier(k0 - a, k1 - b)) / (2 * h)
+                got = MomentPacket(base, mu).fourier(k0, k1)
+                assert abs(got - sign * fd) < 1e-8
 
     def test_derivative_packet(self):
         base = AnisoGaussian(0.7, 1.1)
         k0, k1 = 0.9, -0.3
         assert DerivativePacket(base, 1).fourier(k0, k1) == pytest.approx(
             -1j * k1 * base.fourier(k0, k1))
+
+    @pytest.mark.parametrize("packet", [DerivativePacket, MomentPacket])
+    def test_polynomial_packet_validation(self, packet):
+        base = AnisoGaussian(0.7, 1.1)
+        for mu in (-1, 2):
+            with pytest.raises(DomainError, match="out of range"):
+                packet(base, mu)
+        # a packet's form would drop the prefactor of a polynomial base
+        for inner in (DerivativePacket, MomentPacket):
+            with pytest.raises(DomainError, match="prefactor"):
+                packet(inner(base, 0), 1)
 
 
 class TestMatrixElement:
@@ -176,6 +207,10 @@ class TestMatrixElement:
         for mu, nu, n in ((2, 0, 8), (0, -1, 8), (0, 0, 1), (0, 0, 0)):
             with pytest.raises(DomainError):
                 set_matrix_element(f, hpow, f1, hpow, f2, mu, nu, n_nodes=n)
+        # the ket enters through its Gaussian form alone
+        with pytest.raises(DomainError, match="prefactor"):
+            set_matrix_element(f, hpow, f1, hpow, DerivativePacket(f2, 0),
+                               0, 0)
 
     def test_half_grid_estimate_covers_error(self, packet_trio, hpow):
         # the estimate compares with n // 2 = 8 nodes, a coarser grid; the
@@ -362,6 +397,14 @@ class TestVacuumFluctuation:
         with pytest.raises(DomainError):
             vacuum_fluctuation_divergence(f, (0.2, 0.1), mu=-1)
 
+    @pytest.mark.parametrize("packet", [DerivativePacket, MomentPacket])
+    def test_polynomial_smearing_rejected(self, packet):
+        # |fhat|^2 is taken from the Gaussian form alone: a prefactor would
+        # be dropped silently
+        f = packet(AnisoGaussian(0.8, 0.8), 1)
+        with pytest.raises(DomainError, match="prefactor"):
+            vacuum_fluctuation_divergence(f, (0.4, 0.2), n_nodes=4, n_inner=2)
+
 
 class TestZIntegralWeight:
     def test_closed_matches_adaptive(self):
@@ -459,6 +502,15 @@ class TestAdsReduction:
                 ads_set_reduction(0.5, zs, f, hpow, f1, hpow, f2, 0, 0)
         with pytest.raises(DomainError):
             ads_set_matrix_element(0.5, 4.0, f, hpow, f1, hpow, f2, 0, 2)
+
+    @pytest.mark.parametrize("packet", [DerivativePacket, MomentPacket])
+    def test_polynomial_smearing_rejected(self, packet_trio, hpow, packet):
+        # the kernel integrates the Gaussian form alone: a prefactor would
+        # be dropped silently
+        f1, f2, f = packet_trio
+        with pytest.raises(DomainError, match="prefactor"):
+            ads_set_matrix_element(0.5, 4.0, packet(f, 0), hpow, f1, hpow, f2,
+                                   0, 0, n_outer=4, n_inner=4)
 
 
 def _traced_peak(run):
