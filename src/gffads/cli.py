@@ -169,8 +169,9 @@ def _check(name, value, reference, tolerance, error=0.0, inputs=None):
     return rec
 
 
-def _flag(name, condition, value=0.0):
-    return _record(name, complex(value), passed=bool(condition), tolerance=0.0)
+def _flag(name, condition, value=0.0, inputs=None):
+    return _record(name, complex(value), passed=bool(condition), tolerance=0.0,
+                   inputs=inputs)
 
 
 def _fmt17(x):
@@ -502,16 +503,19 @@ def _suite_set(cfg, rng):
                        inputs={"Z": 8.0, "nu": 0.5}))
     sig = [0.4 * 0.5 ** i for i in range(6)]
     div = stress.vacuum_fluctuation_divergence(f, sig)
+    # how much of the grid took an exponential (the rest is exactly 0)
+    counts = {key: div[key] for key in ("grid_points", "exponentials")}
     recs.append(_flag("set.vacuum_fluctuation_diverges",
-                      div["strictly_increasing"], div["growth_exponent"]))
+                      div["strictly_increasing"], div["growth_exponent"],
+                      inputs=counts))
     recs.append(_check("set.vacuum_fluctuation_growth_exponent",
                        div["growth_exponent"], 1.0, 0.3,
-                       inputs={"sigmas": sig}))
+                       inputs={"sigmas": sig, **counts}))
     ctrl = stress.vacuum_fluctuation_divergence(f, sig, fixed_width=0.3)
     spread = (max(ctrl["values"]) - min(ctrl["values"])) \
         / max(abs(v) for v in ctrl["values"])
     recs.append(_check("set.vacuum_fluctuation_smooth_control", spread, 0.0,
-                       1e-10))
+                       1e-10, inputs={key: ctrl[key] for key in counts}))
     return recs
 
 

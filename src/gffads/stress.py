@@ -25,6 +25,15 @@ over the flattened (k1+, k1-) grid, so no array spans the full grid.  The
 ket of the matrix element, the tensor smearing of the bulk-reduction and
 divergence kernels and the base of a polynomial packet must be plain
 Gaussians: a prefactor there raises DomainError.
+
+No kernel computes what it knows exactly, and every value is the one the
+plain per-point evaluation gives, bit for bit: terms that share a Gaussian
+(the two derivative packets of conservation_check, the 00 and 11 components
+of trace_check, the two moment packets of lorentz_density_check) share one
+pass and one exponential per slice (_set_terms); the divergence evaluates
+no exponential below -746, where exp is exactly 0; the bulk reduction builds
+its weight matrix in cache-sized row blocks and tests its mass diagonal at
+the few candidate entries a sorted search finds.
 """
 
 import math
@@ -47,6 +56,11 @@ __all__ = ["set_kernel", "set_matrix_element", "conservation_check",
            "MomentPacket", "generator_matrix_element"]
 
 _ETA = np.diag([1.0, -1.0])
+# np.exp of an argument below this is exactly 0.0 (e^-746 is under half the
+# smallest subnormal double)
+_EXP_ZERO = -746.0
+# rows of a block of the bulk-reduction weight matrix
+_ROW_BLOCK = 64
 
 
 def _p_term(q1, q2, mu, nu):
@@ -194,21 +208,37 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
         right:  <Omega, phi_{h1}(f1) phi_{h2}(f2) Theta(f) Omega>
 
     evaluated as the 3-dimensional lightcone quadrature (k1+, k1-, k2+) with
-    k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint.  The k2+ axis
-    is walked one node at a time over the flattened (k1+, k1-) rows; on each
-    slice fhat2(-q2) fhat(q1 + q2), two diagonal Gaussians, is one complex
-    exponential times the prefactor of f; f2 must be a plain Gaussian.
-    error_estimate is the difference to the same quadrature on n_nodes // 2
-    nodes.
+    k2- = k1+ k1- / k2+ fixed by the mass-diagonal constraint; f2 must be a
+    plain Gaussian.  This is the one-term call of _set_terms, which states
+    the quadrature.  error_estimate is the difference to the same quadrature
+    on n_nodes // 2 nodes.
+    """
+    return _set_terms(((f, mu, nu),), h1, f1, h2, f2, ordering, n_nodes,
+                      improvement)[0]
+
+
+def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
+               improvement=0.0):
+    """set_matrix_element of every (f, mu, nu) of terms, in one pass.
+
+    The smearings f of one call share their Gaussian form (they differ in
+    prefactor and tensor indices only, as d^mu f or x^mu f of one f), so
+    the part of the integrand that does not depend on the term is computed
+    once.  The k2+ axis is walked one node at a time over the flattened
+    (k1+, k1-) rows; on each slice fhat2(-q2) fhat(q1 + q2), two diagonal
+    Gaussians, is one complex exponential, which each term multiplies by its
+    prefactor and its kernel polynomial (_kernel_lightcone).  Returns one
+    Correlator a term, each value bit-identical to the term on its own.
     """
     if ordering not in _ORDERINGS:
         raise DomainError(f"unknown ordering {ordering!r}")
-    _check_indices(mu, nu)
+    for _, mu, nu in terms:
+        _check_indices(mu, nu)
     if n_nodes < 2:
         raise DomainError("set_matrix_element needs n_nodes >= 2")
     e1, e2 = _ORDERINGS[ordering]
     kmax = 2.0 * max(f1.reach, f2.reach)
-    g2, g = _plain_gaussian(f2, "set_matrix_element's f2"), f.gaussian
+    g2, g = _plain_gaussian(f2, "set_matrix_element's f2"), terms[0][0].gaussian
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -218,29 +248,38 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
         # fourier takes upper components: f1 at -q1, f2 at -q2, f at q1 + q2
         bra = np.outer(w, w).ravel() * np.asarray(h1(m2)) * \
             np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1])
-        (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
-                                                          improvement)
-        c0 = c0 + dpm * m2
-        total = 0.0j
+        kernels = []
+        for f, mu, nu in terms:
+            (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
+                                                              improvement)
+            kernels.append((f.prefactor, c0 + dpm * m2, cp, cm, dpp, dmm))
+        totals = [0.0j] * len(terms)
         for k2p, w2p in zip(k, w):
             k2m = m2 / k2p
             q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
             x2 = (-q2[0], q2[1])
             x = (q1[0] + q2[0], -(q1[1] + q2[1]))
-            vals = _polyval(f.prefactor, *x) * \
-                np.exp(_exponent(g2, *x2) + _exponent(g, *x))
-            kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
-            total += w2p / k2p * np.dot(bra * kern, vals)
-        return complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
+            gauss = np.exp(_exponent(g2, *x2) + _exponent(g, *x))
+            for t, (pre, c0, cp, cm, dpp, dmm) in enumerate(kernels):
+                kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
+                totals[t] += w2p / k2p * np.dot(bra * kern,
+                                                _polyval(pre, *x) * gauss)
+        return [complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
+                for total in totals]
 
-    value = on_grid(n_nodes)
-    return Correlator(value, abs(value - on_grid(n_nodes // 2)))
+    values = on_grid(n_nodes)
+    return [Correlator(v, abs(v - half))
+            for v, half in zip(values, on_grid(n_nodes // 2))]
 
 
 def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
-    """Contraction sum_mu <.. Theta_mn(d^mu f) ..> must vanish (d^m Theta = 0)."""
-    terms = [set_matrix_element(DerivativePacket(f, mu), h1, f1, h2, f2,
-                                mu, nu, **kwargs) for mu in (0, 1)]
+    """Contraction sum_mu <.. Theta_mn(d^mu f) ..> must vanish (d^m Theta = 0).
+
+    The terms d^0 f and d^1 f share f's Gaussian, so both are one _set_terms
+    pass; kwargs are set_matrix_element's (ordering, n_nodes, improvement).
+    """
+    terms = _set_terms([(DerivativePacket(f, mu), mu, nu) for mu in (0, 1)],
+                       h1, f1, h2, f2, **kwargs)
     # DerivativePacket multiplies by -i k^mu, i.e. it already represents
     # d^mu f with the raised index, so the terms add without metric signs
     total = terms[0].value + terms[1].value
@@ -290,10 +329,13 @@ def _unit_time_area(s):
 
 
 def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
-    """Spatially integrated x_m Theta_0n - x_n Theta_0m approaches M_mn."""
+    """Spatially integrated x_m Theta_0n - x_n Theta_0m approaches M_mn.
+
+    M_mm = 0, so mu == nu has no limit to approach and raises DomainError.
+    """
+    _check_indices(mu, nu)
     if mu == nu:
-        return {"target": 0.0, "values": [0.0], "relative_deviations": [0.0],
-                "monotone": True}
+        raise DomainError("lorentz_density_check needs mu != nu: M_mm = 0")
     # The density integral realizes the transformation of the fields, whose
     # one-particle action is minus the wavefunction boost operator used in
     # fock (the two conventions differ by an overall sign for M, not for P;
@@ -304,11 +346,10 @@ def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
     sign = (1.0, -1.0)
 
     def value(f, n):
-        va = set_matrix_element(MomentPacket(f, mu), h1, f1, h2, f2, 0, nu,
-                                n_nodes=n).value
-        vb = set_matrix_element(MomentPacket(f, nu), h1, f1, h2, f2, 0, mu,
-                                n_nodes=n).value
-        return sign[mu] * va - sign[nu] * vb
+        va, vb = _set_terms(((MomentPacket(f, mu), 0, nu),
+                             (MomentPacket(f, nu), 0, mu)),
+                            h1, f1, h2, f2, n_nodes=n)
+        return sign[mu] * va.value - sign[nu] * vb.value
 
     return _broadening(target, value, broadening_sequence)
 
@@ -331,8 +372,7 @@ def _broadening(target, value, broadening_sequence):
 
 def trace_check(h1, f1, h2, f2, f, **kwargs):
     """eta^{mn} trace of the matrix element; nonzero for generic inputs."""
-    m00 = set_matrix_element(f, h1, f1, h2, f2, 0, 0, **kwargs)
-    m11 = set_matrix_element(f, h1, f1, h2, f2, 1, 1, **kwargs)
+    m00, m11 = _set_terms(((f, 0, 0), (f, 1, 1)), h1, f1, h2, f2, **kwargs)
     trace = m00.value - m11.value
     err = m00.error_estimate + m11.error_estimate
     return {"trace": trace, "error_estimate": err,
@@ -375,7 +415,11 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
     k2+ axis is walked one node at a time over (u, k1+, k1-) arrays.  f is a
     diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential, and
-    the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).
+    the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).  The
+    exponential is taken only where its argument exceeds -746: below, exp
+    is exactly 0, so a slice with no such point is skipped and the sum is
+    the one of the full evaluation.  The report counts the grid_points
+    (sigmas x n_nodes^3 x n_inner) and the exponentials evaluated.
     """
     kmax = 2.0 * f.reach + 10.0
     sigmas = checked_sequence(sigma_sequence, "sigma_sequence",
@@ -391,7 +435,11 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
     w1 = np.outer(w, w).ravel()
 
-    values = []
+    values, exponentials = [], 0
+    # per-slice arrays, (n_inner, rows), written in place
+    k2m, quad, expo, gauss = (np.empty((n_inner, m1sq.size))
+                              for _ in range(4))
+    live = np.empty(gauss.shape, dtype=bool)
     for sigma in sigmas:
         width = fixed_width if fixed_width is not None else sigma
         norm = 1.0 if fixed_width is not None else \
@@ -406,15 +454,36 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
         hexp = -((u - m1sq) / width) ** 2
         total = 0.0
         for k2p, w2p in zip(k, w):
-            k2m = u / k2p
-            kern = c0u + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
+            np.divide(u, k2p, out=k2m)
             # k1 + k2 - kappa has the upper components b0 + k2-/2 and
-            # b1 - k2-/2; its s2-weighted square is quadratic in k2-
+            # b1 - k2-/2; its s2-weighted square is quadratic in k2-:
+            # expo = hexp - (s0 b0^2 + s1 b1^2) - quad,
+            # quad = (s0 b0 - s1 b1 + (s0 + s1) k2- / 4) k2-
             b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
-            quad = (s0 * b0 - s1 * b1 + 0.25 * (s0 + s1) * k2m) * k2m
-            integrand = kern * kern * np.exp(
-                hexp - (s0 * b0 * b0 + s1 * b1 * b1) - quad)
-            total += w2p / k2p * np.vdot(weight, integrand)
+            np.multiply(0.25 * (s0 + s1), k2m, out=quad)
+            np.add(s0 * b0 - s1 * b1, quad, out=quad)
+            quad *= k2m
+            np.subtract(hexp, s0 * b0 * b0 + s1 * b1 * b1, out=expo)
+            expo -= quad
+            # exp is exactly 0 below _EXP_ZERO: a slice with no exponent
+            # above it adds 0, and elsewhere only the others are evaluated
+            n_live = int(np.count_nonzero(
+                np.greater(expo, _EXP_ZERO, out=live)))
+            if not n_live:
+                continue
+            exponentials += n_live
+            gauss.fill(0.0)
+            np.exp(expo, out=gauss, where=live)
+            # the kernel c0u + (cp + dpp k2+) k2+ + (cm + dmm k2-) k2-,
+            # squared, times the Gaussian (quad and expo reused)
+            kern = np.add(c0u, (cp + dpp * k2p) * k2p, out=expo)
+            np.multiply(dmm, k2m, out=quad)
+            np.add(cm, quad, out=quad)
+            quad *= k2m
+            kern += quad
+            kern *= kern
+            kern *= gauss
+            total += w2p / k2p * np.vdot(weight, kern)
         values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
                             (norm * amp) ** 2 * total))
     logs = np.log(values)
@@ -423,7 +492,9 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     return {"sigmas": sigmas, "values": values,
             "strictly_increasing": all(b > a for a, b in
                                        zip(values, values[1:])),
-            "growth_exponent": slope}
+            "growth_exponent": slope,
+            "grid_points": len(sigmas) * n_nodes * m1sq.size * n_inner,
+            "exponentials": exponentials}
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +567,20 @@ def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2):
             "relative_deviation": abs(smeared - target) / abs(target)}
 
 
+def _near_diagonal(sq1, sq2, order):
+    """The (row, column) pairs with |sq2[column] - sq1[row]| <= 2e-9, a
+    superset of the diagonal test's |.| < 1e-9, by a search of each sq1 in
+    sq2 sorted by order.  Pairs are grouped by row: those of row r are at
+    start[r]:start[r + 1] of rows and columns."""
+    s = sq2[order]
+    lo = np.searchsorted(s, sq1 - 2e-9, "left")
+    count = np.searchsorted(s, sq1 + 2e-9, "right") - lo
+    start = np.concatenate(([0], np.cumsum(count)))
+    rows = np.repeat(np.arange(sq1.size), count)
+    cols = order[np.arange(start[-1]) + np.repeat(lo - start[:-1], count)]
+    return rows, cols, start
+
+
 def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
                            n_outer=48, n_inner=1000, improvement=0.0):
     """Middle-ordering matrix element with the depth-integrated Bessel weight
@@ -515,7 +600,10 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     bra and ket carry the separable factors.  Per k2+ node the slice is
     sum(bra (G @ ket)) with the real matrix G = weight * exp(E): the weight
     is a rank-2 product of Bessel factors, computed once for the rows and
-    once for all columns, over m2^2 - m1^2, and E one rank-4 product.
+    once for all columns, over m2^2 - m1^2, and E one rank-4 product.  G is
+    built in blocks of _ROW_BLOCK rows; its diagonal |m2^2 - m1^2| < 1e-9,
+    where the weight takes its Lommel limit, is tested only at the pairs a
+    search in the sorted m2^2 finds (_near_diagonal).
     """
     _check_indices(mu, nu_idx)
     nu_f = _nu(nu)
@@ -550,19 +638,37 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     m2, j2, j2p, _ = _lommel_factors(nu_f, Z, m2sq)
     w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)
     w_cols = np.stack([j2, 0.5 * Z * m2 * j2p], axis=1)
-    # m^2 as z_integral_weight_closed forms it for its diagonal test
+    # m^2 as z_integral_weight_closed forms it for its diagonal test, and
+    # m2^2 - m1^2 as the rank-2 product (1, -m1^2).(m2^2, 1): both products
+    # are exact, so each entry is the difference rounded once, as by '-'
     sq1, sq2 = m1 ** 2, m2 ** 2
+    d_rows = np.stack([np.ones_like(sq1), -sq1], axis=-1)
+    d_cols = np.stack([sq2, np.ones_like(sq2)], axis=1)
+    col_order = np.argsort(sq2, axis=1)
 
     ket = ket.view(float)  # real and imaginary parts interleaved
-    gmat = np.empty((k1p.size, n_inner))
-    expo = np.empty_like(gmat)
+    n_rows = k1p.size
+    gmat = np.empty((n_rows, n_inner))
+    # G is built _ROW_BLOCK rows at a time, so that a block's factors stay
+    # in cache; the product with ket takes all rows at once
+    expo, diff = (np.empty((min(_ROW_BLOCK, n_rows), n_inner))
+                  for _ in range(2))
     total = 0.0j
     for i in range(n_outer):
-        diff = sq2[i] - sq1[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(np.matmul(w_rows, w_cols[i], out=gmat), diff, out=gmat)
-        np.copyto(gmat, on[:, None], where=np.abs(diff, out=diff) < 1e-9)
-        gmat *= np.exp(np.matmul(e_rows, e_cols[i], out=expo), out=expo)
+        rows, cols, start = _near_diagonal(sq1, sq2[i], col_order[i])
+        for r in range(0, n_rows, _ROW_BLOCK):
+            block = slice(r, r + _ROW_BLOCK)
+            g = np.matmul(w_rows[block], w_cols[i], out=gmat[block])
+            d = np.matmul(d_rows[block], d_cols[i], out=diff[:len(g)])
+            # the diagonal |m2^2 - m1^2| < 1e-9 takes the value on, as on / 1
+            near = slice(start[r], start[min(r + _ROW_BLOCK, n_rows)])
+            rr, cc = rows[near] - r, cols[near]
+            diag = np.abs(d[rr, cc]) < 1e-9
+            rr, cc = rr[diag], cc[diag]
+            g[rr, cc], d[rr, cc] = on[rr + r], 1.0
+            g /= d
+            e = np.matmul(e_rows[block], e_cols[i], out=expo[:len(g)])
+            g *= np.exp(e, out=e)
         total += np.sum(bra * (gmat @ ket[i]).view(complex))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import GaussianPacket, lightcone_grid_nodes, norm_const
+from gffads.correlators import (GaussianPacket, _exponent, lightcone_grid_nodes,
+                                norm_const)
 from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order
+from gffads.quadrature import _gauss_legendre
 from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
                            _kernel_factors, _kernel_lightcone, _kernel_lower,
-                           _lower, _unit_time_area,
+                           _lommel_factors, _lower, _set_terms,
+                           _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            lorentz_density_check, momentum_density_check,
@@ -299,6 +302,62 @@ class TestSetBroadcast:
         assert abs(got.error_estimate - abs(want - half)) < 1e-12 * abs(want)
 
 
+class TestOnePass:
+    """The checks that share one Gaussian among several terms evaluate them
+    in one _set_terms pass; every value is == to the term on its own."""
+
+    @pytest.fixture(params=[96, 12])
+    def n_nodes(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_conservation_equals_per_term(self, packet_trio, hpow, n_nodes,
+                                          nu):
+        f1, f2, f = packet_trio
+        kw = {"n_nodes": n_nodes, "improvement": 0.7}
+        t0, t1 = (set_matrix_element(DerivativePacket(f, mu), hpow, f1, hpow,
+                                     f2, mu, nu, **kw) for mu in (0, 1))
+        total = t0.value + t1.value
+        scale = max(abs(t0.value), abs(t1.value))
+        assert conservation_check(hpow, f1, hpow, f2, f, nu, **kw) == {
+            "contraction": total, "term_scale": scale,
+            "relative": abs(total) / scale,
+            "error_estimate": t0.error_estimate + t1.error_estimate}
+
+    def test_trace_equals_per_term(self, packet_trio, hpow, n_nodes):
+        f1, f2, f = packet_trio
+        m00, m11 = (set_matrix_element(f, hpow, f1, hpow, f2, mu, mu,
+                                       ordering="right", n_nodes=n_nodes)
+                    for mu in (0, 1))
+        rep = trace_check(hpow, f1, hpow, f2, f, ordering="right",
+                          n_nodes=n_nodes)
+        assert rep["components"] == {"00": m00.value, "11": m11.value}
+        assert rep["trace"] == m00.value - m11.value
+        assert rep["error_estimate"] == \
+            m00.error_estimate + m11.error_estimate
+
+    def test_moment_pair_equals_per_term(self, packet_trio, hpow, n_nodes):
+        # the two terms of lorentz_density_check
+        f1, f2, _ = packet_trio
+        f = _unit_time_area(3.0)
+        terms = ((MomentPacket(f, 0), 0, 1), (MomentPacket(f, 1), 0, 0))
+        got = _set_terms(terms, hpow, f1, hpow, f2, n_nodes=n_nodes)
+        assert got == [set_matrix_element(g, hpow, f1, hpow, f2, mu, nu,
+                                          n_nodes=n_nodes)
+                       for g, mu, nu in terms]
+
+    def test_lorentz_density_equals_per_term(self, packet_trio, hpow):
+        # widths 3.6 and 4.8 refine to 72 and 96 nodes
+        f1, f2, _ = packet_trio
+        rep = lorentz_density_check(hpow, f1, hpow, f2, 0, 1, (3.6, 4.8))
+        for s, n, got in zip((3.6, 4.8), (72, 96), rep["values"]):
+            f = _unit_time_area(s)
+            va, vb = (set_matrix_element(MomentPacket(f, mu), hpow, f1, hpow,
+                                         f2, 0, nu, n_nodes=n).value
+                      for mu, nu in ((0, 1), (1, 0)))
+            assert got == va + vb  # x_1 = -x^1: sign (1, -1)
+
+
 class TestDensityLimits:
     def test_momentum_density(self, packet_trio, hpow):
         f1, f2, _ = packet_trio
@@ -314,6 +373,13 @@ class TestDensityLimits:
                                     (4.0, 8.0, 12.0))
         assert rep["monotone"]
         assert rep["relative_deviations"][-1] < 2e-2
+
+    def test_lorentz_density_equal_indices_rejected(self, packet_trio, hpow):
+        # M_mm = 0: there is no limit to approach, so no trend to report
+        f1, f2, _ = packet_trio
+        for mu in (0, 1):
+            with pytest.raises(DomainError):
+                lorentz_density_check(hpow, f1, hpow, f2, mu, mu, (4.0, 8.0))
 
     def test_empty_sequence(self, packet_trio, hpow):
         f1, f2, _ = packet_trio
@@ -359,7 +425,55 @@ def _divergence_oracle(f, sigma, mu, nu, n, n_inner, kmax):
     return 0.5 * norm_const(2) ** 2 * 0.25 * total
 
 
+def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24):
+    """vacuum_fluctuation_divergence's values with np.exp taken on every
+    grid point (reference), the number of points whose exponent lies above
+    -746 (below it exp is exactly 0) and the number of k2+ slices with no
+    such point."""
+    amp, (s0, s1), (p0, p1), _ = f.gaussian
+    k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    m1sq = k1p * k1m
+    q1 = _lower((k1p, k1m))
+    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, 0, 0)
+    w1 = np.outer(w, w).ravel()
+    values, live, dead = [], 0, 0
+    for sigma in sigmas:
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
+            n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
+            (m1sq + 6.0 * sigma)[:, None]))
+        weight = w1 * wu
+        c0u = c0 + dpm * u
+        hexp = -((u - m1sq) / sigma) ** 2
+        total = 0.0
+        for k2p, w2p in zip(k, w):
+            k2m = u / k2p
+            kern = c0u + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
+            b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
+            quad = (s0 * b0 - s1 * b1 + 0.25 * (s0 + s1) * k2m) * k2m
+            expo = hexp - (s0 * b0 * b0 + s1 * b1 * b1) - quad
+            n_live = int(np.count_nonzero(expo > -746.0))
+            live, dead = live + n_live, dead + (n_live == 0)
+            total += w2p / k2p * np.vdot(weight, kern * kern * np.exp(expo))
+        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
+                            (norm * amp) ** 2 * total))
+    return values, live, dead
+
+
 class TestVacuumFluctuation:
+    def test_equals_every_exponential(self, packet_trio):
+        # the packet and widths of the divergence check: 30 of the 288
+        # slices and 43% of the points lie where exp is exactly 0
+        f = packet_trio[2]
+        sigmas = [0.4 * 2.0 ** -i for i in range(6)]
+        rep = vacuum_fluctuation_divergence(f, sigmas)
+        want, live, dead = _divergence_every_exp(f, sigmas)
+        assert rep["values"] == want
+        assert dead > 0
+        assert rep["grid_points"] == 6 * 48 ** 3 * 24
+        assert rep["exponentials"] == live < rep["grid_points"]
+
     @pytest.mark.parametrize("f,mu,nu", [
         (AnisoGaussian(0.8, 0.8), 0, 0),
         # a carrier makes |fhat|^2 uneven in k^1
@@ -468,7 +582,60 @@ def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner,
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 
+def _ads_dense_mask(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner):
+    """ads_set_matrix_element with full-size k2+ slices: a fresh m2^2 - m1^2
+    matrix and a dense |.| < 1e-9 diagonal mask each (reference)."""
+    kmax = 2.0 * max(f1.reach, f2.reach)
+    k, w = lightcone_grid_nodes(n_outer, kmax)
+    k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    k2p, k2m = k[:, None], k2m[None, :]
+    m1sq, m2sq = k1p * k1m, k2p * k2m
+    q1, kl2 = _lower((k1p, k1m)), _lower((k2p, k2m))
+    k1_0, k1_1, k2_0, k2_1 = q1[0], -q1[1], kl2[0], -kl2[1]
+    a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx)
+    g = f.gaussian
+    amp, (s0, s1), (p0, p1), _ = g
+    e1 = _exponent(g, k1_0, k1_1)
+    e2 = _exponent(g, p0 - k2_0, p1 - k2_1)
+    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
+           f1.fourier(-k1_0, -k1_1) * amp * np.exp(1j * e1.imag))[:, None] * a
+    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
+           f2.fourier(k2_0, k2_1) * np.exp(1j * e2.imag))[..., None] * b
+    e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
+                       np.ones_like(m1sq)], axis=-1)
+    e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
+    m1, j1, j1p, on = _lommel_factors(nu, Z, m1sq)
+    m2, j2, j2p, _ = _lommel_factors(nu, Z, m2sq)
+    w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)
+    w_cols = np.stack([j2, 0.5 * Z * m2 * j2p], axis=1)
+    ket = ket.view(float)
+    total = 0.0j
+    for i in range(n_outer):
+        diff = m2[i] ** 2 - (m1 ** 2)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gmat = (w_rows @ w_cols[i]) / diff
+        gmat = np.where(np.abs(diff) < 1e-9, on[:, None], gmat)
+        gmat = gmat * np.exp(e_rows @ e_cols[i])
+        total += np.sum(bra * (gmat @ ket[i]).view(complex))
+    return complex(norm_const(2) ** 2 * 0.25 * total)
+
+
 class TestAdsReduction:
+    def test_equals_dense_diagonal_mask(self, hpow):
+        # the sizes of the reduction check and packets near the ones it
+        # draws; near the cone edge about 1e5 of the 2e7 (k1, k2) mass
+        # pairs lie within 1e-9, where the diagonal value is taken
+        f1 = GaussianPacket(MinkVector((0.1, -0.1)), 1.05,
+                            MinkVector((-2.1, -0.45)))
+        f2 = GaussianPacket(MinkVector((0.35, -0.25)), 1.15,
+                            MinkVector((1.75, -0.35)))
+        f = GaussianPacket(MinkVector((-0.1, 0.05)), 0.75,
+                           MinkVector((0.0, 0.0)))
+        args = (0.5, 8.0, f, hpow, f1, hpow, f2, 0, 0)
+        got = ads_set_matrix_element(*args, n_outer=32, n_inner=600)
+        assert got == _ads_dense_mask(*args, 32, 600)
+
     @pytest.mark.parametrize("mu,nu_idx", [(0, 0), (0, 1), (1, 1)])
     @pytest.mark.parametrize("improvement", [0.0, 0.3])
     def test_matches_broadcast_reference(self, packet_trio, hpow, mu, nu_idx,
@@ -531,6 +698,14 @@ class TestMemory:
         peak = _traced_peak(lambda: conservation_check(
             hpow, f1, hpow, f2, f, 0, n_nodes=96))
         assert peak < 5e6
+
+    def test_vacuum_fluctuation_peak(self, packet_trio):
+        # (n_inner, n_nodes^2) arrays of 0.44 MB, against 21 MB for one
+        # n^3 n_inner array at the default sizes
+        sigmas = [0.4 * 2.0 ** -i for i in range(6)]
+        peak = _traced_peak(lambda: vacuum_fluctuation_divergence(
+            packet_trio[2], sigmas))
+        assert peak < 8e6
 
     def test_ads_set_matrix_element_peak(self, packet_trio, hpow):
         f1, f2, f = packet_trio
