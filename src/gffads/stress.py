@@ -238,7 +238,8 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
         raise DomainError("set_matrix_element needs n_nodes >= 2")
     e1, e2 = _ORDERINGS[ordering]
     kmax = 2.0 * max(f1.reach, f2.reach)
-    g2, g = _plain_gaussian(f2, "set_matrix_element's f2"), terms[0][0].gaussian
+    g2 = _plain_gaussian(f2, "set_matrix_element's f2")
+    g = terms[0][0].gaussian
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
@@ -273,7 +274,8 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
 
 
 def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
-    """Contraction sum_mu <.. Theta_mn(d^mu f) ..> must vanish (d^m Theta = 0).
+    """Contraction sum_mu <.. Theta_mn(d^mu f) ..>, which must vanish
+    (d^m Theta = 0).
 
     The terms d^0 f and d^1 f share f's Gaussian, so both are one _set_terms
     pass; kwargs are set_matrix_element's (ordering, n_nodes, improvement).

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import (GaussianPacket, _exponent, lightcone_grid_nodes,
-                                norm_const)
+from gffads.correlators import (GaussianPacket, _exponent,
+                                lightcone_grid_nodes, norm_const)
 from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order
