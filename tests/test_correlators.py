@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,6 +92,46 @@ class TestGaussianPacket:
             GaussianPacket(MinkVector(center), 1.0, MinkVector(carrier))
 
 
+def _wightman_exact(m, x, eps):
+    """W_m(x) from 30-digit mpmath K at the exact sigma of x."""
+    with mpmath.workdps(30):
+        t, *xs = (mpmath.mpf(c) for c in x.components)
+        sigma = sum(c * c for c in xs) - (t - 1j * mpmath.mpf(eps)) ** 2
+        r = mpmath.sqrt(sigma)
+        nu = mpmath.mpf(x.d - 2) / 2
+        return complex((2 * mpmath.pi) ** (-mpmath.mpf(x.d) / 2)
+                       * (m / r) ** nu * mpmath.besselk(nu, m * r))
+
+
+def _commutator_exact(m, x):
+    """Delta_m(x) from 30-digit mpmath J at the exact x^2 of x."""
+    with mpmath.workdps(30):
+        t, *xs = (mpmath.mpf(c) for c in x.components)
+        tau = mpmath.sqrt(t * t - sum(c * c for c in xs))
+        nu = mpmath.mpf(x.d - 2) / 2
+        const = -1j * mpmath.pi * (2 * mpmath.pi) ** (-mpmath.mpf(x.d) / 2)
+        return complex(const * mpmath.sign(t) * (m / tau) ** nu
+                       * mpmath.besselj(-nu, m * tau))
+
+
+# (m, x, eps): moderate, near the light cone, large and small m r, d = 3
+# and 4; the ten in d = 2 also meet the momentum oracle
+WIGHTMAN_POINTS = [
+    (1.0, (0.4, 2.0), 1e-3), (1.3, (0.9, 0.2), 0.05), (0.02, (0.3, 1.1), 1e-3),
+    (40.0, (1.0, 5.0), 1e-3), (2.0, (1.0, 1.0 + 1e-7), 1e-9),
+    (0.7, (-3.0, 3.0 - 1e-6), 1e-8), (1.0, (5.0, 1.0), 1e-3),
+    (3.0, (1.2, 0.4), 1e-6), (0.5, (0.1, 1.0, 0.3, -0.2), 1e-3),
+    (1.5, (2.0, 1.0, 1.0, 1.0 + 1e-6), 1e-8), (9.0, (0.2, 0.7, -0.4), 1e-4),
+    (0.5, (0.0, 0.3), 1e-3), (2.5, (-0.7, 1.6), 0.01)]
+# (m, x): timelike, one at the first zero of J_0, near the light cone,
+# large m tau, d = 3 and 4
+COMMUTATOR_POINTS = [
+    (1.0, (1.3, 0.4)), (1.0, (-0.9, 0.1)), (2.404825557695773, (1.0, 0.0)),
+    (1.0, (2.0, 2.0 - 1e-7)), (60.0, (5.0, 1.0)), (0.01, (0.5, 0.1)),
+    (0.8, (1.5, 0.3, 0.2, -0.1)), (1.7, (-2.0, 1.0, 1.0 - 1e-6, 0.0)),
+    (4.0, (1.0, 0.3, 0.2)), (0.3, (-7.0, 2.0))]
+
+
 class TestWightman:
     def test_momentum_oracle(self):
         m, eps = 1.0, 0.05
@@ -130,6 +171,19 @@ class TestWightman:
         w = wightman_kg(1e-8, x, epsilon=1e-9)
         assert rel_err(w.value.real, 1.0 / (4.0 * np.pi ** 2 * sigma)) < 1e-6
 
+    @pytest.mark.parametrize("m, x, eps", WIGHTMAN_POINTS)
+    def test_estimate_covers_error(self, m, x, eps):
+        # against 30-digit K; near the light cone sigma is a difference of
+        # large squares and the estimate must grow with their rounding
+        x = MinkVector(x)
+        w = wightman_kg(m, x, epsilon=eps)
+        assert abs(w.value - _wightman_exact(m, x, eps)) <= w.error_estimate
+        assert w.error_estimate <= 1e-9 * abs(w.value)
+        if x.d == 2:
+            oracle = wightman_kg_momentum_oracle(m, x, epsilon=eps)
+            assert abs(w.value - oracle.value) <= \
+                w.error_estimate + oracle.error_estimate
+
     def test_domain(self):
         with pytest.raises(DomainError):
             wightman_kg(-1.0, MinkVector((0.0, 1.0)))
@@ -158,13 +212,65 @@ class TestCommutatorKG:
         extrap = commutator_kg_eps(0.8, x)
         assert abs(closed.value - extrap.value) < 1e-6
 
+    @pytest.mark.parametrize("m, x", COMMUTATOR_POINTS)
+    def test_estimate_covers_error(self, m, x):
+        x = MinkVector(x)
+        res = commutator_kg(m, x)
+        assert abs(res.value - _commutator_exact(m, x)) <= res.error_estimate
+        assert res.error_estimate <= 1e-8 * abs(res.value) or \
+            res.error_estimate <= 1e-14
+
     def test_antisymmetry(self):
         x = MinkVector((1.1, 0.3))
         assert commutator_kg(1.0, x).value == \
             pytest.approx(-commutator_kg(1.0, -x).value)
 
 
+def _power_oracle(nu, x, epsilon=1e-3):
+    """int_0^inf dm^2 m^(2 nu) W_m(x) = 4^nu Gamma(nu+1)^2 sigma^-(nu+1) / pi
+    in d = 2 (the Mellin transform of K_0), principal branch."""
+    t, x1 = x.components
+    sigma = x1 * x1 - complex(t, -epsilon) ** 2
+    return 4.0 ** nu * math.gamma(nu + 1.0) ** 2 * sigma ** (-(nu + 1.0)) \
+        / math.pi
+
+
+def _scan_points(n, seed):
+    """(nu, x) over the benchmark's scan ranges: nu in (-0.4, 2), spacelike
+    x with |x| log-uniform in [0.3, 10]."""
+    rng = np.random.default_rng(seed)
+    nus = rng.uniform(-0.4, 2.0, n)
+    rs = np.exp(rng.uniform(math.log(0.3), math.log(10.0), n))
+    etas = rng.uniform(-1.0, 1.0, n)
+    signs = rng.choice((-1.0, 1.0), n)
+    return [(float(nu), MinkVector((float(r * math.sinh(eta)),
+                                    float(s * r * math.cosh(eta)))))
+            for nu, r, eta, s in zip(nus, rs, etas, signs)]
+
+
 class TestGff2pt:
+    # two points where GK15's own estimate of the panel at m = 0 falls short
+    # (the integrand goes like t^(4 nu + 3) log t there)
+    @pytest.mark.parametrize("nu, x", [(-0.1993, (-5.9886, -11.1602)),
+                                       (-0.1991, (0.1158, -1.3954))])
+    def test_estimate_covers_error_at_the_endpoint(self, nu, x):
+        x = MinkVector(x)
+        res = gff2pt(Power(nu), Power(nu), x)
+        assert abs(res.value - _power_oracle(nu, x)) <= res.error_estimate
+
+    def test_estimate_covers_error_over_the_scan_ranges(self):
+        # every point, not a fraction; the estimate must also stay tight
+        misses, loose = [], []
+        for nu, x in _scan_points(400, seed=20):
+            res = gff2pt(Power(nu), Power(nu), x)
+            oracle = _power_oracle(nu, x)
+            if not abs(res.value - oracle) <= res.error_estimate:
+                misses.append((nu, x.components))
+            if not res.error_estimate <= 1e-7 * abs(oracle):
+                loose.append((nu, x.components))
+        assert not misses
+        assert not loose
+
     def test_power_weight_closed_form(self):
         # int_0^inf dm^2 m (2 pi)^-1 K_0(m r) = r^-3 / 2
         r = 1.3
@@ -229,6 +335,17 @@ class TestKallenLehmann:
         a = kallen_lehmann_2pt(rho, x)
         b = gff2pt(h, h, x, cutoff=cut)
         assert abs(a.value - b.value) < 1e-8 * abs(b.value)
+
+    @pytest.mark.parametrize("nu", [-0.3, 0.5, 1.9])
+    def test_infinite_support_tail(self, nu):
+        # the support is cut at default_cutoff; the estimate bounds the rest,
+        # which at nu = 1.9 is about 8e-11 of the value
+        x = MinkVector((0.4, 1.3))
+        rho = MassWeight(lambda m2: np.asarray(m2) ** nu)
+        res = kallen_lehmann_2pt(rho, x)
+        oracle = _power_oracle(nu, x)
+        assert abs(res.value - oracle) <= res.error_estimate
+        assert res.error_estimate <= 1e-7 * abs(oracle)
 
     def test_point_mass(self):
         x = MinkVector((0.0, 1.2))
