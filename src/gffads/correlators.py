@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .quadrature import (_XK, _bessel_product, _doubling, _gauss_legendre,
-                         _gk15, _laguerre_table, adaptive_finite,
+from .quadrature import (_bessel_product, _doubling, _endpoint_checked,
+                         _gauss_legendre, _laguerre_table, adaptive_finite,
                          neville_zero)
 from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
@@ -414,12 +414,9 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     adaptive GK15 from t = lo^(1/4) to hi^(1/4); GK15 nodes are interior to
     their panel, so m = 0 is never evaluated.  Near m = 0, where W_m goes
     like log m, the integrand in t goes like t^b log t, and GK15's own
-    estimate of the panel [a, a + h] at the lower end can fall short.  That
-    panel is the smallest one the rule evaluated, so h is read off the
-    smallest node.  The value takes the panel bisected once more, and the
-    estimate adds the change, which bounds the bisected panel's error when
-    a bisection scales the error by at most 1/2 (b >= 0: density no more
-    singular than m^(-3/2) at m = 0).
+    estimate of the panel at the lower end can fall short, so that panel
+    is bisected once more (quadrature._endpoint_checked; its bound holds
+    for b >= 0: density no more singular than m^(-3/2) at m = 0).
 
     The tail beyond M = sqrt(hi) is bounded by |F(M)| / lambda, with
     lambda = -d log|F| / dm read from F at M and 1.01 M in one call.  For
@@ -428,33 +425,21 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     (timelike x, or lambda <= 0) adds |F(M)| M instead.
     """
     sigma = _sigma_eps(x, epsilon)
-    low = math.inf  # smallest node evaluated
 
     def f(m):
         return 2.0 * m * np.asarray(density(m * m)) * \
             _wightman_closed(m, sigma, x.d)
 
-    def g(t):
-        nonlocal low
-        t = np.asarray(t, dtype=float)
-        low = min(low, t.min())
-        return 2.0 * t * f(t * t)
-
-    a = lo ** 0.25
-    res = adaptive_finite(g, a, hi ** 0.25)
-    h = 2.0 * (low - a) / (1.0 + _XK[0])
-    mid = a + 0.5 * h
-    whole, left, right = _gk15(g, np.array([a, a, mid]),
-                               np.array([a + h, mid, a + h]))[0].tolist()
-    change = left + right - whole
-    err = res.error_estimate + abs(change)
+    res = _endpoint_checked(lambda t: 2.0 * t * f(t * t), lo ** 0.25,
+                            hi ** 0.25)
+    err = res.error_estimate
     if tail:
         mmax = math.sqrt(hi)
         fm, fm2 = np.abs(f(mmax * np.array([1.0, 1.01]))).tolist()
         decay = math.log(fm / fm2) / (0.01 * mmax) \
             if x.square() < 0 and 0.0 < fm2 < fm else 0.0
         err += fm / decay if decay > 0.0 else fm * mmax
-    return Correlator(res.value + change, err)
+    return Correlator(res.value, err)
 
 
 def gff2pt(h1, h2, x, epsilon=1e-3, cutoff=None):

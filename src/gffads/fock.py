@@ -19,9 +19,10 @@ with box_k = (d/dk^0)^2 - (d/dk^1)^2 = 4 d/dk+ d/dk- and
 commutator oracle.  Only the tests apply these formulas literally with
 sympy calculus, as the reference for the tables below.
 
-The oracle holds each generator as an exact coefficient table
-{(i, j, a, b): c}, the operator sum c k+^i k-^j d^a/dk+^a d^b/dk-^b with
-sympy-exact c (Rational, I, nu^2); nu^2 k_mu / k^2 has i or j = -1.
+The oracle holds each generator as a coefficient table {(i, j, a, b): c},
+the operator sum c k+^i k-^j d^a/dk+^a d^b/dk-^b with c a Python number:
+a dyadic rational times a power of i, except nu^2, which is rounded once
+(so every c is exact at dyadic delta); nu^2 k_mu / k^2 has i or j = -1.
 Tables compose by the Leibniz rule, so a commutator [G1, G2] is a table
 too (the standard conformal-algebra relations, Di Francesco, Mathieu &
 Senechal, Conformal Field Theory, 1997, sec. 4.1).  Only that table is
@@ -30,9 +31,11 @@ each derivative of it is Q exp(E) with Q a polynomial, got from the next
 lower one by d/dk (Q e^E) = (dQ/dk + Q dE/dk) e^E on coefficient arrays,
 so the oracle needs no symbolic calculus.  The special conformal law takes
 its right side the same way, from a table applied to the packet's Gaussian
-A exp(E).  sympy is imported lazily, for the exact table coefficients only.
+A exp(E).  sympy does no arithmetic here: the mode's sympy expression is
+only read, node by node, into those coefficient arrays.
 """
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -208,11 +211,15 @@ def apply_generator(G, f):
     kp, km, _ = f.grid.mesh()
     ds = _spectral(f.grid)[2]
     F = f.samples
-    d_plus = lambda a: (ds @ a) / kp
-    d_minus = lambda a: (a @ ds.T) / km
+    # ds @ a for complex a as one real product on a's interleaved (re, im)
+    # columns; a @ ds.T is the same product on a.T, transposed back
+    left = lambda a: (ds @ np.ascontiguousarray(a).view(float)).view(complex)
+    right = lambda a: left(a.T).T
+    d_plus = lambda a: left(a) / kp
+    d_minus = lambda a: right(a) / km
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
     d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
-    scaling = lambda a: ds @ a + a @ ds.T  # k . d/dk
+    scaling = lambda a: left(a) + right(a)  # k . d/dk
     klow = _lower((kp, km))
     if G.kind == "P":
         out = klow[G.mu] * F
@@ -263,10 +270,8 @@ def _compose(A, B):
 
 def _tables():
     """Coefficient tables of k_mu, d/dk^mu (mu = 0, 1) and k . d/dk."""
-    import sympy as sym
-    half = sym.Rational(1, 2)
-    k_low = ({(1, 0, 0, 0): half, (0, 1, 0, 0): half},    # k_0
-             {(1, 0, 0, 0): -half, (0, 1, 0, 0): half})   # k_1
+    k_low = ({(1, 0, 0, 0): 0.5, (0, 1, 0, 0): 0.5},    # k_0
+             {(1, 0, 0, 0): -0.5, (0, 1, 0, 0): 0.5})   # k_1
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
     d_up = ({(0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
             {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1})
@@ -276,50 +281,72 @@ def _tables():
 
 def _operator(G):
     """The coefficient table of G, composed as the module docstring has it."""
-    import sympy as sym
     k_low, d_up, scaling = _tables()
     if G.kind == "P":
         return k_low[G.mu]
     if G.kind == "M":
         sgn = G.nu_idx - G.mu  # +1 for M01, -1 for M10, 0 on the diagonal
-        return _combine((sgn * sym.I, _compose(k_low[1], d_up[0])),
-                        (-sgn * sym.I, _compose(k_low[0], d_up[1])))
+        return _combine((sgn * 1j, _compose(k_low[1], d_up[0])),
+                        (-sgn * 1j, _compose(k_low[0], d_up[1])))
     if G.kind == "D":
-        return _combine((sym.I, scaling), (sym.I, {(0, 0, 0, 0): 1}))
-    nu_par = sym.nsimplify(G.delta - 1.0, rational=False)
+        return _combine((1j, scaling), (1j, {(0, 0, 0, 0): 1}))
+    nu_sq = (G.delta - 1.0) ** 2  # rounded once; exact at dyadic delta
     klow, d_mu = k_low[G.mu], d_up[G.mu]
     box = {(0, 0, 1, 1): 4}
     return _combine((1, d_mu), (1, _compose(klow, box)),
                     (-1, _compose(scaling, d_mu)),
                     (-1, _compose(d_mu, scaling)), (-2, d_mu),
-                    (nu_par ** 2, _compose(klow, {(-1, -1, 0, 0): 1})))
+                    (nu_sq, _compose(klow, {(-1, -1, 0, 0): 1})))
+
+
+def _polyadd(a, b):
+    """The coefficients of the sum of two 2-D polynomials."""
+    out = np.zeros(np.maximum(a.shape, b.shape), dtype=complex)
+    out[:a.shape[0], :a.shape[1]] += a
+    out[:b.shape[0], :b.shape[1]] += b
+    return out
 
 
 def _read_form(expr, kp, km):
     """Coefficient arrays [P, E] of expr = P exp(E), P and E polynomials.
 
-    c[i, j] is the coefficient of kp^i km^j.  Each part is rebuilt in
-    sympy's polynomial ring over CC, which, unlike sympy.Poly, does not
-    expand the expression first.
+    c[i, j] is the coefficient of kp^i km^j.  The exp factors of the
+    top-level product give E, the others P.  Each part is read in one walk
+    of its tree, in the order in which sympy's polynomial ring over CC
+    would rebuild it: a sum adds, a product multiplies (_polymul), an
+    integer power above 1 multiplies its base out, and a finite number is
+    its complex value; any other node raises DomainError.  Nothing is
+    expanded first and no sympy object is built.
     """
-    import sympy as sym
-    from sympy.polys.rings import ring
-    R = ring((kp, km), sym.CC)[0]
-    factors = sym.Mul.make_args(expr)
-    out = []
-    for part in (sym.Mul(*(a for a in factors if not isinstance(a, sym.exp))),
-                 sym.Add(*(a.args[0] for a in factors
-                           if isinstance(a, sym.exp)))):
-        try:
-            terms = R.from_expr(part)
-        except ValueError as exc:
-            raise DomainError("the symbolic oracle needs expr = P exp(E) with "
-                              f"P and E polynomials in kp, km: {exc}") from exc
-        arr = np.zeros(np.max([(0, 0), *terms], axis=0) + 1, dtype=complex)
-        for ij, c in terms.items():
-            arr[ij] = complex(c)
-        out.append(arr)
-    return out
+    from sympy import I, exp
+    gens = {kp: np.array([[0.0], [1.0]], dtype=complex),
+            km: np.array([[0.0, 1.0]], dtype=complex)}
+
+    def read(e):
+        if e in gens:
+            return gens[e]
+        if e.is_Add:
+            return functools.reduce(_polyadd, map(read, e.args))
+        if e.is_Mul:
+            return functools.reduce(_polymul, map(read, e.args))
+        if e.is_Pow and e.exp.is_Integer and int(e.exp) > 1:
+            base = read(e.base)
+            return functools.reduce(_polymul, [base] * int(e.exp))
+        if e.is_number:  # Integer, Rational and Float by their float
+            c = 1j if e is I else float(e) if e.is_Number else complex(e)
+            if cmath.isfinite(c):
+                return np.array([[c]], dtype=complex)
+        raise DomainError("the symbolic oracle needs expr = P exp(E) with P "
+                          f"and E polynomials in kp, km: cannot read {e}")
+
+    factors = expr.args if expr.is_Mul else (expr,)
+    P = functools.reduce(_polymul, (read(a) for a in factors
+                                    if not isinstance(a, exp)),
+                         np.ones((1, 1), dtype=complex))
+    E = functools.reduce(_polyadd, (read(a.args[0]) for a in factors
+                                    if isinstance(a, exp)),
+                         np.zeros((1, 1), dtype=complex))
+    return [P, E]
 
 
 def _polymul(a, b):
@@ -375,11 +402,13 @@ def algebra_closure_check(G1, G2, f, expr=None):
 
     expr must be the sympy expression (in symbols kp, km) matching f, of the
     form P exp(E) with P and E polynomials in kp, km (exp(E) may come as
-    several exp factors); any other form raises DomainError.  The oracle is
-    exact in form: the coefficient table of [G1, G2] is composed from those
-    of G1 and G2 (at most a few terms, none for commuting pairs), applied to
-    P e^E by the recurrence of the module docstring and summed on the grid;
-    it shares no grid differentiation with apply_generator.  The grid
+    several exp factors); any other form raises DomainError.  expr is only
+    read into coefficient arrays (_read_form), with no sympy arithmetic.
+    The oracle is exact in form: the coefficient table of [G1, G2] is
+    composed from those of G1 and G2 (at most a few terms, none for
+    commuting pairs), applied to P e^E by the recurrence of the module
+    docstring and summed on the grid; it shares no grid differentiation
+    with apply_generator.  The grid
     result must agree with it in relative L2 norm; a non-finite sample of
     either raises DomainError.  The same commutator on the grid of half the
     order is the second opinion: grid_drift is its distance from the
@@ -437,16 +466,15 @@ def _special_conformal_image(f_position, mu, delta, grid):
     images are composed outermost.  E's coefficients in (k+, k-) come from
     f_position.gaussian, and _oracle applies the table to A exp(E).
     """
-    import sympy as sym
     k_low, d_up, _ = _tables()
     dot = lambda a, b: _combine(*((1, _compose(a[n], b[n])) for n in (0, 1)))
     # x_nu = -i d/dk^nu for both nu; x^1 = -x_1
-    x_low = [_combine((-sym.I, d)) for d in d_up]
+    x_low = [_combine((-1j, d)) for d in d_up]
     x_up = (x_low[0], _combine((-1, x_low[1])))
-    grad = [_combine((-sym.I, k)) for k in k_low]  # d/dx^nu, index lowered
-    op = _combine((2 * sym.I, _compose(x_low[mu], dot(x_up, grad))),
-                  (-sym.I, _compose(dot(x_up, x_low), grad[mu])),
-                  (-sym.I * (2 * delta - 4), x_low[mu]))
+    grad = [_combine((-1j, k)) for k in k_low]  # d/dx^nu, index lowered
+    op = _combine((2j, _compose(x_low[mu], dot(x_up, grad))),
+                  (-1j, _compose(dot(x_up, x_low), grad[mu])),
+                  (-1j * (2 * delta - 4), x_low[mu]))
     amp, (s0, s1), (p0, p1), (c0, c1) = f_position.gaussian
     # k^mu - kappa^mu as coefficient arrays in (k+, k-)
     d0 = np.array([[-p0, 0.5], [0.5, 0.0]])

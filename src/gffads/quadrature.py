@@ -16,7 +16,8 @@ the total error over the target.  A GK15 call on many panels reduces each
 panel's row as it would a single panel, so a panel's value and error do not
 depend on the panels that share its call.
 
-The Bessel-product integral takes [0, U] by adaptive Gauss-Kronrod.  Beyond
+The Bessel-product integral takes [0, U] by adaptive Gauss-Kronrod, with
+the panel at u = 0 bisected once more as a check on its estimate.  Beyond
 U each J is (H1 + H2)/2, which splits the product of n factors into 2^n
 terms of a single frequency omega = sum_i +-k_i each; every term is
 integrated along U + i sgn(omega) t, where it decays like e^(-|omega| t), by
@@ -184,6 +185,35 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     return QuadratureResult(value, total_err, evals)
 
 
+def _endpoint_checked(f, a, b):
+    """adaptive_finite of f on [a, b], with the panel at a bisected once more.
+
+    Where f is rough at a (a log or a fractional power), GK15's own
+    estimate of the panel [a, a + h] at that end can fall short.  That
+    panel is the smallest one the rule evaluated, so h is read off the
+    smallest node.  The value takes the panel bisected once more, in one
+    45-point call, and the estimate adds the change, which bounds the
+    bisected panel's error when a bisection scales the error by at most
+    1/2.
+    """
+    low = math.inf  # smallest node evaluated
+
+    def g(x):
+        nonlocal low
+        low = min(low, x.min())
+        return f(x)
+
+    res = adaptive_finite(g, a, b)
+    h = 2.0 * (low - a) / (1.0 + _XK[0])
+    mid = a + 0.5 * h
+    whole, left, right = _gk15(f, np.array([a, a, mid]),
+                               np.array([a + h, mid, a + h]))[0].tolist()
+    change = left + right - whole
+    return QuadratureResult(res.value + change,
+                            res.error_estimate + abs(change),
+                            res.evaluations + 45)
+
+
 def neville_zero(xs, ys, order):
     """Polynomial extrapolation of (xs, ys) to x = 0.
 
@@ -303,13 +333,16 @@ def _bessel_product(power, factors):
 
     The head is taken as two adaptive_finite calls, on [0, U/2] and
     [U/2, U]; an oscillatory head bisects [0, U] in its first round anyway.
+    The panel at u = 0, where the integrand goes like a fractional power of
+    u, is bisected once more (_endpoint_checked).
     The error estimate is the larger of two changes of the value, taking the
     tails on 30 instead of 60 nodes and splitting at U/2 instead of U (GK15
     on [U/2, U] against the difference of the two rotated tails; U/2 is
     still at least 2 pi / min k and 2 pi / min |omega|), plus the two head
-    pieces' GK15 estimates and a rounding floor of 16 eps U max|f| over 257
-    samples on [0, U].  evaluations counts the GK15 points of both pieces,
-    the 257 samples and the (60 + 30 + 60) contour points of each term.
+    pieces' estimates (the first with its endpoint change) and a rounding
+    floor of 16 eps U max|f| over 257 samples on [0, U].  evaluations counts the GK15 points of both pieces
+    and of the endpoint check, the 257 samples and the (60 + 30 + 60)
+    contour points of each term.
     """
     factors = tuple((order, float(k)) for order, k in factors)
     signs = _hankel_signs(len(factors))
@@ -328,7 +361,7 @@ def _bessel_product(power, factors):
             val = val * bessel_j(order, k * uu)
         return np.where(u > 0, val, 0.0)
 
-    lo = adaptive_finite(f, 0.0, 0.5 * split)
+    lo = _endpoint_checked(f, 0.0, 0.5 * split)
     hi = adaptive_finite(f, 0.5 * split, split)
     value = lo.value + hi.value + _rotated_tail(power, factors, split, 60)
     coarse = lo.value + hi.value + _rotated_tail(power, factors, split, 30)

@@ -51,12 +51,16 @@ SONINE_POINTS = [(0.3, 1.0, 1.5), (1.0, 1.0, 1.5), (1.6, 0.8, 1.1),
 # a = b + c = 2.4, b, c = 1.0, 1.4
 NEAR_CONE_POINTS = [(cone * (1.0 + r), 1.0, 1.4) for cone in (0.4, 2.4)
                     for r in (-0.05, -0.01, 0.01, 0.05)]
-# (nu, a, b, c) whose error estimate once fell short of the error: one in the
-# vanishing region, one in the far region
+# (nu, a, b, c) whose error estimate once fell short of the error: in the
+# vanishing region, the far region, and three where the head's estimate at
+# u = 0 fell short (the last drawn by test_scaling_law)
 ESTIMATE_MISS_POINTS = [
     (0.08319807465228324, 4.359897660481928, 7.474487490958063,
      0.5883059335142035),
-    (0.0245, 5.27, 0.71, 0.165)]
+    (0.0245, 5.27, 0.71, 0.165),
+    (0.0078125, 1.0, 7.0, 0.9375),
+    (1.1328125, 5.0703125, 5.0703125, 0.5),
+    (0.125, 2.0, 6.0, 12.0)]
 # max k / min k = 677, deep in the vanishing region: the head [0, U] spans
 # about 2,400 periods of the fastest term
 WIDE_RATIO_POINTS = [(nu, 0.0279, 18.9, 14.8) for nu in (0.0, 0.5, 1.3)]
@@ -82,6 +86,20 @@ def calibration_points(n, seed):
 
 
 CALIBRATION_POINTS = calibration_points(40, seed=12)
+
+
+def scaling_law_points(n, seed):
+    """n points (nu, a, b, c) over the calls of test_scaling_law: nu uniform
+    in [0, 2], a, b, c uniform in [0.1, 20], at least 2% from both light
+    cones."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        nu = rng.uniform(0.0, 2.0)
+        a, b, c = rng.uniform(0.1, 20.0, 3)
+        if cone_distance(a, b, c) >= 0.02:
+            points.append((float(nu), float(a), float(b), float(c)))
+    return points
 
 
 class TestAdSFieldSpec:
@@ -261,6 +279,19 @@ class TestBonusLocality:
         res = bonus_locality(0.0, Order(nu), a, b, c)
         oracle, _ = sonine_gegenbauer(nu, a, b, c)
         assert abs(res.value - oracle) <= res.error_estimate
+
+    def test_estimate_covers_error_over_the_scaling_law_ranges(self):
+        # every point, not a fraction; the estimate must also stay tight
+        misses, loose = [], []
+        for nu, a, b, c in scaling_law_points(300, seed=21):
+            res = bonus_locality(0.0, Order(nu), a, b, c)
+            oracle, envelope = sonine_gegenbauer(nu, a, b, c)
+            if not abs(res.value - oracle) <= res.error_estimate:
+                misses.append((nu, a, b, c))
+            if not res.error_estimate <= 1e-8 * envelope:
+                loose.append((nu, a, b, c))
+        assert not misses
+        assert not loose
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 2.0), st.floats(0.5, 2.0),

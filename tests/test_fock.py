@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import sympy as sym
+import sympy.polys.rings
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import GaussianPacket, Power, norm_const, smeared2pt
+from gffads.correlators import (GaussianPacket, Power, _lower, norm_const,
+                                smeared2pt)
 from gffads.errors import DomainError, ResolutionError
 from gffads.fock import (GeneratorKind, LightconeGrid, ModeFunction,
                          _combine, _compose, _operator, _oracle, _read_form,
-                         _special_conformal_image, algebra_closure_check,
-                         apply_generator, gaussian_mode, inner_product, npoint,
-                         position_wavefunction, special_conformal_field_law)
+                         _special_conformal_image, _spectral,
+                         algebra_closure_check, apply_generator, gaussian_mode,
+                         inner_product, npoint, position_wavefunction,
+                         special_conformal_field_law)
 from gffads.spacetime import MinkVector
 
 from conftest import rel_err
@@ -74,6 +77,39 @@ def _apply(op, expr, kp, km):
                      for (i, j, a, b), c in op.items()))
 
 
+def _sympy_tables():
+    """Coefficient tables of k_mu, d/dk^mu and k . d/dk, sympy-exact."""
+    half = sym.Rational(1, 2)
+    k_low = ({(1, 0, 0, 0): half, (0, 1, 0, 0): half},    # k_0
+             {(1, 0, 0, 0): -half, (0, 1, 0, 0): half})   # k_1
+    d_up = ({(0, 0, 1, 0): 1, (0, 0, 0, 1): 1},
+            {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1})
+    scaling = {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}  # k . d/dk
+    return k_low, d_up, scaling
+
+
+def _sympy_operator(G):
+    """The reference coefficient table of G, with sympy-exact coefficients
+    (Rational, I, nsimplify(delta - 1)^2); the library's fock._operator
+    holds the same table in Python numbers."""
+    k_low, d_up, scaling = _sympy_tables()
+    if G.kind == "P":
+        return k_low[G.mu]
+    if G.kind == "M":
+        sgn = G.nu_idx - G.mu
+        return _combine((sgn * sym.I, _compose(k_low[1], d_up[0])),
+                        (-sgn * sym.I, _compose(k_low[0], d_up[1])))
+    if G.kind == "D":
+        return _combine((sym.I, scaling), (sym.I, {(0, 0, 0, 0): 1}))
+    nu_par = sym.nsimplify(G.delta - 1.0, rational=False)
+    klow, d_mu = k_low[G.mu], d_up[G.mu]
+    box = {(0, 0, 1, 1): 4}
+    return _combine((1, d_mu), (1, _compose(klow, box)),
+                    (-1, _compose(scaling, d_mu)),
+                    (-1, _compose(d_mu, scaling)), (-2, d_mu),
+                    (nu_par ** 2, _compose(klow, {(-1, -1, 0, 0): 1})))
+
+
 def symbolic_generator(G, expr, kp, km):
     """Apply the coefficient table of G to a sympy expression with sympy.
 
@@ -91,6 +127,39 @@ def _direct_commutator(G1, G2, expr):
     e12 = symbolic_generator(G1, symbolic_generator(G2, expr, KP, KM), KP, KM)
     e21 = symbolic_generator(G2, symbolic_generator(G1, expr, KP, KM), KP, KM)
     return sym.expand(e12 - e21), e21
+
+
+def _complex_matmul_generator(G, f):
+    """apply_generator's samples by complex matmuls, numpy casting the real
+    differentiation matrix to complex: the reference for its real-view
+    products."""
+    kp, km, _ = f.grid.mesh()
+    ds = _spectral(f.grid)[2]
+    F = f.samples
+    d_plus = lambda a: (ds @ a) / kp
+    d_minus = lambda a: (a @ ds.T) / km
+    d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
+    scaling = lambda a: ds @ a + a @ ds.T
+    klow = _lower((kp, km))
+    if G.kind == "P":
+        return klow[G.mu] * F
+    if G.kind == "M":
+        sgn = G.nu_idx - G.mu
+        return sgn * 1j * (klow[1] * d_upper(0, F) - klow[0] * d_upper(1, F))
+    if G.kind == "D":
+        return 1j * (scaling(F) + F)
+    d_mu = d_upper(G.mu, F)
+    return (d_mu + klow[G.mu] * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
+            - d_upper(G.mu, scaling(F)) - 2 * d_mu
+            + (G.delta - 1.0) ** 2 * klow[G.mu] / (kp * km) * F)
+
+
+ALL_KINDS = [GeneratorKind("P", mu=0), GeneratorKind("P", mu=1),
+             GeneratorKind("M", mu=0, nu_idx=1),
+             GeneratorKind("M", mu=1, nu_idx=0),
+             GeneratorKind("M", mu=1, nu_idx=1), GeneratorKind("D"),
+             GeneratorKind("K", mu=0, delta=1.5),
+             GeneratorKind("K", mu=1, delta=1.25)]
 
 
 class TestGridAndModes:
@@ -178,6 +247,17 @@ class TestGenerators:
             _literal_generator(G, F, KP, KM)
         assert sym.expand(diff) == 0
 
+    @pytest.mark.parametrize("n", [112, 56])
+    @pytest.mark.parametrize("G", ALL_KINDS)
+    def test_real_products_equal_complex_matmuls(self, G, n):
+        f = gaussian_mode(LightconeGrid(n=n), (3.0, 2.6), 0.9,
+                          phase=(0.15, -0.1))
+        g = apply_generator(G, f)
+        assert np.array_equal(g.samples, _complex_matmul_generator(G, f))
+        # a generator output as input, as in the commutators
+        assert np.array_equal(apply_generator(G, g).samples,
+                              _complex_matmul_generator(G, g))
+
     def test_m_diagonal_vanishes(self):
         f = gaussian_mode(LightconeGrid())
         out = apply_generator(GeneratorKind("M", mu=1, nu_idx=1), f)
@@ -227,19 +307,19 @@ class TestGenerators:
             GeneratorKind("K", mu=0, delta=delta)
 
 
-def _operator_commutator(G1, G2):
-    A, B = _operator(G1), _operator(G2)
+def _operator_commutator(G1, G2, operator=_operator):
+    A, B = operator(G1), operator(G2)
     return _combine((1, _compose(A, B)), (-1, _compose(B, A)))
 
 
 # [G1, G2] = sum c G over (c, G): the conformal algebra in these conventions
 CLOSURE = [
-    ("P0", "M01", [(-sym.I, "P1")]), ("P0", "D", [(-sym.I, "P0")]),
-    ("P0", "K0", [(-2 * sym.I, "D")]), ("P0", "K1", [(2 * sym.I, "M01")]),
-    ("P1", "M01", [(-sym.I, "P0")]), ("P1", "D", [(-sym.I, "P1")]),
-    ("P1", "K0", [(-2 * sym.I, "M01")]), ("P1", "K1", [(2 * sym.I, "D")]),
-    ("M01", "K0", [(sym.I, "K1")]), ("M01", "K1", [(sym.I, "K0")]),
-    ("D", "K0", [(-sym.I, "K0")]), ("D", "K1", [(-sym.I, "K1")]),
+    ("P0", "M01", [(-1j, "P1")]), ("P0", "D", [(-1j, "P0")]),
+    ("P0", "K0", [(-2j, "D")]), ("P0", "K1", [(2j, "M01")]),
+    ("P1", "M01", [(-1j, "P0")]), ("P1", "D", [(-1j, "P1")]),
+    ("P1", "K0", [(-2j, "M01")]), ("P1", "K1", [(2j, "D")]),
+    ("M01", "K0", [(1j, "K1")]), ("M01", "K1", [(1j, "K0")]),
+    ("D", "K0", [(-1j, "K0")]), ("D", "K1", [(-1j, "K1")]),
     ("P0", "P1", []), ("M01", "D", []), ("K0", "K1", []),
 ]
 
@@ -269,12 +349,69 @@ class TestOperatorTable:
         want = _combine(*((c, _operator(named[g])) for c, g in rhs))
         assert _operator_commutator(named[g1], named[g2]) == want
 
+    @pytest.mark.parametrize("delta", [1.25, 1.5, 2.0])
+    def test_tables_equal_the_sympy_reference(self, delta):
+        # every coefficient is a dyadic rational times a power of i here
+        named = _named(delta)
+        exact = lambda table: {key: complex(c) for key, c in table.items()}
+        for G in ALL_KINDS + [named["K0"], named["K1"]]:
+            assert _operator(G) == exact(_sympy_operator(G))
+        for g1, g2, _ in CLOSURE:
+            G1, G2 = named[g1], named[g2]
+            assert _operator_commutator(G1, G2) == \
+                exact(_operator_commutator(G1, G2, _sympy_operator))
+
+    def test_tables_within_two_ulp_at_any_delta(self):
+        # nu^2 is rounded once; the commuting pairs stay exactly empty
+        rng = np.random.default_rng(21)
+        for i, delta in enumerate(rng.uniform(0.5, 4.0, 200).tolist()):
+            named = _named(delta)
+            for g1, g2 in (("P0", "P1"), ("M01", "D"), ("K0", "K1")):
+                assert _operator_commutator(named[g1], named[g2]) == {}
+            G = named[("K0", "K1")[i % 2]]
+            got, want = _operator(G), _sympy_operator(G)
+            assert got.keys() == want.keys()
+            for key, c in got.items():
+                w = complex(want[key])
+                for a, b in ((c.real, w.real), (c.imag, w.imag)):
+                    assert abs(a - b) <= 2 * np.spacing(abs(b))
+
     @settings(max_examples=40, deadline=None)
     @given(_TABLES, _TABLES)
     def test_compose_is_the_operator_product(self, A, B):
         F = sym.Function("F")(KP, KM)
         nested = _apply(A, _apply(B, F, KP, KM), KP, KM)
         assert sym.expand(_apply(_compose(A, B), F, KP, KM) - nested) == 0
+
+
+def _ring_read_form(expr, kp, km):
+    """[P, E] of expr = P exp(E), each part rebuilt in sympy's polynomial
+    ring over CC: the reference for fock._read_form."""
+    R = sympy.polys.rings.ring((kp, km), sym.CC)[0]
+    factors = sym.Mul.make_args(expr)
+    out = []
+    for part in (sym.Mul(*(a for a in factors if not isinstance(a, sym.exp))),
+                 sym.Add(*(a.args[0] for a in factors
+                           if isinstance(a, sym.exp)))):
+        terms = R.from_expr(part)
+        arr = np.zeros(np.max([(0, 0), *terms], axis=0) + 1, dtype=complex)
+        for ij, c in terms.items():
+            arr[ij] = complex(c)
+        out.append(arr)
+    return out
+
+
+def _quadratic_form(p, widths, rho, center, phase):
+    """P exp(E): P of degree <= 2 with coefficients p, E with a
+    negative-definite real quadratic part and a linear phase."""
+    x, y = KP - center[0], KM - center[1]
+    a, d = widths[0] ** -2, widths[1] ** -2
+    b = rho * (a * d) ** 0.5
+    E = (-(a * x ** 2 + 2 * b * x * y + d * y ** 2) / 2
+         + sym.I * (phase[0] * KP + phase[1] * KM))
+    P = sum(c * m for c, m in zip(
+        p, (1, KP, KM, KP ** 2, KP * KM, KM ** 2)))
+    return P * sym.exp(E)
 
 
 def _grid_oracle(G1, G2, expr, grid):
@@ -394,6 +531,30 @@ class TestAlgebraClosure:
         l2 = lambda x: np.sqrt(np.sum(w * np.abs(x) ** 2))
         assert l2(a - b) <= 1e-14 * l2(b)
 
+    @pytest.mark.parametrize("prefactor", [1, KP * KM],
+                             ids=["gaussian", "kp_km_gaussian"])
+    @pytest.mark.parametrize("form", ["two_exp", "one_exp"])
+    def test_reader_matches_ring_reader(self, form, prefactor):
+        _, two = sym_gaussian((3.0, 2.0), 0.9, phase=(0.3, -0.2))
+        one = sym.exp(-((KP - 3.0) ** 2 + (KM - 2.0) ** 2) / (2.0 * 0.9 ** 2)
+                      + sym.I * (0.3 * KP - 0.2 * KM))
+        expr = prefactor * {"two_exp": two, "one_exp": one}[form]
+        for got, want in zip(_read_form(expr, KP, KM),
+                             _ring_read_form(expr, KP, KM)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_COMPLEX, min_size=6, max_size=6),
+           st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           st.floats(-0.8, 0.8), st.tuples(st.floats(1, 8), st.floats(1, 8)),
+           st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+    def test_reader_matches_ring_reader_on_quadratic_forms(
+            self, p, widths, rho, center, phase):
+        expr = _quadratic_form(p, widths, rho, center, phase)
+        for got, want in zip(_read_form(expr, KP, KM),
+                             _ring_read_form(expr, KP, KM)):
+            assert np.array_equal(got, want)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_COMPLEX, min_size=6, max_size=6),
            st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
@@ -405,14 +566,7 @@ class TestAlgebraClosure:
         # P of degree <= 2 times exp(E), E with a negative-definite real
         # quadratic part and a linear phase
         G1, G2 = (_named(delta)[g] for g in pair[:2])
-        x, y = KP - center[0], KM - center[1]
-        a, d = widths[0] ** -2, widths[1] ** -2
-        b = rho * (a * d) ** 0.5
-        E = (-(a * x ** 2 + 2 * b * x * y + d * y ** 2) / 2
-             + sym.I * (phase[0] * KP + phase[1] * KM))
-        P = sum(c * m for c, m in zip(
-            p, (1, KP, KM, KP ** 2, KP * KM, KM ** 2)))
-        expr = P * sym.exp(E)
+        expr = _quadratic_form(p, widths, rho, center, phase)
         grid = LightconeGrid()
         kp, km, w = grid.mesh()
         on_grid = lambda e: np.broadcast_to(
@@ -429,8 +583,11 @@ class TestAlgebraClosure:
             raise AssertionError("the oracle must not call sympy calculus")
 
         f, expr = sym_gaussian((3.0, 2.0), 0.9, phase=(0.3, -0.2))
+        # nor sympy arithmetic: no polynomial ring, no exact numbers
         for owner, name in ((sym, "diff"), (sym, "Derivative"),
-                            (sym, "lambdify"), (sym.Expr, "diff")):
+                            (sym, "lambdify"), (sym.Expr, "diff"),
+                            (sympy.polys.rings, "ring"), (sym, "nsimplify"),
+                            (sym, "Rational")):
             monkeypatch.setattr(owner, name, forbidden)
         rep = algebra_closure_check(D, K1, f, expr)
         assert rep["relative_discrepancy"] < 1e-4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads import correlators, quadrature
+from gffads import quadrature
 from gffads.adsboundary import bonus_locality
 from gffads.correlators import Power, gff2pt
 from gffads.errors import BudgetExceededError, DivergenceError, DomainError
@@ -125,8 +125,8 @@ def _adaptive_finite_sequential(f, a, b, tol=1e-10, max_panels=4000):
 # spacelike points with |x| from 0.3 to 10, one of them 3% from the cone
 GFF2PT_POINTS = [(0.0, 0.3), (0.7, 1.8), (-1.0, 1.5), (8.0, 10.0), (2.9, 3.0)]
 # bonus_locality reaches adaptive_finite through quadrature._bessel_product,
-# gff2pt through correlators; the integrand calls per adaptive_finite call
-# stay under the ceiling of their kind
+# gff2pt through quadrature._endpoint_checked; the integrand calls per
+# adaptive_finite call stay under the ceiling of their kind
 REFINEMENT_CASES = [("locality", nu, p) for nu in (0.0, 0.7, 1.3)
                     for p in SONINE_POINTS + NEAR_CONE_POINTS] + \
     [("gff2pt", nu, x) for nu in (-0.4, 0.0, 0.5, 1.9) for x in GFF2PT_POINTS]
@@ -150,9 +150,8 @@ def _integrals(monkeypatch, kind, nu, point):
         seen.append((f, a, b, calls))
         return adaptive_finite(counted, a, b, **kwargs)
 
-    module = quadrature if kind == "locality" else correlators
     with monkeypatch.context() as m:
-        m.setattr(module, "adaptive_finite", capture)
+        m.setattr(quadrature, "adaptive_finite", capture)
         if kind == "locality":
             bonus_locality(0.0, Order(nu), *point)
         else:
