@@ -585,7 +585,9 @@ def scaling_covariance_check(h, lam, x):
     The dilation acts on weights as h_lambda(m^2) = lambda^(d/2) h(lambda^2 m^2),
     which compresses the mass spectrum by 1/lambda and therefore matches the
     two-point function at the contracted point x / lambda; the i-epsilon
-    regulator scales along with the point.
+    regulator scales along with the point.  The check passes when the
+    discrepancy is at most the tolerance it reports: the larger of the two
+    sides' combined error estimate and 1e-10 of the larger side.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
@@ -593,11 +595,14 @@ def scaling_covariance_check(h, lam, x):
     hl = ScaledWeight(h, lam, x.d)
     right = gff2pt(hl, hl, x)
     disc = abs(left.value - right.value)
+    combined = left.error_estimate + right.error_estimate
+    tol = max(combined,
+              1e-10 * max(abs(left.value), abs(right.value), 1e-30))
     return {
         "left": left,
         "right": right,
         "discrepancy": disc,
-        "combined_error": left.error_estimate + right.error_estimate,
-        "pass": disc <= max(left.error_estimate + right.error_estimate,
-                            1e-10 * max(abs(left.value), abs(right.value), 1e-30)),
+        "combined_error": combined,
+        "tolerance": tol,
+        "pass": disc <= tol,
     }

@@ -398,15 +398,12 @@ def commutator_locality_check(f, g, h, h1, f1, mu, nu, **kwargs):
 # vacuum fluctuations of the mollified tensor
 
 def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
-                                  n_inner=24, fixed_width=None):
+                                  n_inner=24):
     """||Theta^sigma_mn(f) Omega||^2 for delta-mollified diagonal weights.
 
     The weight is h_sigma(m1^2, m2^2) = N_sigma exp(-(m1^2-m2^2)^2/2 sigma^2)
     with N_sigma = 1/(sqrt(2 pi) sigma); the norm grows like 1/sigma as the
-    weight approaches the singular delta of the stress-energy tensor.  With
-    fixed_width set, a smooth unit-height Gaussian weight of that off-diagonal
-    width is used instead of the sigma-narrowing one, and the result is
-    independent of the sigma_sequence entries (bounded control case).
+    weight approaches the singular delta of the stress-energy tensor.
 
     Each value is the 4-dimensional integral, with u = m2^2 = k2+ k2-,
 
@@ -414,7 +411,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
             |fhat(k1 + k2)|^2 / k2+,      c = norm_const(2),
 
     q1, q2 the lower components of k1 and k2, on n_nodes lightcone nodes per
-    k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 width.  The
+    k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 sigma.  The
     k2+ axis is walked one node at a time over (u, k1+, k1-) arrays.  f is a
     diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential, and
     the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).  The
@@ -443,17 +440,15 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
                               for _ in range(4))
     live = np.empty(gauss.shape, dtype=bool)
     for sigma in sigmas:
-        width = fixed_width if fixed_width is not None else sigma
-        norm = 1.0 if fixed_width is not None else \
-            1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        # inner nodes u = m2^2 on the +-6 width window of the weight, as
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        # inner nodes u = m2^2 on the +-6 sigma window of the weight, as
         # (n_inner, rows) arrays
         u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
-            n_inner, np.maximum(m1sq - 6.0 * width, 1e-12)[:, None],
-            (m1sq + 6.0 * width)[:, None]))
+            n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
+            (m1sq + 6.0 * sigma)[:, None]))
         weight = w1 * wu
         c0u = c0 + dpm * u
-        hexp = -((u - m1sq) / width) ** 2
+        hexp = -((u - m1sq) / sigma) ** 2
         total = 0.0
         for k2p, w2p in zip(k, w):
             np.divide(u, k2p, out=k2m)

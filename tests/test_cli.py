@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gffads import cli
+from gffads.correlators import Power, scaling_covariance_check
 from gffads.errors import (BudgetExceededError, DivergenceError, DomainError,
                            RangeError)
+from gffads.spacetime import MinkVector
 from gffads.specfun import bessel_j
 
 
@@ -246,6 +248,16 @@ class TestVerify:
                 if r["name"].startswith("locality.ads_commutator_")]
         assert len(recs) == 3
         assert all(r["inputs"]["nu"] == 1.3 for r in recs)
+
+    def test_scaling_covariance_states_its_applied_tolerance(self, capsys):
+        rc, out = run(capsys, ["verify", "correlators"])
+        assert rc == 0
+        rec, = [r for r in json.loads(out)["records"]
+                if r["name"] == "correlators.scaling_covariance"]
+        # the record states the threshold the check's verdict applied
+        sc = scaling_covariance_check(Power(0.5), 1.6, MinkVector((0.4, 2.0)))
+        assert rec["tolerance"] == sc["tolerance"]
+        assert rec["value"]["re"] == sc["discrepancy"] <= sc["tolerance"]
 
     def test_tolerance_failure_exits_one(self, capsys):
         # a = 0.6 leaves the vanishing region, so the ratio bound must fail

@@ -317,6 +317,8 @@ class TestGff2pt:
         for h, lam in ((Power(0.5), 1.6), (Polynomial((0.5, 1.0)), 0.7)):
             rep = scaling_covariance_check(h, lam, x)
             assert rep["pass"]
+            # the verdict applies the tolerance the report states
+            assert rep["pass"] == (rep["discrepancy"] <= rep["tolerance"])
         # homogeneous weight: both sides reduce to lambda^(2 Delta) times the
         # unscaled function, Delta = d/2 + nu
         nu, lam = 0.5, 1.6

@@ -14,9 +14,17 @@ arrays, and sympy calculus is kept for the references in tests.
 Each mention of these names in src/gffads (an attribute, a bare name or an
 imported name) is found with `ast`, so a use fails here whichever import
 path it takes.
+
+The library modules load neither scipy.stats nor sympy: importing
+scipy.stats alone costs about 0.7 s and 44 MB of peak memory, which every
+process that imports the library would pay.  The verify suites that need
+them import them inside the suite.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gffads"
@@ -55,3 +63,16 @@ def test_no_lambdify():
     assert not culprits, ("lambdify in the package (apply an operator table "
                           "to coefficient arrays instead): "
                           + ", ".join(culprits))
+
+
+def test_library_imports_neither_scipy_stats_nor_sympy():
+    code = ("import sys\n"
+            "from gffads import (adsboundary, correlators, fock, quadrature,\n"
+            "                    specfun, stress)\n"
+            "print(sorted(m for m in ('scipy.stats', 'sympy')\n"
+            "             if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]", ("loaded on import of the library: "
+                                        + out.stdout.strip())

@@ -495,13 +495,6 @@ class TestVacuumFluctuation:
         assert rep["strictly_increasing"]
         assert 0.7 < rep["growth_exponent"] < 1.3
 
-    def test_fixed_width_control_is_bounded(self):
-        f = AnisoGaussian(0.8, 0.8)
-        sigmas = [0.4 * 2.0 ** -i for i in range(4)]
-        rep = vacuum_fluctuation_divergence(f, sigmas, fixed_width=0.3)
-        spread = max(rep["values"]) - min(rep["values"])
-        assert spread < 1e-10 * max(rep["values"])
-
     def test_validation(self):
         f = AnisoGaussian(0.8, 0.8)
         # a growth exponent needs two widths
