@@ -556,12 +556,12 @@ def _suite_set(cfg, rng):
                        inputs={"nu": 0.5, "Z": Z}))
     m1sq = 1.3
     Z = 200.0 / math.sqrt(m1sq)
-    dc = stress.z_integral_weight_delta_check(0.5, Z, m1sq, g_width=0.2)
+    dc = stress.z_integral_weight_delta_check(0.5, Z, m1sq)
     recs.append(_check("set.z_weight_delta_smearing",
                        dc["relative_deviation"], 0.0, 1e-2,
                        inputs={"Z": Z, "m1sq": m1sq, "g_width": 0.2}))
     red = stress.ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, h, f1, h, f2,
-                                   0, 0, n_outer=32, n_inner=600)
+                                   0, 0)
     recs.append(_check("set.ads_reduction_deviation",
                        red["final_relative_deviation"], 0.0, 1e-2,
                        inputs={"Z": 8.0, "nu": 0.5}))

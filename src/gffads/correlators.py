@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, LightConeProximityError
 from .quadrature import (_bessel_product, _doubling, _endpoint_checked,
                          _gauss_legendre, _laguerre_table, adaptive_finite,
                          neville_zero)
@@ -388,7 +388,6 @@ def commutator_kg_eps(m, x):
     vals = [wightman_kg(m, x, e).value - wightman_kg(m, -x, e).value
             for e in eps_list]
     val, spread = neville_zero(eps_list, vals, len(eps_list) - 1)
-    from .errors import LightConeProximityError
     if spread > 1e-4 * max(1.0, abs(val)):
         raise LightConeProximityError(
             "eps extrapolation of the commutator did not converge")
@@ -442,27 +441,27 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     return Correlator(res.value, err)
 
 
-def gff2pt(h1, h2, x, epsilon=1e-3, cutoff=None):
-    """2-point function int_0^cutoff dm^2 h1(m^2) h2(m^2) W_m(x).
+def gff2pt(h1, h2, x, epsilon=1e-3):
+    """2-point function int_0^inf dm^2 h1(m^2) h2(m^2) W_m(x), spacelike x.
 
-    The mass integral runs on m = t^2 (see _mass_integral); its estimate
-    adds a bound on the integral beyond the cutoff, which defaults to
-    default_cutoff(x).
+    The mass integral runs on m = t^2 up to default_cutoff(x) (see
+    _mass_integral); its estimate adds a bound on the integral beyond it.
+    A measure on a finite mass range, or with point masses, is a MassWeight
+    for kallen_lehmann_2pt.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(x)
     return _mass_integral(
         lambda m2: np.asarray(h1(m2)) * np.asarray(h2(m2)), x, epsilon,
-        0.0, cutoff, tail=True)
+        0.0, default_cutoff(x), tail=True)
 
 
 def kallen_lehmann_2pt(rho, x):
     """Superposition int d rho(m^2) W_m(x) for a MassWeight measure.
 
-    Second code path for the consistency check against gff2pt with
-    d rho = h^2 dm^2: the density on the same mass route as gff2pt, plus
-    the point masses in closed form.  Infinite support (spacelike x only)
-    is cut at default_cutoff(x), and the estimate bounds the rest.
+    The Kallen-Lehmann form of gff2pt's route (d rho = h1 h2 dm^2 there):
+    the density over the measure's support on the same mass integral, plus
+    the point masses in closed form.  A finite support is integrated as
+    given, with no tail; an infinite one (spacelike x only) is cut at
+    default_cutoff(x), and the estimate bounds the rest.
     """
     lo, hi = rho.support
     infinite = not np.isfinite(hi)
@@ -546,27 +545,27 @@ def smeared2pt(h1, f1, h2, f2, n_nodes=120, epsilon=0.0):
     return Correlator(complex(value), abs(value - value_half))
 
 
-def wick2pt(h, x, cutoff=None):
+def wick2pt(h, x):
     """2-point function of the generalized Wick square with weight h(m1^2, m2^2):
 
-        2 int dm1^2 dm2^2 h^2 W_m1(x) W_m2(x).
+        2 int dm1^2 dm2^2 h^2 W_m1(x) W_m2(x),  spacelike x.
 
     h must be a symmetric callable; the singular diagonal delta weight is
     rejected with a DivergenceError (see the vacuum-fluctuation diagnostic).
-    The value is taken on a 160-node Gauss-Legendre grid in each mass; the
-    error estimate is its change from the 80-node grid.
+    The value is taken on a 160-node Gauss-Legendre grid in each mass up to
+    default_cutoff(x); the error estimate is its change from the 80-node
+    grid.
     """
     if isinstance(h, DeltaDiagonalWeight):
         raise DivergenceError(
             "delta(m1^2 - m2^2) weight is not square integrable: the vacuum "
             "fluctuation diverges; run the mollified cutoff scan "
             "(stress.vacuum_fluctuation_divergence) for the diagnostic")
-    if cutoff is None:
-        cutoff = default_cutoff(x)
+    mmax = math.sqrt(default_cutoff(x))
     sigma = _sigma_eps(x, 1e-3)
 
     def on_grid(n):
-        m, wm = _gauss_legendre(n, 0.0, math.sqrt(cutoff))
+        m, wm = _gauss_legendre(n, 0.0, mmax)
         wvals = _wightman_closed(m, sigma, x.d)
         m1sq = (m ** 2)[:, None]
         m2sq = (m ** 2)[None, :]

@@ -397,13 +397,14 @@ def _require_finite(samples, what, grid):
                           f"{grid.n}-point grid")
 
 
-def algebra_closure_check(G1, G2, f, expr=None):
+def algebra_closure_check(G1, G2, f, expr):
     """Compare the grid commutator [G1, G2] f with the exact symbolic one.
 
-    expr must be the sympy expression (in symbols kp, km) matching f, of the
-    form P exp(E) with P and E polynomials in kp, km (exp(E) may come as
-    several exp factors); any other form raises DomainError.  expr is only
-    read into coefficient arrays (_read_form), with no sympy arithmetic.
+    f must be given as a callable, and expr is its sympy expression (in
+    symbols kp, km), of the form P exp(E) with P and E polynomials in kp,
+    km (exp(E) may come as several exp factors); any other form raises
+    DomainError.  expr is only read into coefficient arrays (_read_form),
+    with no sympy arithmetic.
     The oracle is exact in form: the coefficient table of [G1, G2] is
     composed from those of G1 and G2 (at most a few terms, none for
     commuting pairs), applied to P e^E by the recurrence of the module
@@ -415,9 +416,8 @@ def algebra_closure_check(G1, G2, f, expr=None):
     full-grid result, and ResolutionError is raised when both that drift
     and the discrepancy exceed 0.1.
     """
-    if expr is None or f.func is None:
-        raise DomainError("algebra_closure_check needs f as a callable and "
-                          "its symbolic form")
+    if f.func is None:
+        raise DomainError("algebra_closure_check needs f as a callable")
     comm, scale_ops = _commutator(G1, G2, f)
     _require_finite(comm, "grid commutator", f.grid)
     scale_ops = max(scale_ops, 1e-300)

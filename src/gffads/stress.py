@@ -539,21 +539,22 @@ def z_integral_weight_closed(nu, Z, m1sq, m2sq):
     return float(out) if out.ndim == 0 else out
 
 
-def z_integral_weight_delta_check(nu, Z, m1sq, g_width=0.2):
-    """Smear z_integral_weight against a Gaussian in m2^2; compare with the
-    delta-limit value g(m1^2).
+def z_integral_weight_delta_check(nu, Z, m1sq):
+    """Smear z_integral_weight_closed against the Gaussian g of width 0.2
+    in m2^2; compare with the delta-limit value g(m1^2).
 
     Returns the smeared value, g(m1^2) and the relative deviation; the
     deviation shrinks as Z grows (the weight converges to delta(m1^2-m2^2)).
     """
-    if m1sq <= 0 or g_width <= 0 or Z <= 0:
-        raise DomainError("delta check needs positive m1sq, width and Z")
+    if m1sq <= 0 or Z <= 0:
+        raise DomainError("delta check needs positive m1sq and Z")
+    width = 0.2
 
     def g(u):
-        return np.exp(-(u - m1sq) ** 2 / (2.0 * g_width ** 2))
+        return np.exp(-(u - m1sq) ** 2 / (2.0 * width ** 2))
 
-    lo = max(m1sq - 8.0 * g_width, 1e-10)
-    hi = m1sq + 8.0 * g_width
+    lo = max(m1sq - 8.0 * width, 1e-10)
+    hi = m1sq + 8.0 * width
     # oscillation period of the weight is ~ 2 pi m2 / Z in the m2^2 variable
     n_nodes = max(800, int(4.0 * Z * (math.sqrt(hi) - math.sqrt(lo))))
     u, wu = _gauss_legendre(min(n_nodes, 6000), lo, hi)
@@ -670,21 +671,20 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 
-def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx,
-                      n_outer=48, n_inner=1000):
+def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx):
     """Z-cutoff bulk reduction of the tensor vs the sharp mass-diagonal limit.
 
-    Evaluates ads_set_matrix_element along the increasing Z_sequence and
-    compares with set_matrix_element (the sharp delta-weight evaluation).
+    Evaluates ads_set_matrix_element (32 outer, 600 inner nodes) along the
+    increasing Z_sequence and compares with set_matrix_element on 64 nodes
+    (the sharp delta-weight evaluation).
     """
     Zs = checked_sequence(Z_sequence, "Z_sequence", increasing=True)
-    target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx,
-                                n_nodes=max(n_outer, 64))
+    target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx, n_nodes=64)
     scale = abs(target.value)
     values, deviations = [], []
     for Z in Zs:
         val = ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
-                                     n_outer=n_outer, n_inner=n_inner)
+                                     n_outer=32, n_inner=600)
         values.append(val)
         deviations.append(abs(val - target.value) / scale)
     return {"target": target.value, "values": values,

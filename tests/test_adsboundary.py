@@ -391,6 +391,3 @@ class TestMassChangeKernel:
     def test_validation(self):
         with pytest.raises(DomainError):
             mass_change_kernel_check(0.5, 1.5, -0.1, 1.0)
-        with pytest.raises(DomainError):
-            mass_change_kernel_check(0.5, 1.5, 0.7, 1.2,
-                                     epsilons=(0.1, 0.2, 0.05))

@@ -277,14 +277,6 @@ class TestGff2pt:
         g = gff2pt(Power(0.5), Power(0.5), MinkVector((0.0, r)), epsilon=1e-8)
         assert rel_err(g.value.real, 0.5 * r ** -3) < 1e-6
 
-    def test_one_weight_finite_cutoff_oracle(self):
-        # int_0^M 2m dm (2 pi)^-1 K_0(m r) = (1 - M r K_1(M r)) / (pi r^2)
-        r, mmax = 0.8, 6.0
-        g = gff2pt(One(), One(), MinkVector((0.0, r)), epsilon=1e-9,
-                   cutoff=mmax ** 2)
-        oracle = (1.0 - mmax * r * bessel_k(1.0, mmax * r)) / (np.pi * r ** 2)
-        assert rel_err(g.value.real, oracle) < 1e-8
-
     def test_hermiticity(self):
         h = Power(0.5)
         x = MinkVector((0.7, 1.8))
@@ -335,8 +327,21 @@ class TestKallenLehmann:
         h = Polynomial((0.2, 1.0))
         rho = MassWeight(lambda m2: np.asarray(h(m2)) ** 2, support=(0.0, cut))
         a = kallen_lehmann_2pt(rho, x)
-        b = gff2pt(h, h, x, cutoff=cut)
+        b = gff2pt(h, h, x)
         assert abs(a.value - b.value) < 1e-8 * abs(b.value)
+
+    def test_finite_support_oracle(self):
+        # int_0^M 2m dm (2 pi)^-1 K_0(m r) = (1 - M r K_1(M r)) / (pi r^2),
+        # taken at r_eps = sqrt(r^2 + eps^2) for kallen_lehmann_2pt's
+        # eps = 1e-3
+        r, mmax = 0.8, 6.0
+        rho = MassWeight(One(), support=(0.0, mmax ** 2))
+        res = kallen_lehmann_2pt(rho, MinkVector((0.0, r)))
+        r_eps = math.hypot(r, 1e-3)
+        oracle = (1.0 - mmax * r_eps * bessel_k(1.0, mmax * r_eps)) / \
+            (np.pi * r_eps ** 2)
+        assert rel_err(res.value.real, oracle) < 1e-8
+        assert abs(res.value - oracle) <= res.error_estimate
 
     @pytest.mark.parametrize("nu", [-0.3, 0.5, 1.9])
     def test_infinite_support_tail(self, nu):
@@ -479,11 +484,10 @@ class TestWick2pt:
         # h^2 = e^{-(m1^2 + m2^2)/2} factorizes, so the double integral is
         # twice the square of a single-weight two-point function
         x = MinkVector((0.0, 1.1))
-        cut = default_cutoff(x)
         h2 = lambda a, b: np.exp(-(a + b) / 4.0)
         h1 = lambda m2: np.exp(-np.asarray(m2) / 4.0)
-        w = wick2pt(h2, x, cutoff=cut)
-        g = gff2pt(h1, h1, x, cutoff=cut)
+        w = wick2pt(h2, x)
+        g = gff2pt(h1, h1, x)
         assert rel_err(w.value, 2.0 * g.value ** 2) < 1e-5
         # 2 g^2 carries the error 4 |g| of g's own estimate
         assert abs(w.value - 2.0 * g.value ** 2) <= \

@@ -476,11 +476,6 @@ class TestAlgebraClosure:
             algebra_closure_check(GeneratorKind("D"),
                                   GeneratorKind("K", mu=1, delta=1.5), f, expr)
 
-    def test_expr_required(self):
-        f, _ = sym_gaussian()
-        with pytest.raises(DomainError):
-            algebra_closure_check(GeneratorKind("P"), GeneratorKind("D"), f)
-
     def test_non_finite_grid_commutator_raises(self):
         g, expr = sym_gaussian((3.0, 2.0), 0.9)
         f = ModeFunction(g.grid, lambda kp, km: np.where(kp > 5.0, np.nan,

@@ -6,6 +6,12 @@ a single value in use: they should be constants.  The definitions are
 read from src/gffads and the calls from src/, tests/ and bench/ with
 `ast`.  Calls are matched to definitions by name (the class name for
 __init__), which can only over-count the calls that reach a function.
+
+A call sets a parameter when it passes an argument in its place that is
+not a literal equal to the default's literal (a literal default passed
+again keeps the one value in use).  Calls inside a `with pytest.raises`
+block do not count: there an option is set only to reach its own
+validation.
 """
 
 import ast
@@ -36,36 +42,68 @@ def _call_name(call):
     return None
 
 
+def _in_raises(tree):
+    """ids of the calls inside the body of a `with pytest.raises(...)`."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call)
+                and _call_name(item.context_expr) == "raises"
+                for item in node.items):
+            inside |= {id(n) for stmt in node.body for n in ast.walk(stmt)
+                       if isinstance(n, ast.Call)}
+    return inside
+
+
 def _calls():
-    """Per called name: the most positional arguments of one call, whether
-    any call passes *args or **mapping, and every keyword passed."""
-    calls = defaultdict(lambda: {"positional": 0, "star": False,
-                                 "double_star": False, "keywords": set()})
+    """Per called name, one (positional, star, keywords, double_star) per
+    call outside pytest.raises: the positional argument nodes before any
+    *args, whether there is one, the keyword argument nodes by name, and
+    whether a **mapping is passed."""
+    calls = defaultdict(list)
     for folder in CALLERS:
         for path in folder.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
+            tree = ast.parse(path.read_text())
+            skip = _in_raises(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in skip:
                     continue
-                c = calls[_call_name(node)]
-                positional = 0
+                positional = []
                 for arg in node.args:
                     if isinstance(arg, ast.Starred):
-                        c["star"] = True
                         break
-                    positional += 1
-                c["positional"] = max(c["positional"], positional)
-                for kw in node.keywords:
-                    if kw.arg is None:
-                        c["double_star"] = True
-                    else:
-                        c["keywords"].add(kw.arg)
+                    positional.append(arg)
+                star = len(positional) < len(node.args)
+                keywords = {kw.arg: kw.value for kw in node.keywords
+                            if kw.arg is not None}
+                double_star = len(keywords) < len(node.keywords)
+                calls[_call_name(node)].append(
+                    (positional, star, keywords, double_star))
     return calls
 
 
-def _is_set(c, positional, p):
-    """Whether the calls summarized in c set parameter p."""
-    return p in c["keywords"] or c["double_star"] or p in positional and (
-        c["star"] or positional.index(p) < c["positional"])
+def _same_literal(arg, default):
+    """Whether the argument node is a literal equal to the default's."""
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except (ValueError, TypeError):
+        return False
+
+
+def _sets(call, parameters, p, default):
+    """Whether one call sets parameter p (positional index in parameters,
+    or keyword-only when absent there) to other than its default."""
+    positional, star, keywords, double_star = call
+    if p in keywords:
+        return not _same_literal(keywords[p], default)
+    if double_star:
+        return True
+    if p not in parameters:
+        return False
+    i = parameters.index(p)
+    if i < len(positional):
+        return not _same_literal(positional[i], default)
+    return star
 
 
 def unused_options():
@@ -80,16 +118,20 @@ def unused_options():
                             for d in fn.decorator_list)
             if cls is not None and not is_static:
                 positional = positional[1:]
-            defaulted = positional[len(positional) - len(args.defaults):] + [
-                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            n_required = len(positional) - len(args.defaults)
+            defaulted = list(zip(positional[n_required:], args.defaults)) + [
+                (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                 if d is not None]
             named = set(positional) | {a.arg for a in args.kwonlyargs}
-            c = calls[cls if fn.name == "__init__" else fn.name]
+            fn_calls = calls[cls if fn.name == "__init__" else fn.name]
             label = path.stem + "." + (fn.name if cls is None
                                        else cls + "." + fn.name)
-            culprits += [f"{label}({p})" for p in defaulted
-                         if not _is_set(c, positional, p)]
-            if args.kwarg and not (c["double_star"] or c["keywords"] - named):
+            culprits += [f"{label}({p})" for p, d in defaulted
+                         if not any(_sets(c, positional, p, d)
+                                    for c in fn_calls)]
+            if args.kwarg and not any(double_star or set(keywords) - named
+                                      for _, _, keywords, double_star
+                                      in fn_calls):
                 culprits.append(f"{label}(**{args.kwarg.arg})")
     return culprits
 

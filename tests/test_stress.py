@@ -651,7 +651,7 @@ class TestAdsReduction:
     def test_depth_cutoff_converges_to_sharp_element(self, packet_trio, hpow):
         f1, f2, f = packet_trio
         rep = ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, hpow, f1, hpow, f2,
-                                0, 0, n_outer=32, n_inner=600)
+                                0, 0)
         assert rep["final_relative_deviation"] < 1e-2
         assert rep["relative_deviations"][-1] < rep["relative_deviations"][0]
 
