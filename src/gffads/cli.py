@@ -256,10 +256,13 @@ def _suite_specfun(cfg, rng):
                            ht.value, u0 ** nu * np.exp(-u0 * u0 / 2.0), 1e-8,
                            error=ht.error_estimate,
                            inputs={"nu": nu, "u": u0}))
-    nu, u0 = 1.3, 2.3
-    recs.append(_check("specfun.even_series_matches_besselj",
-                       j_even(nu, u0 ** 2) * u0 ** nu, bessel_j(nu, u0),
-                       1e-12, inputs={"nu": nu, "u": u0}))
+    # j_even's own power series against each route of bessel_j: j0 at
+    # nu = 0, the closed form at nu = 1/2, AMOS jv otherwise
+    u0 = 2.3
+    for nu in (0.0, 0.5, 1.3):
+        recs.append(_check(f"specfun.even_series_matches_besselj_nu{nu}",
+                           j_even(nu, u0 ** 2) * u0 ** nu, bessel_j(nu, u0),
+                           1e-12, inputs={"nu": nu, "u": u0}))
     return recs
 
 

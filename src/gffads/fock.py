@@ -202,6 +202,12 @@ class GeneratorKind:
             raise DomainError(f"delta must be finite, got {self.delta!r}")
 
 
+def _real_product(m, a):
+    """m @ a for real m and complex a, as one real product on a's
+    interleaved (re, im) columns: numpy would cast m to complex."""
+    return (m @ np.ascontiguousarray(a).view(float)).view(complex)
+
+
 def apply_generator(G, f):
     """Apply a generator to a mode function, returning a new mode function.
 
@@ -211,16 +217,15 @@ def apply_generator(G, f):
     kp, km, _ = f.grid.mesh()
     ds = _spectral(f.grid)[2]
     F = f.samples
-    # ds @ a for complex a as one real product on a's interleaved (re, im)
-    # columns; a @ ds.T is the same product on a.T, transposed back
-    left = lambda a: (ds @ np.ascontiguousarray(a).view(float)).view(complex)
+    # a @ ds.T = (ds @ a.T).T
+    left = lambda a: _real_product(ds, a)
     right = lambda a: left(a.T).T
     d_plus = lambda a: left(a) / kp
     d_minus = lambda a: right(a) / km
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
     d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
     scaling = lambda a: left(a) + right(a)  # k . d/dk
-    klow = _lower((kp, km))
+    klow = None if G.kind == "D" else _lower((kp, km))
     if G.kind == "P":
         out = klow[G.mu] * F
     elif G.kind == "M":
@@ -442,7 +447,9 @@ def algebra_closure_check(G1, G2, f, expr):
     t, bw = _spectral(half)[3:]  # barycentric interpolation onto f's nodes
     lift = bw / (_spectral(f.grid)[3][:, None] - t)
     lift /= lift.sum(axis=1, keepdims=True)
-    drift = l2(comm - lift @ coarse @ lift.T) / max(den, scale_ops)
+    # lift @ coarse @ lift.T = (lift @ (lift @ coarse).T).T
+    lifted = _real_product(lift, _real_product(lift, coarse).T).T
+    drift = l2(comm - lifted) / max(den, scale_ops)
     if drift > 0.1 and num / max(den, scale_ops) > 0.1:
         raise ResolutionError(
             f"commutator not converged on the {f.grid.n}-point grid "

@@ -4,6 +4,7 @@ import sympy as sym
 import sympy.polys.rings
 from hypothesis import given, settings, strategies as st
 
+from gffads import fock
 from gffads.correlators import (GaussianPacket, Power, _lower, norm_const,
                                 smeared2pt)
 from gffads.errors import DomainError, ResolutionError
@@ -466,6 +467,16 @@ class TestAlgebraClosure:
         rep = algebra_closure_check(GeneratorKind("P", mu=0),
                                     GeneratorKind("P", mu=1), f, expr)
         assert rep["vanishes"]
+
+    @pytest.mark.parametrize("G1,G2", [(D, K1), (M01, K0), (P0, P1)],
+                             ids=["D-K1", "M01-K0", "P0-P1"])
+    def test_reports_equal_complex_matmul_route(self, monkeypatch, G1, G2):
+        # the real-view products, against numpy casting the real matrices
+        # (the differentiation matrix and the lift) to complex
+        f, expr = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
+        rep = algebra_closure_check(G1, G2, f, expr)
+        monkeypatch.setattr(fock, "_real_product", lambda m, a: m @ a)
+        assert algebra_closure_check(G1, G2, f, expr) == rep
 
     def test_coarse_grid_raises_resolution_error(self):
         # n = 48 cannot resolve K of this mode: the commutator is off by

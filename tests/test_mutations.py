@@ -1,10 +1,10 @@
 """Mutation table: planted defects that the verify suites must catch.
 
-Each row plants one defect in a public function (monkeypatched to return
-its value times 1.01), runs only the suite that holds the row's record, and
-asserts that the record fails.  A defect under which every record passes
-marks a number the acceptance gate does not check (mutation analysis:
-DeMillo, Lipton & Sayward, Computer 11, 1978).
+Each row plants one defect in a public function (monkeypatched, where the
+row's module binds it, to return its value times 1.01), runs only the suite
+that holds the row's record, and asserts that the record fails.  A defect
+under which every record passes marks a number the acceptance gate does not
+check (mutation analysis: DeMillo, Lipton & Sayward, Computer 11, 1978).
 
 The last test holds the estimate of the randomized quasi-Monte Carlo
 record against its reference over several seeds.
@@ -15,14 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gffads import cli, correlators, stress
-
-# (module, public function, suite, record that must fail under the defect)
-ROWS = [
-    (stress, "set_matrix_element", "set", "set.matrix_element_qmc"),
-    (correlators, "gff2pt", "correlators",
-     "correlators.power_weight_closed_form"),
-]
+from gffads import cli, correlators, quadrature, stress
 
 
 def scaled(fn, factor):
@@ -33,10 +26,32 @@ def scaled(fn, factor):
     return planted
 
 
-@pytest.mark.parametrize("module,name,suite,record", ROWS,
+def scaled_array(fn, factor):
+    """fn with its value, a number or an array, times factor."""
+    def planted(*args, **kwargs):
+        return factor * fn(*args, **kwargs)
+    return planted
+
+
+# (module, public function, planting, suite, record that must fail under
+# the defect).  The bessel_ode_residual records cannot see a scale defect
+# of bessel_j: the ODE is linear and homogeneous.
+ROWS = [
+    (stress, "set_matrix_element", scaled, "set", "set.matrix_element_qmc"),
+    (correlators, "gff2pt", scaled, "correlators",
+     "correlators.power_weight_closed_form"),
+    (quadrature, "bessel_j", scaled_array, "specfun",
+     "specfun.hankel_self_reciprocal_nu0.0"),
+    (quadrature, "hankel_scaled", scaled_array, "locality",
+     "locality.bonus_locality_interior_oracle"),
+]
+
+
+@pytest.mark.parametrize("module,name,plant,suite,record", ROWS,
                          ids=[row[1] for row in ROWS])
-def test_defect_fails_its_record(monkeypatch, module, name, suite, record):
-    monkeypatch.setattr(module, name, scaled(getattr(module, name), 1.01))
+def test_defect_fails_its_record(monkeypatch, module, name, plant, suite,
+                                 record):
+    monkeypatch.setattr(module, name, plant(getattr(module, name), 1.01))
     passed = {r["name"]: r["passed"]
               for r in cli.run_verify(suite, cli.load_config(None))}
     assert passed[record] is False

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from gffads.errors import DomainError, RangeError
 from gffads.quadrature import adaptive_finite
@@ -10,6 +11,26 @@ from gffads.specfun import (Order, bessel_i, bessel_j, bessel_k, gamma,
                             hankel_scaled, j_even, kv_complex)
 
 from conftest import rel_err
+
+
+EPS = np.finfo(float).eps
+# orders of bessel_j's routes: j0, the closed forms at +-1/2, jv; and of
+# hankel_scaled's: AMOS at 0 and 1.3, the closed forms at +-1/2
+J_ROUTES = (0.0, 0.5, -0.5, 1.3, 3.0)
+H_ROUTES = (0.0, 0.5, -0.5, 1.3)
+# C of the accuracy contract: the routes that specfun evaluates itself (j0
+# and the closed forms) reach 1.9, AMOS jv, hankel1e and hankel2e reach
+# about 160 at nu = 1.3
+C_OWN, C_AMOS = 4.0, 256.0
+
+
+def _mp_hankel_scaled(sign, nu, z):
+    """H_nu(z) e^(-i sign z) by mpmath's K_nu (DLMF 10.27.8), which stays
+    accurate where H decays and J, Y cancel."""
+    z = mpmath.mpc(z)
+    k = mpmath.besselk(nu, -1j * sign * z)
+    phase = mpmath.exp(-0.5j * sign * mpmath.pi * nu - 1j * sign * z)
+    return sign * 2.0 / (mpmath.pi * 1j) * phase * k
 
 
 class TestGamma:
@@ -62,10 +83,38 @@ class TestBesselJ:
             bessel_j(0.5, float("nan"))
 
     def test_limit_at_infinity(self):
-        for nu in (0.0, 0.5, -0.3):
+        for nu in J_ROUTES + (-0.3,):
             assert bessel_j(nu, math.inf) == 0.0
-        out = bessel_j(1.3, np.array([1.0, math.inf]))
-        assert out[1] == 0.0 and out[0] == bessel_j(1.3, 1.0)
+            out = bessel_j(nu, np.array([1.0, math.inf]))
+            assert out[1] == 0.0 and out[0] == bessel_j(nu, 1.0)
+
+    @pytest.mark.parametrize("nu", J_ROUTES)
+    def test_values_at_origin_are_those_of_jv(self, nu):
+        want = {0.0: 1.0, 0.5: 0.0, -0.5: math.inf, 1.3: 0.0, 3.0: 0.0}[nu]
+        assert bessel_j(nu, 0.0) == sp.jv(nu, 0.0) == want
+        assert bessel_j(nu, np.array([0.0, 1.0]))[0] == want
+
+    @pytest.mark.parametrize("nu", J_ROUTES)
+    def test_every_route_checks_its_argument(self, nu):
+        for bad in (-0.1, math.nan, np.array([1.0, -1.0])):
+            with pytest.raises(DomainError):
+                bessel_j(nu, bad)
+        assert type(bessel_j(nu, 1.0)) is float
+
+    @pytest.mark.parametrize("nu", J_ROUTES)
+    def test_accuracy_contract_against_mpmath(self, nu):
+        # |error| <= C eps (u |J_nu'(u)| + sqrt(2 / (pi max(u, 1)))), the
+        # change one rounding of u makes, on [0, 2000]
+        rng = np.random.default_rng(24)
+        u = np.concatenate([[1e-8, 1e-3], rng.uniform(0.0, 25.0, 100),
+                            rng.uniform(25.0, 2000.0, 40)])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselj(nu, mpmath.mpf(x)))
+                             for x in u])
+        slope = 0.5 * np.abs(sp.jv(nu - 1.0, u) - sp.jv(nu + 1.0, u))
+        bound = EPS * (u * slope + np.sqrt(2.0 / (np.pi * np.maximum(u, 1.0))))
+        c = C_AMOS if nu not in (0.0, 0.5, -0.5) else C_OWN
+        assert np.all(np.abs(bessel_j(nu, u) - want) <= c * bound)
 
     def test_ode_residual(self):
         # (u d/du)^2 J + (u^2 - nu^2) J = 0, finite-difference derivatives
@@ -106,10 +155,36 @@ class TestHankelScaled:
         assert abs(total - 2.0 * bessel_j(1.3, u)) < 1e-14
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            hankel_scaled(1, 0.5, -1.0 + 2.0j)
-        with pytest.raises(DomainError):
-            hankel_scaled(0, 0.5, 1.0)
+        # sign and Re z are checked before any route is taken
+        for nu in H_ROUTES:
+            for bad_z in (-1.0 + 2.0j, 0.0, complex(math.nan, 1.0),
+                          np.array([1.0, -1.0 + 1.0j])):
+                with pytest.raises(DomainError):
+                    hankel_scaled(1, nu, bad_z)
+            for bad_sign in (0, 2, -2):
+                with pytest.raises(DomainError):
+                    hankel_scaled(bad_sign, nu, 1.0)
+            assert type(hankel_scaled(-1, nu, 1.0 + 1.0j)) is complex
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("nu", H_ROUTES)
+    def test_accuracy_contract_against_mpmath(self, nu, sign):
+        # h(z) = H_nu(z) e^(-i sign z): |error| <= C eps (|z h'(z)| + |h|),
+        # on the real axis and on rays Re z in (0, 2000], |Im z| <= 3 Re z
+        rng = np.random.default_rng(24)
+        x = np.concatenate([rng.uniform(0.01, 25.0, 8),
+                            rng.uniform(25.0, 2000.0, 4)])
+        z = np.concatenate([x + 0j, x * (1.0 + 3j * rng.uniform(-1.0, 1.0,
+                                                                x.size))])
+        with mpmath.workdps(40):
+            want = np.array([complex(_mp_hankel_scaled(sign, nu, zi))
+                             for zi in z])
+        amos = sp.hankel1e if sign == 1 else sp.hankel2e
+        h = amos(nu, z)
+        dh = 0.5 * (amos(nu - 1.0, z) - amos(nu + 1.0, z)) - 1j * sign * h
+        bound = EPS * (np.abs(z * dh) + np.abs(h))
+        c = C_OWN if abs(nu) == 0.5 else C_AMOS
+        assert np.all(np.abs(hankel_scaled(sign, nu, z) - want) <= c * bound)
 
 
 class TestBesselK:
