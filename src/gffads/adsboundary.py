@@ -47,13 +47,18 @@ class AdSFieldSpec:
         return BesselZ(z, self.order)
 
 
+def _finite_positive(*values):
+    """Whether every value is a finite positive number (NaN is not)."""
+    return all(0 < v < math.inf for v in values)
+
+
 def ads2pt(spec, z, zp, dx, epsilon=1e-3):
     """Bulk 2-point function (1/2) z z' int dm^2 J_nu(zm) J_nu(z'm) W_m(dx).
 
     Same code path as the boundary superposition with Bessel weights.
     """
-    if z <= 0 or zp <= 0 or dx.d != 2:
-        raise DomainError("ads2pt requires z, zp > 0 and a d = 2 dx")
+    if not (_finite_positive(z, zp) and dx.d == 2):
+        raise DomainError("ads2pt requires finite z, zp > 0 and a d = 2 dx")
     return gff2pt(spec.weight(z), spec.weight(zp), dx, epsilon=epsilon)
 
 
@@ -176,8 +181,8 @@ def bonus_locality(mu, nu, a, b, c, schedule=None):
     locality workload passes one positionally, and the slot goes with the
     next change to the benchmark.
     """
-    if min(a, b, c) <= 0:
-        raise DomainError("bonus_locality requires positive a, b, c")
+    if not _finite_positive(a, b, c):
+        raise DomainError("bonus_locality requires finite positive a, b, c")
     return _bessel_product(1.0 - mu, ((mu, a), (_nu(nu), b), (_nu(nu), c)))
 
 
@@ -189,8 +194,9 @@ def ads_commutator(spec, z, zp, dx):
     inside the 5% guard band around the AdS light cone tau^2 = (z - z')^2
     raise a proximity error.
     """
-    if z <= 0 or zp <= 0 or dx.d != 2:
-        raise DomainError("ads_commutator requires z, zp > 0 and a d = 2 dx")
+    if not (_finite_positive(z, zp) and dx.d == 2):
+        raise DomainError("ads_commutator requires finite z, zp > 0 and a "
+                          "d = 2 dx")
     thresh = (z - zp) ** 2
     if thresh > 0 and abs(dx.square() - thresh) < 0.05 * thresh:
         raise LightConeProximityError(

@@ -620,6 +620,19 @@ def _gff2pt(p):
     return corr.gff2pt(h, h, x)
 
 
+# largest grid order setMatrixElement accepts: its work grows as n^3 (n = 256
+# takes 1.6 s on a 2-vCPU Xeon) and its slices as n^2
+MAX_SET_NODES = 512
+
+
+def _set_nodes(value):
+    """value as a grid order of at most MAX_SET_NODES."""
+    n = _integer(value)
+    if n > MAX_SET_NODES:
+        raise ValueError(f"more than {MAX_SET_NODES} nodes")
+    return n
+
+
 def _set_matrix_element(p):
     _, f1, f2, f = _default_set_args()
     h = corr.Power(p.read("hnu", 0.5))
@@ -627,7 +640,7 @@ def _set_matrix_element(p):
         f, h, f1, h, f2, p.read("mu", 0, _integer),
         p.read("nu_idx", 0, _integer),
         ordering=p.read("ordering", "middle", str),
-        n_nodes=p.read("n", 72, _integer))
+        n_nodes=p.read("n", 72, _set_nodes))
 
 
 def _point(v):

@@ -9,8 +9,9 @@ a constant pinned by the eps -> 0 extrapolation of the Wightman difference
 (see tests).  Their error estimates come from the conditioning of K and J at
 the argument.  Every mass integral int dm^2 rho(m^2) W_m(x) (gff2pt,
 kallen_lehmann_2pt, and through gff2pt the AdS two-point function) runs on
-one route, _mass_integral: adaptive GK15 on m = t^2, a bisection check of
-the panel at m = 0, and a bound on the tail beyond the mass cutoff.
+one route, _mass_integral: adaptive GK15 on m = t^2 from six equal panels,
+a bisection check of the panel at m = 0, and a bound on the tail beyond the
+mass cutoff.
 Momentum-space smearing works on the d = 2 forward cone in lightcone
 coordinates k+- > 0 with d^2 k = (1/2) dk+ dk-.
 """
@@ -410,12 +411,14 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     the integral beyond hi in the estimate when tail is set.
 
     The integrand F(m) = 2 m density(m^2) W_m(x) is taken on m = t^2 by
-    adaptive GK15 from t = lo^(1/4) to hi^(1/4); GK15 nodes are interior to
-    their panel, so m = 0 is never evaluated.  Near m = 0, where W_m goes
-    like log m, the integrand in t goes like t^b log t, and GK15's own
-    estimate of the panel at the lower end can fall short, so that panel
-    is bisected once more (quadrature._endpoint_checked; its bound holds
-    for b >= 0: density no more singular than m^(-3/2) at m = 0).
+    adaptive GK15 from t = lo^(1/4) to hi^(1/4), starting from six equal
+    panels in one integrand call; GK15 nodes are interior to their panel,
+    so m = 0 is never evaluated.  Near m = 0, where W_m goes like log m, the
+    integrand in t goes like t^b log t, and GK15's own estimate of the panel
+    at the lower end can fall short, so that panel is bisected once more
+    (quadrature._endpoint_checked; its bound holds for b >= 0: density no
+    more singular than m^(-3/2) at m = 0).  The estimate carries
+    adaptive_finite's rounding floor, 50 eps sum |panel value|.
 
     The tail beyond M = sqrt(hi) is bounded by |F(M)| / lambda, with
     lambda = -d log|F| / dm read from F at M and 1.01 M in one call.  For

@@ -1,6 +1,8 @@
 """Exception types shared across the library, and the check that raises
 DomainError for a malformed sequence argument."""
 
+import math
+
 
 class GffadsError(Exception):
     pass
@@ -46,13 +48,14 @@ class BudgetExceededError(GffadsError, ArithmeticError):
 
 
 def checked_sequence(values, name, increasing, least=2):
-    """values as a tuple of floats: at least `least` entries, all positive
-    and strictly increasing (or decreasing); DomainError otherwise."""
+    """values as a tuple of floats: at least `least` entries, all finite
+    and positive and strictly increasing (or decreasing); DomainError
+    otherwise."""
     seq = tuple(float(v) for v in values)
     steps = zip(seq, seq[1:]) if increasing else zip(seq[1:], seq)
-    if len(seq) < least or not all(v > 0 for v in seq) or \
+    if len(seq) < least or not all(0 < v < math.inf for v in seq) or \
             not all(b > a for a, b in steps):
         order = "increasing" if increasing else "decreasing"
-        raise DomainError(f"{name} must hold at least {least} positive, "
-                          f"strictly {order} values")
+        raise DomainError(f"{name} must hold at least {least} finite "
+                          f"positive, strictly {order} values")
     return seq

@@ -10,6 +10,7 @@ living in a (+, -) signature plane, so that e_+ . e_- = 1/2 and the e_+- are
 lightlike; e_mu occupies the remaining d slots with e_mu . e_nu = eta_mu_nu.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,8 +81,9 @@ class AdSPoint:
     x: MinkVector
 
     def __post_init__(self):
-        if not self.z > 0:
-            raise DomainError("AdS Poincare depth z must be positive")
+        if not 0 < self.z < math.inf:
+            raise DomainError("AdS Poincare depth z must be finite and "
+                              "positive")
 
 
 class CausalClass(Enum):

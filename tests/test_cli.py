@@ -412,6 +412,33 @@ class TestFuzz:
     def test_every_quantity_exits_cleanly(self, argv):
         self.check_run(argv)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("name, key", [
+        ("bonusLocality", "a"), ("bonusLocality", "b"), ("bonusLocality", "c"),
+        ("ads2pt", "z"), ("ads2pt", "zp"), ("adsCommutator", "z"),
+        ("adsCommutator", "zp"), ("chordalDistance", "z"),
+        ("chordalDistance", "zp"), ("boundaryLimitCheck", "z")])
+    def test_non_finite_depth_or_scale_is_a_domain_error(self, name, key,
+                                                         value):
+        assert self.check_run(["compute", name, "--param",
+                               f"{key}={value}"]) == 2
+
+    def test_set_matrix_element_grid_order_is_bounded(self, monkeypatch):
+        # one past the bound is refused before set_matrix_element is
+        # reached, so nothing of its n^2 slices is allocated
+        orders = []
+
+        def fake(*args, n_nodes, **kwargs):
+            orders.append(n_nodes)
+            return 0.0
+
+        monkeypatch.setattr(cli.stress, "set_matrix_element", fake)
+        bound = cli.MAX_SET_NODES
+        for n, code in ((bound + 1, 2), (bound, 0)):
+            assert self.check_run(["compute", "setMatrixElement", "--param",
+                                   f"n={n}"]) == code
+        assert orders == [bound]
+
     @pytest.mark.parametrize("u, code", [
         ("0", None), ("inf", 1), ("nan", 2), ("-1", 2), ("1e300", 0)])
     @pytest.mark.parametrize("nu", ["0", "0.5", "-0.5"])

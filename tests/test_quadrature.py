@@ -1,6 +1,7 @@
 import heapq
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,33 @@ class TestAdaptiveFinite:
         assert abs(res.value - 2.0) < 1e-14
         assert res.evaluations == 15
 
+    @pytest.mark.parametrize("f, a, b, exact", [
+        (np.exp, 0.0, 1.0, math.e - 1.0),
+        (lambda x: x ** 5, 0.0, 3.0, 3.0 ** 6 / 6.0),
+        (lambda x: x ** 3, 0.1, 7.3, (7.3 ** 4 - 0.1 ** 4) / 4.0)],
+        ids=["exp", "x^5", "x^3"])
+    def test_estimate_covers_rounding(self, f, a, b, exact):
+        # GK15 integrates these to rounding in one panel, where the
+        # Kronrod-Gauss difference is far below the error the weights and
+        # the sum make
+        res = adaptive_finite(f, a, b)
+        assert abs(res.value - exact) <= res.error_estimate
+
+    def test_first_panels(self):
+        # the refinement may start from several panels, evaluated in one call
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(x)
+
+        res = adaptive_finite(f, np.array([0.0, 0.25]), np.array([0.25, 1.0]))
+        assert calls == [30] and res.evaluations == 30
+        assert abs(res.value - (math.e - 1.0)) <= res.error_estimate
+        for a, b in ((1.0, 0.0), ([0.0, 0.5], [0.5, 0.5]), ([], [])):
+            with pytest.raises(DomainError):
+                adaptive_finite(np.exp, np.array(a), np.array(b))
+
     def test_linearity(self, rng):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x)
         g = lambda x: x ** 3 / (1.0 + x ** 2)
@@ -99,10 +127,15 @@ class TestAdaptiveFinite:
 
 def _adaptive_finite_sequential(f, a, b, tol=1e-10, max_panels=4000):
     """Reference: the greedy loop that bisects one panel per step, with two
-    integrand calls per bisection and the stopping test after each."""
-    val, err = _gk15(f, a, b)
-    panels = [(-err, a, b, val)]
-    evals = 15
+    integrand calls per bisection and the stopping test after each.  a and
+    b may be arrays of first panels, as for adaptive_finite; each is
+    evaluated in a call of its own."""
+    panels = []
+    for pa, pb in zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()):
+        val, err = _gk15(f, pa, pb)
+        panels.append((-err, pa, pb, val))
+    heapq.heapify(panels)
+    evals = 15 * len(panels)
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(-p[0] for p in panels)
@@ -132,7 +165,7 @@ REFINEMENT_CASES = [("locality", nu, p) for nu in (0.0, 0.7, 1.3)
     [("gff2pt", nu, x) for nu in (-0.4, 0.0, 0.5, 1.9) for x in GFF2PT_POINTS]
 REFINEMENT_IDS = [f"{kind}-nu={nu:g}-" + ",".join(f"{v:g}" for v in point)
                   for kind, nu, point in REFINEMENT_CASES]
-CALL_CEILING = {"locality": 20, "gff2pt": 12}
+CALL_CEILING = {"locality": 20, "gff2pt": 10}
 
 
 def _integrals(monkeypatch, kind, nu, point):
@@ -179,12 +212,13 @@ class TestBatchedRounds:
             assert len(calls) <= CALL_CEILING[kind]
 
     def test_gff2pt_evaluation_total(self, monkeypatch):
-        # GK15 points of the gff2pt cases on m = t^2, summed (4,170 measured)
+        # GK15 points of the gff2pt cases on m = t^2, summed (3,390 measured);
+        # a mass route that bypassed adaptive_finite would count none
         total = sum(sum(calls) for kind, nu, point in REFINEMENT_CASES
                     if kind == "gff2pt"
                     for _, _, _, calls in _integrals(monkeypatch, kind, nu,
                                                      point))
-        assert total <= 4500
+        assert 0 < total <= 3600
 
 
 def _gk15_separate(f, a, b):
@@ -229,6 +263,22 @@ class TestGK15:
         assert vals.shape == errs.shape == a.shape
         for i in range(a.size):
             assert _same((vals[i], errs[i]), _gk15_separate(f, a[i], b[i]))
+
+
+class TestGK15Tables:
+    @pytest.mark.parametrize("weights, degree", [(_WK, 22), (_WG, 13)],
+                             ids=["K15", "G7"])
+    def test_moments(self, weights, degree):
+        # the rule as stored integrates x^k on [-1, 1] exactly up to its
+        # degree, to within 4 eps, summed in 30 digits
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for k in range(degree + 1):
+                moment = mpmath.fsum(mpmath.mpf(float(w)) *
+                                     mpmath.mpf(float(x)) ** k
+                                     for w, x in zip(weights, _XK))
+                exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                assert abs(moment - exact) <= 4 * eps, k
 
 
 class TestGaussLegendre:
