@@ -33,6 +33,7 @@ check shows its own cost.
 """
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -382,6 +383,23 @@ def _suite_holography(cfg, rng):
                         reference=0.0, tolerance=tol,
                         passed=abs(a.value - b.value) <= tol,
                         inputs={"lambda": lam}))
+    # the AdS_3 propagator of the chordal distance u, with Delta = 1 + nu:
+    # e^(-nu s) / (4 pi sinh s), cosh s = 1 + u (D'Hoker & Freedman,
+    # hep-th/0201253), u from the same regulated invariant as ads2pt
+    for nu, z, zp, dx in ((0.0, 0.6, 0.9, (0.2, 3.0)),
+                          (0.5, 1.2, 0.5, (-0.3, 1.5)),
+                          (1.3, 0.4, 1.1, (0.4, 2.0))):
+        dx = MinkVector(dx)
+        bulk = adsb.ads2pt(adsb.AdSFieldSpec(Order(nu)), z, zp, dx)
+        u = (corr._sigma_eps(dx, 1e-3) + (z - zp) ** 2) / (2.0 * z * zp)
+        s = cmath.acosh(1.0 + u)
+        closed = cmath.exp(-nu * s) / (4.0 * math.pi * cmath.sinh(s))
+        miss = abs(bulk.value - closed)
+        recs.append(_record(
+            f"holography.ads2pt_closed_form_nu{nu}", bulk, reference=closed,
+            tolerance=1e-9,
+            passed=miss <= 1e-9 * abs(closed) and miss <= bulk.error_estimate,
+            inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
     mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
     recs.append(_check("holography.mass_change_kernel",
                        mk["relative_deviation"], 0.0, 5e-3,

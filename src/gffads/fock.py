@@ -5,8 +5,11 @@ measure d^2k = (1/2) dk+ dk-.  Wavefunctions are carried as samples on a
 log-uniform Gauss-Legendre tensor grid and differentiated spectrally:
 d/dk = k^-1 D_s along each axis, with D_s the barycentric differentiation
 matrix in s = log k (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6;
-Berrut & Trefethen, SIAM Rev. 46, 2004).  Each generator is a few n x n
-products, so generator applications nest.
+Berrut & Trefethen, SIAM Rev. 46, 2004).  Each generator is at most seven
+real n x n products, so generator applications nest.  Each spectral
+derivative is taken once: a mode keeps its two first derivatives, which
+every generator applied to it shares, and k^-1 is a per-grid array of
+reciprocals, so no derivative is a complex division.
 
 Generator conventions (wavefunction operators, lower Minkowski indices):
     P_mu   : multiplication by k_mu
@@ -40,6 +43,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +57,22 @@ __all__ = ["LightconeGrid", "ModeFunction", "GeneratorKind", "inner_product",
            "position_wavefunction"]
 
 
+class _Spectral(NamedTuple):
+    """Constants of one grid, read-only, shared by every mode on it."""
+
+    k: np.ndarray      # nodes
+    dk: np.ndarray     # weights, dk = k ds
+    ds: np.ndarray     # d/ds matrix, s = log k
+    t: np.ndarray      # Gauss-Legendre nodes on [-1, 1]
+    bw: np.ndarray     # their barycentric weights (Berrut & Trefethen)
+    inv_k: np.ndarray  # 1/k, which turns k d/dk into d/dk
+    k_low: np.ndarray  # k_0 and k_1 on the k+ x k- mesh, stacked
+    kp_km: np.ndarray  # k+ k- on the mesh
+
+
 @functools.lru_cache(maxsize=16)
 def _spectral(grid):
-    """Nodes k, weights dk and d/ds matrix (s = log k) of a grid, with its
-    Gauss-Legendre nodes t and their barycentric weights (Berrut & Trefethen)."""
+    """The _Spectral constants of a grid."""
     t, w = _legendre_table(grid.n)
     bw = (-1.0) ** np.arange(grid.n) * np.sqrt((1.0 - t * t) * w)
     a, b = math.log(grid.kmin), math.log(grid.kmax)
@@ -66,7 +82,9 @@ def _spectral(grid):
     np.fill_diagonal(ds, -ds.sum(axis=1))  # exact on constants
     s, ws = _gauss_legendre(grid.n, a, b)
     k = np.exp(s)
-    out = (k, ws * k, ds, t, bw)  # dk = k ds
+    kp, km = k[:, None], k[None, :]
+    out = _Spectral(k, ws * k, ds, t, bw, 1.0 / k,
+                    np.array(_lower((kp, km))), kp * km)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -127,6 +145,21 @@ class ModeFunction:
         if not on_grid:
             raise DomainError("this mode is known only on its grid")
         return self.samples
+
+    @functools.cached_property
+    def _scaled_derivatives(self):
+        """(k+ d/dk+ F, k- d/dk- F) = (D_s F, F D_s^T) of the samples F.
+
+        The samples are read-only, so a mode takes these once, however many
+        generators are applied to it.
+        """
+        ds = _spectral(self.grid).ds
+        # F @ ds.T = (ds @ F.T).T
+        out = (_real_product(ds, self.samples),
+               _real_product(ds, self.samples.T).T)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def norm(self):
         return math.sqrt(abs(inner_product(self, self)))
@@ -213,32 +246,43 @@ def apply_generator(G, f):
 
     Axis 0 of the samples is k+ and axis 1 is k-, so k+ d/dk+ is D_s from
     the left and k- d/dk- is D_s^T from the right.
+
+    Each spectral derivative is taken once.  f keeps its two first ones,
+    so the generators applied to one mode share them.  K then takes five
+    more real n x n products: d/dk+ of d/dk- F, both first derivatives of
+    d/dk^mu F and both of k . d/dk F.  M and D take none beyond f's two.
+
+    d/dk is k d/dk times the grid's 1/k, with the values of the quotient
+    by k: numpy divides a complex a by a real k as by k + 0i, which gives
+    ((ar + ai 0) (1/k), (ai - ar 0) (1/k)).  Only the sign of an exact
+    zero part can differ.
     """
-    kp, km, _ = f.grid.mesh()
-    ds = _spectral(f.grid)[2]
+    sp = _spectral(f.grid)
+    ikp, ikm, klow = sp.inv_k[:, None], sp.inv_k[None, :], sp.k_low
     F = f.samples
     # a @ ds.T = (ds @ a.T).T
-    left = lambda a: _real_product(ds, a)
+    left = lambda a: _real_product(sp.ds, a)
     right = lambda a: left(a.T).T
-    d_plus = lambda a: left(a) / kp
-    d_minus = lambda a: right(a) / km
     # d/dk^0 = d/dk+ + d/dk-,  d/dk^1 = d/dk+ - d/dk-
-    d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
-    scaling = lambda a: left(a) + right(a)  # k . d/dk
-    klow = None if G.kind == "D" else _lower((kp, km))
+    d_upper = lambda mu, dp, dm: dp - dm if mu else dp + dm
     if G.kind == "P":
-        out = klow[G.mu] * F
-    elif G.kind == "M":
+        return ModeFunction(f.grid, samples=klow[G.mu] * F)
+    lF, rF = f._scaled_derivatives  # k+ d/dk+ F and k- d/dk- F
+    if G.kind == "D":
+        return ModeFunction(f.grid, samples=1j * ((lF + rF) + F))
+    dp, dm = lF * ikp, rF * ikm  # d/dk+ F and d/dk- F
+    if G.kind == "M":
         sgn = G.nu_idx - G.mu  # +1 for M01, -1 for M10, 0 on the diagonal
-        out = sgn * 1j * (klow[1] * d_upper(0, F) - klow[0] * d_upper(1, F))
-    elif G.kind == "D":
-        out = 1j * (scaling(F) + F)
-    else:
-        nu_par = G.delta - 1.0
-        d_mu = d_upper(G.mu, F)
-        out = (d_mu + klow[G.mu] * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
-               - d_upper(G.mu, scaling(F)) - 2 * d_mu
-               + nu_par ** 2 * klow[G.mu] / (kp * km) * F)
+        out = sgn * 1j * (klow[1] * d_upper(0, dp, dm)
+                          - klow[0] * d_upper(1, dp, dm))
+    else:  # the terms of the module docstring's K, summed left to right
+        d_mu = d_upper(G.mu, dp, dm)
+        scaled = lF + rF  # k . d/dk F
+        out = d_mu + klow[G.mu] * 4.0 * (left(dm) * ikp)
+        out -= left(d_mu) + right(d_mu)
+        out -= d_upper(G.mu, left(scaled) * ikp, right(scaled) * ikm)
+        out -= 2 * d_mu
+        out += (G.delta - 1.0) ** 2 * klow[G.mu] / sp.kp_km * F
     return ModeFunction(f.grid, samples=out)
 
 
@@ -444,8 +488,8 @@ def algebra_closure_check(G1, G2, f, expr):
     # node shared with f's grid would divide by zero in the interpolation)
     half = dataclasses.replace(f.grid, n=max(2 * (f.grid.n // 4), 8))
     coarse = _commutator(G1, G2, ModeFunction(half, f.func))[0]
-    t, bw = _spectral(half)[3:]  # barycentric interpolation onto f's nodes
-    lift = bw / (_spectral(f.grid)[3][:, None] - t)
+    coarse_sp = _spectral(half)  # barycentric interpolation onto f's nodes
+    lift = coarse_sp.bw / (_spectral(f.grid).t[:, None] - coarse_sp.t)
     lift /= lift.sum(axis=1, keepdims=True)
     # lift @ coarse @ lift.T = (lift @ (lift @ coarse).T).T
     lifted = _real_product(lift, _real_product(lift, coarse).T).T

@@ -88,12 +88,12 @@ _W2 = np.stack([_WK, _WG])
 
 
 def _gk15(f, a, b):
-    """GK15 value and error estimate of f on [a, b].
+    """GK15 values and error estimates of f on the panels [a, b].
 
-    a and b may be 1-d arrays of panel endpoints: f then runs once on the
-    nodes of all the panels, and each panel's row is reduced as for a single
-    panel, so its value and error do not depend on its company.  f may
-    return one value per node or a scalar that stands for all of them.
+    a and b are 1-d arrays of panel endpoints: f runs once on the nodes of
+    all the panels, and each panel's row is reduced on its own, so its value
+    and error do not depend on its company.  f may return one value per
+    node or a scalar that stands for all of them.
     """
     half = 0.5 * (np.asarray(b) - a)
     mid = 0.5 * (np.asarray(a) + b)
@@ -105,12 +105,9 @@ def _gk15(f, a, b):
     sk, sg = (_W2 * fx[..., None, :]).sum(axis=-1).T
     ik = half * sk
     ig = half * sg
-    if isinstance(ik, np.ndarray):
-        # libm's abs and power, as for a single panel: numpy's vector loops
-        # for them differ from libm in the last bit on some arguments
-        return ik, np.array([(200.0 * abs(e)) ** 1.5
-                             for e in (ik - ig).tolist()])
-    return ik, (200.0 * abs(ik - ig)) ** 1.5
+    # libm's abs and power, panel by panel: numpy's vector loops for them
+    # differ from libm in the last bit on some arguments
+    return ik, np.array([(200.0 * abs(e)) ** 1.5 for e in (ik - ig).tolist()])
 
 
 @functools.lru_cache(maxsize=32)

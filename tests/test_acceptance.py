@@ -25,7 +25,8 @@ CRITERIA = {
                                         "correlators.scaling_covariance",
                                         "correlators.wightman_*"]),
     3: ("scaled bulk 2pt reaches the boundary field within 1% at nu in "
-        "{0, 0.5}; bulk 2pt dilation invariant",
+        "{0, 0.5}; bulk 2pt dilation invariant and the AdS_3 propagator "
+        "to 1e-9",
         ["holography.boundary_limit_*", "holography.ads2pt_*"]),
     4: ("triple-Bessel integral vanishes at (0.3, 1, 1.4) and matches the "
         "interior closed form to 1e-4", ["locality.bonus_locality_*"]),

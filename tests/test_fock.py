@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sym
@@ -130,29 +132,43 @@ def _direct_commutator(G1, G2, expr):
     return sym.expand(e12 - e21), e21
 
 
+def _composed_generator(G, f, left=None, right=None):
+    """apply_generator as composed before each derivative was taken once:
+    every derivative recomputed where the formula uses it, and d/dk as a
+    division by k.  left(a) = D_s a and right(a) = a D_s^T are real
+    products unless given.  The reference for the shared-derivative route."""
+    kp, km, _ = f.grid.mesh()
+    ds = _spectral(f.grid).ds
+    left = left or (lambda a: fock._real_product(ds, a))
+    right = right or (lambda a: left(a.T).T)
+    d_plus = lambda a: left(a) / kp
+    d_minus = lambda a: right(a) / km
+    d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
+    scaling = lambda a: left(a) + right(a)
+    klow = _lower((kp, km))
+    F = f.samples
+    if G.kind == "P":
+        out = klow[G.mu] * F
+    elif G.kind == "M":
+        sgn = G.nu_idx - G.mu
+        out = sgn * 1j * (klow[1] * d_upper(0, F) - klow[0] * d_upper(1, F))
+    elif G.kind == "D":
+        out = 1j * (scaling(F) + F)
+    else:
+        d_mu = d_upper(G.mu, F)
+        out = (d_mu + klow[G.mu] * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
+               - d_upper(G.mu, scaling(F)) - 2 * d_mu
+               + (G.delta - 1.0) ** 2 * klow[G.mu] / (kp * km) * F)
+    return ModeFunction(f.grid, samples=out)
+
+
 def _complex_matmul_generator(G, f):
     """apply_generator's samples by complex matmuls, numpy casting the real
     differentiation matrix to complex: the reference for its real-view
     products."""
-    kp, km, _ = f.grid.mesh()
-    ds = _spectral(f.grid)[2]
-    F = f.samples
-    d_plus = lambda a: (ds @ a) / kp
-    d_minus = lambda a: (a @ ds.T) / km
-    d_upper = lambda mu, a: d_plus(a) + (1 - 2 * mu) * d_minus(a)
-    scaling = lambda a: ds @ a + a @ ds.T
-    klow = _lower((kp, km))
-    if G.kind == "P":
-        return klow[G.mu] * F
-    if G.kind == "M":
-        sgn = G.nu_idx - G.mu
-        return sgn * 1j * (klow[1] * d_upper(0, F) - klow[0] * d_upper(1, F))
-    if G.kind == "D":
-        return 1j * (scaling(F) + F)
-    d_mu = d_upper(G.mu, F)
-    return (d_mu + klow[G.mu] * 4.0 * d_plus(d_minus(F)) - scaling(d_mu)
-            - d_upper(G.mu, scaling(F)) - 2 * d_mu
-            + (G.delta - 1.0) ** 2 * klow[G.mu] / (kp * km) * F)
+    ds = _spectral(f.grid).ds
+    return _composed_generator(G, f, lambda a: ds @ a,
+                               lambda a: a @ ds.T).samples
 
 
 ALL_KINDS = [GeneratorKind("P", mu=0), GeneratorKind("P", mu=1),
@@ -306,6 +322,62 @@ class TestGenerators:
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(DomainError, match="finite"):
             GeneratorKind("K", mu=0, delta=delta)
+
+
+# every kind, K at each Delta of the generators benchmark
+SHARED_KINDS = ALL_KINDS[:6] + [GeneratorKind("M", mu=0, nu_idx=0)] + [
+    GeneratorKind("K", mu=mu, delta=delta)
+    for mu in (0, 1) for delta in (1.25, 1.5, 2.0)]
+# the modes (center, width, phase) of the fock verify suite
+SUITE_MODES = (((3.0, 2.6), 0.9, (0.15, -0.1)),
+               ((2.4, 3.2), 1.1, (-0.2, 0.25)))
+
+
+class TestDerivativesTakenOnce:
+    """apply_generator takes each spectral derivative once and multiplies
+    by 1/k: every value equals the composed route's."""
+
+    @pytest.mark.parametrize("n", [112, 56])
+    @pytest.mark.parametrize("G", SHARED_KINDS)
+    def test_equals_composed_route(self, G, n):
+        f = gaussian_mode(LightconeGrid(n=n), (3.0, 2.6), 0.9,
+                          phase=(0.15, -0.1))
+        g = apply_generator(G, f)
+        assert np.array_equal(g.samples, _composed_generator(G, f).samples)
+        # a generator output as input, as in the commutators
+        assert np.array_equal(apply_generator(G, g).samples,
+                              _composed_generator(G, g).samples)
+
+    @pytest.mark.parametrize("mode", SUITE_MODES, ids=["mode0", "mode1"])
+    def test_reports_equal_composed_route(self, monkeypatch, mode):
+        def reports():
+            out = []
+            for g1, g2 in itertools.combinations(_named(1.5).values(), 2):
+                f, expr = sym_gaussian(*mode)  # fresh: no kept derivatives
+                out.append(algebra_closure_check(g1, g2, f, expr))
+            return out
+
+        got = reports()
+        assert len(got) == 15
+        monkeypatch.setattr(fock, "apply_generator", _composed_generator)
+        assert got == reports()
+
+    @pytest.mark.parametrize("G,first,again", [
+        (P0, 0, 0), (M01, 2, 0), (D, 2, 0), (K1, 7, 5)],
+        ids=["P", "M", "D", "K"])
+    def test_real_products_per_application(self, monkeypatch, G, first,
+                                           again):
+        # a fresh mode takes its two first derivatives once; a second
+        # generator on the same mode reuses them
+        calls = []
+        product = fock._real_product
+        monkeypatch.setattr(fock, "_real_product",
+                            lambda m, a: calls.append(1) or product(m, a))
+        f = gaussian_mode(LightconeGrid(n=56), (3.0, 2.6), 0.9)
+        apply_generator(G, f)
+        assert len(calls) == first
+        apply_generator(G, f)
+        assert len(calls) == first + again
 
 
 def _operator_commutator(G1, G2, operator=_operator):
@@ -473,9 +545,11 @@ class TestAlgebraClosure:
     def test_reports_equal_complex_matmul_route(self, monkeypatch, G1, G2):
         # the real-view products, against numpy casting the real matrices
         # (the differentiation matrix and the lift) to complex
+        # (a fresh mode each time: a mode keeps its first derivatives)
         f, expr = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
         rep = algebra_closure_check(G1, G2, f, expr)
         monkeypatch.setattr(fock, "_real_product", lambda m, a: m @ a)
+        f, expr = sym_gaussian((3.0, 2.6), 0.9, phase=(0.15, -0.1))
         assert algebra_closure_check(G1, G2, f, expr) == rep
 
     def test_coarse_grid_raises_resolution_error(self):

@@ -2,7 +2,7 @@
 
 Each row plants one defect in a public function (monkeypatched, where the
 row's module binds it, to return its value times 1.01), runs only the suite
-that holds the row's record, and asserts that the record fails.  A defect
+that holds the row's records, and asserts that each of them fails.  A defect
 under which every record passes marks a number the acceptance gate does not
 check (mutation analysis: DeMillo, Lipton & Sayward, Computer 11, 1978).
 
@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gffads import cli, correlators, quadrature, stress
+from gffads import adsboundary, cli, correlators, fock, quadrature, stress
 
 
 def scaled(fn, factor):
@@ -33,28 +33,42 @@ def scaled_array(fn, factor):
     return planted
 
 
-# (module, public function, planting, suite, record that must fail under
+def scaled_mode(fn, factor):
+    """fn with the samples of the mode it returns times factor."""
+    def planted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return fock.ModeFunction(out.grid, samples=factor * out.samples)
+    return planted
+
+
+# (module, public function, planting, suite, records that must fail under
 # the defect).  The bessel_ode_residual records cannot see a scale defect
-# of bessel_j: the ODE is linear and homogeneous.
+# of bessel_j: the ODE is linear and homogeneous.  apply_generator must
+# fail a closure record too: the grid commutators go through it.
 ROWS = [
-    (stress, "set_matrix_element", scaled, "set", "set.matrix_element_qmc"),
+    (stress, "set_matrix_element", scaled, "set", ["set.matrix_element_qmc"]),
     (correlators, "gff2pt", scaled, "correlators",
-     "correlators.power_weight_closed_form"),
+     ["correlators.power_weight_closed_form"]),
     (quadrature, "bessel_j", scaled_array, "specfun",
-     "specfun.hankel_self_reciprocal_nu0.0"),
+     ["specfun.hankel_self_reciprocal_nu0.0"]),
     (quadrature, "hankel_scaled", scaled_array, "locality",
-     "locality.bonus_locality_interior_oracle"),
+     ["locality.bonus_locality_interior_oracle"]),
+    (adsboundary, "ads2pt", scaled, "holography",
+     [f"holography.ads2pt_closed_form_nu{nu}" for nu in (0.0, 0.5, 1.3)]),
+    (fock, "apply_generator", scaled_mode, "fock",
+     ["fock.special_conformal_field_law", "fock.algebra_closure_mode0_D_K1",
+      "fock.algebra_closure_mode1_M01_K0"]),
 ]
 
 
-@pytest.mark.parametrize("module,name,plant,suite,record", ROWS,
+@pytest.mark.parametrize("module,name,plant,suite,records", ROWS,
                          ids=[row[1] for row in ROWS])
 def test_defect_fails_its_record(monkeypatch, module, name, plant, suite,
-                                 record):
+                                 records):
     monkeypatch.setattr(module, name, plant(getattr(module, name), 1.01))
     passed = {r["name"]: r["passed"]
               for r in cli.run_verify(suite, cli.load_config(None))}
-    assert passed[record] is False
+    assert [passed[rec] for rec in records] == [False] * len(records)
 
 
 def test_qmc_estimate_covers_its_error():

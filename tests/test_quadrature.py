@@ -129,10 +129,12 @@ def _adaptive_finite_sequential(f, a, b, tol=1e-10, max_panels=4000):
     """Reference: the greedy loop that bisects one panel per step, with two
     integrand calls per bisection and the stopping test after each.  a and
     b may be arrays of first panels, as for adaptive_finite; each is
-    evaluated in a call of its own."""
+    evaluated in a call of its own, as a one-panel array."""
+    one_panel = lambda pa, pb: [x[0] for x in _gk15(f, np.array([pa]),
+                                                      np.array([pb]))]
     panels = []
     for pa, pb in zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()):
-        val, err = _gk15(f, pa, pb)
+        val, err = one_panel(pa, pb)
         panels.append((-err, pa, pb, val))
     heapq.heapify(panels)
     evals = 15 * len(panels)
@@ -145,8 +147,8 @@ def _adaptive_finite_sequential(f, a, b, tol=1e-10, max_panels=4000):
             raise BudgetExceededError("sequential reference out of panels")
         _, pa, pb, _ = heapq.heappop(panels)
         pm = 0.5 * (pa + pb)
-        v1, e1 = _gk15(f, pa, pm)
-        v2, e2 = _gk15(f, pm, pb)
+        v1, e1 = one_panel(pa, pm)
+        v2, e2 = one_panel(pm, pb)
         evals += 30
         heapq.heappush(panels, (-e1, pa, pm, v1))
         heapq.heappush(panels, (-e2, pm, pb, v2))
@@ -243,8 +245,9 @@ class TestGK15:
         if real:
             fx = fx.real.copy()
         f = lambda u: fx
-        got, want = _gk15(f, a, a + width), _gk15_separate(f, a, a + width)
-        assert _same(got, want) and type(got[0]) is type(want[0])
+        got = [x[0] for x in _gk15(f, np.array([a]), np.array([a + width]))]
+        want = _gk15_separate(f, a, a + width)
+        assert _same(tuple(got), want) and type(got[0]) is type(want[0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0)),
