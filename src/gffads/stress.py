@@ -26,14 +26,21 @@ ket of the matrix element, the tensor smearing of the bulk-reduction and
 divergence kernels and the base of a polynomial packet must be plain
 Gaussians: a prefactor there raises DomainError.
 
-No kernel computes what it knows exactly, and every value is the one the
-plain per-point evaluation gives, bit for bit: terms that share a Gaussian
-(the two derivative packets of conservation_check, the 00 and 11 components
-of trace_check, the two moment packets of lorentz_density_check) share one
-pass and one exponential per slice (_set_terms); the divergence evaluates
-no exponential below -746, where exp is exactly 0; the bulk reduction builds
-its weight matrix in cache-sized row blocks and tests its mass diagonal at
-the few candidate entries a sorted search finds.
+No kernel computes what it knows exactly.  On a slice of the matrix-element
+and divergence kernels, the exponent of the Gaussians and the kernel are
+polynomials in the slice's one free variable (k2- = k1+ k1- / k2+ in
+_set_terms, u = k2+ k2- in the divergence) whose coefficients are vectors over
+the rows, built once a slice and evaluated by Horner's rule into
+preallocated buffers.  A value is therefore the per-point evaluation's up to
+rounding, not bit for bit.  Terms that share a Gaussian (the two derivative
+packets of conservation_check, the 00 and 11 components of trace_check, the
+two moment packets of lorentz_density_check) share one pass and one complex
+exponential per slice (_set_terms), each value bit-identical to the term on
+its own.  The divergence flushes to 0 every term whose exponent lies below
+_EXP_FAST = -707, where e^x < 9e-308, so that np.exp stays on numpy's vector
+path, and skips a slice with no other term.  The bulk reduction builds its
+weight matrix in cache-sized row blocks and tests its mass diagonal at the
+few candidate entries a sorted search finds.
 """
 
 import math
@@ -43,7 +50,7 @@ import numpy as np
 from .errors import DomainError, checked_sequence
 from .specfun import _nu, bessel_j
 from .quadrature import _gauss_legendre, adaptive_finite
-from .correlators import (Correlator, Smearing, _exponent, _lower, _polyval,
+from .correlators import (Correlator, Smearing, _exponent, _lower,
                           lightcone_grid_nodes, norm_const)
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
 
@@ -56,9 +63,12 @@ __all__ = ["set_kernel", "set_matrix_element", "conservation_check",
            "MomentPacket", "generator_matrix_element"]
 
 _ETA = np.diag([1.0, -1.0])
-# np.exp of an argument below this is exactly 0.0 (e^-746 is under half the
-# smallest subnormal double)
-_EXP_ZERO = -746.0
+# np.exp runs on numpy's vector path, about 0.7 ns an element, for arguments
+# at or above this.  At -708 and below, where e^x nears the smallest normal
+# double (2.2e-308) and then goes subnormal, it costs 15 to 150 ns an element.
+# e^-707 = 9.0e-308: a term flushed to 0 below this bound is under 9.0e-308
+# times its squared kernel and weight
+_EXP_FAST = -707.0
 # rows of a block of the bulk-reduction weight matrix
 _ROW_BLOCK = 64
 
@@ -225,9 +235,12 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
     prefactor and tensor indices only, as d^mu f or x^mu f of one f), so
     the part of the integrand that does not depend on the term is computed
     once.  The k2+ axis is walked one node at a time over the flattened
-    (k1+, k1-) rows; on each slice fhat2(-q2) fhat(q1 + q2), two diagonal
-    Gaussians, is one complex exponential, which each term multiplies by its
-    prefactor and its kernel polynomial (_kernel_lightcone).  Returns one
+    (k1+, k1-) rows.  On each slice fhat2(-q2) fhat(q1 + q2), two diagonal
+    Gaussians, is one complex exponential whose exponent is a quadratic in
+    k2- = k1+ k1- / k2+, evaluated by Horner's rule; the bra takes it once,
+    and each term contracts it with its kernel polynomial
+    (_kernel_lightcone) times the monomials of its prefactor, all real
+    polynomials in k2-.  Returns one
     Correlator a term, each value bit-identical to the term on its own.
     """
     if ordering not in _ORDERINGS:
@@ -238,34 +251,87 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
         raise DomainError("set_matrix_element needs n_nodes >= 2")
     e1, e2 = _ORDERINGS[ordering]
     kmax = 2.0 * max(f1.reach, f2.reach)
-    g2 = _plain_gaussian(f2, "set_matrix_element's f2")
-    g = terms[0][0].gaussian
+    amp2, (t0, t1), (o0, o1), (d0, d1) = _plain_gaussian(
+        f2, "set_matrix_element's f2")
+    amp, (s0, s1), (p0, p1), (c0, c1) = terms[0][0].gaussian
+    # on the slice k2+, with a = e2 k2+ / 2 and v = e2 k2- / 2, fhat2 is
+    # taken at the upper components -(a, a) - (v, -v) and fhat at
+    # (r0, r1) + (a, a) + (v, -v), r = (q1_0, -q1_1) - kappa.  Their two
+    # exponents add to a quadratic in k2- whose k2-^2 coefficient is a
+    # number and whose imaginary part is linear:
+    #     re = R0 + R1 k2- - (s0 + s1 + t0 + t1) k2-^2 / 8,
+    #     im = c0 r0 - c1 r1 + phi(k2+) + e2 (c0 + c1 - d0 - d1) k2- / 2,
+    # R0 and R1 over the rows.  c0 r0 - c1 r1 goes into the bra and the
+    # number phi(k2+) into the slice's weight.
+    sq = -0.125 * (s0 + s1 + t0 + t1)
+    lin = 0.5 * e2 * (c0 + c1 - d0 - d1)
+    # whether a prefactor needs f's momentum components
+    monomials = any(i or j for f, _, _ in terms for i, j in f.prefactor)
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
         k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
         m2 = k1p * k1m
         q1 = tuple(e1 * c for c in _lower((k1p, k1m)))
-        # fourier takes upper components: f1 at -q1, f2 at -q2, f at q1 + q2
+        r0, r1 = q1[0] - p0, -q1[1] - p1
+        # fourier takes upper components: f1 at -q1
         bra = np.outer(w, w).ravel() * np.asarray(h1(m2)) * \
-            np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1])
+            np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1]) * \
+            np.exp(1j * (c0 * r0 - c1 * r1))
+        # R0 = v0 + a v1 + n0(k2+), R1 = u1 + n1(k2+)
+        v0 = -0.5 * (s0 * r0 * r0 + s1 * r1 * r1)
+        v1 = -(s0 * r0 + s1 * r1)
+        u1 = -0.5 * e2 * (s0 * r0 - s1 * r1)
         kernels = []
         for f, mu, nu in terms:
-            (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
+            (b0, bp, bm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
                                                               improvement)
-            kernels.append((f.prefactor, c0 + dpm * m2, cp, cm, dpp, dmm))
+            kernels.append((f.prefactor, b0 + dpm * m2, bp, bm, dpp, dmm))
+        # per-slice arrays over the rows, written in place
+        k2m, expo, kern = (np.empty(m2.size) for _ in range(3))
+        x0, x1 = (np.empty(m2.size) for _ in range(2))
+        # bra times the exponential, also as (re, im) columns of a real
+        # matrix
+        bra_gauss = np.empty(m2.size, dtype=complex)
+        pairs = bra_gauss.view(float).reshape(-1, 2)
         totals = [0.0j] * len(terms)
         for k2p, w2p in zip(k, w):
-            k2m = m2 / k2p
-            q2 = tuple(e2 * c for c in _lower((k2p, k2m)))
-            x2 = (-q2[0], q2[1])
-            x = (q1[0] + q2[0], -(q1[1] + q2[1]))
-            gauss = np.exp(_exponent(g2, *x2) + _exponent(g, *x))
-            for t, (pre, c0, cp, cm, dpp, dmm) in enumerate(kernels):
-                kern = c0 + (cp + dpp * k2p) * k2p + (cm + dmm * k2m) * k2m
-                totals[t] += w2p / k2p * np.dot(bra * kern,
-                                                _polyval(pre, *x) * gauss)
-        return [complex(norm_const(2) ** 2 * 0.25 * g2[0] * g[0] * total)
+            a = 0.5 * e2 * k2p
+            # the numbers of R1, R0 and the phase on this slice
+            n1 = -0.5 * e2 * (a * (s0 - s1 + t0 - t1) + t0 * o0 - t1 * o1)
+            n0 = -0.5 * ((s0 + s1) * a * a + t0 * (a + o0) ** 2 +
+                         t1 * (a + o1) ** 2)
+            phi = a * (c0 - c1 - d0 + d1) - d0 * o0 + d1 * o1
+            scale = w2p / k2p * complex(math.cos(phi), math.sin(phi))
+            np.divide(m2, k2p, out=k2m)
+            # re = (sq k2- + u1 + n1) k2- + v0 + a v1 + n0
+            np.multiply(k2m, sq, out=expo)
+            expo += u1
+            expo += n1
+            expo *= k2m
+            expo += v0
+            expo += a * v1
+            expo += n0
+            bra_gauss.real = expo
+            np.multiply(k2m, lin, out=bra_gauss.imag)
+            np.exp(bra_gauss, out=bra_gauss)
+            bra_gauss *= bra
+            if monomials:
+                # f's upper momentum components, (q1_0 + q2_0, -q1_1 - q2_1)
+                np.add(q1[0] + a, 0.5 * e2 * k2m, out=x0)
+                np.add(a - q1[1], -0.5 * e2 * k2m, out=x1)
+            for t, (pre, b0, bp, bm, dpp, dmm) in enumerate(kernels):
+                # b0 + (bp + dpp k2+) k2+ + (bm + dmm k2-) k2-
+                np.multiply(k2m, dmm, out=kern)
+                kern += bm
+                kern *= k2m
+                kern += b0 + (bp + dpp * k2p) * k2p
+                total = 0.0j
+                for (i, j), coef in pre.items():
+                    p = math.prod((x0,) * i + (x1,) * j, start=kern)
+                    total += coef * complex(*(p @ pairs))
+                totals[t] += scale * total
+        return [complex(norm_const(2) ** 2 * 0.25 * amp2 * amp * total)
                 for total in totals]
 
     values = on_grid(n_nodes)
@@ -413,12 +479,17 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     q1, q2 the lower components of k1 and k2, on n_nodes lightcone nodes per
     k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 sigma.  The
     k2+ axis is walked one node at a time over (u, k1+, k1-) arrays.  f is a
-    diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential, and
-    the kernel is its polynomial in (k2+, k2-) (_kernel_lightcone).  The
-    exponential is taken only where its argument exceeds -746: below, exp
-    is exactly 0, so a slice with no such point is skipped and the sum is
-    the one of the full evaluation.  The report counts the grid_points
-    (sigmas x n_nodes^3 x n_inner) and the exponentials evaluated.
+    diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential.  On a
+    slice its exponent, but for the weight's own term, and the kernel
+    (_kernel_lightcone) are quadratics in u with coefficients over the rows,
+    evaluated by Horner's rule.  A term whose exponent lies below _EXP_FAST
+    = -707 is flushed to 0: it is under e^-707 = 9.0e-308 times its squared
+    kernel and weight.  np.exp takes every point of a slice at
+    max(exponent, -707), on numpy's vector path, and the mask of the points
+    at or above -707 zeroes the flushed ones; a slice with no such point is
+    skipped.  The report counts the grid_points (sigmas x n_nodes^3 x
+    n_inner) and, as exponentials, the points whose exponential enters the
+    sum.
     """
     kmax = 2.0 * f.reach + 10.0
     sigmas = checked_sequence(sigma_sequence, "sigma_sequence",
@@ -436,9 +507,8 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
 
     values, exponentials = [], 0
     # per-slice arrays, (n_inner, rows), written in place
-    k2m, quad, expo, gauss = (np.empty((n_inner, m1sq.size))
-                              for _ in range(4))
-    live = np.empty(gauss.shape, dtype=bool)
+    expo, kern = (np.empty((n_inner, m1sq.size)) for _ in range(2))
+    live = np.empty(expo.shape, dtype=bool)
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
         # inner nodes u = m2^2 on the +-6 sigma window of the weight, as
@@ -447,37 +517,37 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
             n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
             (m1sq + 6.0 * sigma)[:, None]))
         weight = w1 * wu
-        c0u = c0 + dpm * u
+        # its own array: expanded in u, its terms of ~(u / sigma)^2 cancel
         hexp = -((u - m1sq) / sigma) ** 2
         total = 0.0
         for k2p, w2p in zip(k, w):
-            np.divide(u, k2p, out=k2m)
-            # k1 + k2 - kappa has the upper components b0 + k2-/2 and
-            # b1 - k2-/2; its s2-weighted square is quadratic in k2-:
-            # expo = hexp - (s0 b0^2 + s1 b1^2) - quad,
-            # quad = (s0 b0 - s1 b1 + (s0 + s1) k2- / 4) k2-
+            # with k2- = u / k2+, k1 + k2 - kappa has the upper components
+            # b0 + k2-/2 and b1 - k2-/2, and the Gaussian's exponent and the
+            # kernel are quadratics in u with coefficients over the rows,
+            # evaluated by Horner's rule:
+            # expo = hexp - (s0 b0^2 + s1 b1^2) - (s0 b0 - s1 b1) u / k2+
+            #        - (s0 + s1) u^2 / (4 k2+^2)
             b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
-            np.multiply(0.25 * (s0 + s1), k2m, out=quad)
-            np.add(s0 * b0 - s1 * b1, quad, out=quad)
-            quad *= k2m
-            np.subtract(hexp, s0 * b0 * b0 + s1 * b1 * b1, out=expo)
-            expo -= quad
-            # exp is exactly 0 below _EXP_ZERO: a slice with no exponent
-            # above it adds 0, and elsewhere only the others are evaluated
+            np.multiply(u, -0.25 * (s0 + s1) / k2p ** 2, out=expo)
+            expo += (s1 * b1 - s0 * b0) / k2p
+            expo *= u
+            expo -= s0 * b0 * b0 + s1 * b1 * b1
+            expo += hexp
+            # terms below _EXP_FAST are flushed to 0: a slice with no exponent
+            # at or above it adds 0
             n_live = int(np.count_nonzero(
-                np.greater(expo, _EXP_ZERO, out=live)))
+                np.greater_equal(expo, _EXP_FAST, out=live)))
             if not n_live:
                 continue
             exponentials += n_live
-            gauss.fill(0.0)
-            np.exp(expo, out=gauss, where=live)
-            # the kernel c0u + (cp + dpp k2+) k2+ + (cm + dmm k2-) k2-,
-            # squared, times the Gaussian (quad and expo reused)
-            kern = np.add(c0u, (cp + dpp * k2p) * k2p, out=expo)
-            np.multiply(dmm, k2m, out=quad)
-            np.add(cm, quad, out=quad)
-            quad *= k2m
-            kern += quad
+            gauss = np.exp(np.maximum(expo, _EXP_FAST, out=expo), out=expo)
+            gauss *= live
+            # the kernel c0 + (cp + dpp k2+) k2+ + (dpm + cm / k2+) u
+            # + dmm u^2 / k2+^2, squared, times the Gaussian
+            np.multiply(u, dmm / k2p ** 2, out=kern)
+            kern += dpm + cm / k2p
+            kern *= u
+            kern += c0 + (cp + dpp * k2p) * k2p
             kern *= kern
             kern *= gauss
             total += w2p / k2p * np.vdot(weight, kern)

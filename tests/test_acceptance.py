@@ -49,7 +49,8 @@ CRITERIA = {
     10: ("truncated 4-point function vanishes to 1e-12, odd n exactly zero",
          ["fock.npoint_*"]),
     11: ("vacuum fluctuation grows along the sigma halvings, exponent 1 +- "
-         "0.3; narrowest width resolved to 1e-3 on a finer grid",
+         "0.3; narrowest width resolved to 1e-3 on a finer grid; the kernel "
+         "equals its per-point sum to 1e-12",
          ["set.vacuum_fluctuation_*"]),
 }
 

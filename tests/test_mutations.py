@@ -41,6 +41,14 @@ def scaled_mode(fn, factor):
     return planted
 
 
+def scaled_values(fn, factor):
+    """fn with the values of the report it returns times factor."""
+    def planted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return {**out, "values": [factor * v for v in out["values"]]}
+    return planted
+
+
 # (module, public function, planting, suite, records that must fail under
 # the defect).  The bessel_ode_residual records cannot see a scale defect
 # of bessel_j: the ODE is linear and homogeneous.  apply_generator must
@@ -58,6 +66,8 @@ ROWS = [
     (fock, "apply_generator", scaled_mode, "fock",
      ["fock.special_conformal_field_law", "fock.algebra_closure_mode0_D_K1",
       "fock.algebra_closure_mode1_M01_K0"]),
+    (stress, "vacuum_fluctuation_divergence", scaled_values, "set",
+     ["set.vacuum_fluctuation_oracle"]),
 ]
 
 

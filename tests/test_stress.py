@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from gffads.correlators import (GaussianPacket, _exponent,
                                 lightcone_grid_nodes, norm_const)
+from gffads.cli import _divergence_oracle
 from gffads.errors import DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order
 from gffads.quadrature import _gauss_legendre
-from gffads.stress import (AnisoGaussian, DerivativePacket, MomentPacket,
-                           _kernel_factors, _kernel_lightcone, _kernel_lower,
-                           _lommel_factors, _lower, _set_terms,
-                           _unit_time_area,
+from gffads.stress import (_EXP_FAST, AnisoGaussian, DerivativePacket,
+                           MomentPacket, _kernel_factors, _kernel_lightcone,
+                           _kernel_lower, _lommel_factors, _lower,
+                           _set_terms, _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            lorentz_density_check, momentum_density_check,
@@ -401,35 +402,13 @@ class TestCommutatorLocality:
         assert max(abs(v) for v in rep["orderings"]) > 1e-4
 
 
-def _divergence_oracle(f, sigma, mu, nu, n, n_inner, kmax):
-    """||Theta^sigma(f) Omega||^2 as an explicitly weighted 4-fold loop."""
-    k, w = lightcone_grid_nodes(n, kmax)
-    t, tw = np.polynomial.legendre.leggauss(n_inner)
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    total = 0.0
-    for a in range(n):
-        for b in range(n):
-            m1sq = k[a] * k[b]
-            lo, hi = max(m1sq - 6.0 * sigma, 1e-12), m1sq + 6.0 * sigma
-            k1 = lc_vector(k[a], k[b])
-            for c in range(n):
-                for j in range(n_inner):
-                    u = 0.5 * (hi - lo) * (t[j] + 1.0) + lo
-                    k2 = lc_vector(k[c], u / k[c])
-                    kern = set_kernel(k1, k2, (1, 1), mu, nu)
-                    fv = f.fourier(k1.components[0] + k2.components[0],
-                                   k1.components[1] + k2.components[1])
-                    hsq = norm ** 2 * math.exp(-((u - m1sq) / sigma) ** 2)
-                    total += (w[a] * w[b] * w[c] * 0.5 * (hi - lo) * tw[j] *
-                              hsq * abs(kern) ** 2 * abs(fv) ** 2 / k[c])
-    return 0.5 * norm_const(2) ** 2 * 0.25 * total
-
-
 def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24):
-    """vacuum_fluctuation_divergence's values with np.exp taken on every
-    grid point (reference), the number of points whose exponent lies above
-    -746 (below it exp is exactly 0) and the number of k2+ slices with no
-    such point."""
+    """vacuum_fluctuation_divergence's values in the kernel's arithmetic
+    (Horner's rule in u) with np.exp taken on every grid point (reference),
+    the number of points whose exponent is at or above -707 (the kernel
+    flushes the others to 0), the number of k2+ slices with no such point,
+    and the number of points on the other slices whose exponent lies in
+    [-746, -707), where exp is tiny or subnormal rather than 0."""
     amp, (s0, s1), (p0, p1), _ = f.gaussian
     k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
     k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
@@ -437,7 +416,45 @@ def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24):
     q1 = _lower((k1p, k1m))
     (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, 0, 0)
     w1 = np.outer(w, w).ravel()
-    values, live, dead = [], 0, 0
+    values, live, dead, flushed = [], 0, 0, 0
+    for sigma in sigmas:
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
+            n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
+            (m1sq + 6.0 * sigma)[:, None]))
+        weight = w1 * wu
+        hexp = -((u - m1sq) / sigma) ** 2
+        total = 0.0
+        for k2p, w2p in zip(k, w):
+            b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
+            expo = ((u * (-0.25 * (s0 + s1) / k2p ** 2)
+                     + (s1 * b1 - s0 * b0) / k2p) * u
+                    - (s0 * b0 * b0 + s1 * b1 * b1)) + hexp
+            kern = (u * (dmm / k2p ** 2) + (dpm + cm / k2p)) * u \
+                + (c0 + (cp + dpp * k2p) * k2p)
+            n_live = int(np.count_nonzero(expo >= -707.0))
+            live, dead = live + n_live, dead + (n_live == 0)
+            if n_live:
+                flushed += int(np.count_nonzero((expo < -707.0) &
+                                                (expo >= -746.0)))
+            total += w2p / k2p * np.vdot(weight, kern * kern * np.exp(expo))
+        values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
+                            (norm * amp) ** 2 * total))
+    return values, live, dead, flushed
+
+
+def _divergence_per_point(f, sigmas, n_nodes=48, n_inner=24):
+    """vacuum_fluctuation_divergence's values with the exponent and kernel
+    written out in (k2+, k2-) at each point and np.exp on every point: the
+    kernel before its slices became polynomials in u (second reference)."""
+    amp, (s0, s1), (p0, p1), _ = f.gaussian
+    k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    m1sq = k1p * k1m
+    q1 = _lower((k1p, k1m))
+    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, 0, 0)
+    w1 = np.outer(w, w).ravel()
+    values = []
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
         u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
@@ -453,26 +470,47 @@ def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24):
             b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
             quad = (s0 * b0 - s1 * b1 + 0.25 * (s0 + s1) * k2m) * k2m
             expo = hexp - (s0 * b0 * b0 + s1 * b1 * b1) - quad
-            n_live = int(np.count_nonzero(expo > -746.0))
-            live, dead = live + n_live, dead + (n_live == 0)
             total += w2p / k2p * np.vdot(weight, kern * kern * np.exp(expo))
         values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
                             (norm * amp) ** 2 * total))
-    return values, live, dead
+    return values
 
 
 class TestVacuumFluctuation:
     def test_equals_every_exponential(self, packet_trio):
         # the packet and widths of the divergence check: 30 of the 288
-        # slices and 43% of the points lie where exp is exactly 0
+        # slices hold no exponent at or above -707, and 44% of the points
+        # lie below it (43% where exp is exactly 0)
         f = packet_trio[2]
         sigmas = [0.4 * 2.0 ** -i for i in range(6)]
         rep = vacuum_fluctuation_divergence(f, sigmas)
-        want, live, dead = _divergence_every_exp(f, sigmas)
+        want, live, dead, _ = _divergence_every_exp(f, sigmas)
         assert rep["values"] == want
         assert dead > 0
         assert rep["grid_points"] == 6 * 48 ** 3 * 24
         assert rep["exponentials"] == live < rep["grid_points"]
+        for got, old in zip(rep["values"],
+                            _divergence_per_point(f, sigmas)):
+            assert rel_err(got, old) <= 1e-14
+
+    def test_flushed_arguments_above_exact_zero(self):
+        # a narrow packet with a carrier: its live slices hold exponents in
+        # [-746, -707), where exp is subnormal or tiny but not 0; the kernel
+        # flushes them, and its values are still those of exp everywhere
+        f = GaussianPacket(MinkVector((0.2, -0.1)), 0.5,
+                           MinkVector((1.2, 0.4)))
+        sigmas = (0.3, 0.1)
+        rep = vacuum_fluctuation_divergence(f, sigmas, n_nodes=24,
+                                            n_inner=12)
+        want, live, _, flushed = _divergence_every_exp(f, sigmas, 24, 12)
+        assert flushed > 0
+        assert rep["values"] == want
+        assert rep["exponentials"] == live
+
+    def test_fast_exp_bound_is_normal(self):
+        # e^_EXP_FAST is a normal double, so exp stays off numpy's
+        # subnormal path at every argument the kernel passes it
+        assert np.exp(_EXP_FAST) >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("f,mu,nu", [
         (AnisoGaussian(0.8, 0.8), 0, 0),
@@ -483,9 +521,8 @@ class TestVacuumFluctuation:
         sigmas = (0.4, 0.2)
         rep = vacuum_fluctuation_divergence(f, sigmas, mu, nu, n_nodes=5,
                                             n_inner=3)
-        kmax = 2.0 * f.reach + 10.0
         for sigma, got in zip(sigmas, rep["values"]):
-            want = _divergence_oracle(f, sigma, mu, nu, 5, 3, kmax)
+            want = _divergence_oracle(f, sigma, mu, nu, 5, 3)
             assert rel_err(got, want) < 1e-12
 
     def test_divergence_with_narrowing_weight(self):
