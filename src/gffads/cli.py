@@ -25,11 +25,12 @@ Exit codes:
        extrapolation, grid too coarse, too close to a light cone, overflow
        (the ArithmeticError family of GffadsError, and OverflowError)
 
-Output is deterministic for a fixed config and seed.  Wall-clock timings are
-recorded but only emitted with --timings so that default output is
-byte-identical across runs.  A verify record's runtime is the time since the
-previous record of its suite (since the suite's start for the first), so each
-check shows its own cost.
+Output is deterministic for a fixed config, seed and BLAS thread count (the
+last digits of some grid sums depend on how BLAS splits its products).
+Wall-clock timings are recorded but only emitted with --timings so that
+default output is byte-identical across runs.  A verify record's runtime is
+the time since the previous record of its suite (since the suite's start
+for the first), so each check shows its own cost.
 """
 
 import argparse
@@ -301,6 +302,29 @@ def _suite_correlators(cfg, rng):
     recs.append(_check("correlators.spacelike_commutator_zero", cv.value, 0.0,
                        1e-8, error=cv.error_estimate,
                        inputs={"x": list(x.components)}))
+    # the closed form's constant, which gff_commutator and ads_commutator
+    # share, against the eps -> 0 limit of W_m(x) - W_m(-x)
+    xt = MinkVector((1.3, 0.4))
+    recs.append(_check("correlators.commutator_eps_limit",
+                       corr.commutator_kg(1.0, xt),
+                       corr.commutator_kg_eps(1.0, xt), 1e-7,
+                       inputs={"m": 1.0, "x": list(xt.components)}))
+    # unit density on [0, M^2]: int_0^M 2m dm (2 pi)^-1 K_0(m r) =
+    # (1 - M r K_1(M r)) / (pi r^2), at r_eps = sqrt(r^2 + eps^2) for
+    # kallen_lehmann_2pt's eps = 1e-3
+    mmax, r = 6.0, 0.8
+    kl = corr.kallen_lehmann_2pt(
+        corr.MassWeight(np.ones_like, support=(0.0, mmax ** 2)),
+        MinkVector((0.0, r)))
+    r_eps = math.hypot(r, 1e-3)
+    closed = (1.0 - mmax * r_eps * bessel_k(1.0, mmax * r_eps)) / \
+        (math.pi * r_eps ** 2)
+    miss = abs(kl.value - closed)
+    recs.append(_record(
+        "correlators.kallen_lehmann_finite_support", kl, reference=closed,
+        tolerance=1e-8,
+        passed=miss <= 1e-8 * abs(closed) and miss <= kl.error_estimate,
+        inputs={"support": [0.0, mmax ** 2], "x": [0.0, r]}))
     return recs
 
 
@@ -400,6 +424,20 @@ def _suite_holography(cfg, rng):
             tolerance=1e-9,
             passed=miss <= 1e-9 * abs(closed) and miss <= bulk.error_estimate,
             inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
+    # the holographic formula: lifting a boundary wavefunction to depth z
+    # multiplies it by h_z, so two lifts' inner product is the smeared bulk
+    # two-point function
+    packet = corr.GaussianPacket(MinkVector((0.0, 0.0)), 1.0,
+                                 MinkVector((2.0, 0.3)))
+    psi = fock.position_wavefunction(packet, None,
+                                     fock.LightconeGrid(n=160, kmin=1e-5))
+    lifts = [adsb.holographic_lift(spec, z, psi) for z in (0.3, 0.5)]
+    bulk = corr.smeared2pt(corr.BesselZ(0.3, spec.order), packet,
+                           corr.BesselZ(0.5, spec.order), packet, n_nodes=240)
+    recs.append(_check("holography.lift_inner_product",
+                       fock.inner_product(*lifts), bulk, 1e-8,
+                       inputs={"nu": 0.5, "z": [0.3, 0.5], "grid_n": 160,
+                               "n_nodes": 240}))
     mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
     recs.append(_check("holography.mass_change_kernel",
                        mk["relative_deviation"], 0.0, 5e-3,
@@ -595,6 +633,11 @@ def _suite_set(cfg, rng):
                        md["relative_deviations"][-1], 0.0, 1e-2,
                        inputs={"largest_s": 8.0}))
     recs.append(_flag("set.momentum_density_monotone", md["monotone"]))
+    ld = stress.lorentz_density_check(h, f1, h, f2, 0, 1, (4.0, 8.0, 12.0))
+    recs.append(_check("set.lorentz_density_deviation",
+                       ld["relative_deviations"][-1], 0.0, 2e-2,
+                       inputs={"largest_s": 12.0}))
+    recs.append(_flag("set.lorentz_density_monotone", ld["monotone"]))
 
     m1, m2 = 1.1, 0.7
     Z = 40.0

@@ -6,12 +6,12 @@ Wightman function with the complexified invariant
 principal square root.  The commutator at timelike separation tau is
     Delta_m(x) = -i pi (2 pi)^(-d/2) sgn(x^0) (m/tau)^((d-2)/2) J_{(2-d)/2}(m tau),
 a constant pinned by the eps -> 0 extrapolation of the Wightman difference
-(see tests).  Their error estimates come from the conditioning of K and J at
-the argument.  Every mass integral int dm^2 rho(m^2) W_m(x) (gff2pt,
-kallen_lehmann_2pt, and through gff2pt the AdS two-point function) runs on
-one route, _mass_integral: adaptive GK15 on m = t^2 from six equal panels,
-a bisection check of the panel at m = 0, and a bound on the tail beyond the
-mass cutoff.
+(the correlators.commutator_eps_limit record of `gffads verify`).  Their
+error estimates come from the conditioning of K and J at the argument.
+Every mass integral int dm^2 rho(m^2) W_m(x) (gff2pt, kallen_lehmann_2pt,
+and through gff2pt the AdS two-point function) runs on one route,
+_mass_integral: adaptive GK15 on m = t^2 from six equal panels, a bisection
+check of the panel at m = 0, and a bound on the tail beyond the mass cutoff.
 Momentum-space smearing works on the d = 2 forward cone in lightcone
 coordinates k+- > 0 with d^2 k = (1/2) dk+ dk-.
 """
@@ -21,19 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, LightConeProximityError
+from .errors import DomainError, LightConeProximityError
 from .quadrature import (_bessel_product, _doubling, _endpoint_checked,
                          _gauss_legendre, _laguerre_table, adaptive_finite,
                          neville_zero)
 from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
 
-__all__ = ["WeightFunction", "One", "Polynomial", "Power", "BesselZ",
-           "Tabulated", "ScaledWeight", "MassWeight", "Smearing",
-           "GaussianPacket", "Correlator", "DeltaDiagonalWeight", "norm_const",
-           "wightman_kg", "wightman_kg_momentum_oracle", "commutator_kg",
-           "commutator_kg_eps", "default_cutoff", "gff2pt",
-           "kallen_lehmann_2pt", "gff_commutator", "smeared2pt", "wick2pt",
+__all__ = ["WeightFunction", "Power", "BesselZ", "Tabulated", "ScaledWeight",
+           "MassWeight", "Smearing", "GaussianPacket", "Correlator",
+           "norm_const", "wightman_kg", "wightman_kg_momentum_oracle",
+           "commutator_kg", "commutator_kg_eps", "default_cutoff", "gff2pt",
+           "kallen_lehmann_2pt", "gff_commutator", "smeared2pt",
            "scaling_covariance_check", "lightcone_grid_nodes"]
 
 
@@ -56,27 +55,6 @@ class WeightFunction:
 
     def __call__(self, m2):
         raise NotImplementedError
-
-
-class One(WeightFunction):
-    bessel_form = (1.0, 0.0, ())
-
-    def __call__(self, m2):
-        return np.ones_like(np.asarray(m2, dtype=float))
-
-
-class Polynomial(WeightFunction):
-    """Polynomial in m^2 with the given coefficients (constant term first)."""
-
-    def __init__(self, coefficients):
-        self.coefficients = tuple(float(c) for c in coefficients)
-
-    def __call__(self, m2):
-        m2 = np.asarray(m2, dtype=float)
-        out = np.zeros_like(m2)
-        for c in reversed(self.coefficients):
-            out = out * m2 + c
-        return out
 
 
 class Power(WeightFunction):
@@ -114,13 +92,20 @@ class Tabulated(WeightFunction):
         self.values = np.asarray(values, dtype=float)
         if self.m2_grid.ndim != 1 or self.m2_grid.shape != self.values.shape:
             raise DomainError("Tabulated needs matching 1-d grids")
+        if not (np.all(np.isfinite(self.m2_grid))
+                and np.all(np.isfinite(self.values))):
+            raise DomainError("Tabulated m^2 and h entries must be finite")
         if np.any(np.diff(self.m2_grid) <= 0):
             raise DomainError("Tabulated m^2 grid must be increasing")
 
     @classmethod
     def from_file(cls, path):
         """Two whitespace-separated columns (m^2, h); '#' starts a comment."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        with open(path) as fh:
+            rows = [line for line in fh if line.partition("#")[0].strip()]
+        if not rows:
+            raise DomainError("weight table has no rows")
+        data = np.loadtxt(rows, comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise DomainError("weight table must have exactly two columns")
         return cls(data[:, 0], data[:, 1])
@@ -147,10 +132,6 @@ class ScaledWeight(WeightFunction):
     def __call__(self, m2):
         return self.lam ** (self.d / 2.0) * \
             self.base(self.lam ** 2 * np.asarray(m2, dtype=float))
-
-
-class DeltaDiagonalWeight:
-    """Sentinel for the non-square-integrable weight delta(m1^2 - m2^2)."""
 
 
 @dataclass(frozen=True)
@@ -545,39 +526,6 @@ def smeared2pt(h1, f1, h2, f2, n_nodes=120, epsilon=0.0):
 
     value = on_grid(n_nodes)
     value_half = on_grid(n_nodes // 2)
-    return Correlator(complex(value), abs(value - value_half))
-
-
-def wick2pt(h, x):
-    """2-point function of the generalized Wick square with weight h(m1^2, m2^2):
-
-        2 int dm1^2 dm2^2 h^2 W_m1(x) W_m2(x),  spacelike x.
-
-    h must be a symmetric callable; the singular diagonal delta weight is
-    rejected with a DivergenceError (see the vacuum-fluctuation diagnostic).
-    The value is taken on a 160-node Gauss-Legendre grid in each mass up to
-    default_cutoff(x); the error estimate is its change from the 80-node
-    grid.
-    """
-    if isinstance(h, DeltaDiagonalWeight):
-        raise DivergenceError(
-            "delta(m1^2 - m2^2) weight is not square integrable: the vacuum "
-            "fluctuation diverges; run the mollified cutoff scan "
-            "(stress.vacuum_fluctuation_divergence) for the diagnostic")
-    mmax = math.sqrt(default_cutoff(x))
-    sigma = _sigma_eps(x, 1e-3)
-
-    def on_grid(n):
-        m, wm = _gauss_legendre(n, 0.0, mmax)
-        wvals = _wightman_closed(m, sigma, x.d)
-        m1sq = (m ** 2)[:, None]
-        m2sq = (m ** 2)[None, :]
-        hh = np.asarray(h(m1sq, m2sq))
-        jac = (2.0 * m * wm)[:, None] * (2.0 * m * wm)[None, :]
-        return 2.0 * np.sum(jac * hh ** 2 * wvals[:, None] * wvals[None, :])
-
-    value = on_grid(160)
-    value_half = on_grid(80)
     return Correlator(complex(value), abs(value - value_half))
 
 

@@ -20,10 +20,6 @@ class DimensionMismatchError(GffadsError, ValueError):
     """Vectors of different space-time dimension combined."""
 
 
-class ChartExitError(GffadsError, ValueError):
-    """A coordinate transformation leaves the Poincare chart."""
-
-
 class DivergenceError(GffadsError, ArithmeticError):
     """A regularized integral fails to extrapolate to a finite limit."""
 

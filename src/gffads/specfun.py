@@ -1,14 +1,14 @@
-"""Real-order special functions: Gamma, Bessel J/K/I, scaled Hankel functions
-and the even Bessel series.
+"""Real-order special functions: Gamma, Bessel J and K, scaled Hankel
+functions and the even Bessel series.
 
 The Bessel order is restricted to nu > -1 throughout: `Order` enforces it,
-while the raw functions bessel_j, bessel_k, bessel_i and j_even accept any
+while the raw functions bessel_j, bessel_k and j_even accept any
 finite order (the z-weights of `stress` need J_(nu-1)) and reject a NaN or
 infinite one.  Their argument must lie in the stated domain (NaN does not).
 J and the scaled Hankel functions take their route from the order alone:
 J_0 by cephes j0, orders +-1/2 by their elementary closed forms (DLMF
 10.16.1), every other order by AMOS (scipy.special jv, hankel1e, hankel2e;
-D. E. Amos, ACM TOMS 12, 1986).  K, I and Gamma are scipy.special's.  The
+D. E. Amos, ACM TOMS 12, 1986).  K and Gamma are scipy.special's.  The
 even entire function j_nu is evaluated by its own power series near the
 origin so that it is defined for arguments of either sign.
 """
@@ -21,8 +21,8 @@ import scipy.special as _sp
 
 from .errors import DomainError, RangeError
 
-__all__ = ["Order", "gamma", "bessel_j", "bessel_k", "bessel_i", "j_even",
-           "kv_complex", "hankel_scaled"]
+__all__ = ["Order", "gamma", "bessel_j", "bessel_k", "j_even", "kv_complex",
+           "hankel_scaled"]
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,6 @@ def bessel_k(order, u):
     if u.size and not u.min() > 0:
         raise DomainError("bessel_k requires u > 0")
     out = _sp.kv(nu, u)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_i(order, u):
-    """Modified Bessel function I_nu(u) for u >= 0."""
-    nu = _nu(order)
-    u = np.asarray(u, dtype=float)
-    if u.size and not u.min() >= 0:
-        raise DomainError("bessel_i requires u >= 0")
-    out = _sp.iv(nu, u)
     return float(out) if out.ndim == 0 else out
 
 

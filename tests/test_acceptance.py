@@ -21,28 +21,34 @@ CRITERIA = {
     1: ("Bessel ODE residual 1e-6 on [0.5, 40], Hankel self-reciprocity 1e-8, "
         "Gamma reflection, even Bessel series", ["specfun.*"]),
     2: ("2pt log-log slope within 1% of -1.5, scaling covariance, Wightman "
-        "closed form = momentum route", ["correlators.power_weight_*",
-                                        "correlators.scaling_covariance",
-                                        "correlators.wightman_*"]),
+        "closed form = momentum route, Kallen-Lehmann measure on a finite "
+        "support to 1e-8", ["correlators.power_weight_*",
+                            "correlators.scaling_covariance",
+                            "correlators.wightman_*",
+                            "correlators.kallen_lehmann_*"]),
     3: ("scaled bulk 2pt reaches the boundary field within 1% at nu in "
         "{0, 0.5}; bulk 2pt dilation invariant and the AdS_3 propagator "
-        "to 1e-9",
-        ["holography.boundary_limit_*", "holography.ads2pt_*"]),
+        "to 1e-9; holographic lifts reproduce the smeared bulk 2pt to 1e-8",
+        ["holography.boundary_limit_*", "holography.ads2pt_*",
+         "holography.lift_*"]),
     4: ("triple-Bessel integral vanishes at (0.3, 1, 1.4) and matches the "
         "interior closed form to 1e-4", ["locality.bonus_locality_*"]),
     5: ("bulk commutator <= 1e-5 at three bulk-spacelike points; boundary "
-        "commutator zero at spacelike dx",
-        ["locality.ads_commutator_*", "correlators.spacelike_*"]),
+        "commutator zero at spacelike dx; its constant = the eps -> 0 limit "
+        "of the Wightman difference to 1e-7",
+        ["locality.ads_commutator_*", "correlators.spacelike_*",
+         "correlators.commutator_*"]),
     6: ("equal-time commutator = product formula to 1e-3, zero for disjoint "
         "depth supports", ["holography.ccr_*"]),
     7: ("15 generator commutators on two modes match the symbolic oracle to "
         "1e-4; special conformal field law",
         ["fock.algebra_closure_*", "fock.special_conformal_*"]),
     8: ("kernel conservation 1e-12, conservation 1e-8, momentum density 1%, "
-        "nonzero trace, locality, scrambled-Sobol matrix element 1e-3",
+        "Lorentz density 2%, nonzero trace, locality, scrambled-Sobol matrix "
+        "element 1e-3",
         ["set.kernel_*", "set.hermiticity_*", "set.conservation_*",
          "set.trace_*", "set.momentum_density_*", "set.matrix_element_*",
-         "locality.set_*"]),
+         "locality.set_*", "set.lorentz_density_*"]),
     9: ("depth-integrated Bessel weight -> mass delta, bulk matrix element "
         "-> sharp one within 1%, mass-change kernel",
         ["set.z_weight_*", "set.ads_reduction_*", "holography.mass_change_*"]),

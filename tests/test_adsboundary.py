@@ -8,9 +8,9 @@ from gffads.adsboundary import (AdSFieldSpec, ads2pt, ads_commutator,
                                 bonus_locality, boundary_limit_check,
                                 boundary_limit_const, ccr_check,
                                 holographic_lift, mass_change_kernel_check)
-from gffads.correlators import BesselZ, GaussianPacket, smeared2pt
+from gffads.correlators import GaussianPacket
 from gffads.errors import DomainError, LightConeProximityError
-from gffads.fock import LightconeGrid, inner_product, position_wavefunction
+from gffads.fock import LightconeGrid, position_wavefunction
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, j_even
 
@@ -200,14 +200,6 @@ class TestHolographicLift:
             * self.psi(kp, km)
         assert np.max(np.abs(lifted - target)) <= \
             1e-6 * np.max(np.abs(target))
-
-    def test_inner_product_reproduces_bulk_2pt(self):
-        l1 = holographic_lift(SPEC, 0.3, self.psi)
-        l2 = holographic_lift(SPEC, 0.5, self.psi)
-        got = inner_product(l1, l2)
-        want = smeared2pt(BesselZ(0.3, SPEC.order), self.f,
-                          BesselZ(0.5, SPEC.order), self.f, n_nodes=240).value
-        assert rel_err(got, want) < 1e-8
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestCompute:
     def test_weight_table_missing_file(self, capsys):
         assert cli.main(["compute", "gff2pt",
                          "--param", "hfile=/no/such/file"]) == 2
+
+    @pytest.mark.parametrize("row", ["1 nan", "nan 1", "1 inf", "-inf 1"])
+    def test_weight_table_non_finite_entry(self, capsys, tmp_path, row):
+        # malformed input, not a quadrature that burns its budget on NaN
+        path = tmp_path / "weights.txt"
+        path.write_text(f"0 0\n{row}\n")
+        rc = cli.main(["compute", "gff2pt", "--param", f"hfile={path}"])
+        assert rc == 2
+        assert "entries must be finite" in capsys.readouterr().err
+
+    def test_weight_table_without_rows(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("# m2 h\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["compute", "gff2pt", "--param", f"hfile={path}"])
+        assert rc == 2
+        assert "weight table has no rows" in capsys.readouterr().err
+        assert not caught
 
     # lower-case names: quantities are looked up ignoring case
     @pytest.mark.parametrize("name", sorted(q.lower() for q in cli.QUANTITIES))

@@ -52,7 +52,9 @@ def scaled_values(fn, factor):
 # (module, public function, planting, suite, records that must fail under
 # the defect).  The bessel_ode_residual records cannot see a scale defect
 # of bessel_j: the ODE is linear and homogeneous.  apply_generator must
-# fail a closure record too: the grid commutators go through it.
+# fail a closure record too: the grid commutators go through it.  Only the
+# closed side of the commutator record is scaled: commutator_kg_eps goes
+# through wightman_kg.
 ROWS = [
     (stress, "set_matrix_element", scaled, "set", ["set.matrix_element_qmc"]),
     (correlators, "gff2pt", scaled, "correlators",
@@ -68,6 +70,12 @@ ROWS = [
       "fock.algebra_closure_mode1_M01_K0"]),
     (stress, "vacuum_fluctuation_divergence", scaled_values, "set",
      ["set.vacuum_fluctuation_oracle"]),
+    (correlators, "commutator_kg", scaled, "correlators",
+     ["correlators.commutator_eps_limit"]),
+    (correlators, "kallen_lehmann_2pt", scaled, "correlators",
+     ["correlators.kallen_lehmann_finite_support"]),
+    (adsboundary, "holographic_lift", scaled_mode, "holography",
+     ["holography.lift_inner_product"]),
 ]
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from gffads.errors import ChartExitError, DimensionMismatchError, DomainError
-from gffads.spacetime import (AdSPoint, CausalClass, MinkVector,
-                              ads_special_conformal, chordal_distance,
-                              classify, embed, embedding_product, interval)
+from gffads.errors import DimensionMismatchError, DomainError
+from gffads.spacetime import AdSPoint, MinkVector, chordal_distance
 
 from conftest import rel_err
 
@@ -12,6 +10,43 @@ from conftest import rel_err
 def random_point(rng, zmax=2.0):
     return AdSPoint(rng.uniform(0.2, zmax),
                     MinkVector(tuple(rng.uniform(-1.5, 1.5, 2))))
+
+
+def embed(p):
+    """Embedding xi = z^-1 (x^mu e_mu + e_- + (z^2 - x.x) e_+) into R^{2,d}.
+
+    The first two coordinates carry the lightlike pair e_+- = (1, +-1, 0,
+    ..., 0) / 2 of a (+, -) plane, so that e_+ . e_- = 1/2; e_mu occupies
+    the remaining d slots with e_mu . e_nu = eta_mu_nu.  xi . xi = 1.
+    """
+    xi = np.zeros(p.x.d + 2)
+    coef_plus = p.z ** 2 - p.x.square()
+    xi[0] = 0.5 * (1.0 + coef_plus)
+    xi[1] = 0.5 * (-1.0 + coef_plus)
+    xi[2:] = p.x.array
+    return xi / p.z
+
+
+def embedding_product(p, q):
+    """embed(p) . embed(q) in the metric of R^{2,d}: the e-plane (slots 0,
+    1) is (+, -) and the e_mu block carries eta = diag(+, -, ..., -)."""
+    g = -np.eye(p.x.d + 2)
+    g[0, 0] = g[2, 2] = 1.0
+    return float(embed(p) @ g @ embed(q))
+
+
+def ads_special_conformal(p, b):
+    """Special conformal map of the Poincare chart, an AdS isometry:
+
+    (z, x) -> (z, x^mu - b^mu (x^2 - z^2)) / (1 - 2 b.x + b^2 (x^2 - z^2)),
+
+    or None when the image leaves the z > 0 chart.
+    """
+    w = p.x.square() - p.z ** 2
+    denom = 1.0 - 2.0 * b.dot(p.x) + b.square() * w
+    if denom <= 0:
+        return None
+    return AdSPoint(p.z / denom, (p.x - b.scale(w)).scale(1.0 / denom))
 
 
 def boost(x, chi):
@@ -27,55 +62,19 @@ class TestMinkVector:
 
     def test_interval_examples(self):
         a = MinkVector((0.3, -0.7))
-        assert interval(a, a) == 0.0
-        assert interval(MinkVector((1.0, 0.0)), MinkVector((0.0, 0.0))) == \
+        assert (a - a).square() == 0.0
+        assert (MinkVector((1.0, 0.0)) - MinkVector((0.0, 0.0))).square() == \
             pytest.approx(1.0)
         z4 = MinkVector((0.0, 0.0, 0.0, 0.0))
-        assert interval(MinkVector((0.0, 1.0, 0.0, 0.0)), z4) == \
+        assert (MinkVector((0.0, 1.0, 0.0, 0.0)) - z4).square() == \
             pytest.approx(-1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            interval(MinkVector((0.0, 1.0)), MinkVector((0.0, 1.0, 0.0)))
-
-
-class TestClassify:
-    def test_cases(self):
-        o = MinkVector((0.0, 0.0))
-        assert classify(MinkVector((0.0, 1.0)), o) is CausalClass.SPACELIKE
-        assert classify(MinkVector((1.0, 0.0)), o) is CausalClass.TIMELIKE_FUTURE
-        assert classify(MinkVector((-1.0, 0.2)), o) is CausalClass.TIMELIKE_PAST
-        assert classify(MinkVector((1.0, 1.0)), o) is CausalClass.LIGHTLIKE
-
-    def test_lorentz_invariance(self, rng):
-        o = MinkVector((0.0, 0.0))
-        for _ in range(40):
-            x = MinkVector(tuple(rng.uniform(-2, 2, 2)))
-            chi = rng.uniform(-1.5, 1.5)
-            assert classify(x, o) is classify(boost(x, chi), boost(o, chi))
+            MinkVector((0.0, 1.0)) - MinkVector((0.0, 1.0, 0.0))
 
 
 class TestEmbedding:
-    def test_unit_norm(self, rng):
-        for _ in range(30):
-            p = random_point(rng)
-            assert abs(embedding_product(p, p) - 1.0) < 1e-12
-
-    def test_reference_point(self):
-        xi = embed(AdSPoint(1.0, MinkVector((0.0, 0.0))))
-        # e_- + e_+ occupies the lightlike plane (slots 0, 1); the Minkowski
-        # slots vanish
-        assert np.allclose(xi[2:], 0.0)
-        assert abs(embedding_product(AdSPoint(1.0, MinkVector((0.0, 0.0))),
-                                     AdSPoint(1.0, MinkVector((0.0, 0.0))))
-                   - 1.0) < 1e-14
-
-    def test_dilation_moves_only_plane_components(self, rng):
-        p = random_point(rng)
-        lam = 1.7
-        q = AdSPoint(lam * p.z, p.x.scale(lam))
-        assert np.allclose(embed(p)[2:], embed(q)[2:], rtol=1e-12)
-
     def test_chordal_from_embedding(self, rng):
         for _ in range(30):
             p, q = random_point(rng), random_point(rng)
@@ -117,45 +116,18 @@ class TestChordalDistance:
 
 
 class TestAdsSpecialConformal:
-    def test_identity(self):
-        p = AdSPoint(0.8, MinkVector((0.3, -0.4)))
-        q = ads_special_conformal(p, MinkVector((0.0, 0.0)))
-        assert q.z == pytest.approx(p.z) and \
-            q.x.components == pytest.approx(p.x.components)
-
-    def test_boundary_limit(self):
-        b = MinkVector((0.05, -0.02))
-        x = MinkVector((0.3, 0.7))
-        q = ads_special_conformal(AdSPoint(1e-6, x), b)
-        x2 = float(x.square())
-        den = 1.0 - 2.0 * (b.components[0] * x.components[0]
-                           - b.components[1] * x.components[1]) \
-            + float(b.square()) * x2
-        want = [(x.components[i] - b.components[i] * x2) / den
-                for i in range(2)]
-        assert np.allclose(q.x.components, want, rtol=1e-5, atol=1e-8)
-
     def test_chordal_invariance(self, rng):
         b = MinkVector((0.04, 0.03))
         hits = 0
         for _ in range(40):
             p, q = random_point(rng), random_point(rng)
-            try:
-                pt, qt = (ads_special_conformal(p, b),
-                          ads_special_conformal(q, b))
-            except ChartExitError:
+            pt, qt = ads_special_conformal(p, b), ads_special_conformal(q, b)
+            if pt is None or qt is None:
                 continue
             hits += 1
             assert rel_err(chordal_distance(pt, qt),
                            chordal_distance(p, q)) < 1e-10
         assert hits >= 20
-
-    def test_chart_exit(self):
-        # x^2 = z^2 kills the b^2 term, so the denominator is 1 - 2 b.x = 0
-        x = MinkVector((1.0, 0.0))
-        b = MinkVector((0.5, 0.0))
-        with pytest.raises(ChartExitError):
-            ads_special_conformal(AdSPoint(1.0, x), b)
 
 
 class TestAdSPoint:

@@ -368,13 +368,6 @@ class TestDensityLimits:
             assert rep["monotone"]
             assert rep["relative_deviations"][-1] < 2e-2
 
-    def test_lorentz_density(self, packet_trio, hpow):
-        f1, f2, _ = packet_trio
-        rep = lorentz_density_check(hpow, f1, hpow, f2, 0, 1,
-                                    (4.0, 8.0, 12.0))
-        assert rep["monotone"]
-        assert rep["relative_deviations"][-1] < 2e-2
-
     def test_lorentz_density_equal_indices_rejected(self, packet_trio, hpow):
         # M_mm = 0: there is no limit to approach, so no trend to report
         f1, f2, _ = packet_trio
