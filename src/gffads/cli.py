@@ -103,8 +103,12 @@ def load_config(args):
             raise ConfigError(f"--param expects k=v, got {item!r}")
         key, _, val = item.partition("=")
         cfg["params"][key.strip()] = _parse_value(val.strip())
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    # bool is an int to Python, and JSON's true and 1 are distinct
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    if not isinstance(cfg["timings"], bool):
+        raise ConfigError(f"timings must be true or false, got "
+                          f"{cfg['timings']!r}")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg['format']!r}")
     if scan and cfg["format"] != "csv":
@@ -272,8 +276,8 @@ def _suite_correlators(cfg, rng):
     recs = []
     x = MinkVector((0.4, 2.0))
     m = 1.3
-    a = corr.wightman_kg(m, x, epsilon=1e-3)
-    b = corr.wightman_kg_momentum_oracle(m, x, epsilon=1e-3)
+    a = corr.wightman_kg(m, x)
+    b = corr.wightman_kg_momentum_oracle(m, x)
     recs.append(_check("correlators.wightman_closed_vs_momentum", a, b, 1e-6,
                        inputs={"m": m, "x": list(x.components)}))
     h = corr.Power(0.5)
@@ -284,10 +288,10 @@ def _suite_correlators(cfg, rng):
     recs.append(_check("correlators.power_weight_loglog_slope", slope, -1.5,
                        0.01, inputs={"nu": 0.5, "s_range": [0.5, 50.0]}))
     # int dm^2 m^(2 nu) W_m(x) = 4^nu Gamma(nu+1)^2 sigma^-(nu+1) / pi in
-    # d = 2, sigma = x1^2 - (t - i epsilon)^2 at the default epsilon 1e-3
+    # d = 2, sigma = x1^2 - (t - i epsilon)^2 at the default epsilon
     nu = 0.5
     t, x1 = x.components
-    sigma = x1 * x1 - complex(t, -1e-3) ** 2
+    sigma = x1 * x1 - complex(t, -corr.EPSILON) ** 2
     closed = 4.0 ** nu * math.gamma(nu + 1.0) ** 2 * sigma ** -(nu + 1.0) \
         / math.pi
     recs.append(_check("correlators.power_weight_closed_form",
@@ -311,12 +315,12 @@ def _suite_correlators(cfg, rng):
                        inputs={"m": 1.0, "x": list(xt.components)}))
     # unit density on [0, M^2]: int_0^M 2m dm (2 pi)^-1 K_0(m r) =
     # (1 - M r K_1(M r)) / (pi r^2), at r_eps = sqrt(r^2 + eps^2) for
-    # kallen_lehmann_2pt's eps = 1e-3
+    # kallen_lehmann_2pt's eps
     mmax, r = 6.0, 0.8
     kl = corr.kallen_lehmann_2pt(
         corr.MassWeight(np.ones_like, support=(0.0, mmax ** 2)),
         MinkVector((0.0, r)))
-    r_eps = math.hypot(r, 1e-3)
+    r_eps = math.hypot(r, corr.EPSILON)
     closed = (1.0 - mmax * r_eps * bessel_k(1.0, mmax * r_eps)) / \
         (math.pi * r_eps ** 2)
     miss = abs(kl.value - closed)
@@ -394,7 +398,7 @@ def _suite_holography(cfg, rng):
     recs.append(_check("holography.ccr_disjoint_supports", ccr["mode_value"],
                        0.0, 1e-6, inputs={"nu": 0.5}))
     lam = 1.5
-    eps = 1e-3
+    eps = corr.EPSILON
     a = adsb.ads2pt(spec, 0.6, 0.9, MinkVector((0.2, 3.0)), epsilon=eps)
     # the i-epsilon regulator carries dimension and scales with the point
     b = adsb.ads2pt(spec, lam * 0.6, lam * 0.9, MinkVector((0.3, 4.5)),
@@ -415,7 +419,8 @@ def _suite_holography(cfg, rng):
                           (1.3, 0.4, 1.1, (0.4, 2.0))):
         dx = MinkVector(dx)
         bulk = adsb.ads2pt(adsb.AdSFieldSpec(Order(nu)), z, zp, dx)
-        u = (corr._sigma_eps(dx, 1e-3) + (z - zp) ** 2) / (2.0 * z * zp)
+        u = (corr._sigma_eps(dx, corr.EPSILON) + (z - zp) ** 2) / \
+            (2.0 * z * zp)
         s = cmath.acosh(1.0 + u)
         closed = cmath.exp(-nu * s) / (4.0 * math.pi * cmath.sinh(s))
         miss = abs(bulk.value - closed)
@@ -441,6 +446,7 @@ def _suite_holography(cfg, rng):
     mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
     recs.append(_check("holography.mass_change_kernel",
                        mk["relative_deviation"], 0.0, 5e-3,
+                       error=mk["extrapolation_spread"],
                        inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7, "m": 1.2}))
     return recs
 
@@ -755,7 +761,7 @@ QUANTITIES = {
     "besselk": lambda p: bessel_k(p.read("nu", 0.5), p.read("u", 1.0)),
     "wightman": lambda p: corr.wightman_kg(
         p.read("m", 1.0), MinkVector((p.read("t", 0.0), p.read("x", 2.0))),
-        epsilon=p.read("epsilon", 1e-3)),
+        epsilon=p.read("epsilon", corr.EPSILON)),
     "gff2pt": _gff2pt,
     "ads2pt": lambda p: adsb.ads2pt(
         adsb.AdSFieldSpec(Order(p.read("nu", 0.5))), p.read("z", 0.5),

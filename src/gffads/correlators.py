@@ -8,10 +8,14 @@ principal square root.  The commutator at timelike separation tau is
 a constant pinned by the eps -> 0 extrapolation of the Wightman difference
 (the correlators.commutator_eps_limit record of `gffads verify`).  Their
 error estimates come from the conditioning of K and J at the argument.
-Every mass integral int dm^2 rho(m^2) W_m(x) (gff2pt, kallen_lehmann_2pt,
-and through gff2pt the AdS two-point function) runs on one route,
-_mass_integral: adaptive GK15 on m = t^2 from six equal panels, a bisection
-check of the panel at m = 0, and a bound on the tail beyond the mass cutoff.
+The i-epsilon regulator of every Wightman function is EPSILON unless the
+caller passes its own.  Every mass integral int dm^2 rho(m^2) W_m(x)
+(gff2pt, kallen_lehmann_2pt, and through gff2pt the AdS two-point
+function) runs on one route, _mass_integral: adaptive GK15 on m = t^2 from
+six equal panels, a bisection check of the panel at m = 0, and a bound on
+the tail beyond the mass cutoff.  The commutator of two weights,
+gff_commutator, takes weights with a bessel_form only: its mass integral is
+then a Bessel product, taken on the rotated contour of quadrature.
 Momentum-space smearing works on the d = 2 forward cone in lightcone
 coordinates k+- > 0 with d^2 k = (1/2) dk+ dk-.
 """
@@ -22,18 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LightConeProximityError
-from .quadrature import (_bessel_product, _doubling, _endpoint_checked,
-                         _gauss_legendre, _laguerre_table, adaptive_finite,
-                         neville_zero)
+from .quadrature import (_bessel_product, _endpoint_checked, _gauss_legendre,
+                         _laguerre_table, adaptive_finite, neville_zero)
 from .spacetime import MinkVector
 from .specfun import bessel_j, kv_complex
 
-__all__ = ["WeightFunction", "Power", "BesselZ", "Tabulated", "ScaledWeight",
-           "MassWeight", "Smearing", "GaussianPacket", "Correlator",
-           "norm_const", "wightman_kg", "wightman_kg_momentum_oracle",
-           "commutator_kg", "commutator_kg_eps", "default_cutoff", "gff2pt",
-           "kallen_lehmann_2pt", "gff_commutator", "smeared2pt",
-           "scaling_covariance_check", "lightcone_grid_nodes"]
+__all__ = ["EPSILON", "WeightFunction", "Power", "BesselZ", "Tabulated",
+           "ScaledWeight", "MassWeight", "Smearing", "GaussianPacket",
+           "Correlator", "norm_const", "wightman_kg",
+           "wightman_kg_momentum_oracle", "commutator_kg", "commutator_kg_eps",
+           "default_cutoff", "gff2pt", "kallen_lehmann_2pt", "gff_commutator",
+           "smeared2pt", "scaling_covariance_check", "lightcone_grid_nodes"]
+
+
+# the i-epsilon regulator of the Wightman functions, in the units of x
+EPSILON = 1e-3
 
 
 def norm_const(d):
@@ -259,7 +266,7 @@ def _sigma_eps(x, epsilon):
     return float(np.dot(comps[1:], comps[1:])) - (comps[0] - 1j * epsilon) ** 2
 
 
-def wightman_kg(m, x, epsilon=1e-3):
+def wightman_kg(m, x, epsilon=EPSILON):
     """Wightman function W_m(x) of the mass-m Klein-Gordon field."""
     if m <= 0 or epsilon <= 0:
         raise DomainError("wightman_kg requires m > 0 and epsilon > 0")
@@ -290,7 +297,7 @@ def _wightman_closed(m, sigma, d):
     return (2.0 * np.pi) ** (-d / 2.0) * (m / r) ** nu * kv_complex(nu, m * r)
 
 
-def wightman_kg_momentum_oracle(m, x, epsilon=1e-3):
+def wightman_kg_momentum_oracle(m, x, epsilon=EPSILON):
     """Direct d = 2 momentum integral (1/2pi) int dk e^{-i w t + i k x} / (2 w).
 
     Brute-force oracle for the closed form.  On the half-line sgn k = s the
@@ -425,7 +432,7 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     return Correlator(res.value, err)
 
 
-def gff2pt(h1, h2, x, epsilon=1e-3):
+def gff2pt(h1, h2, x, epsilon=EPSILON):
     """2-point function int_0^inf dm^2 h1(m^2) h2(m^2) W_m(x), spacelike x.
 
     The mass integral runs on m = t^2 up to default_cutoff(x) (see
@@ -453,8 +460,8 @@ def kallen_lehmann_2pt(rho, x):
         if x.square() >= 0:
             raise DomainError("infinite support needs spacelike x")
         hi = default_cutoff(x)
-    res = _mass_integral(rho.density, x, 1e-3, lo, hi, tail=infinite)
-    sigma = _sigma_eps(x, 1e-3)
+    res = _mass_integral(rho.density, x, EPSILON, lo, hi, tail=infinite)
+    sigma = _sigma_eps(x, EPSILON)
     total = res.value
     for m2, w in rho.point_masses:
         total = total + w * _wightman_closed(math.sqrt(m2), sigma, x.d)
@@ -467,29 +474,20 @@ def gff_commutator(h1, h2, x):
     With dm^2 = 2m dm and Delta_m = c (m/tau)^nu J_(-nu)(m tau),
     nu = (d - 2)/2, two weights with a bessel_form make the integrand a
     Bessel product c' m^p prod_i J_(nu_i)(k_i m), taken on the rotated
-    contour (quadrature._bessel_product).  Any other weight must decay: its
-    integral is taken on doubling intervals from L = 4 pi / tau, and a
-    weight with neither form nor decay raises DivergenceError.
+    contour (quadrature._bessel_product).  Away from spacelike separation a
+    weight without a bessel_form raises DomainError.
     """
     if (pre := _commutator_prefactor(x)) is None:
         return Correlator(0.0, 0.0)
+    for h in (h1, h2):
+        if getattr(h, "bessel_form", None) is None:
+            raise DomainError(f"gff_commutator needs weights with a "
+                              f"bessel_form; {type(h).__name__} has none")
     tau, const = pre
     nu = 0.5 * (x.d - 2)
-
-    def f(m):
-        m = np.asarray(m, dtype=float)
-        mm = np.where(m > 0, m, 1.0)
-        val = 2.0 * mm * np.asarray(h1(mm ** 2)) * np.asarray(h2(mm ** 2)) * \
-            (mm / tau) ** nu * bessel_j(-nu, mm * tau)
-        return np.where(m > 0, val, 0.0)
-
-    forms = [getattr(h, "bessel_form", None) for h in (h1, h2)]
-    if None in forms:
-        res = _doubling(f, 4.0 * np.pi / tau, "gff_commutator")
-    else:
-        (c1, p1, f1), (c2, p2, f2) = forms
-        res = _bessel_product(1.0 + nu + p1 + p2, ((-nu, tau),) + f1 + f2)
-        const = const * 2.0 * tau ** -nu * c1 * c2
+    (c1, p1, f1), (c2, p2, f2) = h1.bessel_form, h2.bessel_form
+    res = _bessel_product(1.0 + nu + p1 + p2, ((-nu, tau),) + f1 + f2)
+    const = const * 2.0 * tau ** -nu * c1 * c2
     return Correlator(const * res.value, abs(const) * res.error_estimate)
 
 
@@ -541,7 +539,7 @@ def scaling_covariance_check(h, lam, x):
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    left = gff2pt(h, h, x.scale(1.0 / lam), epsilon=1e-3 / lam)
+    left = gff2pt(h, h, x.scale(1.0 / lam), epsilon=EPSILON / lam)
     hl = ScaledWeight(h, lam, x.d)
     right = gff2pt(hl, hl, x)
     disc = abs(left.value - right.value)

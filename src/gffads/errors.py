@@ -12,10 +12,6 @@ class DomainError(GffadsError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class RangeError(GffadsError, OverflowError):
-    """Result not representable (overflow of an entire-function series, etc.)."""
-
-
 class DimensionMismatchError(GffadsError, ValueError):
     """Vectors of different space-time dimension combined."""
 

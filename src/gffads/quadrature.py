@@ -13,7 +13,8 @@ table beside it.
 The adaptive rule starts from one panel, or from the panels it is given,
 and refines in rounds: each round bisects, in one integrand call, the
 panels of largest error whose errors together cover the excess of the total
-error over the target.  A GK15 call on many panels reduces each panel's row
+error over the target.  The integrand returns one value per node: GK15
+broadcasts no scalar.  A GK15 call on many panels reduces each panel's row
 as it would a single panel, so a panel's value and error do not depend on
 the panels that share its call.  Its estimate adds a rounding floor of
 50 eps sum |panel value|, which does not enter its stopping test.  For an
@@ -92,16 +93,13 @@ def _gk15(f, a, b):
 
     a and b are 1-d arrays of panel endpoints: f runs once on the nodes of
     all the panels, and each panel's row is reduced on its own, so its value
-    and error do not depend on its company.  f may return one value per
-    node or a scalar that stands for all of them.
+    and error do not depend on its company.  f must return one value per
+    node.
     """
     half = 0.5 * (np.asarray(b) - a)
     mid = 0.5 * (np.asarray(a) + b)
     x = mid[..., None] + half[..., None] * _XK
-    fx = np.asarray(f(x.ravel()))
-    if fx.size != x.size:
-        fx = np.broadcast_to(fx, x.size)
-    fx = fx.reshape(x.shape)
+    fx = np.asarray(f(x.ravel())).reshape(x.shape)
     sk, sg = (_W2 * fx[..., None, :]).sum(axis=-1).T
     ik = half * sk
     ig = half * sg

@@ -39,11 +39,6 @@ class MinkVector:
         return MinkVector(tuple(a - b for a, b in
                                 zip(self.components, other.components)))
 
-    def __add__(self, other):
-        _same_d(self, other)
-        return MinkVector(tuple(a + b for a, b in
-                                zip(self.components, other.components)))
-
     def __neg__(self):
         return MinkVector(tuple(-a for a in self.components))
 

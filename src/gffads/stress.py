@@ -24,7 +24,11 @@ and the kernel's polynomial splits, walking the k2+ axis one node at a time
 over the flattened (k1+, k1-) grid, so no array spans the full grid.  The
 ket of the matrix element, the tensor smearing of the bulk-reduction and
 divergence kernels and the base of a polynomial packet must be plain
-Gaussians: a prefactor there raises DomainError.
+Gaussians: a prefactor there raises DomainError.  The checks built on the
+matrix element (conservation_check, trace_check and
+commutator_locality_check) take its grid order n_nodes as a required
+argument, and the kernel's improvement term is an option of set_kernel
+alone.
 
 No kernel computes what it knows exactly.  On a slice of the matrix-element
 and divergence kernels, the exponent of the Gaussians and the kernel are
@@ -90,7 +94,7 @@ def _kernel_lower(q1, q2, mu, nu, improvement=0.0):
     return val
 
 
-def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
+def _kernel_factors(q1, q2, mu, nu):
     """Rank-4 split of the kernel: arrays A(q1), B(q2) with a last axis of
     four, such that sum(A * B, axis=-1) = K_mn(q1, q2).
 
@@ -100,7 +104,7 @@ def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
     with M read off unit vectors through _kernel_lower.
     """
     def kern(a, b):
-        return _kernel_lower(a, b, mu, nu, improvement)
+        return _kernel_lower(a, b, mu, nu)
 
     zero, e = (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))
     m = [[kern(e[i], e[j]) - kern(e[i], zero) - kern(zero, e[j])
@@ -112,7 +116,7 @@ def _kernel_factors(q1, q2, mu, nu, improvement=0.0):
     return a, b
 
 
-def _kernel_lightcone(q1, e2, mu, nu, improvement=0.0):
+def _kernel_lightcone(q1, e2, mu, nu):
     """The kernel as a polynomial in the lightcone components of k2.
 
     With q2 = e2 lower(k2) = k2+ l+ + k2- l-, l+- = e2 (1/2, -+1/2), the
@@ -123,8 +127,7 @@ def _kernel_lightcone(q1, e2, mu, nu, improvement=0.0):
     Returns ((c0, c+, c-), (d++, d--, d+-)); the c are arrays over q1.
     """
     a, b = _kernel_factors(q1, (e2 * np.array([0.5, 0.5, 1.0]),
-                                e2 * np.array([-0.5, 0.5, 0.0])),
-                           mu, nu, improvement)
+                                e2 * np.array([-0.5, 0.5, 0.0])), mu, nu)
     cp, cm = (a[..., 2] * b[i, 2] + a[..., 3] * b[i, 3] for i in (0, 1))
     dpp, dmm = b[0, 1], b[1, 1]
     return (a[..., 0], cp, cm), (dpp, dmm, b[2, 1] - dpp - dmm)
@@ -189,16 +192,15 @@ class MomentPacket(Smearing):
 
 
 class AnisoGaussian(Smearing):
-    """exp(-(x0-c0)^2 / 2 wt^2) exp(-(x1-c1)^2 / 2 ws^2), heights 1:
-    A = 2 pi wt ws, s2 = (wt^2, ws^2), no carrier, c = center."""
+    """exp(-x0^2 / 2 wt^2) exp(-x1^2 / 2 ws^2), heights 1, centred at 0:
+    A = 2 pi wt ws, s2 = (wt^2, ws^2), no carrier, c = 0."""
 
-    def __init__(self, wt, ws, center=(0.0, 0.0)):
+    def __init__(self, wt, ws):
         if wt <= 0 or ws <= 0:
             raise DomainError("widths must be positive")
         wt, ws = float(wt), float(ws)
         super().__init__(((2.0 * np.pi) * wt * ws, (wt ** 2, ws ** 2),
-                          (0.0, 0.0), (float(center[0]), float(center[1]))),
-                         Smearing.prefactor)
+                          (0.0, 0.0), (0.0, 0.0)), Smearing.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ _ORDERINGS = {"left": (-1, -1), "middle": (1, -1), "right": (1, 1)}
 
 
 def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
-                       n_nodes=72, improvement=0.0):
+                       n_nodes=72):
     """Matrix element of the smeared tensor Theta_mn(f) between one-particle
     smearings, in one of the three orderings
 
@@ -223,12 +225,10 @@ def set_matrix_element(f, h1, f1, h2, f2, mu, nu, ordering="middle",
     the quadrature.  error_estimate is the difference to the same quadrature
     on n_nodes // 2 nodes.
     """
-    return _set_terms(((f, mu, nu),), h1, f1, h2, f2, ordering, n_nodes,
-                      improvement)[0]
+    return _set_terms(((f, mu, nu),), h1, f1, h2, f2, ordering, n_nodes)[0]
 
 
-def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
-               improvement=0.0):
+def _set_terms(terms, h1, f1, h2, f2, ordering, n_nodes):
     """set_matrix_element of every (f, mu, nu) of terms, in one pass.
 
     The smearings f of one call share their Gaussian form (they differ in
@@ -284,8 +284,7 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
         u1 = -0.5 * e2 * (s0 * r0 - s1 * r1)
         kernels = []
         for f, mu, nu in terms:
-            (b0, bp, bm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu,
-                                                              improvement)
+            (b0, bp, bm), (dpp, dmm, dpm) = _kernel_lightcone(q1, e2, mu, nu)
             kernels.append((f.prefactor, b0 + dpm * m2, bp, bm, dpp, dmm))
         # per-slice arrays over the rows, written in place
         k2m, expo, kern = (np.empty(m2.size) for _ in range(3))
@@ -339,15 +338,15 @@ def _set_terms(terms, h1, f1, h2, f2, ordering="middle", n_nodes=72,
             for v, half in zip(values, on_grid(n_nodes // 2))]
 
 
-def conservation_check(h1, f1, h2, f2, f, nu, **kwargs):
+def conservation_check(h1, f1, h2, f2, f, nu, n_nodes):
     """Contraction sum_mu <.. Theta_mn(d^mu f) ..>, which must vanish
-    (d^m Theta = 0).
+    (d^m Theta = 0), in the middle ordering on n_nodes nodes.
 
     The terms d^0 f and d^1 f share f's Gaussian, so both are one _set_terms
-    pass; kwargs are set_matrix_element's (ordering, n_nodes, improvement).
+    pass.
     """
     terms = _set_terms([(DerivativePacket(f, mu), mu, nu) for mu in (0, 1)],
-                       h1, f1, h2, f2, **kwargs)
+                       h1, f1, h2, f2, "middle", n_nodes)
     # DerivativePacket multiplies by -i k^mu, i.e. it already represents
     # d^mu f with the raised index, so the terms add without metric signs
     total = terms[0].value + terms[1].value
@@ -416,7 +415,7 @@ def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
     def value(f, n):
         va, vb = _set_terms(((MomentPacket(f, mu), 0, nu),
                              (MomentPacket(f, nu), 0, mu)),
-                            h1, f1, h2, f2, n_nodes=n)
+                            h1, f1, h2, f2, "middle", n)
         return sign[mu] * va.value - sign[nu] * vb.value
 
     return _broadening(target, value, broadening_sequence)
@@ -432,15 +431,16 @@ def _broadening(target, value, broadening_sequence):
         val = value(_unit_time_area(s), max(72, int(20 * s)))
         values.append(val)
         deviations.append(abs(val - target) / abs(target))
-    return {"target": target, "values": values,
-            "relative_deviations": deviations,
+    return {"values": values, "relative_deviations": deviations,
             "monotone": all(b < a for a, b in
                             zip(deviations, deviations[1:]))}
 
 
-def trace_check(h1, f1, h2, f2, f, **kwargs):
-    """eta^{mn} trace of the matrix element; nonzero for generic inputs."""
-    m00, m11 = _set_terms(((f, 0, 0), (f, 1, 1)), h1, f1, h2, f2, **kwargs)
+def trace_check(h1, f1, h2, f2, f, n_nodes):
+    """eta^{mn} trace of the middle-ordering matrix element on n_nodes
+    nodes; nonzero for generic inputs."""
+    m00, m11 = _set_terms(((f, 0, 0), (f, 1, 1)), h1, f1, h2, f2, "middle",
+                          n_nodes)
     trace = m00.value - m11.value
     err = m00.error_estimate + m11.error_estimate
     return {"trace": trace, "error_estimate": err,
@@ -448,16 +448,13 @@ def trace_check(h1, f1, h2, f2, f, **kwargs):
             "significant": abs(trace) > 10.0 * err}
 
 
-def commutator_locality_check(f, g, h, h1, f1, mu, nu, **kwargs):
-    """<Omega phi_{h1}(f1) [Theta_mn(f), phi_h(g)] Omega> via two orderings."""
-    forward = set_matrix_element(f, h1, f1, h, g, mu, nu,
-                                 ordering="middle", **kwargs)
-    backward = set_matrix_element(f, h1, f1, h, g, mu, nu,
-                                  ordering="right", **kwargs)
-    val = forward.value - backward.value
-    return {"commutator": val,
-            "error_estimate": forward.error_estimate + backward.error_estimate,
-            "orderings": (forward.value, backward.value)}
+def commutator_locality_check(f, g, h, h1, f1, mu, nu, n_nodes):
+    """<Omega phi_{h1}(f1) [Theta_mn(f), phi_h(g)] Omega> via two orderings,
+    each on n_nodes nodes."""
+    forward = set_matrix_element(f, h1, f1, h, g, mu, nu, "middle", n_nodes)
+    backward = set_matrix_element(f, h1, f1, h, g, mu, nu, "right", n_nodes)
+    return {"commutator": forward.value - backward.value,
+            "error_estimate": forward.error_estimate + backward.error_estimate}
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +610,8 @@ def z_integral_weight_delta_check(nu, Z, m1sq):
     """Smear z_integral_weight_closed against the Gaussian g of width 0.2
     in m2^2; compare with the delta-limit value g(m1^2).
 
-    Returns the smeared value, g(m1^2) and the relative deviation; the
-    deviation shrinks as Z grows (the weight converges to delta(m1^2-m2^2)).
+    Returns the relative deviation, which shrinks as Z grows (the weight
+    converges to delta(m1^2-m2^2)).
     """
     if m1sq <= 0 or Z <= 0:
         raise DomainError("delta check needs positive m1sq and Z")
@@ -631,8 +628,7 @@ def z_integral_weight_delta_check(nu, Z, m1sq):
     wz = z_integral_weight_closed(nu, Z, np.full_like(u, m1sq), u)
     smeared = float(np.sum(wu * wz * g(u)))
     target = float(g(m1sq))
-    return {"smeared": smeared, "target": target,
-            "relative_deviation": abs(smeared - target) / abs(target)}
+    return {"relative_deviation": abs(smeared - target) / abs(target)}
 
 
 def _near_diagonal(sq1, sq2, order):
@@ -650,7 +646,7 @@ def _near_diagonal(sq1, sq2, order):
 
 
 def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
-                           n_outer=48, n_inner=1000, improvement=0.0):
+                           n_outer=48, n_inner=1000):
     """Middle-ordering matrix element with the depth-integrated Bessel weight
     z_integral_weight(nu, Z, k1^2, k2^2) in place of delta(k1^2 - k2^2).
 
@@ -686,7 +682,7 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     q1, kl2 = _lower((k1p, k1m)), _lower((k2p, k2m))
     k1_0, k1_1 = q1[0], -q1[1]
     k2_0, k2_1 = kl2[0], -kl2[1]
-    a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx, improvement)
+    a, b = _kernel_factors(q1, (-kl2[0], -kl2[1]), mu, nu_idx)
 
     g = _plain_gaussian(f, "ads_set_matrix_element")
     amp, (s0, s1), (p0, p1), _ = g
@@ -757,6 +753,5 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx):
                                      n_outer=32, n_inner=600)
         values.append(val)
         deviations.append(abs(val - target.value) / scale)
-    return {"target": target.value, "values": values,
-            "relative_deviations": deviations,
+    return {"values": values, "relative_deviations": deviations,
             "final_relative_deviation": deviations[-1]}

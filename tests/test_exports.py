@@ -8,6 +8,12 @@ its verify suites or the benchmark: some code under src/ or bench/ must
 read it, as an `ast.Name` or an `ast.Attribute` in load context.  A name
 that only tests read belongs in the tests.  Like test_imports, the rule is
 not transitive: a name read only by dead code passes until that code goes.
+
+The same holds one level down, for the fields of a report: every string
+key of a dict literal that a function under src/gffads returns must appear
+as a string constant somewhere else under src/ or bench/.  Keys are
+matched by name, so the guard can miss an unread key (one that shares its
+name with a constant read elsewhere) but never flags a read one.
 """
 
 import ast
@@ -53,3 +59,33 @@ def test_every_export_is_reached():
               for name in sorted(names) if name not in read]
     assert not unread, (f"{len(unread)} exported names nothing under src/ "
                         f"or bench/ reads: " + ", ".join(unread))
+
+
+def _returned_keys(tree):
+    """The string-key nodes of the dict literals that return statements
+    under tree return."""
+    return [key for node in ast.walk(tree)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Dict)
+            for key in node.value.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)]
+
+
+def test_every_report_key_is_read():
+    keys, constants = {}, set()
+    for folder in READERS:
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            own = (_returned_keys(tree)
+                   if path.parent == ROOT / "src" / "gffads" else [])
+            for key in own:
+                keys.setdefault(key.value, f"{path.stem}.{key.value}")
+            skip = {id(key) for key in own}
+            constants |= {node.value for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)
+                          and id(node) not in skip}
+    unread = sorted(label for key, label in keys.items()
+                    if key not in constants)
+    assert not unread, (f"{len(unread)} report keys nothing under src/ or "
+                        f"bench/ reads: " + ", ".join(unread))

@@ -1,17 +1,30 @@
-"""Every option of the gffads functions is one that some call uses.
+"""Every option of the gffads functions is one that the running system uses.
 
 A parameter with a default that no call sets, and a **kwargs that never
 receives a keyword beyond the function's own parameters, are options with
 a single value in use: they should be constants.  The definitions are
-read from src/gffads and the calls from src/, tests/ and bench/ with
-`ast`.  Calls are matched to definitions by name (the class name for
-__init__), which can only over-count the calls that reach a function.
+read from src/gffads and the calls from src/ and bench/ with `ast`: a
+call in the tests does not justify an option.  Calls are matched to
+definitions by name (the class name for __init__), which can only
+over-count the calls that reach a function.
 
 A call sets a parameter when it passes an argument in its place that is
 not a literal equal to the default's literal (a literal default passed
 again keeps the one value in use).  Calls inside a `with pytest.raises`
 block do not count: there an option is set only to reach its own
 validation.
+
+Four options are test seams, exempt by name in SEAMS:
+  - cli.main(argv): the tests' entry to the CLI, which runs on sys.argv
+    otherwise.
+  - quadrature.adaptive_finite(max_panels): a budget of 8 panels reaches
+    the BudgetExceededError path in a few rounds.
+  - correlators.wightman_kg_momentum_oracle(epsilon): the reference for
+    wightman_kg, whose epsilon the CLI reads, so the tests hold the two
+    together at other epsilons.
+  - correlators.smeared2pt(epsilon): the damping e^(-eps k^0) gives the
+    function its one absolute oracle, the position-space two-point
+    function.
 """
 
 import ast
@@ -20,7 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gffads"
-CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "bench"]
+CALLERS = [ROOT / "src", ROOT / "bench"]
+SEAMS = {"cli.main(argv)", "quadrature.adaptive_finite(max_panels)",
+         "correlators.wightman_kg_momentum_oracle(epsilon)",
+         "correlators.smeared2pt(epsilon)"}
 
 
 def _functions(node, cls=None):
@@ -137,6 +153,6 @@ def unused_options():
 
 
 def test_every_option_is_set_by_a_call():
-    culprits = unused_options()
+    culprits = [c for c in unused_options() if c not in SEAMS]
     assert not culprits, (f"{len(culprits)} options that no call sets: "
                           + ", ".join(culprits))

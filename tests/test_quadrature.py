@@ -83,11 +83,6 @@ class TestAdaptiveFinite:
                 adaptive_finite(f, 0.0, 1.0, max_panels=max_panels)
             assert exc.value.result.evaluations == 15 * (2 * max_panels - 1)
 
-    def test_scalar_integrand(self):
-        res = adaptive_finite(lambda x: 2.0, 0.0, 1.0)
-        assert abs(res.value - 2.0) < 1e-14
-        assert res.evaluations == 15
-
     @pytest.mark.parametrize("f, a, b, exact", [
         (np.exp, 0.0, 1.0, math.e - 1.0),
         (lambda x: x ** 5, 0.0, 3.0, 3.0 ** 6 / 6.0),

@@ -102,8 +102,8 @@ class TestChordalDistance:
             p, q = random_point(rng), random_point(rng)
             a = MinkVector(tuple(rng.uniform(-1, 1, 2)))
             chi = rng.uniform(-1.0, 1.0)
-            pt = AdSPoint(p.z, boost(p.x, chi) + a)
-            qt = AdSPoint(q.z, boost(q.x, chi) + a)
+            pt = AdSPoint(p.z, boost(p.x, chi) - a)
+            qt = AdSPoint(q.z, boost(q.x, chi) - a)
             assert rel_err(chordal_distance(pt, qt),
                            chordal_distance(p, q)) < 1e-10
 
