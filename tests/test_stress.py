@@ -254,9 +254,10 @@ class TestMatrixElement:
         assert rep["significant"]
 
 
-def _set_broadcast(f, h1, f1, h2, f2, mu, nu, ordering, n):
-    """set_matrix_element's value with the kernel and every packet's fourier
-    broadcast over the full n^3 (k1+, k1-, k2+) grid (reference)."""
+def _set_broadcast(f, h1, f1, h2, f2, mu, nu, ordering, n, improvement):
+    """set_matrix_element's value with the kernel of the given improvement
+    and every packet's fourier broadcast over the full n^3 (k1+, k1-, k2+)
+    grid (reference)."""
     e1, e2 = {"left": (-1, -1), "middle": (1, -1), "right": (1, 1)}[ordering]
     k, w = lightcone_grid_nodes(n, 2.0 * max(f1.reach, f2.reach))
     k1p = k[:, None, None]
@@ -270,7 +271,7 @@ def _set_broadcast(f, h1, f1, h2, f2, mu, nu, ordering, n):
     h12 = np.asarray(h1(m2)) * np.asarray(h2(m2))
     vals = f1.fourier(-q1[0], q1[1]) * f2.fourier(-q2[0], q2[1]) * \
         f.fourier(q1[0] + q2[0], -(q1[1] + q2[1]))
-    kern = _kernel_lower(q1, q2, mu, nu)
+    kern = _kernel_lower(q1, q2, mu, nu, improvement)
     return complex(norm_const(2) ** 2 * 0.25 *
                    np.sum(wt / k2p * h12 * kern * vals))
 
@@ -294,14 +295,16 @@ class TestSetBroadcast:
         "moment1", "unit_time_area"])
     @pytest.mark.parametrize("ordering", ["left", "middle", "right"])
     @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("improvement", [0.0])
     def test_matches_broadcast_reference(self, packet_trio, hpow, smearing,
-                                         ordering, mu, nu):
+                                         ordering, mu, nu, improvement):
+        # set_matrix_element carries the unimproved kernel
         f1, f2, _ = packet_trio
         f = _smearing(smearing)
         args = (f, hpow, f1, hpow, f2, mu, nu)
         got = set_matrix_element(*args, ordering=ordering, n_nodes=12)
-        want = _set_broadcast(*args, ordering, 12)
-        half = _set_broadcast(*args, ordering, 6)
+        want = _set_broadcast(*args, ordering, 12, improvement)
+        half = _set_broadcast(*args, ordering, 6, improvement)
         assert rel_err(got.value, want) < 1e-12
         assert abs(got.error_estimate - abs(want - half)) < 1e-12 * abs(want)
 
@@ -579,9 +582,11 @@ class TestZIntegralWeight:
             z_integral_weight_delta_check(0.5, 10.0, -1.0)
 
 
-def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner):
-    """ads_set_matrix_element with the kernel and every factor broadcast over
-    the (k1+, k1-, k2-) grid of each k2+ node (reference)."""
+def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner,
+                   improvement):
+    """ads_set_matrix_element with the kernel of the given improvement and
+    every factor broadcast over the (k1+, k1-, k2-) grid of each k2+ node
+    (reference)."""
     kmax = 2.0 * max(f1.reach, f2.reach)
     k, w = lightcone_grid_nodes(n_outer, kmax)
     k2m_grid, w2m = lightcone_grid_nodes(n_inner, kmax)
@@ -601,7 +606,7 @@ def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner):
         q1 = _lower((k1p, k1m))
         q2 = (-0.5 * (k2p + k2m), 0.5 * (k2p - k2m))
         kern = _kernel_lower((q1[0] + 0.0 * k2m, q1[1] + 0.0 * k2m),
-                             q2, mu, nu_idx)
+                             q2, mu, nu_idx, improvement)
         vals = bra * np.asarray(h2(m2sq)) * f2.fourier(k2_0, k2_1) * \
             f.fourier(k1_0 - k2_0, k1_1 - k2_1)
         total += np.sum(w1 * wk2 * wz * kern * vals)
@@ -663,7 +668,10 @@ class TestAdsReduction:
         assert got == _ads_dense_mask(*args, 32, 600)
 
     @pytest.mark.parametrize("mu,nu_idx", [(0, 0), (0, 1), (1, 1)])
-    def test_matches_broadcast_reference(self, packet_trio, hpow, mu, nu_idx):
+    @pytest.mark.parametrize("improvement", [0.0])
+    def test_matches_broadcast_reference(self, packet_trio, hpow, mu, nu_idx,
+                                         improvement):
+        # ads_set_matrix_element carries the unimproved kernel.
         # packet_trio's smearing has no carrier or center; the other two
         # exercise the phase and carrier terms of the row-column split.
         # n_inner = n_outer puts k2 masses exactly on the k1 masses, so the
@@ -674,7 +682,7 @@ class TestAdsReduction:
             for n_inner in (80, 10):
                 got = ads_set_matrix_element(*args, n_outer=10,
                                              n_inner=n_inner)
-                want = _ads_broadcast(*args, 10, n_inner)
+                want = _ads_broadcast(*args, 10, n_inner, improvement)
                 assert rel_err(got, want) < 1e-12
 
 
