@@ -74,9 +74,8 @@ def boundary_limit_check(spec, z_sequence, dx):
     """Check z^(-2 Delta) ads2pt(z, z, dx) -> c_nu^2 * boundary 2pt as z -> 0.
 
     The reference is the generalized free field with homogeneous weight m^nu.
-    Returns the per-z relative deviations and the reference value, and
-    whether the deviations decrease along the depths (None for one depth,
-    which has no trend).
+    Returns the per-z relative deviations and whether they decrease along
+    the depths (None for one depth, which has no trend).
     """
     # one depth is allowed: `gffads compute boundaryLimitCheck` reads one
     zs = checked_sequence(z_sequence, "z_sequence", increasing=False,
@@ -93,8 +92,7 @@ def boundary_limit_check(spec, z_sequence, dx):
         scaled = val / z ** (2.0 * spec.delta)
         deviations.append(abs(scaled - target) / abs(target))
     monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
-    return {"reference": target, "z_sequence": zs,
-            "relative_deviations": deviations,
+    return {"relative_deviations": deviations,
             "monotone": monotone if len(zs) > 1 else None}
 
 

@@ -547,8 +547,6 @@ def scaling_covariance_check(h, lam, x):
     tol = max(combined,
               1e-10 * max(abs(left.value), abs(right.value), 1e-30))
     return {
-        "left": left,
-        "right": right,
         "discrepancy": disc,
         "combined_error": combined,
         "tolerance": tol,

@@ -3,6 +3,10 @@ DomainError for a malformed sequence argument."""
 
 import math
 
+__all__ = ["GffadsError", "DomainError", "DimensionMismatchError",
+           "LightConeProximityError", "ResolutionError", "BudgetExceededError",
+           "checked_sequence"]
+
 
 class GffadsError(Exception):
     pass
@@ -14,10 +18,6 @@ class DomainError(GffadsError, ValueError):
 
 class DimensionMismatchError(GffadsError, ValueError):
     """Vectors of different space-time dimension combined."""
-
-
-class DivergenceError(GffadsError, ArithmeticError):
-    """A regularized integral fails to extrapolate to a finite limit."""
 
 
 class LightConeProximityError(GffadsError, ArithmeticError):

@@ -1,9 +1,7 @@
 """Integration engines.
 
-Three engines, all on numpy arrays of abscissae: an adaptive Gauss-Kronrod
-rule on finite intervals; the integral over [0, inf) of an integrand that
-decays, by that rule on [0, L], [L, 2L], [2L, 4L], ... until a piece is
-negligible (DivergenceError if none is); and the Bessel-product integral
+Two engines, both on numpy arrays of abscissae: an adaptive Gauss-Kronrod
+rule on finite intervals, and the Bessel-product integral
 int_0^inf u^p prod_i J_(nu_i)(k_i u) du by Hankel splitting and contour
 rotation.  The fixed-node grids of the other modules all take their
 Gauss-Legendre rule from _gauss_legendre, which maps cached read-only
@@ -39,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceededError, DivergenceError, DomainError,
+from .errors import (BudgetExceededError, DomainError,
                      LightConeProximityError)
 from .specfun import bessel_j, hankel_scaled
 
-__all__ = ["QuadratureResult", "adaptive_finite", "hankel_transform",
-           "neville_zero"]
+__all__ = ["QuadratureResult", "adaptive_finite", "neville_zero"]
 
 
 @dataclass(frozen=True)
@@ -259,58 +256,6 @@ def neville_zero(xs, ys, order):
         if k == n - 2:
             prev_last = t[-1]
     return t[-1], abs(t[-1] - prev_last)
-
-
-# pieces after [0, L] that the doubling route takes before it gives up
-_DOUBLINGS = 10
-
-
-def _doubling(f, length, caller):
-    """integral_0^inf f for an integrand that decays, by adaptive_finite on
-    [0, L], [L, 2L], [2L, 4L], ... until a piece [a, 2a] is negligible: a
-    times the largest |f| at 64 golden-ratio points a (1 + frac(0.618 j))
-    is within 1e-10 of the running sum (a piece's value can vanish by
-    cancellation, and a grid can fall on the zeros of a periodic f).
-
-    The estimate adds the pieces' estimates, each with adaptive_finite's
-    rounding floor, and that bound on the last piece (for the tail beyond
-    it).  An integrand not decayed after _DOUBLINGS pieces, or whose piece
-    beyond [0, L] runs out of panels (a decayed one meets adaptive_finite's
-    absolute floor at once), raises DivergenceError naming the caller.
-    """
-    res = adaptive_finite(f, 0.0, length)
-    value, err, evals = res.value, res.error_estimate, res.evaluations
-    a = length
-    for _ in range(_DOUBLINGS):
-        try:
-            piece = adaptive_finite(f, a, 2.0 * a)
-        except BudgetExceededError:
-            break
-        samples = np.abs(f(a + a * (0.618034 * np.arange(64) % 1.0)))
-        value += piece.value
-        err += piece.error_estimate
-        evals += piece.evaluations + samples.size
-        bound = a * np.max(samples)
-        a *= 2.0
-        if bound <= max(1e-10 * abs(value), 1e-14):
-            return QuadratureResult(value, err + bound, evals)
-    raise DivergenceError(f"{caller}: the integrand has not decayed by {a:.6g}")
-
-
-def hankel_transform(order, g, u):
-    """Hankel transform H_nu[g](u) = integral_0^inf t g(t) J_nu(u t) dt.
-
-    g must decay: the integral is taken on doubling intervals from
-    L = 4 pi / u (two periods of the Bessel factor), and a g that does not
-    decay raises DivergenceError.
-    """
-    if u <= 0:
-        raise DomainError("hankel_transform requires u > 0")
-
-    def f(t):
-        return t * np.asarray(g(t)) * bessel_j(order, u * t)
-
-    return _doubling(f, 4.0 * np.pi / u, "hankel_transform")
 
 
 # The Hankel splitting of n Bessel factors: s_i = +1 takes H1 of the i-th

@@ -424,14 +424,13 @@ def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
 def _broadening(target, value, broadening_sequence):
     """Deviations from target of value(f, n) along the broadening widths s,
     f the tensor smearing of width s and n its node count."""
-    values, deviations = [], []
+    deviations = []
     for s in checked_sequence(broadening_sequence, "broadening_sequence",
                               increasing=True):
         # the spatial momentum transfer narrows like 1/s: refine with s
         val = value(_unit_time_area(s), max(72, int(20 * s)))
-        values.append(val)
         deviations.append(abs(val - target) / abs(target))
-    return {"values": values, "relative_deviations": deviations,
+    return {"relative_deviations": deviations,
             "monotone": all(b < a for a, b in
                             zip(deviations, deviations[1:]))}
 
@@ -443,9 +442,7 @@ def trace_check(h1, f1, h2, f2, f, n_nodes):
                           n_nodes)
     trace = m00.value - m11.value
     err = m00.error_estimate + m11.error_estimate
-    return {"trace": trace, "error_estimate": err,
-            "components": {"00": m00.value, "11": m11.value},
-            "significant": abs(trace) > 10.0 * err}
+    return {"trace": trace, "significant": abs(trace) > 10.0 * err}
 
 
 def commutator_locality_check(f, g, h, h1, f1, mu, nu, n_nodes):
@@ -553,7 +550,7 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     logs = np.log(values)
     linv = np.log([1.0 / s for s in sigmas])
     slope = float(np.polyfit(linv, logs, 1)[0])
-    return {"sigmas": sigmas, "values": values,
+    return {"values": values,
             "strictly_increasing": all(b > a for a, b in
                                        zip(values, values[1:])),
             "growth_exponent": slope,
@@ -747,11 +744,9 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx):
     Zs = checked_sequence(Z_sequence, "Z_sequence", increasing=True)
     target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx, n_nodes=64)
     scale = abs(target.value)
-    values, deviations = [], []
+    deviations = []
     for Z in Zs:
         val = ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
                                      n_outer=32, n_inner=600)
-        values.append(val)
         deviations.append(abs(val - target.value) / scale)
-    return {"values": values, "relative_deviations": deviations,
-            "final_relative_deviation": deviations[-1]}
+    return {"relative_deviations": deviations}

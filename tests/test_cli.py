@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gffads import cli
 from gffads.correlators import Power, scaling_covariance_check
-from gffads.errors import BudgetExceededError, DivergenceError, DomainError
+from gffads.errors import BudgetExceededError, DomainError, ResolutionError
 from gffads.spacetime import MinkVector
 from gffads.specfun import bessel_j
 
@@ -296,7 +296,7 @@ class TestVerify:
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (BudgetExceededError("budget"), 3),
-        (DivergenceError("diverges"), 3),
+        (ResolutionError("resolution"), 3),
         (OverflowError("overflow"), 3),
         (DomainError("domain"), 2),
         (cli.ConfigError("config"), 2),

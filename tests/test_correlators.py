@@ -319,9 +319,9 @@ class TestGff2pt:
         # homogeneous weight: both sides reduce to lambda^(2 Delta) times the
         # unscaled function, Delta = d/2 + nu
         nu, lam = 0.5, 1.6
-        rep = scaling_covariance_check(Power(nu), lam, x)
+        hl = ScaledWeight(Power(nu), lam, x.d)
         base = gff2pt(Power(nu), Power(nu), x)
-        assert rel_err(rep["right"].value, lam ** (2.0 * (1.0 + nu))
+        assert rel_err(gff2pt(hl, hl, x).value, lam ** (2.0 * (1.0 + nu))
                        * base.value) < 1e-8
 
 

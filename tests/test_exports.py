@@ -10,10 +10,14 @@ that only tests read belongs in the tests.  Like test_imports, the rule is
 not transitive: a name read only by dead code passes until that code goes.
 
 The same holds one level down, for the fields of a report: every string
-key of a dict literal that a function under src/gffads returns must appear
-as a string constant somewhere else under src/ or bench/.  Keys are
-matched by name, so the guard can miss an unread key (one that shares its
-name with a constant read elsewhere) but never flags a read one.
+key of a dict literal that a function under src/gffads returns must be
+read under src/ or bench/.  A key counts as read only where it subscripts,
+as a constant, a call of its function (`f(...)["k"]`) or a name bound from
+such a call in the same function (`rep = mod.f(...)` and then `rep["k"]`).
+A function whose return is another reporting function's call inherits
+that function's keys.  The records the CLI builds for itself are the one
+exception: a key of a dict that cli returns counts as read wherever it
+appears as a string constant elsewhere under src/ or bench/.
 """
 
 import ast
@@ -71,21 +75,114 @@ def _returned_keys(tree):
             if isinstance(key, ast.Constant) and isinstance(key.value, str)]
 
 
-def test_every_report_key_is_read():
-    keys, constants = {}, set()
+def _callee(node):
+    """The name a call calls, f of f(...) or of mod.f(...); else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
+def _scopes(tree):
+    """The module and each function under it, each with the nodes that
+    belong to it and not to a function nested in it."""
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)]
+    for scope in scopes:
+        own, stack = [], list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, ast.FunctionDef):
+                stack.extend(ast.iter_child_nodes(node))
+        yield own
+
+
+def _report_keys():
+    """{function: {key: label}} for the reporting functions of the library
+    modules but cli, each with the keys it returns or inherits."""
+    keys, calls = {}, {}
+    for path in sorted((ROOT / "src" / "gffads").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                if own := _returned_keys(fn):
+                    keys[fn.name] = {key.value: f"{fn.name}.{key.value}"
+                                     for key in own}
+                calls[fn.name] = {_callee(node.value) for node in ast.walk(fn)
+                                  if isinstance(node, ast.Return)}
+    grown = True
+    while grown:
+        grown = False
+        for name, callees in calls.items():
+            for callee in callees & set(keys):
+                inherited = {**keys[callee], **keys.get(name, {})}
+                if inherited != keys.get(name):
+                    keys[name], grown = inherited, True
+    return keys
+
+
+def _subscript_key(node):
+    if isinstance(node, ast.Subscript) and \
+            isinstance(node.slice, ast.Constant) and \
+            isinstance(node.slice.value, str):
+        return node.slice.value
+    return None
+
+
+def unread_report_keys():
+    """Labels function.key of the library report keys nothing under src/
+    or bench/ reads, by the rule of the module docstring."""
+    keys = _report_keys()
+    labels = {label for k in keys.values() for label in k.values()}
+    for folder in READERS:
+        for path in sorted(folder.rglob("*.py")):
+            for nodes in _scopes(ast.parse(path.read_text())):
+                bound = {}
+                for node in nodes:
+                    if isinstance(node, ast.Assign) and \
+                            _callee(node.value) in keys:
+                        for target in node.targets:
+                            if isinstance(target, ast.Name):
+                                bound.setdefault(target.id, set()).add(
+                                    _callee(node.value))
+                for node in nodes:
+                    key = _subscript_key(node)
+                    if key is None:
+                        continue
+                    if _callee(node.value) in keys:
+                        fns = {_callee(node.value)}
+                    elif isinstance(node.value, ast.Name):
+                        fns = bound.get(node.value.id, set())
+                    else:
+                        continue
+                    labels -= {keys[fn][key] for fn in fns if key in keys[fn]}
+    return sorted(labels)
+
+
+def unread_cli_keys():
+    """Labels cli.key of the keys of cli's returned dicts that appear as
+    no string constant elsewhere under src/ or bench/."""
+    keys, constants = set(), set()
     for folder in READERS:
         for path in sorted(folder.rglob("*.py")):
             tree = ast.parse(path.read_text())
             own = (_returned_keys(tree)
-                   if path.parent == ROOT / "src" / "gffads" else [])
-            for key in own:
-                keys.setdefault(key.value, f"{path.stem}.{key.value}")
+                   if path == ROOT / "src" / "gffads" / "cli.py" else [])
+            keys |= {key.value for key in own}
             skip = {id(key) for key in own}
             constants |= {node.value for node in ast.walk(tree)
                           if isinstance(node, ast.Constant)
                           and isinstance(node.value, str)
                           and id(node) not in skip}
-    unread = sorted(label for key, label in keys.items()
-                    if key not in constants)
+    return sorted(f"cli.{key}" for key in keys - constants)
+
+
+def test_every_report_key_is_read():
+    unread = unread_report_keys() + unread_cli_keys()
     assert not unread, (f"{len(unread)} report keys nothing under src/ or "
                         f"bench/ reads: " + ", ".join(unread))

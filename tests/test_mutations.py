@@ -54,12 +54,13 @@ def scaled_values(fn, factor):
 # of bessel_j: the ODE is linear and homogeneous.  apply_generator must
 # fail a closure record too: the grid commutators go through it.  Only the
 # closed side of the commutator record is scaled: commutator_kg_eps goes
-# through wightman_kg.
+# through wightman_kg.  Likewise only the pairing sum of the npoint record:
+# fock.npoint calls the smeared2pt that fock binds.
 ROWS = [
     (stress, "set_matrix_element", scaled, "set", ["set.matrix_element_qmc"]),
     (correlators, "gff2pt", scaled, "correlators",
      ["correlators.power_weight_closed_form"]),
-    (quadrature, "bessel_j", scaled_array, "specfun",
+    (cli, "bessel_j", scaled_array, "specfun",
      ["specfun.hankel_self_reciprocal_nu0.0"]),
     (quadrature, "hankel_scaled", scaled_array, "locality",
      ["locality.bonus_locality_interior_oracle"]),
@@ -76,6 +77,8 @@ ROWS = [
      ["correlators.kallen_lehmann_finite_support"]),
     (adsboundary, "holographic_lift", scaled_mode, "holography",
      ["holography.lift_inner_product"]),
+    (correlators, "smeared2pt", scaled, "fock",
+     ["fock.npoint_truncated_vanishes"]),
 ]
 
 

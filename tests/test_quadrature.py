@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gffads import quadrature
 from gffads.adsboundary import bonus_locality
 from gffads.correlators import Power, gff2pt
-from gffads.errors import BudgetExceededError, DivergenceError, DomainError
+from gffads.errors import BudgetExceededError, DomainError
 from gffads.quadrature import (QuadratureResult, adaptive_finite,
-                               hankel_transform, neville_zero,
-                               _bessel_product, _doubling, _gauss_legendre,
+                               neville_zero, _bessel_product, _gauss_legendre,
                                _gk15, _legendre_table, _WG, _WK, _XK)
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, bessel_j
@@ -314,19 +313,8 @@ def _same(a, b):
 
 
 class TestOscillatorySemiInfinite:
-    """Integrals over [0, inf) on the two engines: the Bessel-product
-    contour for a power times Bessel factors, the doubling route for an
-    integrand that decays."""
-
-    def test_exponential(self):
-        res = _doubling(lambda u: np.exp(-u), 1.0, "test")
-        assert rel_err(res.value, 1.0) < 1e-9
-        assert abs(res.value - 1.0) <= res.error_estimate
-
-    def test_gaussian(self):
-        res = _doubling(lambda u: np.exp(-u * u), 1.0, "test")
-        assert abs(res.value - 0.5 * math.sqrt(math.pi)) <= \
-            res.error_estimate < 1e-12
+    """Integrals over [0, inf) of a power times Bessel factors on the
+    Bessel-product contour."""
 
     def test_bessel_j0(self):
         res = _bessel_product(0.0, ((0.0, 1.0),))
@@ -339,95 +327,8 @@ class TestOscillatorySemiInfinite:
             assert abs(res.value + tau ** -3) <= res.error_estimate
             assert res.error_estimate < 1e-10 * tau ** -3
 
-    def test_damped_oracle(self):
-        # int_0^inf J0(a u) e^(-eps u) du = 1 / sqrt(a^2 + eps^2)
-        a, eps = 1.7, 0.5
-        res = _doubling(lambda u: bessel_j(0.0, a * u) * np.exp(-eps * u),
-                        1.0, "test")
-        oracle = 1.0 / math.sqrt(a * a + eps * eps)
-        assert abs(res.value - oracle) <= res.error_estimate < 1e-8
-
     def test_dirichlet(self):
         # u^(-1/2) J_(1/2)(u) = sqrt(2 / pi) sin(u) / u
         res = _bessel_product(-0.5, ((0.5, 1.0),))
         oracle = math.sqrt(2.0 / math.pi) * math.pi / 2.0
         assert abs(res.value - oracle) <= res.error_estimate < 1e-8
-
-    def test_linearity(self, rng):
-        f = lambda u: np.exp(-0.5 * u) * np.cos(u)
-        g = lambda u: np.exp(-u) * bessel_j(0.0, 2.0 * u)
-        a, b = rng.standard_normal(2)
-        lhs = _doubling(lambda u: a * f(u) + b * g(u), 1.0, "test").value
-        rhs = (a * _doubling(f, 1.0, "test").value
-               + b * _doubling(g, 1.0, "test").value)
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-    @pytest.mark.parametrize("f", [lambda u: np.cos(u),
-                                   lambda u: np.sqrt(u) * np.sin(u),
-                                   lambda u: u * bessel_j(0.0, u)])
-    def test_no_decay_raises(self, f):
-        # from L = 2 pi every piece spans whole periods of cos and sin, so
-        # its value nearly cancels, and an evenly spaced grid on it can sit
-        # on the zeros of sin
-        with pytest.raises(DivergenceError, match="caller"):
-            _doubling(f, 2.0 * np.pi, "caller")
-
-
-class TestHankel:
-    def test_self_reciprocal(self):
-        nu = 0.5
-        for u in (0.5, 1.0, 3.0):
-            res = hankel_transform(nu,
-                                   lambda t: t ** nu * np.exp(-t * t / 2.0),
-                                   u)
-            assert rel_err(res.value, u ** nu * np.exp(-u * u / 2.0)) < 1e-8
-
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.3])
-    @pytest.mark.parametrize("u", [0.5, 1.0, 1.3, 3.0])
-    def test_error_estimate_covers_error(self, nu, u):
-        res = hankel_transform(nu, lambda t: t ** nu * np.exp(-t * t / 2.0),
-                               u)
-        assert abs(res.value - u ** nu * np.exp(-u * u / 2.0)) <= \
-            res.error_estimate
-
-    def test_table_formula(self):
-        # int_0^inf e^(-p t^2) J_nu(a t) t^(nu+1) dt = a^nu (2p)^(-nu-1) e^(-a^2/4p)
-        nu, p, a = 1.3, 0.7, 2.0
-        res = hankel_transform(nu, lambda t: t ** nu * np.exp(-p * t * t), a)
-        oracle = a ** nu * (2.0 * p) ** (-nu - 1.0) * math.exp(-a * a / (4 * p))
-        assert rel_err(res.value, oracle) < 1e-8
-
-    def test_involution(self):
-        # H_nu[H_nu[g]] = g for g(t) = t^nu e^(-t^2); the inner transform is
-        # tabulated numerically and interpolated for the outer pass
-        from scipy.interpolate import CubicSpline
-        nu = 0.5
-        g = lambda t: t ** nu * np.exp(-t * t)
-        # H[g](u) = u^nu x (entire function of u^2); interpolate the smooth
-        # factor in u^2 so the u^nu cusp at the origin is treated exactly;
-        # below the first node the spline extrapolates it in u^2.
-        grid = np.linspace(0.3, 12.0, 235)
-        inner = np.array([hankel_transform(nu, g, u).value.real
-                          for u in grid])
-        spline = CubicSpline(grid ** 2, inner / grid ** nu)
-
-        def hg(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t > grid[-1], 0.0, spline(t ** 2) * t ** nu)
-
-        for t0 in (0.7, 1.4):
-            res = hankel_transform(nu, hg, t0)
-            assert rel_err(res.value, g(t0)) < 1e-6
-
-    def test_zero_function(self):
-        res = hankel_transform(0.5, lambda t: np.zeros_like(t), 1.0)
-        assert abs(res.value) < 1e-12
-
-    @pytest.mark.parametrize("g", [lambda t: np.ones_like(t), lambda t: t])
-    def test_no_decay_raises(self, g):
-        with pytest.raises(DivergenceError, match="hankel_transform"):
-            hankel_transform(0.5, g, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            hankel_transform(0.5, lambda t: t, 0.0)
