@@ -493,6 +493,35 @@ def _suite_locality(cfg, rng):
                            cv.value, 0.0, 1e-5, error=cv.error_estimate,
                            inputs={"z": z, "z_prime": zp, "dt": t,
                                    "nu": p.inputs["nu"]}))
+    # where the bulk points are timelike, the commutator is the jump of the
+    # AdS_3 propagator e^(-nu s) / (4 pi sinh s), cosh s = 1 + u, across its
+    # cut (D'Hoker & Freedman, hep-th/0201253): -i sgn(t) cos(nu theta) /
+    # (2 pi sin theta), cos theta = 1 + u, inside the cone -2 < u < 0, and
+    # i sgn(t) sin(nu pi) e^(-nu s) / (2 pi sinh s), cosh s = -(1 + u),
+    # beyond u = -2, which only a non-integer nu keeps nonzero
+    for nu, z, zp, dx in ((0.5, 0.7, 1.1, (1.0, 0.3)),
+                          (1.3, 0.7, 1.1, (-1.2, 0.4)),
+                          (0.5, 0.6, 0.9, (2.5, -0.5)),
+                          (1.3, 0.5, 0.8, (3.0, 1.0))):
+        dx = MinkVector(dx)
+        cv = adsb.ads_commutator(adsb.AdSFieldSpec(Order(nu)), z, zp, dx)
+        u = chordal_distance(AdSPoint(z, dx),
+                             AdSPoint(zp, MinkVector((0.0, 0.0))))
+        sign = math.copysign(1.0, dx.components[0])
+        if u > -2.0:
+            region, theta = "cone", math.acos(1.0 + u)
+            closed = -1j * sign * math.cos(nu * theta) / \
+                (2.0 * math.pi * math.sin(theta))
+        else:
+            region, s = "beyond", math.acosh(-(1.0 + u))
+            closed = 1j * sign * math.sin(nu * math.pi) * \
+                math.exp(-nu * s) / (2.0 * math.pi * math.sinh(s))
+        miss = abs(cv.value - closed)
+        recs.append(_record(
+            f"locality.bulk_commutator_closed_form_nu{nu}_{region}", cv,
+            reference=closed, tolerance=1e-9,
+            passed=miss <= 1e-9 * abs(closed) and miss <= cv.error_estimate,
+            inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
     h1, f1, _, _ = _default_set_args()
     fa = corr.GaussianPacket(MinkVector((0.0, -3.0)), 0.5,
                              MinkVector((0.0, 0.0)))

@@ -289,12 +289,19 @@ def _closed_form_error(value, slope, squares):
 
 
 def _wightman_closed(m, sigma, d):
-    """(2 pi)^(-d/2) (m / r)^((d-2)/2) K_{(d-2)/2}(m r), r = sqrt(sigma)."""
+    """(2 pi)^(-d/2) (m / r)^((d-2)/2) K_{(d-2)/2}(m r), r = sqrt(sigma).
+
+    At d = 2 the power is (m / r)^0 = 1 + 0i exactly, and it is left out:
+    the real constant times 1 + 0i is the constant itself.
+    """
     r = np.sqrt(complex(sigma))
-    if r.real <= 0:
+    if not r.real > 0:
         raise DomainError("iepsilon prescription needs Re sqrt(sigma) > 0")
     nu = 0.5 * (d - 2)
-    return (2.0 * np.pi) ** (-d / 2.0) * (m / r) ** nu * kv_complex(nu, m * r)
+    const = (2.0 * np.pi) ** (-d / 2.0)
+    if nu:
+        const = const * (m / r) ** nu
+    return const * kv_complex(nu, m * r)
 
 
 def wightman_kg_momentum_oracle(m, x, epsilon=EPSILON):
@@ -412,13 +419,15 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     lambda = -d log|F| / dm read from F at M and 1.01 M in one call.  For
     F ~ C m^a exp(-m r), the large-argument form of K, that is the
     incomplete-gamma bound.  An integrand that does not decay there
-    (timelike x, or lambda <= 0) adds |F(M)| M instead.
+    (lambda <= 0) adds |F(M)| M instead.  Both callers set tail only at
+    spacelike x, where the cutoff default_cutoff(x) exists.
     """
     sigma = _sigma_eps(x, epsilon)
+    d = x.d
 
     def f(m):
         return 2.0 * m * np.asarray(density(m * m)) * \
-            _wightman_closed(m, sigma, x.d)
+            _wightman_closed(m, sigma, d)
 
     res = _endpoint_checked(lambda t: 2.0 * t * f(t * t), lo ** 0.25,
                             hi ** 0.25)
@@ -427,7 +436,7 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
         mmax = math.sqrt(hi)
         fm, fm2 = np.abs(f(mmax * np.array([1.0, 1.01]))).tolist()
         decay = math.log(fm / fm2) / (0.01 * mmax) \
-            if x.square() < 0 and 0.0 < fm2 < fm else 0.0
+            if 0.0 < fm2 < fm else 0.0
         err += fm / decay if decay > 0.0 else fm * mmax
     return Correlator(res.value, err)
 
@@ -440,9 +449,13 @@ def gff2pt(h1, h2, x, epsilon=EPSILON):
     A measure on a finite mass range, or with point masses, is a MassWeight
     for kallen_lehmann_2pt.
     """
-    return _mass_integral(
-        lambda m2: np.asarray(h1(m2)) * np.asarray(h2(m2)), x, epsilon,
-        0.0, default_cutoff(x), tail=True)
+    def density(m2):
+        w = np.asarray(h1(m2))
+        # one weight call when the two weights are one object
+        return w * (w if h2 is h1 else np.asarray(h2(m2)))
+
+    return _mass_integral(density, x, epsilon, 0.0, default_cutoff(x),
+                          tail=True)
 
 
 def kallen_lehmann_2pt(rho, x):

@@ -71,6 +71,7 @@ class _Spectral(NamedTuple):
     inv_k: np.ndarray  # 1/k, which turns k d/dk into d/dk
     k_low: np.ndarray  # k_0 and k_1 on the k+ x k- mesh, stacked
     kp_km: np.ndarray  # k+ k- on the mesh
+    dk2: np.ndarray    # dk+ dk- on the mesh
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,9 +86,10 @@ def _spectral(grid):
     np.fill_diagonal(ds, -ds.sum(axis=1))  # exact on constants
     s, ws = _gauss_legendre(grid.n, a, b)
     k = np.exp(s)
+    dk = ws * k
     kp, km = k[:, None], k[None, :]
-    out = _Spectral(k, ws * k, ds, t, bw, 1.0 / k,
-                    np.array(_lower((kp, km))), kp * km)
+    out = _Spectral(k, dk, ds, t, bw, 1.0 / k, np.array(_lower((kp, km))),
+                    kp * km, dk[:, None] * dk[None, :])
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -113,8 +115,9 @@ class LightconeGrid:
         return _spectral(self)[:2]
 
     def mesh(self):
-        k, wk = self.axis()
-        return k[:, None], k[None, :], wk[:, None] * wk[None, :]
+        """(k+, k-, dk+ dk-) on the grid's mesh, read-only."""
+        spec = _spectral(self)
+        return spec.k[:, None], spec.k[None, :], spec.dk2
 
 
 class ModeFunction:

@@ -34,6 +34,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -83,21 +84,22 @@ _WG = np.array([
 
 # one row-wise reduction gives both sums, each row summed as np.sum would
 _W2 = np.stack([_WK, _WG])
+_EPS = np.finfo(float).eps
 
 
 def _gk15(f, a, b):
     """GK15 values and error estimates of f on the panels [a, b].
 
-    a and b are 1-d arrays of panel endpoints: f runs once on the nodes of
-    all the panels, and each panel's row is reduced on its own, so its value
-    and error do not depend on its company.  f must return one value per
-    node.
+    a and b are 1-d float arrays of panel endpoints: f runs once on the
+    nodes of all the panels, and each panel's row is reduced on its own, so
+    its value and error do not depend on its company.  f must return one
+    value per node.
     """
-    half = 0.5 * (np.asarray(b) - a)
-    mid = 0.5 * (np.asarray(a) + b)
-    x = mid[..., None] + half[..., None] * _XK
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid[:, None] + half[:, None] * _XK
     fx = np.asarray(f(x.ravel())).reshape(x.shape)
-    sk, sg = (_W2 * fx[..., None, :]).sum(axis=-1).T
+    sk, sg = (_W2 * fx[:, None, :]).sum(axis=-1).T
     ik = half * sk
     ig = half * sg
     # libm's abs and power, panel by panel: numpy's vector loops for them
@@ -154,8 +156,11 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     dqk15 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983).  The
     floor does not enter the stopping test, so it changes no refinement.
     """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(a).astype(float), b)
-    if not (lo.size and np.all(hi > lo)):
+    lo = np.array(a, dtype=float, ndmin=1)
+    hi = np.array(b, dtype=float, ndmin=1)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    if not (lo.size and (hi > lo).all()):
         raise DomainError("adaptive_finite requires a < b")
     vals, errs = _gk15(f, lo, hi)
     panels = list(zip((-errs).tolist(), lo.tolist(), hi.tolist(),
@@ -163,8 +168,8 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
     heapq.heapify(panels)
     evals = 15 * lo.size
     while True:
-        total = sum(p[3] for p in panels)
-        total_err = sum(-p[0] for p in panels)
+        total = sum([p[3] for p in panels])
+        total_err = sum([-p[0] for p in panels])
         target = max(tol * abs(total), 1e-14)
         if total_err <= target:
             break
@@ -192,10 +197,10 @@ def adaptive_finite(f, a, b, tol=1e-10, max_panels=4000):
 def _panel_sum(panels, evals):
     """QuadratureResult of (-error, a, b, value) panels, summed left to
     right, with the rounding floor 50 eps sum |value| in the estimate."""
-    ordered = sorted(panels, key=lambda p: p[1])
-    value = sum(p[3] for p in ordered)
-    err = sum(-p[0] for p in ordered)
-    floor = 50.0 * np.finfo(float).eps * sum(abs(p[3]) for p in ordered)
+    ordered = sorted(panels, key=itemgetter(1))
+    value = sum([p[3] for p in ordered])
+    err = sum([-p[0] for p in ordered])
+    floor = 50.0 * _EPS * sum([abs(p[3]) for p in ordered])
     return QuadratureResult(value, err + floor, evals)
 
 
@@ -226,7 +231,10 @@ def _endpoint_checked(f, a, b):
         low = min(low, x.min())
         return f(x)
 
-    edges = np.linspace(a, b, _FIRST_PANELS + 1)
+    # the edges np.linspace(a, b, _FIRST_PANELS + 1) gives, without its
+    # call: i step + a, with b itself last
+    step = (b - a) / _FIRST_PANELS
+    edges = [i * step + a for i in range(_FIRST_PANELS)] + [b]
     res = adaptive_finite(g, edges[:-1], edges[1:])
     h = 2.0 * (low - a) / (1.0 + _XK[0])
     mid = a + 0.5 * h
@@ -339,7 +347,7 @@ def _bessel_product(power, factors):
     coarse = lo.value + hi.value + _rotated_tail(power, factors, split, 30)
     later = lo.value + _rotated_tail(power, factors, 0.5 * split, 60)
     samples = f(np.linspace(0.0, split, 257))
-    floor = 16.0 * np.finfo(float).eps * split * np.max(np.abs(samples))
+    floor = 16.0 * _EPS * split * np.max(np.abs(samples))
     err = max(abs(coarse - value), abs(later - value)) + \
         lo.error_estimate + hi.error_estimate + floor
     evals = lo.evaluations + hi.evaluations + samples.size + \

@@ -2,9 +2,10 @@
 functions and the even Bessel series.
 
 The Bessel order is restricted to nu > -1 throughout: `Order` enforces it,
-while the raw functions bessel_j, bessel_k and j_even accept any
-finite order (the z-weights of `stress` need J_(nu-1)) and reject a NaN or
-infinite one.  Their argument must lie in the stated domain (NaN does not).
+while the raw functions bessel_j, bessel_k, kv_complex, hankel_scaled and
+j_even accept any finite order (the z-weights of `stress` need J_(nu-1))
+and reject a NaN or infinite one.  Their argument must lie in the stated
+domain (NaN does not).
 J and the scaled Hankel functions take their route from the order alone:
 J_0 by cephes j0, orders +-1/2 by their elementary closed forms (DLMF
 10.16.1), every other order by AMOS (scipy.special jv, hankel1e, hankel2e;
@@ -107,8 +108,9 @@ def kv_complex(nu, z):
 
     K_nu(z) = (pi/2) i^(nu+1) H1_nu(iz), valid for -pi < arg z <= pi/2.
     """
+    nu = _nu(nu)
     z = np.asarray(z, dtype=complex)
-    if np.any(np.real(z) <= 0):
+    if z.size and not z.real.min() > 0:
         raise DomainError("kv_complex requires Re z > 0")
     out = 0.5 * np.pi * (1j) ** (nu + 1.0) * _sp.hankel1(nu, 1j * z)
     return complex(out) if out.ndim == 0 else out

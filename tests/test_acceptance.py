@@ -33,11 +33,12 @@ CRITERIA = {
          "holography.lift_*"]),
     4: ("triple-Bessel integral vanishes at (0.3, 1, 1.4) and matches the "
         "interior closed form to 1e-4", ["locality.bonus_locality_*"]),
-    5: ("bulk commutator <= 1e-5 at three bulk-spacelike points; boundary "
-        "commutator zero at spacelike dx; its constant = the eps -> 0 limit "
-        "of the Wightman difference to 1e-7",
-        ["locality.ads_commutator_*", "correlators.spacelike_*",
-         "correlators.commutator_*"]),
+    5: ("bulk commutator <= 1e-5 at three bulk-spacelike points and = the "
+        "AdS_3 closed form to 1e-9 inside the cone and beyond u = -2; "
+        "boundary commutator zero at spacelike dx; its constant = the "
+        "eps -> 0 limit of the Wightman difference to 1e-7",
+        ["locality.ads_commutator_*", "locality.bulk_commutator_*",
+         "correlators.spacelike_*", "correlators.commutator_*"]),
     6: ("equal-time commutator = product formula to 1e-3, zero for disjoint "
         "depth supports", ["holography.ccr_*"]),
     7: ("15 generator commutators on two modes match the symbolic oracle to "

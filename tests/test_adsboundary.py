@@ -11,7 +11,7 @@ from gffads.adsboundary import (AdSFieldSpec, ads2pt, ads_commutator,
 from gffads.correlators import GaussianPacket
 from gffads.errors import DomainError, LightConeProximityError
 from gffads.fock import LightconeGrid, position_wavefunction
-from gffads.spacetime import MinkVector
+from gffads.spacetime import AdSPoint, MinkVector, chordal_distance
 from gffads.specfun import Order, j_even
 
 from conftest import rel_err
@@ -86,6 +86,49 @@ def calibration_points(n, seed):
 
 
 CALIBRATION_POINTS = calibration_points(40, seed=12)
+
+
+def ads3_commutator(nu, u, sign):
+    """The AdS_3 bulk commutator at chordal distance u < 0 and time sign
+    sign, and its envelope: the jump of e^(-nu s) / (4 pi sinh s),
+    cosh s = 1 + u, across its cut (D'Hoker & Freedman, hep-th/0201253).
+
+    Inside the cone, -2 < u < 0, it is -i sign cos(nu theta) /
+    (2 pi sin theta) with cos theta = 1 + u and envelope
+    1 / (2 pi sin theta); beyond u = -2 it is i sign sin(nu pi) e^(-nu s) /
+    (2 pi sinh s) with cosh s = -(1 + u) and envelope 1 / (2 pi sinh s).
+    """
+    if u > -2.0:
+        theta = math.acos(1.0 + u)
+        envelope = 1.0 / (2.0 * math.pi * math.sin(theta))
+        return -1j * sign * math.cos(nu * theta) * envelope, envelope
+    s = math.acosh(-(1.0 + u))
+    envelope = 1.0 / (2.0 * math.pi * math.sinh(s))
+    return 1j * sign * math.sin(nu * math.pi) * math.exp(-nu * s) * \
+        envelope, envelope
+
+
+def ads3_timelike_points(n, seed):
+    """n points (nu, z, z', dx), alternately inside the cone and beyond
+    u = -2: nu uniform in [0, 2], z, z' log-uniform in [0.2, 2], the
+    boundary proper time tau uniform in (|z - z'|, z + z') or
+    (z + z', 3 (z + z')), at least 2% of z + z' from both, dx boosted by a
+    rapidity uniform in [-1, 1] with either time sign."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        nu = rng.uniform(0.0, 2.0)
+        z, zp = np.exp(rng.uniform(math.log(0.2), math.log(2.0), 2))
+        near, far = abs(z - zp), z + zp
+        tau = rng.uniform(near, far) if len(points) % 2 else \
+            rng.uniform(far, 3.0 * far)
+        eta = rng.uniform(-1.0, 1.0)
+        sign = rng.choice((-1.0, 1.0))
+        if min(abs(tau - near), abs(tau - far)) >= 0.02 * far:
+            points.append((float(nu), float(z), float(zp), MinkVector(
+                (float(sign * tau * math.cosh(eta)),
+                 float(tau * math.sinh(eta))))))
+    return points
 
 
 def scaling_law_points(n, seed):
@@ -373,6 +416,21 @@ class TestAdsCommutator:
         a = ads_commutator(SPEC, 0.5, 0.7, x)
         b = ads_commutator(SPEC, 0.5, 0.7, -x)
         assert abs(a.value + b.value) < 1e-8
+
+    def test_ads3_closed_form_within_estimate(self):
+        # every point, not a fraction: the miss lies within the estimate and
+        # within 1e-9 of the closed form's envelope
+        misses = []
+        for nu, z, zp, dx in ads3_timelike_points(144, seed=32):
+            res = ads_commutator(AdSFieldSpec(Order(nu)), z, zp, dx)
+            u = chordal_distance(AdSPoint(z, dx),
+                                 AdSPoint(zp, MinkVector((0.0, 0.0))))
+            closed, envelope = ads3_commutator(
+                nu, u, math.copysign(1.0, dx.components[0]))
+            miss = abs(res.value - closed)
+            if not (miss <= res.error_estimate and miss <= 1e-9 * envelope):
+                misses.append((nu, z, zp, dx.components))
+        assert not misses
 
 
 class TestMassChangeKernel:

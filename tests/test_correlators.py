@@ -1,21 +1,26 @@
+import heapq
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from gffads.correlators import (BesselZ, Correlator, GaussianPacket,
                                 MassWeight, Power, ScaledWeight, Tabulated,
+                                _closed_form_error,
                                 commutator_kg, commutator_kg_eps,
                                 default_cutoff, gff2pt, gff_commutator,
                                 kallen_lehmann_2pt, norm_const,
                                 scaling_covariance_check, smeared2pt,
                                 wightman_kg, wightman_kg_momentum_oracle)
 from gffads.errors import DomainError
+from gffads.quadrature import _WG, _WK, _XK
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order, bessel_k
 
 from conftest import rel_err
+from test_quadrature import GFF2PT_POINTS
 
 
 def linear(c0, c1):
@@ -193,6 +198,12 @@ class TestWightman:
         with pytest.raises(DomainError):
             wightman_kg(1.0, MinkVector((0.0, 1.0)), epsilon=0.0)
 
+    def test_nan_point_rejected(self):
+        # a NaN invariant fails the Re sqrt(sigma) > 0 test, as it fails
+        # kv_complex's Re z > 0
+        with pytest.raises(DomainError):
+            wightman_kg(1.0, MinkVector((0.0, float("nan"))))
+
 
 class TestCommutatorKG:
     def test_spacelike_zero(self):
@@ -353,6 +364,146 @@ class TestKallenLehmann:
         a = kallen_lehmann_2pt(rho, x)
         w = wightman_kg(1.5, x)
         assert abs(a.value - 0.7 * w.value) < 1e-10
+
+
+# The mass route's arithmetic as an unfused chain: (m / r)^nu at every d,
+# the weight called once per factor, np.linspace panel edges and
+# np.broadcast_arrays at adaptive_finite's entry.  The library folds these
+# steps together; its values and estimates must equal this chain's bit for
+# bit.
+
+def _ref_kv(nu, z):
+    z = np.asarray(z, dtype=complex)
+    out = 0.5 * np.pi * (1j) ** (nu + 1.0) * sp.hankel1(nu, 1j * z)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _ref_wightman_closed(m, sigma, d):
+    r = np.sqrt(complex(sigma))
+    nu = 0.5 * (d - 2)
+    return (2.0 * np.pi) ** (-d / 2.0) * (m / r) ** nu * _ref_kv(nu, m * r)
+
+
+def _ref_sigma_eps(x, epsilon):
+    comps = x.array
+    return float(np.dot(comps[1:], comps[1:])) - \
+        (comps[0] - 1j * epsilon) ** 2
+
+
+def _ref_gk15(f, a, b):
+    half = 0.5 * (np.asarray(b) - a)
+    mid = 0.5 * (np.asarray(a) + b)
+    x = mid[..., None] + half[..., None] * _XK
+    fx = np.asarray(f(x.ravel())).reshape(x.shape)
+    sk, sg = (np.stack([_WK, _WG]) * fx[..., None, :]).sum(axis=-1).T
+    ik, ig = half * sk, half * sg
+    return ik, np.array([(200.0 * abs(e)) ** 1.5 for e in (ik - ig).tolist()])
+
+
+def _ref_adaptive_finite(f, a, b):
+    lo, hi = np.broadcast_arrays(np.atleast_1d(a).astype(float), b)
+    vals, errs = _ref_gk15(f, lo, hi)
+    panels = list(zip((-errs).tolist(), lo.tolist(), hi.tolist(),
+                      vals.tolist()))
+    heapq.heapify(panels)
+    while True:
+        total = sum(p[3] for p in panels)
+        total_err = sum(-p[0] for p in panels)
+        target = max(1e-10 * abs(total), 1e-14)
+        if total_err <= target:
+            break
+        worst, covered = [], 0.0
+        while not worst or (panels and covered < total_err - target):
+            p = heapq.heappop(panels)
+            worst.append(p)
+            covered -= p[0]
+        mid = [0.5 * (p[1] + p[2]) for p in worst]
+        lo = [p[1] for p in worst] + mid
+        hi = mid + [p[2] for p in worst]
+        vals, errs = _ref_gk15(f, np.array(lo), np.array(hi))
+        for p in zip((-errs).tolist(), lo, hi, vals.tolist()):
+            heapq.heappush(panels, p)
+    ordered = sorted(panels, key=lambda p: p[1])
+    floor = 50.0 * np.finfo(float).eps * sum(abs(p[3]) for p in ordered)
+    return (sum(p[3] for p in ordered),
+            sum(-p[0] for p in ordered) + floor)
+
+
+def _ref_endpoint_checked(f, a, b):
+    low = math.inf
+
+    def g(x):
+        nonlocal low
+        low = min(low, x.min())
+        return f(x)
+
+    edges = np.linspace(a, b, 7)
+    value, err = _ref_adaptive_finite(g, edges[:-1], edges[1:])
+    h = 2.0 * (low - a) / (1.0 + _XK[0])
+    mid = a + 0.5 * h
+    whole, left, right = _ref_gk15(f, np.array([a, a, mid]),
+                                   np.array([a + h, mid, a + h]))[0].tolist()
+    change = left + right - whole
+    return value + change, err + abs(change)
+
+
+def _ref_mass_integral(density, x, epsilon, lo, hi, tail):
+    sigma = _ref_sigma_eps(x, epsilon)
+
+    def f(m):
+        return 2.0 * m * np.asarray(density(m * m)) * \
+            _ref_wightman_closed(m, sigma, x.d)
+
+    value, err = _ref_endpoint_checked(lambda t: 2.0 * t * f(t * t),
+                                       lo ** 0.25, hi ** 0.25)
+    if tail:
+        mmax = math.sqrt(hi)
+        fm, fm2 = np.abs(f(mmax * np.array([1.0, 1.01]))).tolist()
+        decay = math.log(fm / fm2) / (0.01 * mmax) \
+            if x.square() < 0 and 0.0 < fm2 < fm else 0.0
+        err += fm / decay if decay > 0.0 else fm * mmax
+    return value, err
+
+
+class TestMassRouteArithmetic:
+    @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.5, 1.9])
+    @pytest.mark.parametrize("point", GFF2PT_POINTS)
+    def test_gff2pt_equals_unfused_chain(self, nu, point):
+        h, x = Power(nu), MinkVector(point)
+        want = _ref_mass_integral(
+            lambda m2: np.asarray(h(m2)) * np.asarray(h(m2)), x, 1e-3, 0.0,
+            default_cutoff(x), tail=True)
+        # one weight object twice, and two equal weights
+        for h2 in (h, Power(nu)):
+            got = gff2pt(h, h2, x)
+            assert (got.value, got.error_estimate) == want
+
+    def test_kallen_lehmann_equals_unfused_chain(self):
+        # the inputs of the correlators.kallen_lehmann_finite_support record,
+        # and a point mass on top
+        x = MinkVector((0.0, 0.8))
+        for masses in ((), ((2.25, 0.7),)):
+            rho = MassWeight(np.ones_like, support=(0.0, 36.0),
+                             point_masses=masses)
+            got = kallen_lehmann_2pt(rho, x)
+            value, err = _ref_mass_integral(np.ones_like, x, 1e-3, 0.0, 36.0,
+                                            tail=False)
+            for m2, w in masses:
+                value = value + w * _ref_wightman_closed(
+                    math.sqrt(m2), _ref_sigma_eps(x, 1e-3), x.d)
+            assert (got.value, got.error_estimate) == (value, err)
+
+    @pytest.mark.parametrize("m, x, eps", WIGHTMAN_POINTS)
+    def test_wightman_equals_unfused_chain(self, m, x, eps):
+        # d = 2, 3 and 4: the power (m / r)^nu is left out only at d = 2
+        x = MinkVector(x)
+        sigma = _ref_sigma_eps(x, eps)
+        value = complex(_ref_wightman_closed(m, sigma, x.d))
+        estimate = _closed_form_error(
+            value, abs(_ref_wightman_closed(m, sigma, x.d + 2)),
+            float(np.dot(x.array, x.array)) + eps ** 2)
+        got = wightman_kg(m, x, eps)
+        assert (got.value, got.error_estimate) == (value, estimate)
 
 
 class TestGffCommutator:

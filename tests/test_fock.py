@@ -188,6 +188,17 @@ class TestGridAndModes:
         with pytest.raises(DomainError):
             LightconeGrid(kmin=2.0, kmax=1.0)
 
+    def test_mesh_weights_are_cached_and_read_only(self):
+        # the weight product is built once per grid, as the outer product of
+        # the axis weights, and no caller can write into it
+        grid = LightconeGrid(n=24)
+        _, wk = grid.axis()
+        w = grid.mesh()[2]
+        assert grid.mesh()[2] is w
+        assert np.array_equal(w, wk[:, None] * wk[None, :])
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+
     def test_grid_mismatch(self):
         f = gaussian_mode(LightconeGrid())
         g = gaussian_mode(LightconeGrid(n=80))

@@ -79,6 +79,9 @@ ROWS = [
      ["holography.lift_inner_product"]),
     (correlators, "smeared2pt", scaled, "fock",
      ["fock.npoint_truncated_vanishes"]),
+    (adsboundary, "gff_commutator", scaled, "locality",
+     [f"locality.bulk_commutator_closed_form_nu{nu}_{region}"
+      for nu in (0.5, 1.3) for region in ("cone", "beyond")]),
 ]
 
 

@@ -207,7 +207,7 @@ class TestBesselK:
             bessel_k(0.5, 0.0)
 
 
-@pytest.mark.parametrize("fn", [bessel_j, bessel_k])
+@pytest.mark.parametrize("fn", [bessel_j, bessel_k, kv_complex])
 class TestArgumentCheck:
     def test_nan_argument_rejected(self, fn):
         with pytest.raises(DomainError):
