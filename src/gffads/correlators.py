@@ -36,7 +36,7 @@ __all__ = ["EPSILON", "WeightFunction", "Power", "BesselZ", "Tabulated",
            "Correlator", "norm_const", "wightman_kg",
            "wightman_kg_momentum_oracle", "commutator_kg", "commutator_kg_eps",
            "default_cutoff", "gff2pt", "kallen_lehmann_2pt", "gff_commutator",
-           "smeared2pt", "scaling_covariance_check", "lightcone_grid_nodes"]
+           "smeared2pt", "lightcone_grid_nodes"]
 
 
 # the i-epsilon regulator of the Wightman functions, in the units of x
@@ -539,29 +539,3 @@ def smeared2pt(h1, f1, h2, f2, n_nodes=120, epsilon=0.0):
     value_half = on_grid(n_nodes // 2)
     return Correlator(complex(value), abs(value - value_half))
 
-
-def scaling_covariance_check(h, lam, x):
-    """Check gff2pt(h, h, x / lambda) = gff2pt(h_lambda, h_lambda, x).
-
-    The dilation acts on weights as h_lambda(m^2) = lambda^(d/2) h(lambda^2 m^2),
-    which compresses the mass spectrum by 1/lambda and therefore matches the
-    two-point function at the contracted point x / lambda; the i-epsilon
-    regulator scales along with the point.  The check passes when the
-    discrepancy is at most the tolerance it reports: the larger of the two
-    sides' combined error estimate and 1e-10 of the larger side.
-    """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    left = gff2pt(h, h, x.scale(1.0 / lam), epsilon=EPSILON / lam)
-    hl = ScaledWeight(h, lam, x.d)
-    right = gff2pt(hl, hl, x)
-    disc = abs(left.value - right.value)
-    combined = left.error_estimate + right.error_estimate
-    tol = max(combined,
-              1e-10 * max(abs(left.value), abs(right.value), 1e-30))
-    return {
-        "discrepancy": disc,
-        "combined_error": combined,
-        "tolerance": tol,
-        "pass": disc <= tol,
-    }

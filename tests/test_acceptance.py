@@ -6,7 +6,8 @@ whose names match its CRITERIA patterns, with the status `gffads verify`
 writes (a non-finite number fails).  Every record belongs to exactly one
 criterion, and no test computes a check of its own.  Each test prints one
 PASS/FAIL line, visible even under output capture, and then asserts, so the
-summary and the pytest verdict always agree.
+summary and the pytest verdict always agree.  The last test recomputes each
+status from the numbers its record writes, under the one verdict rule.
 """
 
 import json
@@ -63,12 +64,18 @@ CRITERIA = {
 
 
 @pytest.fixture(scope="module")
-def claimed():
-    """Statuses of one `verify all` run's records, by criterion and name."""
+def written():
+    """The records one `verify all` run writes, as parsed JSON."""
     cfg = cli.load_config(None)
     text, _ = cli._emit(cli.run_verify("all", cfg), cfg)
+    return json.loads(text)["records"]
+
+
+@pytest.fixture(scope="module")
+def claimed(written):
+    """Statuses of the records, by criterion and name."""
     out = {num: {} for num in CRITERIA}
-    for r in json.loads(text)["records"]:
+    for r in written:
         nums = [num for num, (_, patterns) in CRITERIA.items()
                 if any(fnmatch(r["name"], p) for p in patterns)]
         assert len(nums) == 1, f"{r['name']} claimed by criteria {nums}"
@@ -134,3 +141,23 @@ def test_criterion_10_gaussian_factorization(criterion):
 
 def test_criterion_11_divergence_diagnostics(criterion):
     criterion(11)
+
+
+def test_every_status_follows_the_verdict_rule(written):
+    # the status a record writes is the one rule recomputed from the numbers
+    # it writes (JSON floats read back exactly): with a reference r, the
+    # value v passes iff |v - r| <= tolerance * |r| (|r| read as 1 where
+    # r = 0) and, where the record writes an estimate, |v - r| <= estimate.
+    # A record without a reference is a flag: its status is its condition,
+    # it states no estimate and a tolerance of 0
+    for r in written:
+        if "reference" not in r:
+            assert r["error_estimate"] is None and r["tolerance"] == 0.0, \
+                r["name"]
+            continue
+        v = complex(r["value"]["re"], r["value"]["im"])
+        ref = complex(r["reference"]["re"], r["reference"]["im"])
+        gap, est = abs(v - ref), r["error_estimate"]
+        rule = (gap <= r["tolerance"] * (abs(ref) or 1.0)
+                and (est is None or gap <= est))
+        assert r["status"] == ("pass" if rule else "fail"), r["name"]

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gffads import cli
-from gffads.correlators import Power, scaling_covariance_check
+from gffads.correlators import Correlator
 from gffads.errors import BudgetExceededError, DomainError, ResolutionError
-from gffads.spacetime import MinkVector
 from gffads.specfun import bessel_j
 
 
@@ -32,6 +31,11 @@ def strict_json(out):
 def read_x(p):
     """A quantity that returns its parameter x as read."""
     return p.read("x", 1.0)
+
+
+def nan_estimate(p):
+    """A quantity whose value carries a NaN estimate."""
+    return Correlator(p.read("x", 1.0), math.nan)
 
 
 def as_param(key, value):
@@ -69,6 +73,21 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["status"] == "pass"
         assert doc["records"][0]["value"]["re"] == pytest.approx(24.0)
+
+    def test_unestimated_value_writes_null(self, capsys):
+        # gamma states no estimate: null, not a made-up 0.0
+        rc, out = run(capsys, ["compute", "gamma"])
+        assert rc == 0
+        rec = strict_json(out)["records"][0]
+        assert rec["error_estimate"] is None and rec["status"] == "info"
+
+    def test_nan_estimate_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.QUANTITIES, "gamma", nan_estimate)
+        rc, out = run(capsys, ["compute", "gamma"])
+        assert rc == 1
+        doc = strict_json(out)
+        assert doc["status"] == "fail"
+        assert doc["records"][0]["error_estimate"] is None
 
     def test_unknown_quantity(self, capsys):
         assert cli.main(["compute", "nope"]) == 2
@@ -217,9 +236,19 @@ class TestScan:
         lines = out.strip().splitlines()
         assert lines[0] == "u,value_re,value_im,error_estimate"
         assert len(lines) == 5
-        u, vre, vim, err = (float(t) for t in lines[1].split(","))
+        fields = lines[1].split(",")
+        u, vre, vim = (float(t) for t in fields[:3])
         assert u == pytest.approx(0.5)
         assert vre == pytest.approx(float(bessel_j(0.5, 0.5)), rel=1e-12)
+        # bessel_j states no estimate: an empty cell, not 0.0
+        assert all(line.split(",")[3] == "" for line in lines[1:])
+
+    def test_nan_estimate_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.QUANTITIES, "gamma", nan_estimate)
+        rc, out = run(capsys, ["scan", "gamma", "--axis", "u:0:1:2"])
+        assert rc == 1
+        lines = out.strip().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["nan", "nan"]
 
     def test_empty_scan(self, capsys):
         rc, out = run(capsys, ["scan", "gamma", "--axis", "x:1:2:0"])
@@ -270,16 +299,6 @@ class TestVerify:
                 if r["name"].startswith("locality.ads_commutator_")]
         assert len(recs) == 3
         assert all(r["inputs"]["nu"] == 1.3 for r in recs)
-
-    def test_scaling_covariance_states_its_applied_tolerance(self, capsys):
-        rc, out = run(capsys, ["verify", "correlators"])
-        assert rc == 0
-        rec, = [r for r in json.loads(out)["records"]
-                if r["name"] == "correlators.scaling_covariance"]
-        # the record states the threshold the check's verdict applied
-        sc = scaling_covariance_check(Power(0.5), 1.6, MinkVector((0.4, 2.0)))
-        assert rec["tolerance"] == sc["tolerance"]
-        assert rec["value"]["re"] == sc["discrepancy"] <= sc["tolerance"]
 
     def test_tolerance_failure_exits_one(self, capsys):
         # a = 0.6 leaves the vanishing region, so the ratio bound must fail

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from gffads.correlators import (BesselZ, Correlator, GaussianPacket,
+from gffads.correlators import (EPSILON, BesselZ, Correlator, GaussianPacket,
                                 MassWeight, Power, ScaledWeight, Tabulated,
                                 _closed_form_error,
                                 commutator_kg, commutator_kg_eps,
                                 default_cutoff, gff2pt, gff_commutator,
-                                kallen_lehmann_2pt, norm_const,
-                                scaling_covariance_check, smeared2pt,
+                                kallen_lehmann_2pt, norm_const, smeared2pt,
                                 wightman_kg, wightman_kg_momentum_oracle)
 from gffads.errors import DomainError
 from gffads.quadrature import _WG, _WK, _XK
@@ -321,12 +320,17 @@ class TestGff2pt:
             default_cutoff(MinkVector((2.0, 0.1)))
 
     def test_scaling_covariance(self):
+        # gff2pt(h, h, x / lambda) = gff2pt(h_lambda, h_lambda, x), the
+        # regulator scaled with the point, within 1e-10 and within the two
+        # sides' estimates
         x = MinkVector((0.2, 1.1))
         for h, lam in ((Power(0.5), 1.6), (linear(0.5, 1.0), 0.7)):
-            rep = scaling_covariance_check(h, lam, x)
-            assert rep["pass"]
-            # the verdict applies the tolerance the report states
-            assert rep["pass"] == (rep["discrepancy"] <= rep["tolerance"])
+            left = gff2pt(h, h, x.scale(1.0 / lam), epsilon=EPSILON / lam)
+            hl = ScaledWeight(h, lam, x.d)
+            right = gff2pt(hl, hl, x)
+            miss = abs(left.value - right.value)
+            assert miss <= 1e-10 * abs(right.value)
+            assert miss <= left.error_estimate + right.error_estimate
         # homogeneous weight: both sides reduce to lambda^(2 Delta) times the
         # unscaled function, Delta = d/2 + nu
         nu, lam = 0.5, 1.6

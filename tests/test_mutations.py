@@ -55,7 +55,9 @@ def scaled_values(fn, factor):
 # fail a closure record too: the grid commutators go through it.  Only the
 # closed side of the commutator record is scaled: commutator_kg_eps goes
 # through wightman_kg.  Likewise only the pairing sum of the npoint record:
-# fock.npoint calls the smeared2pt that fock binds.
+# fock.npoint calls the smeared2pt that fock binds.  The bessel_j that
+# adsboundary binds reaches the mode sums of ccr_check and the kernel of
+# mass_change_kernel_check; the Bessel weights of correlators bind their own.
 ROWS = [
     (stress, "set_matrix_element", scaled, "set", ["set.matrix_element_qmc"]),
     (correlators, "gff2pt", scaled, "correlators",
@@ -70,7 +72,8 @@ ROWS = [
      ["fock.special_conformal_field_law", "fock.algebra_closure_mode0_D_K1",
       "fock.algebra_closure_mode1_M01_K0"]),
     (stress, "vacuum_fluctuation_divergence", scaled_values, "set",
-     ["set.vacuum_fluctuation_oracle"]),
+     ["set.vacuum_fluctuation_oracle_sigma0.4",
+      "set.vacuum_fluctuation_oracle_sigma0.2"]),
     (correlators, "commutator_kg", scaled, "correlators",
      ["correlators.commutator_eps_limit"]),
     (correlators, "kallen_lehmann_2pt", scaled, "correlators",
@@ -82,11 +85,18 @@ ROWS = [
     (adsboundary, "gff_commutator", scaled, "locality",
      [f"locality.bulk_commutator_closed_form_nu{nu}_{region}"
       for nu in (0.5, 1.3) for region in ("cone", "beyond")]),
+    (adsboundary, "bessel_j", scaled_array, "holography",
+     ["holography.ccr_product_formula", "holography.mass_change_kernel"]),
 ]
+# a row's id is its function's name, qualified by its module where an
+# earlier row plants the same name
+IDS = []
+for module, name, *_ in ROWS:
+    IDS.append(f"{module.__name__.rpartition('.')[2]}.{name}"
+               if name in IDS else name)
 
 
-@pytest.mark.parametrize("module,name,plant,suite,records", ROWS,
-                         ids=[row[1] for row in ROWS])
+@pytest.mark.parametrize("module,name,plant,suite,records", ROWS, ids=IDS)
 def test_defect_fails_its_record(monkeypatch, module, name, plant, suite,
                                  records):
     monkeypatch.setattr(module, name, plant(getattr(module, name), 1.01))
