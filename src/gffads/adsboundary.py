@@ -17,7 +17,8 @@ from .errors import DomainError, LightConeProximityError, checked_sequence
 from .specfun import Order, _nu, bessel_j, gamma
 from .quadrature import (_bessel_product, _gauss_legendre, adaptive_finite,
                          neville_zero)
-from .correlators import EPSILON, BesselZ, Power, gff2pt, gff_commutator
+from .correlators import (EPSILON, BesselZ, Correlator, Power, gff2pt,
+                          gff_commutator)
 from .fock import ModeFunction
 
 __all__ = ["AdSFieldSpec", "ads2pt", "holographic_lift", "boundary_limit_const",
@@ -74,8 +75,7 @@ def boundary_limit_check(spec, z_sequence, dx):
     """Check z^(-2 Delta) ads2pt(z, z, dx) -> c_nu^2 * boundary 2pt as z -> 0.
 
     The reference is the generalized free field with homogeneous weight m^nu.
-    Returns the per-z relative deviations and whether they decrease along
-    the depths (None for one depth, which has no trend).
+    Returns the relative deviation at each z.
     """
     # one depth is allowed: `gffads compute boundaryLimitCheck` reads one
     zs = checked_sequence(z_sequence, "z_sequence", increasing=False,
@@ -91,9 +91,7 @@ def boundary_limit_check(spec, z_sequence, dx):
         val = ads2pt(spec, z, z, dx).value
         scaled = val / z ** (2.0 * spec.delta)
         deviations.append(abs(scaled - target) / abs(target))
-    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
-    return {"relative_deviations": deviations,
-            "monotone": monotone if len(zs) > 1 else None}
+    return deviations
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +201,8 @@ def mass_change_kernel_check(nu, nup, z, m):
     exp(-eps^2 z'^2 / 2) -> delta(m' - m)/m; the eps -> 0 limit is taken by
     polynomial extrapolation in eps^2 over eps = 0.2, 0.1, 0.05, 0.025.
     Returns the relative deviation of the composed value from the direct
-    h_z(m^2), and the extrapolation's spread (the change of its last
-    column) in the same units, as the deviation's error estimate.
+    h_z(m^2) as a Correlator whose error estimate is the extrapolation's
+    spread (the change of its last column) in the same units.
     """
     nu_f = _nu(nu)
     nup_f = _nu(nup)
@@ -230,6 +228,5 @@ def mass_change_kernel_check(nu, nup, z, m):
     limit, spread = neville_zero(eps2, vals, len(eps_list) - 1)
     composed = (1.0 / math.sqrt(2.0)) * z * limit.real
     direct = (1.0 / math.sqrt(2.0)) * z * bessel_j(nu_f, z * m)
-    return {"relative_deviation": abs(composed - direct) / abs(direct),
-            "extrapolation_spread":
-                (1.0 / math.sqrt(2.0)) * z * spread / abs(direct)}
+    return Correlator(abs(composed - direct) / abs(direct),
+                      (1.0 / math.sqrt(2.0)) * z * spread / abs(direct))

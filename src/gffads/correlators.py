@@ -69,6 +69,8 @@ class Power(WeightFunction):
 
     def __init__(self, nu):
         self.nu = float(nu)
+        if not math.isfinite(self.nu):
+            raise DomainError(f"Power weight needs a finite nu, got {nu!r}")
         self.bessel_form = (1.0, self.nu, ())
 
     def __call__(self, m2):

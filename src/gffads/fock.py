@@ -537,7 +537,7 @@ def special_conformal_field_law(f_position, mu, delta):
     left = apply_generator(GeneratorKind("K", mu=mu, delta=delta), psi)
     right = ModeFunction(grid, samples=_special_conformal_image(
         f_position, mu, delta, grid))
-    return {"relative_l2": (left - right).norm() / right.norm()}
+    return (left - right).norm() / right.norm()
 
 
 # ---------------------------------------------------------------------------

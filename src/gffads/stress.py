@@ -143,13 +143,15 @@ def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
 
     signs is the (eps1, eps2) pattern of the bilinear; the returned value is
     the coefficient of :a^{eps1}(k1) a^{eps2}(k2): with phase
-    e^{i(eps1 k1 + eps2 k2) x}.
+    e^{i(eps1 k1 + eps2 k2) x}, each sign +1 or -1.
     """
     for k in (k1, k2):
         if k.d != 2 or k.square() <= 0 or k.components[0] <= 0:
             raise DomainError("momenta must lie in the open forward cone")
     _check_indices(mu, nu)
     e1, e2 = signs
+    if e1 not in (1, -1) or e2 not in (1, -1):
+        raise DomainError(f"signs must be +1 or -1, got {signs!r}")
     q1 = (e1 * k1.components[0], -e1 * k1.components[1])
     q2 = (e2 * k2.components[0], -e2 * k2.components[1])
     return complex(_kernel_lower(q1, q2, mu, nu, improvement))
@@ -375,9 +377,9 @@ def generator_matrix_element(h1, f1, h2, f2, G):
 def momentum_density_check(h1, f1, h2, f2, nu, broadening_sequence):
     """Spatially integrated Theta_0n approaches the momentum generator P_n.
 
-    The tensor is smeared with a unit-time-area Gaussian times a height-one
-    spatial Gaussian of growing width s; the s -> infinity limit is the
-    one-particle matrix element of P_n.
+    Returns the relative deviation at each s of the tensor smeared with a
+    unit-time-area Gaussian times a height-one spatial Gaussian of width s
+    from its s -> infinity limit, the one-particle matrix element of P_n.
     """
     target = generator_matrix_element(h1, f1, h2, f2, GeneratorKind("P", mu=nu))
 
@@ -398,7 +400,8 @@ def _unit_time_area(s):
 def lorentz_density_check(h1, f1, h2, f2, mu, nu, broadening_sequence):
     """Spatially integrated x_m Theta_0n - x_n Theta_0m approaches M_mn.
 
-    M_mm = 0, so mu == nu has no limit to approach and raises DomainError.
+    Relative deviations as in momentum_density_check.  M_mm = 0, so mu == nu
+    has no limit to approach and raises DomainError.
     """
     _check_indices(mu, nu)
     if mu == nu:
@@ -430,28 +433,25 @@ def _broadening(target, value, broadening_sequence):
         # the spatial momentum transfer narrows like 1/s: refine with s
         val = value(_unit_time_area(s), max(72, int(20 * s)))
         deviations.append(abs(val - target) / abs(target))
-    return {"relative_deviations": deviations,
-            "monotone": all(b < a for a, b in
-                            zip(deviations, deviations[1:]))}
+    return deviations
 
 
 def trace_check(h1, f1, h2, f2, f, n_nodes):
     """eta^{mn} trace of the middle-ordering matrix element on n_nodes
-    nodes; nonzero for generic inputs."""
+    nodes, nonzero for generic inputs; the estimate sums its two terms'."""
     m00, m11 = _set_terms(((f, 0, 0), (f, 1, 1)), h1, f1, h2, f2, "middle",
                           n_nodes)
-    trace = m00.value - m11.value
-    err = m00.error_estimate + m11.error_estimate
-    return {"trace": trace, "significant": abs(trace) > 10.0 * err}
+    return Correlator(m00.value - m11.value,
+                      m00.error_estimate + m11.error_estimate)
 
 
 def commutator_locality_check(f, g, h, h1, f1, mu, nu, n_nodes):
     """<Omega phi_{h1}(f1) [Theta_mn(f), phi_h(g)] Omega> via two orderings,
-    each on n_nodes nodes."""
+    each on n_nodes nodes; the estimate sums the two orderings'."""
     forward = set_matrix_element(f, h1, f1, h, g, mu, nu, "middle", n_nodes)
     backward = set_matrix_element(f, h1, f1, h, g, mu, nu, "right", n_nodes)
-    return {"commutator": forward.value - backward.value,
-            "error_estimate": forward.error_estimate + backward.error_estimate}
+    return Correlator(forward.value - backward.value,
+                      forward.error_estimate + backward.error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +625,7 @@ def z_integral_weight_delta_check(nu, Z, m1sq):
     wz = z_integral_weight_closed(nu, Z, np.full_like(u, m1sq), u)
     smeared = float(np.sum(wu * wz * g(u)))
     target = float(g(m1sq))
-    return {"relative_deviation": abs(smeared - target) / abs(target)}
+    return abs(smeared - target) / abs(target)
 
 
 def _near_diagonal(sq1, sq2, order):
@@ -642,8 +642,8 @@ def _near_diagonal(sq1, sq2, order):
     return rows, cols, start
 
 
-def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
-                           n_outer=48, n_inner=1000):
+def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
+                           n_inner):
     """Middle-ordering matrix element with the depth-integrated Bessel weight
     z_integral_weight(nu, Z, k1^2, k2^2) in place of delta(k1^2 - k2^2).
 
@@ -651,9 +651,10 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
     lightcone quadrature; the k2- axis is densely resolved because the
     weight oscillates on the scale 2 pi m2 / (Z k2+).
 
-    Rows are the (k1+, k1-) grid flattened, columns the k2- nodes of one k2+
-    node.  Every factor but two separates into a row and a column factor:
-    the kernel through its rank-4 split (_kernel_factors)
+    Rows are the (k1+, k1-) grid of n_outer nodes an axis flattened, columns
+    the n_inner k2- nodes of one of the n_outer k2+ nodes.  Every factor but
+    two separates into a row and a column factor: the kernel through its
+    rank-4 split (_kernel_factors)
         K(q1, q2) = K(q1, 0) + K(0, q2) + q1^T M q2 = sum_t A_t(k1) B_t(k2),
     and the Gaussian smearing f as
         fhat(k1 - k2) = A e^{i phi(k1)} e^{-i phi(k2)} exp(E(k1, k2)),
@@ -738,8 +739,8 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx):
     """Z-cutoff bulk reduction of the tensor vs the sharp mass-diagonal limit.
 
     Evaluates ads_set_matrix_element (32 outer, 600 inner nodes) along the
-    increasing Z_sequence and compares with set_matrix_element on 64 nodes
-    (the sharp delta-weight evaluation).
+    increasing Z_sequence and returns its relative deviation at each Z from
+    set_matrix_element on 64 nodes (the sharp delta-weight evaluation).
     """
     Zs = checked_sequence(Z_sequence, "Z_sequence", increasing=True)
     target = set_matrix_element(f, h1, f1, h2, f2, mu, nu_idx, n_nodes=64)
@@ -749,4 +750,4 @@ def ads_set_reduction(nu, Z_sequence, f, h1, f1, h2, f2, mu, nu_idx):
         val = ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx,
                                      n_outer=32, n_inner=600)
         deviations.append(abs(val - target.value) / scale)
-    return {"relative_deviations": deviations}
+    return deviations

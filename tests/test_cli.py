@@ -180,6 +180,18 @@ class TestCompute:
         assert rc == 2
         assert "entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity,param", [
+        ("gff2pt", "nu=inf"), ("gff2pt", "nu=nan"),
+        ("setMatrixElement", "hnu=nan")])
+    def test_power_order_non_finite(self, capsys, quantity, param):
+        # malformed input, rejected before a quadrature can burn its budget
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["compute", quantity, "--param", param])
+        assert rc == 2
+        assert "finite nu" in capsys.readouterr().err
+        assert not caught
+
     def test_weight_table_without_rows(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("# m2 h\n\n")

@@ -18,6 +18,11 @@ A function whose return is another reporting function's call inherits
 that function's keys.  The records the CLI builds for itself are the one
 exception: a key of a dict that cli returns counts as read wherever it
 appears as a string constant elsewhere under src/ or bench/.
+
+Verdicts are decided in cli alone, so no library function returns a
+pass/fail: no report entry, and no value an exported function returns, is
+a comparison, a boolean operation, a call of all, any or bool, or a name
+bound to one.  The one exception is named in VERDICT_EXEMPT.
 """
 
 import ast
@@ -186,3 +191,65 @@ def test_every_report_key_is_read():
     unread = unread_report_keys() + unread_cli_keys()
     assert not unread, (f"{len(unread)} report keys nothing under src/ or "
                         f"bench/ reads: " + ", ".join(unread))
+
+
+# the benchmark's tensor workload reads this flag (bench/workloads.py), and
+# bench/ changes only with the benchmark
+VERDICT_EXEMPT = {"vacuum_fluctuation_divergence.strictly_increasing"}
+
+
+def _is_verdict(node, verdicts):
+    """Whether the expression is a pass/fail, verdicts being the names
+    bound to one in its function."""
+    if isinstance(node, (ast.Compare, ast.BoolOp)):
+        return True
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.Not)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, bool)
+    if isinstance(node, ast.IfExp):
+        return any(_is_verdict(n, verdicts) for n in (node.body, node.orelse))
+    if isinstance(node, ast.Name):
+        return node.id in verdicts
+    return _callee(node) in ("all", "any", "bool")
+
+
+def returned_verdicts():
+    """Labels function.key of the report entries, and function of the
+    exported functions' returns, in the library modules but cli that are
+    a pass/fail."""
+    found = []
+    for path in sorted((ROOT / "src" / "gffads").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        exported = EXPORTS.get(path.stem, set())
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            verdicts = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and \
+                        _is_verdict(node.value, verdicts):
+                    verdicts |= {t.id for t in node.targets
+                                 if isinstance(t, ast.Name)}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Return) or node.value is None:
+                    continue
+                if isinstance(node.value, ast.Dict):
+                    found += [f"{fn.name}.{key.value}" for key, value in
+                              zip(node.value.keys, node.value.values)
+                              if isinstance(key, ast.Constant)
+                              and _is_verdict(value, verdicts)]
+                elif fn.name in exported and \
+                        _is_verdict(node.value, verdicts):
+                    found.append(fn.name)
+    return sorted(found)
+
+
+def test_no_library_report_returns_a_verdict():
+    decided = [v for v in returned_verdicts() if v not in VERDICT_EXEMPT]
+    assert not decided, (f"{len(decided)} library reports return a "
+                         f"pass/fail, which cli should decide: "
+                         + ", ".join(decided))
+    # the exemption names a flag that exists
+    assert VERDICT_EXEMPT <= set(returned_verdicts())

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import (GaussianPacket, Smearing, _exponent,
-                                lightcone_grid_nodes, norm_const)
+from gffads.correlators import (Correlator, GaussianPacket, Smearing,
+                                _exponent, lightcone_grid_nodes, norm_const)
 from gffads.cli import _divergence_oracle
 from gffads.errors import DomainError
 from gffads.fock import GeneratorKind
@@ -52,6 +52,10 @@ class TestKernel:
             set_kernel(MinkVector((0.5, 1.0)), fwd, (1, -1), 0, 0)
         with pytest.raises(DomainError):
             set_kernel(fwd, fwd, (1, -1), 2, 0)
+        # each sign is +1 or -1
+        for signs in ((2, -1), (0, -1), (1, 0.5)):
+            with pytest.raises(DomainError):
+                set_kernel(fwd, fwd, signs, 0, 0)
 
     def test_index_symmetry(self, rng):
         for _ in range(20):
@@ -252,8 +256,8 @@ class TestMatrixElement:
 
     def test_trace_significant(self, packet_trio, hpow):
         f1, f2, f = packet_trio
-        rep = trace_check(hpow, f1, hpow, f2, f, n_nodes=96)
-        assert rep["significant"]
+        tr = trace_check(hpow, f1, hpow, f2, f, n_nodes=96)
+        assert abs(tr.value) > 10.0 * tr.error_estimate
 
 
 def _set_broadcast(f, h1, f1, h2, f2, mu, nu, ordering, n, improvement):
@@ -338,10 +342,8 @@ class TestOnePass:
         m00, m11 = (set_matrix_element(f, hpow, f1, hpow, f2, mu, mu,
                                        n_nodes=n_nodes)
                     for mu in (0, 1))
-        trace = m00.value - m11.value
-        err = m00.error_estimate + m11.error_estimate
-        assert trace_check(hpow, f1, hpow, f2, f, n_nodes) == {
-            "trace": trace, "significant": abs(trace) > 10.0 * err}
+        assert trace_check(hpow, f1, hpow, f2, f, n_nodes) == Correlator(
+            m00.value - m11.value, m00.error_estimate + m11.error_estimate)
 
     def test_moment_pair_equals_per_term(self, packet_trio, hpow, n_nodes):
         # the two terms of lorentz_density_check
@@ -356,11 +358,10 @@ class TestOnePass:
     def test_lorentz_density_equals_per_term(self, packet_trio, hpow):
         # widths 3.6 and 4.8 refine to 72 and 96 nodes
         f1, f2, _ = packet_trio
-        rep = lorentz_density_check(hpow, f1, hpow, f2, 0, 1, (3.6, 4.8))
+        devs = lorentz_density_check(hpow, f1, hpow, f2, 0, 1, (3.6, 4.8))
         target = -generator_matrix_element(hpow, f1, hpow, f2,
                                            GeneratorKind("M", mu=0, nu_idx=1))
-        for s, n, got in zip((3.6, 4.8), (72, 96),
-                             rep["relative_deviations"]):
+        for s, n, got in zip((3.6, 4.8), (72, 96), devs):
             f = _unit_time_area(s)
             va, vb = (set_matrix_element(MomentPacket(f, mu), hpow, f1, hpow,
                                          f2, 0, nu, n_nodes=n).value
@@ -373,10 +374,10 @@ class TestDensityLimits:
     def test_momentum_density(self, packet_trio, hpow):
         f1, f2, _ = packet_trio
         for nu in (0, 1):
-            rep = momentum_density_check(hpow, f1, hpow, f2, nu,
-                                         (2.0, 4.0, 8.0))
-            assert rep["monotone"]
-            assert rep["relative_deviations"][-1] < 2e-2
+            devs = momentum_density_check(hpow, f1, hpow, f2, nu,
+                                          (2.0, 4.0, 8.0))
+            assert devs[2] < devs[1] < devs[0]
+            assert devs[-1] < 2e-2
 
     def test_lorentz_density_equal_indices_rejected(self, packet_trio, hpow):
         # M_mm = 0: there is no limit to approach, so no trend to report
@@ -401,7 +402,7 @@ class TestCommutatorLocality:
                             MinkVector((-2.0, -0.5)))
         rep = commutator_locality_check(f, g, hpow, hpow, f1, 0, 0,
                                         n_nodes=120)
-        assert abs(rep["commutator"]) < 1e-6
+        assert abs(rep.value) < 1e-6
         # the two orderings cancel, not vanish
         forward = set_matrix_element(f, hpow, f1, hpow, g, 0, 0, n_nodes=120)
         assert abs(forward.value) > 1e-4
@@ -575,8 +576,8 @@ class TestZIntegralWeight:
 
     def test_delta_limit(self):
         m1sq = 1.3
-        devs = [z_integral_weight_delta_check(
-            0.5, Z, m1sq)["relative_deviation"] for Z in (20.0, 60.0, 200.0)]
+        devs = [z_integral_weight_delta_check(0.5, Z, m1sq)
+                for Z in (20.0, 60.0, 200.0)]
         assert devs[-1] < 1e-6
         assert devs[2] < devs[1] < devs[0]
 
@@ -693,10 +694,10 @@ class TestAdsReduction:
 
     def test_depth_cutoff_converges_to_sharp_element(self, packet_trio, hpow):
         f1, f2, f = packet_trio
-        rep = ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, hpow, f1, hpow, f2,
-                                0, 0)
-        assert rep["relative_deviations"][-1] < 1e-2
-        assert rep["relative_deviations"][-1] < rep["relative_deviations"][0]
+        devs = ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, hpow, f1, hpow, f2,
+                                 0, 0)
+        assert devs[-1] < 1e-2
+        assert devs[-1] < devs[0]
 
     def test_sequence_validation(self, packet_trio, hpow):
         f1, f2, f = packet_trio
@@ -704,7 +705,8 @@ class TestAdsReduction:
             with pytest.raises(DomainError):
                 ads_set_reduction(0.5, zs, f, hpow, f1, hpow, f2, 0, 0)
         with pytest.raises(DomainError):
-            ads_set_matrix_element(0.5, 4.0, f, hpow, f1, hpow, f2, 0, 2)
+            ads_set_matrix_element(0.5, 4.0, f, hpow, f1, hpow, f2, 0, 2,
+                                   n_outer=4, n_inner=4)
 
     @pytest.mark.parametrize("packet", [DerivativePacket, MomentPacket])
     def test_polynomial_smearing_rejected(self, packet_trio, hpow, packet):
