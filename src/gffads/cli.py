@@ -6,21 +6,22 @@ Three subcommands:
     gffads compute <name>  [--param k=v ...]
     gffads scan <name> --axis param:start:stop:steps [--param k=v ...]
 
-Suites hold the package's checks, each implemented once; the acceptance gate
-(tests/test_acceptance.py) asserts the records of `verify all`.  Compute
-evaluates one public quantity; scan tabulates it along one numeric parameter
-(CSV output only; an explicit --format json is a configuration error).  A
-compute record's inputs are the parameters its quantity read, as given, so
-passing them back as --param reproduces the record.
+Suites hold the package's checks, each implemented once and filed under
+the acceptance criterion it serves, which a JSON record names as
+`criterion`; the gate (tests/test_acceptance.py) asserts `verify all` by
+it.  Compute evaluates one public quantity; scan tabulates it along one
+numeric parameter (CSV output only; an explicit --format json is a
+configuration error).  A compute record's inputs are the parameters its
+quantity read, as given, so passing them back as --param reproduces it.
 
-Verdicts are decided here only, by one rule; library checks return numbers,
-lists and Correlators.  A record with a reference r passes iff its value v
-has |v - r| <= tolerance * |r| (|r| read as 1 where r = 0) and, where the
-record states an estimate, |v - r| <= estimate.  The estimate is the value's
-estimate plus the reference's plus any explicit error of the check; where
-none of these exists it is null (an empty CSV cell), and 0.0 means a
-computed exact zero.  A flag record (no reference) passes iff its condition
-holds; a compute record has no reference and is reported as info.
+Verdicts are decided once, in _check; library checks return numbers, lists
+and Correlators.  A record with a reference r passes iff its value v has
+|v - r| <= tolerance * |r| (|r| read as 1 where r = 0) and, where the record
+states an estimate, |v - r| <= estimate.  The estimate is the value's plus
+the reference's plus any explicit error of the check; where none of these
+exists it is null (an empty CSV cell), and 0.0 means a computed exact zero.
+A flag record (no reference) passes iff its condition holds; a compute
+record has no reference and is info.  A non-finite number fails any record.
 
 Exit codes:
 
@@ -162,10 +163,9 @@ class Params:
 
 def _check(name, value, reference=None, tolerance=None, error=None,
            inputs=None):
-    """The one record constructor, with the verdict rule of the module
-    docstring.  value and reference are numbers or results (Correlator,
-    QuadratureResult); a record without a reference has no verdict (None).
-    """
+    """The record as it is written, and the one verdict site (the rule of
+    the module docstring).  value and reference are numbers or results
+    (Correlator, QuadratureResult), written as {re, im}."""
     parts = [float(x.error_estimate) for x in (value, reference)
              if hasattr(x, "error_estimate")]
     if error is not None:
@@ -178,17 +178,25 @@ def _check(name, value, reference=None, tolerance=None, error=None,
         gap = abs(value - reference)
         passed = bool(gap <= tolerance * (abs(reference) or 1.0)
                       and (estimate is None or gap <= estimate))
+    value = {"re": value.real, "im": value.imag}
+    ref = {} if reference is None else {
+        "reference": {"re": reference.real, "im": reference.imag}}
+    tolerance = None if tolerance is None else float(tolerance)
+    inputs = inputs or {}
+    numbers = [value, estimate, tolerance, inputs, ref]
+    if _finite(numbers) != numbers:  # a non-finite number fails
+        passed = False
     return {"name": name, "value": value, "error_estimate": estimate,
-            "reference": reference,
-            "tolerance": None if tolerance is None else float(tolerance),
-            "passed": passed, "runtime": 0.0, "made": time.perf_counter(),
-            "inputs": inputs or {}}
+            "tolerance": tolerance,
+            "status": {True: "pass", False: "fail", None: "info"}[passed],
+            "inputs": inputs, **ref, "made": time.perf_counter()}
 
 
 def _flag(name, condition, value=0.0, inputs=None):
-    """A record whose verdict is a condition, not a comparison."""
-    return {**_check(name, value, tolerance=0.0, inputs=inputs),
-            "passed": bool(condition)}
+    """A flag: passes iff its condition holds and its numbers are finite."""
+    rec = _check(name, value, tolerance=0.0, inputs=inputs)
+    return {**rec, "status": "pass" if condition and rec["status"] == "info"
+            else "fail"}
 
 
 def _decreasing(seq):
@@ -209,24 +217,18 @@ def _finite(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
+# the fields a record writes, in order; runtime_s follows under --timings
+FIELDS = ("name", "value", "error_estimate", "tolerance", "status", "inputs",
+          "reference", "criterion")
+
+
 def _emit(records, cfg):
-    """Text of the records and whether all passed.  A record holding a
-    non-finite number fails, and JSON writes that number as null."""
+    """Text of the records and whether none failed; JSON nulls inf, nan."""
     out = []
     for r in sorted(records, key=lambda r: r["name"]):
-        item = {"name": r["name"],
-                "value": {"re": r["value"].real, "im": r["value"].imag},
-                "error_estimate": r["error_estimate"],
-                "tolerance": r["tolerance"], "status": None,
-                "inputs": r["inputs"]}
-        if r["reference"] is not None:
-            item["reference"] = {"re": r["reference"].real,
-                                 "im": r["reference"].imag}
+        out.append({k: r[k] for k in FIELDS if k in r})
         if cfg["timings"]:
-            item["runtime_s"] = round(r["runtime"], 3)
-        passed = r["passed"] if _finite(item) == item else False
-        item["status"] = {True: "pass", False: "fail", None: "info"}[passed]
-        out.append(item)
+            out[-1]["runtime_s"] = round(r["runtime"], 3)
     ok = all(item["status"] != "fail" for item in out)
     if cfg["format"] == "csv":
         cols = ["name", "value_re", "value_im", "error_estimate",
@@ -238,8 +240,7 @@ def _emit(records, cfg):
                 "" if x in ("", None) else _fmt17(x)
                 for x in (item["value"]["re"], item["value"]["im"],
                           item["error_estimate"], ref["re"], ref["im"],
-                          item["tolerance"])]
-            row.append(item["status"])
+                          item["tolerance"])] + [item["status"]]
             if cfg["timings"]:
                 row.append(f"{item['runtime_s']:.3f}")
             lines.append(",".join(row))
@@ -255,12 +256,12 @@ def _emit(records, cfg):
 # verification suites
 
 def _suite_specfun(cfg, rng):
-    recs = []
+    recs = {1: []}
     x = 0.3
     val = gamma(x) * gamma(1.0 - x)
-    recs.append(_check("specfun.gamma_reflection", val,
-                       np.pi / np.sin(np.pi * x), 1e-12,
-                       inputs={"x": x}))
+    recs[1].append(_check("specfun.gamma_reflection", val,
+                          np.pi / np.sin(np.pi * x), 1e-12,
+                          inputs={"x": x}))
     u = np.linspace(0.5, 40.0, 100)
     h = 1e-3
     for nu in (0.0, 0.5, 1.3):
@@ -268,10 +269,10 @@ def _suite_specfun(cfg, rng):
                       bessel_j(nu, u + h))
         res = (jp - 2.0 * j0 + jm) / h ** 2 + (jp - jm) / (2.0 * h * u) \
             + (1.0 - nu ** 2 / u ** 2) * j0
-        recs.append(_check(f"specfun.bessel_ode_residual_nu{nu}",
-                           float(np.max(np.abs(res))), 0.0, 1e-6,
-                           inputs={"nu": nu, "fd_step": h,
-                                   "u_range": [0.5, 40.0]}))
+        recs[1].append(_check(f"specfun.bessel_ode_residual_nu{nu}",
+                              float(np.max(np.abs(res))), 0.0, 1e-6,
+                              inputs={"nu": nu, "fd_step": h,
+                                      "u_range": [0.5, 40.0]}))
         # t^nu e^(-t^2/2) is its own Hankel transform: int_0^inf
         # t^(1+nu) e^(-t^2/2) J_nu(u0 t) dt = u0^nu e^(-u0^2/2).  The
         # integral stops at t = 12; |J_nu| <= 1 bounds the cut tail by
@@ -281,34 +282,34 @@ def _suite_specfun(cfg, rng):
                              * bessel_j(nu, u0 * t), 0.0, 12.0)
         a = 1.0 + nu / 2.0
         tail = 2.0 ** (nu / 2.0) * gammaincc(a, 72.0) * gamma(a)
-        recs.append(_check(f"specfun.hankel_self_reciprocal_nu{nu}", ht,
-                           u0 ** nu * np.exp(-u0 * u0 / 2.0), 1e-8,
-                           error=tail, inputs={"nu": nu, "u": u0}))
+        recs[1].append(_check(f"specfun.hankel_self_reciprocal_nu{nu}", ht,
+                              u0 ** nu * np.exp(-u0 * u0 / 2.0), 1e-8,
+                              error=tail, inputs={"nu": nu, "u": u0}))
     # j_even's own power series against each route of bessel_j: j0 at
     # nu = 0, the closed form at nu = 1/2, AMOS jv otherwise
     u0 = 2.3
     for nu in (0.0, 0.5, 1.3):
-        recs.append(_check(f"specfun.even_series_matches_besselj_nu{nu}",
-                           j_even(nu, u0 ** 2) * u0 ** nu, bessel_j(nu, u0),
-                           1e-12, inputs={"nu": nu, "u": u0}))
+        recs[1].append(_check(f"specfun.even_series_matches_besselj_nu{nu}",
+                              j_even(nu, u0 ** 2) * u0 ** nu, bessel_j(nu, u0),
+                              1e-12, inputs={"nu": nu, "u": u0}))
     return recs
 
 
 def _suite_correlators(cfg, rng):
-    recs = []
+    recs = {2: [], 5: []}
     x = MinkVector((0.4, 2.0))
     m = 1.3
     a = corr.wightman_kg(m, x)
     b = corr.wightman_kg_momentum_oracle(m, x)
-    recs.append(_check("correlators.wightman_closed_vs_momentum", a, b, 1e-6,
-                       inputs={"m": m, "x": list(x.components)}))
+    recs[2].append(_check("correlators.wightman_closed_vs_momentum", a, b,
+                          1e-6, inputs={"m": m, "x": list(x.components)}))
     h = corr.Power(0.5)
     s = np.geomspace(0.5, 50.0, 7)
     vals = [corr.gff2pt(h, h, MinkVector((0.0, math.sqrt(si)))).value.real
             for si in s]
     slope = np.polyfit(np.log(s), np.log(np.abs(vals)), 1)[0]
-    recs.append(_check("correlators.power_weight_loglog_slope", slope, -1.5,
-                       0.01, inputs={"nu": 0.5, "s_range": [0.5, 50.0]}))
+    recs[2].append(_check("correlators.power_weight_loglog_slope", slope, -1.5,
+                          0.01, inputs={"nu": 0.5, "s_range": [0.5, 50.0]}))
     # int dm^2 m^(2 nu) W_m(x) = 4^nu Gamma(nu+1)^2 sigma^-(nu+1) / pi in
     # d = 2, sigma = x1^2 - (t - i epsilon)^2 at the default epsilon
     nu = 0.5
@@ -316,30 +317,30 @@ def _suite_correlators(cfg, rng):
     sigma = x1 * x1 - complex(t, -corr.EPSILON) ** 2
     closed = 4.0 ** nu * math.gamma(nu + 1.0) ** 2 * sigma ** -(nu + 1.0) \
         / math.pi
-    recs.append(_check("correlators.power_weight_closed_form",
-                       corr.gff2pt(h, h, x), closed, 1e-8,
-                       inputs={"nu": nu, "x": list(x.components)}))
+    recs[2].append(_check("correlators.power_weight_closed_form",
+                          corr.gff2pt(h, h, x), closed, 1e-8,
+                          inputs={"nu": nu, "x": list(x.components)}))
     # dilation covariance: gff2pt(h, h, x / lambda) = gff2pt(h_lambda,
     # h_lambda, x) with h_lambda(m^2) = lambda^(d/2) h(lambda^2 m^2), which
     # compresses the mass spectrum by 1/lambda; the i-epsilon regulator
     # scales along with the point
     lam = 1.6
     hl = corr.ScaledWeight(h, lam, x.d)
-    recs.append(_check("correlators.scaling_covariance",
-                       corr.gff2pt(h, h, x.scale(1.0 / lam),
-                                   epsilon=corr.EPSILON / lam),
-                       corr.gff2pt(hl, hl, x), 1e-10,
-                       inputs={"lambda": lam}))
-    recs.append(_check("correlators.spacelike_commutator_zero",
-                       corr.gff_commutator(h, h, x), 0.0, 1e-8,
-                       inputs={"x": list(x.components)}))
+    recs[2].append(_check("correlators.scaling_covariance",
+                          corr.gff2pt(h, h, x.scale(1.0 / lam),
+                                      epsilon=corr.EPSILON / lam),
+                          corr.gff2pt(hl, hl, x), 1e-10,
+                          inputs={"lambda": lam}))
+    recs[5].append(_check("correlators.spacelike_commutator_zero",
+                          corr.gff_commutator(h, h, x), 0.0, 1e-8,
+                          inputs={"x": list(x.components)}))
     # the closed form's constant, which gff_commutator and ads_commutator
     # share, against the eps -> 0 limit of W_m(x) - W_m(-x)
     xt = MinkVector((1.3, 0.4))
-    recs.append(_check("correlators.commutator_eps_limit",
-                       corr.commutator_kg(1.0, xt),
-                       corr.commutator_kg_eps(1.0, xt), 1e-7,
-                       inputs={"m": 1.0, "x": list(xt.components)}))
+    recs[5].append(_check("correlators.commutator_eps_limit",
+                          corr.commutator_kg(1.0, xt),
+                          corr.commutator_kg_eps(1.0, xt), 1e-7,
+                          inputs={"m": 1.0, "x": list(xt.components)}))
     # unit density on [0, M^2]: int_0^M 2m dm (2 pi)^-1 K_0(m r) =
     # (1 - M r K_1(M r)) / (pi r^2), at r_eps = sqrt(r^2 + eps^2) for
     # kallen_lehmann_2pt's eps
@@ -350,14 +351,14 @@ def _suite_correlators(cfg, rng):
     r_eps = math.hypot(r, corr.EPSILON)
     closed = (1.0 - mmax * r_eps * bessel_k(1.0, mmax * r_eps)) / \
         (math.pi * r_eps ** 2)
-    recs.append(_check("correlators.kallen_lehmann_finite_support", kl,
-                       closed, 1e-8,
-                       inputs={"support": [0.0, mmax ** 2], "x": [0.0, r]}))
+    recs[2].append(_check("correlators.kallen_lehmann_finite_support", kl,
+                          closed, 1e-8,
+                          inputs={"support": [0.0, mmax ** 2], "x": [0.0, r]}))
     return recs
 
 
 def _suite_fock(cfg, rng):
-    recs = []
+    recs = {7: [], 10: []}
     import sympy as sym
     G = fock.GeneratorKind
     gens = {"P0": G("P", mu=0), "P1": G("P", mu=1),
@@ -373,14 +374,14 @@ def _suite_fock(cfg, rng):
             sym.exp(sym.I * (phase[0] * kp + phase[1] * km))
         for (l1, g1), (l2, g2) in itertools.combinations(gens.items(), 2):
             r = fock.algebra_closure_check(g1, g2, f, expr)
-            recs.append(_check(f"fock.algebra_closure_mode{mode}_{l1}_{l2}",
-                               r["relative_discrepancy"], 0.0, 1e-4,
-                               inputs={"grid_drift": r["grid_drift"]}))
+            recs[7].append(_check(f"fock.algebra_closure_mode{mode}_{l1}_{l2}",
+                                  r["relative_discrepancy"], 0.0, 1e-4,
+                                  inputs={"grid_drift": r["grid_drift"]}))
     packet = corr.GaussianPacket(MinkVector((0.1, -0.3)), 1.1,
                                  MinkVector((2.2, 0.4)))
-    recs.append(_check("fock.special_conformal_field_law",
-                       fock.special_conformal_field_law(packet, 0, 1.5), 0.0,
-                       1e-4, inputs={"delta": 1.5}))
+    recs[7].append(_check("fock.special_conformal_field_law",
+                          fock.special_conformal_field_law(packet, 0, 1.5),
+                          0.0, 1e-4, inputs={"delta": 1.5}))
     h = corr.Power(0.5)
     packs = [corr.GaussianPacket(MinkVector(x), w, MinkVector(k))
              for x, w, k in (((0.0, 0.0), 1.0, (1.5, 0.2)),
@@ -388,47 +389,47 @@ def _suite_fock(cfg, rng):
                              ((-0.2, 0.4), 1.1, (1.8, 0.1)),
                              ((0.5, 0.1), 0.8, (1.0, 0.4)))]
     # tolerance 0: odd n must give exactly zero
-    recs.append(_check("fock.npoint_odd_vanishes",
-                       fock.npoint([h] * 3, packs[:3]), 0.0, 0.0))
+    recs[10].append(_check("fock.npoint_odd_vanishes",
+                           fock.npoint([h] * 3, packs[:3]), 0.0, 0.0))
     s = lambda i, j: corr.smeared2pt(h, packs[i], h, packs[j]).value
     paired = s(0, 1) * s(2, 3) + s(0, 2) * s(1, 3) + s(0, 3) * s(1, 2)
-    recs.append(_check("fock.npoint_truncated_vanishes",
-                       fock.npoint([h] * 4, packs), paired, 1e-12))
+    recs[10].append(_check("fock.npoint_truncated_vanishes",
+                           fock.npoint([h] * 4, packs), paired, 1e-12))
     return recs
 
 
 def _suite_holography(cfg, rng):
-    recs = []
+    recs = {3: [], 6: [], 9: []}
     dx = MinkVector((0.0, 4.0))
     for nu in (0.0, 0.5):
         bl = adsb.boundary_limit_check(adsb.AdSFieldSpec(Order(nu)),
                                        (0.08, 0.04), dx)
-        recs.append(_check(f"holography.boundary_limit_deviation_nu{nu}",
-                           bl[-1], 0.0, 1e-2,
-                           inputs={"nu": nu, "z": [0.08, 0.04],
-                                   "dx": list(dx.components)}))
-        recs.append(_flag(f"holography.boundary_limit_monotone_nu{nu}",
-                          _decreasing(bl)))
+        recs[3].append(_check(f"holography.boundary_limit_deviation_nu{nu}",
+                              bl[-1], 0.0, 1e-2,
+                              inputs={"nu": nu, "z": [0.08, 0.04],
+                                      "dx": list(dx.components)}))
+        recs[3].append(_flag(f"holography.boundary_limit_monotone_nu{nu}",
+                             _decreasing(bl)))
     spec = adsb.AdSFieldSpec(Order(0.5))
     bump = lambda c, w: lambda x: np.exp(-(x - c) ** 2 / (2.0 * w * w))
     g, f, fp = bump(1.0, 0.12), bump(0.0, 1.0), bump(0.3, 0.8)
     ccr = adsb.ccr_check(spec, g, bump(1.1, 0.15), f, fp, (0.4, 1.6),
                          (0.4, 1.8))
-    recs.append(_check("holography.ccr_product_formula",
-                       ccr["relative_discrepancy"], 0.0, 1e-3,
-                       inputs={"nu": 0.5}))
+    recs[6].append(_check("holography.ccr_product_formula",
+                          ccr["relative_discrepancy"], 0.0, 1e-3,
+                          inputs={"nu": 0.5}))
     ccr = adsb.ccr_check(spec, g, bump(2.5, 0.15), f, fp, (0.4, 1.6),
                          (1.9, 3.1))
-    recs.append(_check("holography.ccr_disjoint_supports", ccr["mode_value"],
-                       0.0, 1e-6, inputs={"nu": 0.5}))
+    recs[6].append(_check("holography.ccr_disjoint_supports",
+                          ccr["mode_value"], 0.0, 1e-6, inputs={"nu": 0.5}))
     lam = 1.5
     eps = corr.EPSILON
     a = adsb.ads2pt(spec, 0.6, 0.9, MinkVector((0.2, 3.0)), epsilon=eps)
     # the i-epsilon regulator carries dimension and scales with the point
     b = adsb.ads2pt(spec, lam * 0.6, lam * 0.9, MinkVector((0.3, 4.5)),
                     epsilon=lam * eps)
-    recs.append(_check("holography.ads2pt_dilation_invariance", a, b, 1e-8,
-                       inputs={"lambda": lam}))
+    recs[3].append(_check("holography.ads2pt_dilation_invariance", a, b, 1e-8,
+                          inputs={"lambda": lam}))
     # the AdS_3 propagator of the chordal distance u, with Delta = 1 + nu:
     # e^(-nu s) / (4 pi sinh s), cosh s = 1 + u (D'Hoker & Freedman,
     # hep-th/0201253), u from the same regulated invariant as ads2pt
@@ -441,9 +442,9 @@ def _suite_holography(cfg, rng):
             (2.0 * z * zp)
         s = cmath.acosh(1.0 + u)
         closed = cmath.exp(-nu * s) / (4.0 * math.pi * cmath.sinh(s))
-        recs.append(_check(
-            f"holography.ads2pt_closed_form_nu{nu}", bulk, closed, 1e-9,
-            inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
+        recs[3].append(_check(
+               f"holography.ads2pt_closed_form_nu{nu}", bulk, closed, 1e-9,
+               inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
     # the holographic formula: lifting a boundary wavefunction to depth z
     # multiplies it by h_z, so two lifts' inner product is the smeared bulk
     # two-point function.  The record states no estimate: nearly all of its
@@ -456,14 +457,14 @@ def _suite_holography(cfg, rng):
     lifts = [adsb.holographic_lift(spec, z, psi) for z in (0.3, 0.5)]
     bulk = corr.smeared2pt(corr.BesselZ(0.3, spec.order), packet,
                            corr.BesselZ(0.5, spec.order), packet, n_nodes=240)
-    recs.append(_check("holography.lift_inner_product",
-                       fock.inner_product(*lifts), bulk.value, 1e-8,
-                       inputs={"nu": 0.5, "z": [0.3, 0.5], "grid_n": 160,
-                               "n_nodes": 240}))
+    recs[3].append(_check("holography.lift_inner_product",
+                          fock.inner_product(*lifts), bulk.value, 1e-8,
+                          inputs={"nu": 0.5, "z": [0.3, 0.5], "grid_n": 160,
+                                  "n_nodes": 240}))
     mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
-    recs.append(_check("holography.mass_change_kernel", mk, 0.0, 5e-3,
-                       inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7,
-                               "m": 1.2}))
+    recs[9].append(_check("holography.mass_change_kernel", mk, 0.0, 5e-3,
+                          inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7,
+                                  "m": 1.2}))
     return recs
 
 
@@ -475,27 +476,27 @@ def _suite_locality(cfg, rng):
     if abs(a * a - band) < 0.05 * band:
         raise ConfigError(
             f"(a,b,c)=({a},{b},{c}) lies in the light-cone guard band")
-    recs = []
+    recs = {4: [], 5: [], 8: []}
     inner = adsb.bonus_locality(0.0, nu, a, b, c)
     ref = adsb.bonus_locality(0.0, nu, 0.5 * (b + c), b, c)
-    recs.append(_check("locality.bonus_locality_ratio",
-                       abs(inner.value) / abs(ref.value), 0.0, 1e-5,
-                       error=inner.error_estimate / abs(ref.value),
-                       inputs=p.inputs))
+    recs[4].append(_check("locality.bonus_locality_ratio",
+                          abs(inner.value) / abs(ref.value), 0.0, 1e-5,
+                          error=inner.error_estimate / abs(ref.value),
+                          inputs=p.inputs))
     if abs(nu - 0.5) < 1e-12:
         ai = 0.5 * (b + c)
         oracle = 1.0 / (np.pi * math.sqrt(b * c)
                         * math.sqrt(ai * ai - (b - c) ** 2))
-        recs.append(_check("locality.bonus_locality_interior_oracle",
-                           ref, oracle, 1e-4,
-                           inputs={"a": ai, "b": b, "c": c}))
+        recs[4].append(_check("locality.bonus_locality_interior_oracle",
+                              ref, oracle, 1e-4,
+                              inputs={"a": ai, "b": b, "c": c}))
     spec = adsb.AdSFieldSpec(Order(nu))
     for z, zp, t in ((1.0, 1.8, 0.5), (0.5, 1.5, 0.6), (0.8, 2.0, 0.9)):
         cv = adsb.ads_commutator(spec, z, zp, MinkVector((t, 0.0)))
-        recs.append(_check(f"locality.ads_commutator_z{z}_zp{zp}",
-                           cv, 0.0, 1e-5,
-                           inputs={"z": z, "z_prime": zp, "dt": t,
-                                   "nu": p.inputs["nu"]}))
+        recs[5].append(_check(f"locality.ads_commutator_z{z}_zp{zp}",
+                              cv, 0.0, 1e-5,
+                              inputs={"z": z, "z_prime": zp, "dt": t,
+                                      "nu": p.inputs["nu"]}))
     # where the bulk points are timelike, the commutator is the jump of the
     # AdS_3 propagator e^(-nu s) / (4 pi sinh s), cosh s = 1 + u, across its
     # cut (D'Hoker & Freedman, hep-th/0201253): -i sgn(t) cos(nu theta) /
@@ -519,10 +520,10 @@ def _suite_locality(cfg, rng):
             region, s = "beyond", math.acosh(-(1.0 + u))
             closed = 1j * sign * math.sin(nu * math.pi) * \
                 math.exp(-nu * s) / (2.0 * math.pi * math.sinh(s))
-        recs.append(_check(
-            f"locality.bulk_commutator_closed_form_nu{nu}_{region}", cv,
-            closed, 1e-9,
-            inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
+        recs[5].append(_check(
+               f"locality.bulk_commutator_closed_form_nu{nu}_{region}", cv,
+               closed, 1e-9,
+               inputs={"nu": nu, "z": z, "zp": zp, "dx": list(dx.components)}))
     h1, f1, _, _ = _default_set_args()
     fa = corr.GaussianPacket(MinkVector((0.0, -3.0)), 0.5,
                              MinkVector((0.0, 0.0)))
@@ -530,8 +531,8 @@ def _suite_locality(cfg, rng):
                              MinkVector((1.5, -0.3)))
     loc = stress.commutator_locality_check(fa, gb, h1, h1, f1, 0, 0,
                                            n_nodes=120)
-    recs.append(_check("locality.set_commutator_spacelike", loc, 0.0, 1e-6,
-                       inputs={"separation": 6.0, "widths": 0.5}))
+    recs[8].append(_check("locality.set_commutator_spacelike", loc, 0.0, 1e-6,
+                          inputs={"separation": 6.0, "widths": 0.5}))
     return recs
 
 
@@ -621,7 +622,7 @@ def _divergence_oracle(f, sigma, mu, nu, n, n_inner):
 
 
 def _suite_set(cfg, rng):
-    recs = []
+    recs = {8: [], 9: [], 11: []}
     n = 1000
     k1p = rng.uniform(0.2, 2.0, n)
     k1m = rng.uniform(0.2, 2.0, n)
@@ -643,47 +644,47 @@ def _suite_set(cfg, rng):
         sym = abs(stress.set_kernel(k1, k2, (1, -1), 0, 1)
                   - stress.set_kernel(k1, k2, (1, -1), 1, 0))
         worst_sym = max(worst_sym, sym)
-    recs.append(_check("set.kernel_onshell_conservation", worst_cons, 0.0,
-                       1e-12, inputs={"pairs": n, "seed": cfg["seed"]}))
-    recs.append(_check("set.kernel_symmetry", worst_sym, 0.0, 1e-14))
+    recs[8].append(_check("set.kernel_onshell_conservation", worst_cons, 0.0,
+                          1e-12, inputs={"pairs": n, "seed": cfg["seed"]}))
+    recs[8].append(_check("set.kernel_symmetry", worst_sym, 0.0, 1e-14))
     k = MinkVector((1.3, 0.6))
     for nu_i in (0, 1):
         want = 2.0 * 1.3 * (1.3 if nu_i == 0 else -0.6)
-        recs.append(_check(f"set.kernel_coincidence_0{nu_i}",
-                           stress.set_kernel(k, k, (1, -1), 0, nu_i), want,
-                           1e-12, inputs={"k": list(k.components)}))
+        recs[8].append(_check(f"set.kernel_coincidence_0{nu_i}",
+                              stress.set_kernel(k, k, (1, -1), 0, nu_i), want,
+                              1e-12, inputs={"k": list(k.components)}))
 
     h, f1, f2, f = _default_set_args()
     herm = stress.set_matrix_element(f, h, f1, h, f1, 0, 0)
-    recs.append(_check("set.hermiticity_imag_part",
-                       herm.value.imag / abs(herm.value), 0.0, 1e-10,
-                       error=herm.error_estimate / abs(herm.value)))
+    recs[8].append(_check("set.hermiticity_imag_part",
+                          herm.value.imag / abs(herm.value), 0.0, 1e-10,
+                          error=herm.error_estimate / abs(herm.value)))
     # the estimate is 5 standard errors across the scrambled sets
     est, se = _matrix_element_qmc(f1, f2, f, rng)
-    recs.append(_check("set.matrix_element_qmc", est,
-                       stress.set_matrix_element(f, h, f1, h, f2, 0, 0,
-                                                 n_nodes=120),
-                       1e-3, error=5.0 * se,
-                       inputs={"sets": QMC_SETS,
-                               "points": 2 ** QMC_LOG2_POINTS,
-                               "seed": cfg["seed"], "n_nodes": 120}))
+    recs[8].append(_check("set.matrix_element_qmc", est,
+                          stress.set_matrix_element(f, h, f1, h, f2, 0, 0,
+                                                    n_nodes=120),
+                          1e-3, error=5.0 * se,
+                          inputs={"sets": QMC_SETS,
+                                  "points": 2 ** QMC_LOG2_POINTS,
+                                  "seed": cfg["seed"], "n_nodes": 120}))
     for nu_i in (0, 1):
         cons = stress.conservation_check(h, f1, h, f2, f, nu_i, n_nodes=96)
-        recs.append(_check(f"set.conservation_nu{nu_i}", cons["relative"],
-                           0.0, 1e-8,
-                           error=cons["error_estimate"] / cons["term_scale"],
-                           inputs={"n_nodes": 96}))
+        recs[8].append(_check(
+            f"set.conservation_nu{nu_i}", cons["relative"], 0.0, 1e-8,
+            error=cons["error_estimate"] / cons["term_scale"],
+            inputs={"n_nodes": 96}))
     tr = stress.trace_check(h, f1, h, f2, f, n_nodes=96)
-    recs.append(_flag("set.trace_significant",
-                      abs(tr.value) > 10.0 * tr.error_estimate, tr.value))
+    recs[8].append(_flag("set.trace_significant",
+                         abs(tr.value) > 10.0 * tr.error_estimate, tr.value))
     md = stress.momentum_density_check(h, f1, h, f2, 0, (2.0, 4.0, 8.0))
-    recs.append(_check("set.momentum_density_deviation", md[-1], 0.0, 1e-2,
-                       inputs={"largest_s": 8.0}))
-    recs.append(_flag("set.momentum_density_monotone", _decreasing(md)))
+    recs[8].append(_check("set.momentum_density_deviation", md[-1], 0.0, 1e-2,
+                          inputs={"largest_s": 8.0}))
+    recs[8].append(_flag("set.momentum_density_monotone", _decreasing(md)))
     ld = stress.lorentz_density_check(h, f1, h, f2, 0, 1, (4.0, 8.0, 12.0))
-    recs.append(_check("set.lorentz_density_deviation", ld[-1], 0.0, 2e-2,
-                       inputs={"largest_s": 12.0}))
-    recs.append(_flag("set.lorentz_density_monotone", _decreasing(ld)))
+    recs[8].append(_check("set.lorentz_density_deviation", ld[-1], 0.0, 2e-2,
+                          inputs={"largest_s": 12.0}))
+    recs[8].append(_flag("set.lorentz_density_monotone", _decreasing(ld)))
 
     m1, m2 = 1.1, 0.7
     Z = 40.0
@@ -691,46 +692,47 @@ def _suite_set(cfg, rng):
     aa, bb = m1 - m2, m1 + m2
     sine = 0.5 * (np.sin(aa * Z) / aa - np.sin(bb * Z) / bb) \
         / (np.pi * math.sqrt(m1 * m2))
-    recs.append(_check("set.z_weight_sine_oracle", w, sine, 1e-10,
-                       inputs={"nu": 0.5, "Z": Z}))
+    recs[9].append(_check("set.z_weight_sine_oracle", w, sine, 1e-10,
+                          inputs={"nu": 0.5, "Z": Z}))
     m1sq = 1.3
     Z = 200.0 / math.sqrt(m1sq)
-    recs.append(_check("set.z_weight_delta_smearing",
-                       stress.z_integral_weight_delta_check(0.5, Z, m1sq),
-                       0.0, 1e-2,
-                       inputs={"Z": Z, "m1sq": m1sq, "g_width": 0.2}))
+    recs[9].append(_check("set.z_weight_delta_smearing",
+                          stress.z_integral_weight_delta_check(0.5, Z, m1sq),
+                          0.0, 1e-2,
+                          inputs={"Z": Z, "m1sq": m1sq, "g_width": 0.2}))
     red = stress.ads_set_reduction(0.5, (2.0, 4.0, 8.0), f, h, f1, h, f2,
                                    0, 0)
-    recs.append(_check("set.ads_reduction_deviation", red[-1], 0.0, 1e-2,
-                       inputs={"Z": 8.0, "nu": 0.5}))
+    recs[9].append(_check("set.ads_reduction_deviation", red[-1], 0.0, 1e-2,
+                          inputs={"Z": 8.0, "nu": 0.5}))
     sig = [0.4 * 0.5 ** i for i in range(6)]
     div = stress.vacuum_fluctuation_divergence(f, sig)
     # how much of the grid entered the sum (the rest is flushed to 0)
     counts = {"grid_points": div["grid_points"],
               "exponentials": div["exponentials"]}
-    recs.append(_flag("set.vacuum_fluctuation_diverges",
-                      div["strictly_increasing"], div["growth_exponent"],
-                      inputs=counts))
-    recs.append(_check("set.vacuum_fluctuation_growth_exponent",
-                       div["growth_exponent"], 1.0, 0.3,
-                       inputs={"sigmas": sig, **counts}))
+    recs[11].append(_flag("set.vacuum_fluctuation_diverges",
+                          div["strictly_increasing"], div["growth_exponent"],
+                          inputs=counts))
+    recs[11].append(_check("set.vacuum_fluctuation_growth_exponent",
+                           div["growth_exponent"], 1.0, 0.3,
+                           inputs={"sigmas": sig, **counts}))
     # the narrowest width resolved on a finer grid: the two narrowest widths
     # again (a sequence needs two) at 64 lightcone and 48 inner nodes
     fine = stress.vacuum_fluctuation_divergence(f, sig[-2:], n_nodes=64,
                                                 n_inner=48)
-    recs.append(_check("set.vacuum_fluctuation_resolved", fine["values"][-1],
-                       div["values"][-1], 1e-3,
-                       inputs={"sigmas": sig[-2:], "n_nodes": 64,
-                               "n_inner": 48}))
+    recs[11].append(_check("set.vacuum_fluctuation_resolved",
+                           fine["values"][-1], div["values"][-1], 1e-3,
+                           inputs={"sigmas": sig[-2:], "n_nodes": 64,
+                                   "n_inner": 48}))
     # an absolute reference: the kernel on a small grid against the
     # per-point sum over the same nodes, at both widths
     small = {"n_nodes": 5, "n_inner": 3}
     got = stress.vacuum_fluctuation_divergence(f, (0.4, 0.2), 0, 1, **small)
     want = [_divergence_oracle(f, s, 0, 1, 5, 3) for s in (0.4, 0.2)]
     for sigma, value, oracle in zip((0.4, 0.2), got["values"], want):
-        recs.append(_check(f"set.vacuum_fluctuation_oracle_sigma{sigma}",
-                           value, oracle, 1e-12,
-                           inputs={"sigma": sigma, "mu": 0, "nu": 1, **small}))
+        recs[11].append(_check(f"set.vacuum_fluctuation_oracle_sigma{sigma}",
+                               value, oracle, 1e-12,
+                               inputs={"sigma": sigma, "mu": 0, "nu": 1,
+                                       **small}))
     return recs
 
 
@@ -748,9 +750,11 @@ def run_verify(suite, cfg):
     records = []
     for name in names:
         last = time.perf_counter()
-        for r in SUITES[name](cfg, rng):  # time since the previous record
+        recs = [{**r, "criterion": criterion} for criterion, rs
+                in SUITES[name](cfg, rng).items() for r in rs]
+        for r in sorted(recs, key=lambda r: r["made"]):  # creation order
             r["runtime"], last = r["made"] - last, r["made"]
-            records.append(r)
+        records += recs
     return records
 
 
@@ -864,7 +868,8 @@ def run_scan(name, axis, cfg):
     ok = True
     for v in np.linspace(start, stop, steps):
         rec = _check(name, fn(Params({**cfg["params"], param: float(v)})))
-        row = (v, rec["value"].real, rec["value"].imag, rec["error_estimate"])
+        row = (v, rec["value"]["re"], rec["value"]["im"],
+               rec["error_estimate"])
         ok = ok and all(x is None or math.isfinite(x) for x in row)
         lines.append(",".join("" if x is None else _fmt17(x) for x in row))
     return "\n".join(lines), ok

@@ -12,10 +12,11 @@ The i-epsilon regulator of every Wightman function is EPSILON unless the
 caller passes its own.  Every mass integral int dm^2 rho(m^2) W_m(x)
 (gff2pt, kallen_lehmann_2pt, and through gff2pt the AdS two-point
 function) runs on one route, _mass_integral: adaptive GK15 on m = t^2 from
-six equal panels, a bisection check of the panel at m = 0, and a bound on
-the tail beyond the mass cutoff.  The commutator of two weights,
-gff_commutator, takes weights with a bessel_form only: its mass integral is
-then a Bessel product, taken on the rotated contour of quadrature.
+six equal panels, a bisection check of the panel at m = 0, and, for
+gff2pt, a bound on the tail beyond the mass cutoff.  The commutator of two
+weights, gff_commutator, takes weights with a bessel_form only: its mass
+integral is then a Bessel product, taken on the rotated contour of
+quadrature.
 Momentum-space smearing works on the d = 2 forward cone in lightcone
 coordinates k+- > 0 with d^2 k = (1/2) dk+ dk-.
 """
@@ -145,19 +146,16 @@ class ScaledWeight(WeightFunction):
 
 @dataclass(frozen=True)
 class MassWeight:
-    """Kallen-Lehmann measure d rho(m^2): density on a support interval plus
-    optional point masses [(m^2, weight), ...]."""
+    """Kallen-Lehmann measure d rho(m^2): a density on a finite support
+    interval (lo, hi) inside R_+."""
 
     density: object
-    support: tuple = (0.0, np.inf)
-    point_masses: tuple = ()
+    support: tuple
 
     def __post_init__(self):
         lo, hi = self.support
-        if not (0 <= lo < hi):
-            raise DomainError("support must be an interval inside R_+")
-        if any(w < 0 for _, w in self.point_masses):
-            raise DomainError("point masses must be non-negative")
+        if not (0 <= lo < hi < math.inf):
+            raise DomainError("support must be a finite interval inside R_+")
 
 
 def _exponent(g, k0, k1):
@@ -270,8 +268,8 @@ def _sigma_eps(x, epsilon):
 
 def wightman_kg(m, x, epsilon=EPSILON):
     """Wightman function W_m(x) of the mass-m Klein-Gordon field."""
-    if m <= 0 or epsilon <= 0:
-        raise DomainError("wightman_kg requires m > 0 and epsilon > 0")
+    if not (0 < m < math.inf and 0 < epsilon < math.inf):
+        raise DomainError("wightman_kg requires finite m > 0 and epsilon > 0")
     sigma = _sigma_eps(x, epsilon)
     val = complex(_wightman_closed(m, sigma, x.d))
     # dW_d / dsigma = -pi W_(d+2)
@@ -421,8 +419,8 @@ def _mass_integral(density, x, epsilon, lo, hi, tail):
     lambda = -d log|F| / dm read from F at M and 1.01 M in one call.  For
     F ~ C m^a exp(-m r), the large-argument form of K, that is the
     incomplete-gamma bound.  An integrand that does not decay there
-    (lambda <= 0) adds |F(M)| M instead.  Both callers set tail only at
-    spacelike x, where the cutoff default_cutoff(x) exists.
+    (lambda <= 0) adds |F(M)| M instead.  gff2pt, the one caller that sets
+    tail, cuts at default_cutoff(x), which exists at spacelike x only.
     """
     sigma = _sigma_eps(x, epsilon)
     d = x.d
@@ -448,8 +446,7 @@ def gff2pt(h1, h2, x, epsilon=EPSILON):
 
     The mass integral runs on m = t^2 up to default_cutoff(x) (see
     _mass_integral); its estimate adds a bound on the integral beyond it.
-    A measure on a finite mass range, or with point masses, is a MassWeight
-    for kallen_lehmann_2pt.
+    A measure on a finite mass range is a MassWeight for kallen_lehmann_2pt.
     """
     def density(m2):
         w = np.asarray(h1(m2))
@@ -464,23 +461,11 @@ def kallen_lehmann_2pt(rho, x):
     """Superposition int d rho(m^2) W_m(x) for a MassWeight measure.
 
     The Kallen-Lehmann form of gff2pt's route (d rho = h1 h2 dm^2 there):
-    the density over the measure's support on the same mass integral, plus
-    the point masses in closed form.  A finite support is integrated as
-    given, with no tail; an infinite one (spacelike x only) is cut at
-    default_cutoff(x), and the estimate bounds the rest.
+    the density on the same mass integral over the measure's finite
+    support, as given, with no tail.  A density on all masses is gff2pt's.
     """
     lo, hi = rho.support
-    infinite = not np.isfinite(hi)
-    if infinite:
-        if x.square() >= 0:
-            raise DomainError("infinite support needs spacelike x")
-        hi = default_cutoff(x)
-    res = _mass_integral(rho.density, x, EPSILON, lo, hi, tail=infinite)
-    sigma = _sigma_eps(x, EPSILON)
-    total = res.value
-    for m2, w in rho.point_masses:
-        total = total + w * _wightman_closed(math.sqrt(m2), sigma, x.d)
-    return Correlator(total, res.error_estimate)
+    return _mass_integral(rho.density, x, EPSILON, lo, hi, tail=False)
 
 
 def gff_commutator(h1, h2, x):

@@ -564,8 +564,10 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
 def z_integral_weight(nu, Z, m1sq, m2sq):
     """(1/2) int_0^Z z J_nu(z m1) J_nu(z m2) dz by adaptive quadrature."""
     nu_f = _nu(nu)
-    if Z <= 0 or m1sq <= 0 or m2sq <= 0:
-        raise DomainError("z_integral_weight requires positive arguments")
+    for key, value in (("Z", Z), ("m1sq", m1sq), ("m2sq", m2sq)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"z_integral_weight needs a finite {key} > 0, "
+                              f"got {value!r}")
     m1, m2 = math.sqrt(m1sq), math.sqrt(m2sq)
     res = adaptive_finite(
         lambda z: 0.5 * z * bessel_j(nu_f, m1 * z) * bessel_j(nu_f, m2 * z),

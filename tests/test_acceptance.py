@@ -1,65 +1,52 @@
 """End-to-end acceptance gate: eleven numbered criteria, one line each.
 
-The verify suites in gffads.cli are the one implementation of the checks.
-`verify all` runs once for the file, and each criterion asserts the records
-whose names match its CRITERIA patterns, with the status `gffads verify`
-writes (a non-finite number fails).  Every record belongs to exactly one
-criterion, and no test computes a check of its own.  Each test prints one
-PASS/FAIL line, visible even under output capture, and then asserts, so the
-summary and the pytest verdict always agree.  The last test recomputes each
-status from the numbers its record writes, under the one verdict rule.
+The verify suites in gffads.cli are the one implementation of the checks,
+and each suite files every record under the criterion it serves: the
+`criterion` that `gffads verify` writes with the record.  `verify all` runs
+once for the file, and each criterion asserts its records, with the status
+they are written with (a non-finite number fails).  Every record names a
+criterion of CRITERIA, every criterion owns a record and a row of the
+mutation table, and no test computes a check of its own.  Each test prints
+one PASS/FAIL line, visible even under output capture, and then asserts, so
+the summary and the pytest verdict always agree.  The last test recomputes
+each status from the numbers its record writes, under the one verdict rule.
 """
 
 import json
-from fnmatch import fnmatch
 
 import pytest
 
 from gffads import cli
+from test_mutations import ROWS
 
-# number: (description, fnmatch patterns of its record names)
 CRITERIA = {
-    1: ("Bessel ODE residual 1e-6 on [0.5, 40], Hankel self-reciprocity 1e-8, "
-        "Gamma reflection, even Bessel series", ["specfun.*"]),
-    2: ("2pt log-log slope within 1% of -1.5, scaling covariance, Wightman "
-        "closed form = momentum route, Kallen-Lehmann measure on a finite "
-        "support to 1e-8", ["correlators.power_weight_*",
-                            "correlators.scaling_covariance",
-                            "correlators.wightman_*",
-                            "correlators.kallen_lehmann_*"]),
-    3: ("scaled bulk 2pt reaches the boundary field within 1% at nu in "
-        "{0, 0.5}; bulk 2pt dilation invariant and the AdS_3 propagator "
-        "to 1e-9; holographic lifts reproduce the smeared bulk 2pt to 1e-8",
-        ["holography.boundary_limit_*", "holography.ads2pt_*",
-         "holography.lift_*"]),
-    4: ("triple-Bessel integral vanishes at (0.3, 1, 1.4) and matches the "
-        "interior closed form to 1e-4", ["locality.bonus_locality_*"]),
-    5: ("bulk commutator <= 1e-5 at three bulk-spacelike points and = the "
-        "AdS_3 closed form to 1e-9 inside the cone and beyond u = -2; "
-        "boundary commutator zero at spacelike dx; its constant = the "
-        "eps -> 0 limit of the Wightman difference to 1e-7",
-        ["locality.ads_commutator_*", "locality.bulk_commutator_*",
-         "correlators.spacelike_*", "correlators.commutator_*"]),
-    6: ("equal-time commutator = product formula to 1e-3, zero for disjoint "
-        "depth supports", ["holography.ccr_*"]),
-    7: ("15 generator commutators on two modes match the symbolic oracle to "
-        "1e-4; special conformal field law",
-        ["fock.algebra_closure_*", "fock.special_conformal_*"]),
-    8: ("kernel conservation 1e-12, conservation 1e-8, momentum density 1%, "
-        "Lorentz density 2%, nonzero trace, locality, scrambled-Sobol matrix "
-        "element 1e-3",
-        ["set.kernel_*", "set.hermiticity_*", "set.conservation_*",
-         "set.trace_*", "set.momentum_density_*", "set.matrix_element_*",
-         "locality.set_*", "set.lorentz_density_*"]),
-    9: ("depth-integrated Bessel weight -> mass delta, bulk matrix element "
-        "-> sharp one within 1%, mass-change kernel",
-        ["set.z_weight_*", "set.ads_reduction_*", "holography.mass_change_*"]),
-    10: ("truncated 4-point function vanishes to 1e-12, odd n exactly zero",
-         ["fock.npoint_*"]),
-    11: ("vacuum fluctuation grows along the sigma halvings, exponent 1 +- "
-         "0.3; narrowest width resolved to 1e-3 on a finer grid; the kernel "
-         "equals its per-point sum to 1e-12",
-         ["set.vacuum_fluctuation_*"]),
+    1: "Bessel ODE residual 1e-6 on [0.5, 40], Hankel self-reciprocity 1e-8, "
+       "Gamma reflection, even Bessel series",
+    2: "2pt log-log slope within 1% of -1.5, scaling covariance, Wightman "
+       "closed form = momentum route, Kallen-Lehmann measure on a finite "
+       "support to 1e-8",
+    3: "scaled bulk 2pt reaches the boundary field within 1% at nu in "
+       "{0, 0.5}; bulk 2pt dilation invariant and the AdS_3 propagator "
+       "to 1e-9; holographic lifts reproduce the smeared bulk 2pt to 1e-8",
+    4: "triple-Bessel integral vanishes at (0.3, 1, 1.4) and matches the "
+       "interior closed form to 1e-4",
+    5: "bulk commutator <= 1e-5 at three bulk-spacelike points and = the "
+       "AdS_3 closed form to 1e-9 inside the cone and beyond u = -2; "
+       "boundary commutator zero at spacelike dx; its constant = the "
+       "eps -> 0 limit of the Wightman difference to 1e-7",
+    6: "equal-time commutator = product formula to 1e-3, zero for disjoint "
+       "depth supports",
+    7: "15 generator commutators on two modes match the symbolic oracle to "
+       "1e-4; special conformal field law",
+    8: "kernel conservation 1e-12, conservation 1e-8, momentum density 1%, "
+       "Lorentz density 2%, nonzero trace, locality, scrambled-Sobol matrix "
+       "element 1e-3",
+    9: "depth-integrated Bessel weight -> mass delta, bulk matrix element "
+       "-> sharp one within 1%, mass-change kernel",
+    10: "truncated 4-point function vanishes to 1e-12, odd n exactly zero",
+    11: "vacuum fluctuation grows along the sigma halvings, exponent 1 +- "
+        "0.3; narrowest width resolved to 1e-3 on a finer grid; the kernel "
+        "equals its per-point sum to 1e-12",
 }
 
 
@@ -76,26 +63,23 @@ def claimed(written):
     """Statuses of the records, by criterion and name."""
     out = {num: {} for num in CRITERIA}
     for r in written:
-        nums = [num for num, (_, patterns) in CRITERIA.items()
-                if any(fnmatch(r["name"], p) for p in patterns)]
-        assert len(nums) == 1, f"{r['name']} claimed by criteria {nums}"
-        out[nums[0]][r["name"]] = r["status"]
+        assert r["criterion"] in CRITERIA, \
+            f"{r['name']} names criterion {r['criterion']}"
+        out[r["criterion"]][r["name"]] = r["status"]
     return out
 
 
 @pytest.fixture
 def criterion(claimed, capsys):
     def _report(num):
-        desc, patterns = CRITERIA[num]
         mine = claimed[num]
-        unmatched = [p for p in patterns
-                     if not any(fnmatch(n, p) for n in mine)]
         failed = sorted(n for n, s in mine.items() if s != "pass")
-        ok = not unmatched and not failed
+        ok = bool(mine) and not failed
         with capsys.disabled():
-            print(f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: {desc}")
-        assert ok, (f"criterion {num} failed: records {failed}, patterns "
-                    f"without a record {unmatched}")
+            print(f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: "
+                  f"{CRITERIA[num]}")
+        assert ok, (f"criterion {num} failed: records {failed}" if mine
+                    else f"criterion {num} owns no record")
     return _report
 
 
@@ -141,6 +125,14 @@ def test_criterion_10_gaussian_factorization(criterion):
 
 def test_criterion_11_divergence_diagnostics(criterion):
     criterion(11)
+
+
+def test_every_criterion_owns_a_mutation_row(written):
+    # a planted defect that fails one of a criterion's records shows that
+    # the criterion's check can fail
+    criterion = {r["name"]: r["criterion"] for r in written}
+    owned = {criterion[name] for *_, records in ROWS for name in records}
+    assert sorted(set(CRITERIA) - owned) == [], "criteria with no row"
 
 
 def test_every_status_follows_the_verdict_rule(written):

@@ -323,6 +323,27 @@ class TestVerify:
         assert cli.main(["verify", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error: verify nope: ")
 
+    def test_records_carry_the_written_status(self, monkeypatch):
+        # the status a record is made with is the one verify writes: an
+        # infinite estimate fails a comparison its value passes, and a NaN
+        # value fails a flag whose condition holds
+        def suite(cfg, rng):
+            return {1: [cli._check("fake.inf_estimate", 1.0, 1.0, 1e-8,
+                                   error=math.inf),
+                        cli._flag("fake.nan_flag", True, math.nan)],
+                    2: [cli._check("fake.finite", 1.0, 1.0, 1e-8)]}
+        monkeypatch.setitem(cli.SUITES, "fake", suite)
+        cfg = {"seed": 0, "format": "json", "timings": False}
+        recs = cli.run_verify("fake", cfg)
+        made = {r["name"]: (r["status"], r["criterion"]) for r in recs}
+        assert made == {"fake.inf_estimate": ("fail", 1),
+                        "fake.nan_flag": ("fail", 1),
+                        "fake.finite": ("pass", 2)}
+        text, ok = cli._emit(recs, cfg)
+        written = {r["name"]: (r["status"], r["criterion"])
+                   for r in strict_json(text)["records"]}
+        assert written == made and not ok
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
@@ -376,14 +397,16 @@ class TestOutputOptions:
     def test_verify_timings_per_record(self, monkeypatch):
         # each record carries the time since the previous one, not an even
         # share of its suite's wall time
+        # in the order they were made, which need not be the suite's order
+        # of criteria
         def suite(cfg, rng):
             time.sleep(0.05)
             slow = cli._flag("fake.slow", True)
-            return [slow, cli._flag("fake.fast", True)]
+            return {2: [cli._flag("fake.fast", True)], 1: [slow]}
         monkeypatch.setitem(cli.SUITES, "fake", suite)
-        slow, fast = cli.run_verify("fake", {"seed": 0})
-        assert slow["runtime"] >= 0.05
-        assert fast["runtime"] < 0.01
+        recs = {r["name"]: r for r in cli.run_verify("fake", {"seed": 0})}
+        assert recs["fake.slow"]["runtime"] >= 0.05
+        assert recs["fake.fast"]["runtime"] < 0.01
 
     def test_config_file_with_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -483,7 +506,9 @@ class TestFuzz:
         ("bonusLocality", "a"), ("bonusLocality", "b"), ("bonusLocality", "c"),
         ("ads2pt", "z"), ("ads2pt", "zp"), ("adsCommutator", "z"),
         ("adsCommutator", "zp"), ("chordalDistance", "z"),
-        ("chordalDistance", "zp"), ("boundaryLimitCheck", "z")])
+        ("chordalDistance", "zp"), ("boundaryLimitCheck", "z"),
+        ("wightman", "m"), ("zIntegralWeight", "Z"),
+        ("zIntegralWeight", "m1sq"), ("zIntegralWeight", "m2sq")])
     def test_non_finite_depth_or_scale_is_a_domain_error(self, name, key,
                                                          value):
         assert self.check_run(["compute", name, "--param",

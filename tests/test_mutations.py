@@ -100,9 +100,9 @@ for module, name, *_ in ROWS:
 def test_defect_fails_its_record(monkeypatch, module, name, plant, suite,
                                  records):
     monkeypatch.setattr(module, name, plant(getattr(module, name), 1.01))
-    passed = {r["name"]: r["passed"]
+    status = {r["name"]: r["status"]
               for r in cli.run_verify(suite, cli.load_config(None))}
-    assert [passed[rec] for rec in records] == [False] * len(records)
+    assert [status[rec] for rec in records] == ["fail"] * len(records)
 
 
 def test_qmc_estimate_covers_its_error():

@@ -6,7 +6,9 @@ a single value in use: they should be constants.  The definitions are
 read from src/gffads and the calls from src/ and bench/ with `ast`: a
 call in the tests does not justify an option.  Calls are matched to
 definitions by name (the class name for __init__), which can only
-over-count the calls that reach a function.
+over-count the calls that reach a function.  A field of a @dataclass that
+has a default is an option of the __init__ that the decorator writes, with
+the fields, in order, as its parameters.
 
 A call sets a parameter when it passes an argument in its place that is
 not a literal equal to the default's literal (a literal default passed
@@ -48,6 +50,18 @@ def _functions(node, cls=None):
         else:
             yield from _functions(
                 child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _dataclass_fields(tree):
+    """(class name, [(field, default node or None), ...]) for every class
+    under tree decorated with @dataclass or @dataclass(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).partition("(")[0].endswith("dataclass")
+                for d in node.decorator_list):
+            yield node.name, [(stmt.target.id, stmt.value)
+                              for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)]
 
 
 def _call_name(call):
@@ -127,7 +141,13 @@ def unused_options():
     calls = _calls()
     culprits = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn, cls in _functions(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for cls, fields in _dataclass_fields(tree):
+            positional = [f for f, _ in fields]
+            culprits += [f"{path.stem}.{cls}({f})" for f, d in fields
+                         if d is not None and not any(
+                             _sets(c, positional, f, d) for c in calls[cls])]
+        for fn, cls in _functions(tree):
             args = fn.args
             positional = [a.arg for a in args.posonlyargs + args.args]
             is_static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
