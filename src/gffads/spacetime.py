@@ -47,6 +47,10 @@ class MinkVector:
 
     def dot(self, other):
         _same_d(self, other)
+        if self.d == 2:
+            # np.dot of one pair is its one product: the same value
+            (a0, a1), (b0, b1) = self.components, other.components
+            return a0 * b0 - a1 * b1
         a, b = self.array, other.array
         return float(a[0] * b[0] - np.dot(a[1:], b[1:]))
 

@@ -45,6 +45,18 @@ _EXP_FAST = -707, where e^x < 9e-308, so that np.exp stays on numpy's vector
 path, and skips a slice with no other term.  The bulk reduction builds its
 weight matrix in cache-sized row blocks and tests its mass diagonal at the
 few candidate entries a sorted search finds.
+
+The grids reach kmax = 2 max(reach), so much of each grid lies where a
+packet is negligible.  Before its slice loop, the matrix-element kernel
+keeps the rows whose |bra| and the k2+ slices whose bound on fhat2 reach
+_TRIM = eps^2 = 4.9e-32 times their largest, and the bulk reduction the
+rows whose |bra| and, on each k2+ slice, the one k2- range whose |ket|
+reaches it, each times the square root of its Lommel diagonal (_support).
+The selection reads the packets alone, never a term, so the terms of one
+pass stay bit-identical to each on its own.  A dropped grid point adds at
+most _TRIM times the largest row bound, the largest slice or column bound
+and the largest |kernel x prefactor| on the grid; each kernel states its
+sum.
 """
 
 import math
@@ -75,6 +87,18 @@ _ETA = np.diag([1.0, -1.0])
 _EXP_FAST = -707.0
 # rows of a block of the bulk-reduction weight matrix
 _ROW_BLOCK = 64
+# The matrix-element and bulk-reduction kernels skip the rows, slices and
+# columns whose separable magnitude bound is below _TRIM times the largest
+# (_support).  At eps^2 = 4.9e-32, even n^3 dropped points stay far below
+# the rounding of the kept sum's largest terms
+_TRIM = np.finfo(float).eps ** 2
+
+
+def _support(bound):
+    """Mask of the entries of bound at or above _TRIM times its largest.  A
+    NaN entry, or a NaN largest, keeps its entries, so that a non-finite
+    value still reaches the sum."""
+    return ~(bound < _TRIM * np.max(bound))
 
 
 def _p_term(q1, q2, mu, nu):
@@ -244,6 +268,18 @@ def _set_terms(terms, h1, f1, h2, f2, ordering, n_nodes):
     (_kernel_lightcone) times the monomials of its prefactor, all real
     polynomials in k2-.  Returns one
     Correlator a term, each value bit-identical to the term on its own.
+
+    The integrand at a point, over the constant A A2 c^2 / 4, is bounded by
+    |bra| on its row (weights, h1, h2 and fhat1), times w2+/k2+ times the
+    largest |fhat2| / A2 on its slice, exp(-t0 t1 (e2 k2+ + o0 + o1)^2 /
+    2 (t0 + t1)) over all k2-, times |kernel x prefactor|, and times the
+    Gaussian of f, at most 1.  The rows and slices of these
+    bounds below _TRIM times the largest (_support) are dropped before the
+    slice loop.  With B and S the largest row and slice bounds and P the
+    largest |kernel x prefactor| on the grid, each dropped point of the n^3
+    adds less than _TRIM B S P, so the dropped part is below n^3 _TRIM B S P
+    (4.3e-26 B S P at n = 96), where a value is a sum of n^3 points each
+    at most B S P.
     """
     if ordering not in _ORDERINGS:
         raise DomainError(f"unknown ordering {ordering!r}")
@@ -272,14 +308,22 @@ def _set_terms(terms, h1, f1, h2, f2, ordering, n_nodes):
 
     def on_grid(n):
         k, w = lightcone_grid_nodes(n, kmax)
+        # the slices whose bound w/k2+ times fhat2's envelope on the slice,
+        # exp(-t0 t1 (e2 k2+ + o0 + o1)^2 / 2 (t0 + t1)) at its largest
+        # over k2-, is at least _TRIM times the largest
+        live = _support(w / k * np.exp(-0.5 * t0 * t1 * (e2 * k + o0 + o1)
+                                       ** 2 / (t0 + t1)))
         k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
         m2 = k1p * k1m
         q1 = tuple(e1 * c for c in _lower((k1p, k1m)))
-        r0, r1 = q1[0] - p0, -q1[1] - p1
         # fourier takes upper components: f1 at -q1
         bra = np.outer(w, w).ravel() * np.asarray(h1(m2)) * \
-            np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1]) * \
-            np.exp(1j * (c0 * r0 - c1 * r1))
+            np.asarray(h2(m2)) * f1.fourier(-q1[0], q1[1])
+        # the rows whose |bra| is at least _TRIM times the largest
+        rows = _support(np.abs(bra))
+        m2, bra, q1 = m2[rows], bra[rows], (q1[0][rows], q1[1][rows])
+        r0, r1 = q1[0] - p0, -q1[1] - p1
+        bra *= np.exp(1j * (c0 * r0 - c1 * r1))
         # R0 = v0 + a v1 + n0(k2+), R1 = u1 + n1(k2+)
         v0 = -0.5 * (s0 * r0 * r0 + s1 * r1 * r1)
         v1 = -(s0 * r0 + s1 * r1)
@@ -296,7 +340,7 @@ def _set_terms(terms, h1, f1, h2, f2, ordering, n_nodes):
         bra_gauss = np.empty(m2.size, dtype=complex)
         pairs = bra_gauss.view(float).reshape(-1, 2)
         totals = [0.0j] * len(terms)
-        for k2p, w2p in zip(k, w):
+        for k2p, w2p in zip(k[live], w[live]):
             a = 0.5 * e2 * k2p
             # the numbers of R1, R0 and the phase on this slice
             n1 = -0.5 * e2 * (a * (s0 - s1 + t0 - t1) + t0 * o0 - t1 * o1)
@@ -630,11 +674,12 @@ def z_integral_weight_delta_check(nu, Z, m1sq):
     return abs(smeared - target) / abs(target)
 
 
-def _near_diagonal(sq1, sq2, order):
+def _near_diagonal(sq1, sq2):
     """The (row, column) pairs with |sq2[column] - sq1[row]| <= 2e-9, a
     superset of the diagonal test's |.| < 1e-9, by a search of each sq1 in
-    sq2 sorted by order.  Pairs are grouped by row: those of row r are at
+    sq2 sorted.  Pairs are grouped by row: those of row r are at
     start[r]:start[r + 1] of rows and columns."""
+    order = np.argsort(sq2)
     s = sq2[order]
     lo = np.searchsorted(s, sq1 - 2e-9, "left")
     count = np.searchsorted(s, sq1 + 2e-9, "right") - lo
@@ -668,6 +713,17 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
     built in blocks of _ROW_BLOCK rows; its diagonal |m2^2 - m1^2| < 1e-9,
     where the weight takes its Lommel limit, is tested only at the pairs a
     search in the sorted m2^2 finds (_near_diagonal).
+
+    The weight is a Gram kernel, (1/2) int_0^Z z J(z m1) J(z m2) dz, so
+    |weight| <= sqrt(on1 on2), on its Lommel diagonal, and |exp(E)| <= 1.
+    The rows whose |bra| sqrt(on1), before the kernel factors, is below
+    _TRIM times the largest are dropped, and on each k2+ slice the columns
+    outside the one range that holds every |ket| sqrt(on2) at or above
+    _TRIM times the largest over all slices (_support); a slice with none
+    is skipped.  With B and C the largest row and column bounds and P the
+    largest |kernel| on the grid, each dropped point of the n_outer^3
+    n_inner adds less than _TRIM B C P, so the dropped part is below
+    n_outer^3 n_inner _TRIM B C P (9.7e-25 B C P at 32 x 600).
     """
     _check_indices(mu, nu_idx)
     nu_f = _nu(nu)
@@ -689,17 +745,25 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
     # log(fhat(k1 - k2) / A) = e1 + e2 + sum_mu s2_mu (k1 - kappa)^mu k2^mu
     e1 = _exponent(g, k1_0, k1_1)
     e2 = _exponent(g, p0 - k2_0, p1 - k2_1)
-    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
-           f1.fourier(-k1_0, -k1_1) * amp * np.exp(1j * e1.imag))[:, None] * a
-    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
-           f2.fourier(k2_0, k2_1) * np.exp(1j * e2.imag))[..., None] * b
+    bra = np.outer(w, w).ravel() * np.asarray(h1(m1sq)) * \
+        f1.fourier(-k1_0, -k1_1) * amp
+    ket = w[:, None] * w2m * np.asarray(h2(m2sq)) * f2.fourier(k2_0, k2_1)
+    # the weight's numerator (Z/2)(m1 J1' J2 - m2 J1 J2') as a rank-2 product
+    m1, j1, j1p, on = _lommel_factors(nu_f, Z, m1sq)
+    m2, j2, j2p, on2 = _lommel_factors(nu_f, Z, m2sq)
+    # the rows, and the one k2- range of each k2+ slice, whose |bra| or
+    # |ket| times the square root of its Lommel diagonal is at least _TRIM
+    # times the largest
+    kept_rows = _support(np.abs(bra) * np.sqrt(on))
+    kept_cols = _support(np.abs(ket) * np.sqrt(on2))
+    lo = np.argmax(kept_cols, axis=1)
+    hi = n_inner - np.argmax(kept_cols[:, ::-1], axis=1)
+    bra = (bra * np.exp(1j * e1.imag))[:, None] * a
+    ket = (ket * np.exp(1j * e2.imag))[..., None] * b
     # E, the real part, as a rank-4 product
     e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
                        np.ones_like(m1sq)], axis=-1)
     e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
-    # the weight's numerator (Z/2)(m1 J1' J2 - m2 J1 J2') as a rank-2 product
-    m1, j1, j1p, on = _lommel_factors(nu_f, Z, m1sq)
-    m2, j2, j2p, _ = _lommel_factors(nu_f, Z, m2sq)
     w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)
     w_cols = np.stack([j2, 0.5 * Z * m2 * j2p], axis=1)
     # m^2 as z_integral_weight_closed forms it for its diagonal test, and
@@ -708,22 +772,27 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
     sq1, sq2 = m1 ** 2, m2 ** 2
     d_rows = np.stack([np.ones_like(sq1), -sq1], axis=-1)
     d_cols = np.stack([sq2, np.ones_like(sq2)], axis=1)
-    col_order = np.argsort(sq2, axis=1)
+    bra, e_rows, w_rows, d_rows, sq1, on = (
+        x[kept_rows] for x in (bra, e_rows, w_rows, d_rows, sq1, on))
 
     ket = ket.view(float)  # real and imaginary parts interleaved
-    n_rows = k1p.size
-    gmat = np.empty((n_rows, n_inner))
-    # G is built _ROW_BLOCK rows at a time, so that a block's factors stay
-    # in cache; the product with ket takes all rows at once
-    expo, diff = (np.empty((min(_ROW_BLOCK, n_rows), n_inner))
+    n_rows = len(sq1)
+    # G and a block's factors, each slice's taking the front of the buffer
+    gbuf = np.empty(n_rows * n_inner)
+    expo, diff = (np.empty(min(_ROW_BLOCK, n_rows) * n_inner)
                   for _ in range(2))
     total = 0.0j
-    for i in range(n_outer):
-        rows, cols, start = _near_diagonal(sq1, sq2[i], col_order[i])
+    for i in np.flatnonzero(kept_cols.any(axis=1)):
+        span = slice(lo[i], hi[i])
+        gmat = gbuf[:n_rows * (hi[i] - lo[i])].reshape(n_rows, -1)
+        rows, cols, start = _near_diagonal(sq1, sq2[i, span])
+        # G is built _ROW_BLOCK rows at a time, so that a block's factors
+        # stay in cache; the product with ket takes all rows at once
         for r in range(0, n_rows, _ROW_BLOCK):
             block = slice(r, r + _ROW_BLOCK)
-            g = np.matmul(w_rows[block], w_cols[i], out=gmat[block])
-            d = np.matmul(d_rows[block], d_cols[i], out=diff[:len(g)])
+            g = np.matmul(w_rows[block], w_cols[i][:, span], out=gmat[block])
+            d = np.matmul(d_rows[block], d_cols[i][:, span],
+                          out=diff[:g.size].reshape(g.shape))
             # the diagonal |m2^2 - m1^2| < 1e-9 takes the value on, as on / 1
             near = slice(start[r], start[min(r + _ROW_BLOCK, n_rows)])
             rr, cc = rows[near] - r, cols[near]
@@ -731,9 +800,10 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
             rr, cc = rr[diag], cc[diag]
             g[rr, cc], d[rr, cc] = on[rr + r], 1.0
             g /= d
-            e = np.matmul(e_rows[block], e_cols[i], out=expo[:len(g)])
+            e = np.matmul(e_rows[block], e_cols[i][:, span],
+                          out=expo[:g.size].reshape(g.shape))
             g *= np.exp(e, out=e)
-        total += np.sum(bra * (gmat @ ket[i]).view(complex))
+        total += np.sum(bra * (gmat @ ket[i, span]).view(complex))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 

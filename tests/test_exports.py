@@ -16,8 +16,10 @@ as a constant, a call of its function (`f(...)["k"]`) or a name bound from
 such a call in the same function (`rep = mod.f(...)` and then `rep["k"]`).
 A function whose return is another reporting function's call inherits
 that function's keys.  The records the CLI builds for itself are the one
-exception: a key of a dict that cli returns counts as read wherever it
-appears as a string constant elsewhere under src/ or bench/.
+exception: a key of a record cli writes (a key of a dict it returns, of a
+dict spliced into one with **, or one that a dict adds to the record it
+extends) counts as read wherever it appears as a string constant elsewhere
+under src/ or bench/.
 
 Verdicts are decided in cli alone, so no library function returns a
 pass/fail: no report entry, and no value an exported function returns, is
@@ -169,21 +171,68 @@ def unread_report_keys():
     return sorted(labels)
 
 
-def unread_cli_keys():
-    """Labels cli.key of the keys of cli's returned dicts that appear as
-    no string constant elsewhere under src/ or bench/."""
+def _spliced(node, bound):
+    """The dict literals a ** entry splices: {...} itself, or the literals
+    a name in bound holds (either branch of an if-expression)."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id, [])
+    if isinstance(node, ast.IfExp):
+        return _spliced(node.body, bound) + _spliced(node.orelse, bound)
+    return [node] if isinstance(node, ast.Dict) else []
+
+
+def _written_keys(tree):
+    """The string-key nodes of the records cli writes: the keys of the dict
+    literals its return statements return (a literal, or a name bound to
+    literals in the same function), with those of the literals
+    spliced into them by ** (`**{...}`, or `**name` with name bound to
+    literals in the same function), and those a literal adds to the record
+    it extends, a name spliced first (`{**record, "key": ...}`)."""
+    literals = []
+    for nodes in _scopes(tree):
+        bound = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[target.id] = _spliced(node.value, {})
+        for node in nodes:
+            if isinstance(node, ast.Dict) and node.keys and \
+                    node.keys[0] is None and \
+                    isinstance(node.values[0], ast.Name):
+                literals.append(node)
+            if isinstance(node, ast.Return) and node.value is not None:
+                stack = _spliced(node.value, bound)
+                while stack:
+                    literal = stack.pop()
+                    literals.append(literal)
+                    stack += [spliced for key, value in
+                              zip(literal.keys, literal.values) if key is None
+                              for spliced in _spliced(value, bound)]
+    return list({id(key): key for literal in literals for key in literal.keys
+                 if isinstance(key, ast.Constant)
+                 and isinstance(key.value, str)}.values())
+
+
+def unread_cli_keys(sources=None, cli="src/gffads/cli.py"):
+    """Labels cli.key of the keys of the records cli writes that appear as
+    no string constant elsewhere under src/ or bench/.  sources maps each
+    file's path to its text (every .py file under src/ and bench/ by
+    default), cli names cli's."""
+    if sources is None:
+        sources = {str(path.relative_to(ROOT)): path.read_text()
+                   for folder in READERS
+                   for path in sorted(folder.rglob("*.py"))}
     keys, constants = set(), set()
-    for folder in READERS:
-        for path in sorted(folder.rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            own = (_returned_keys(tree)
-                   if path == ROOT / "src" / "gffads" / "cli.py" else [])
-            keys |= {key.value for key in own}
-            skip = {id(key) for key in own}
-            constants |= {node.value for node in ast.walk(tree)
-                          if isinstance(node, ast.Constant)
-                          and isinstance(node.value, str)
-                          and id(node) not in skip}
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        own = _written_keys(tree) if name == cli else []
+        keys |= {key.value for key in own}
+        skip = {id(key) for key in own}
+        constants |= {node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and id(node) not in skip}
     return sorted(f"cli.{key}" for key in keys - constants)
 
 
@@ -191,6 +240,38 @@ def test_every_report_key_is_read():
     unread = unread_report_keys() + unread_cli_keys()
     assert not unread, (f"{len(unread)} report keys nothing under src/ or "
                         f"bench/ reads: " + ", ".join(unread))
+
+
+# cli's record-building forms: a key spliced in by ** and a key added to a
+# record, each written by FIELDS below
+_CLI_SNIPPET = """
+def _check(name, reference=None):
+    ref = {} if reference is None else {"reference": reference}
+    return {"name": name, **ref, **{"made": 0.0}}
+
+
+def run(suites):
+    return [{**r, "criterion": c} for c, rs in suites.items() for r in rs]
+"""
+
+
+@pytest.mark.parametrize("key", ["name", "reference", "made", "criterion"])
+def test_cli_keys_include_spliced_and_added_keys(key):
+    fields = ("name", "reference", "made", "criterion")
+    written = f"FIELDS = {fields!r}"
+    assert unread_cli_keys({"cli.py": _CLI_SNIPPET, "emit.py": written},
+                           "cli.py") == []
+    unread = f"FIELDS = {tuple(k for k in fields if k != key)!r}"
+    assert unread_cli_keys({"cli.py": _CLI_SNIPPET, "emit.py": unread},
+                           "cli.py") == [f"cli.{key}"]
+
+
+def test_cli_keys_cover_the_written_fields():
+    # every field a verify record writes is one of cli's record keys
+    cli = (ROOT / "src" / "gffads" / "cli.py").read_text()
+    keys = {key.value for key in _written_keys(ast.parse(cli))}
+    assert {"name", "value", "error_estimate", "tolerance", "status",
+            "inputs", "reference", "criterion"} <= keys
 
 
 # the benchmark's tensor workload reads this flag (bench/workloads.py), and

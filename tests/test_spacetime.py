@@ -73,6 +73,17 @@ class TestMinkVector:
         with pytest.raises(DimensionMismatchError):
             MinkVector((0.0, 1.0)) - MinkVector((0.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dot_equals_array_form(self, rng, d):
+        # the array form dot had for every d: a[0] b[0] - np.dot(a[1:], b[1:])
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(200):
+                a, b = scale * rng.standard_normal((2, d))
+                want = float(a[0] * b[0] - np.dot(a[1:], b[1:]))
+                got = MinkVector(tuple(a)).dot(MinkVector(tuple(b)))
+                assert type(got) is float
+                assert got.hex() == want.hex()
+
 
 class TestEmbedding:
     def test_chordal_from_embedding(self, rng):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffads.correlators import (Correlator, GaussianPacket, Smearing,
+from gffads import stress
+from gffads.correlators import (Correlator, GaussianPacket, Power, Smearing,
                                 _exponent, lightcone_grid_nodes, norm_const)
-from gffads.cli import _divergence_oracle
+from gffads.cli import _default_set_args, _divergence_oracle
 from gffads.errors import DomainError
 from gffads.fock import GeneratorKind
 from gffads.spacetime import MinkVector
@@ -16,7 +17,7 @@ from gffads.quadrature import _gauss_legendre
 from gffads.stress import (_EXP_FAST, AnisoGaussian, DerivativePacket,
                            MomentPacket, _kernel_factors, _kernel_lightcone,
                            _kernel_lower, _lommel_factors, _lower,
-                           _set_terms, _unit_time_area,
+                           _set_terms, _support, _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
                            generator_matrix_element, lorentz_density_check,
@@ -370,6 +371,101 @@ class TestOnePass:
             assert got == abs(va + vb - target) / abs(target)
 
 
+class _CountingNumpy:
+    """numpy, with np.exp counting the points it writes in place: in
+    _set_terms one call a k2+ slice over the kept rows, in
+    ads_set_matrix_element one a row block of a slice over its k2- range."""
+
+    def __init__(self):
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, out=None):
+        if out is not None:
+            self.points += out.size
+        return np.exp(x, out=out)
+
+
+@pytest.fixture
+def exp_points(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(stress, "np", counting)
+    return counting
+
+
+def _narrow_pair():
+    """Bra and ket narrow in momentum, off the middle of the grid, where
+    most row-slice pairs lie below the trim."""
+    f1 = GaussianPacket(MinkVector((0.5, -0.3)), 2.5,
+                        MinkVector((-4.0, 1.5)))
+    f2 = GaussianPacket(MinkVector((-0.2, 0.4)), 2.5,
+                        MinkVector((3.0, 1.0)))
+    return f1, f2
+
+
+class TestTrim:
+    """The kernels skip the grid points whose bound is below _TRIM times
+    the largest; _TRIM = 0 keeps every point, the untrimmed sum."""
+
+    @pytest.mark.parametrize("smearing", [
+        "gaussian", "aniso", "derivative0", "derivative1", "moment0",
+        "moment1", "unit_time_area"])
+    @pytest.mark.parametrize("ordering", ["left", "middle", "right"])
+    def test_set_terms_matches_untrimmed(self, monkeypatch, exp_points,
+                                         smearing, ordering):
+        # Power(-0.9) is singular at m -> 0, at the grid's edge
+        h = Power(-0.9)
+        f1, f2 = _narrow_pair()
+        f = _smearing(smearing)
+        terms = ((f, 0, 0), (f, 0, 1), (f, 1, 1))
+        got = _set_terms(terms, h, f1, h, f2, ordering, 48)
+        assert 1.0 - exp_points.points / (48 ** 3 + 24 ** 3) >= 0.4
+        monkeypatch.setattr(stress, "_TRIM", 0.0)
+        want = _set_terms(terms, h, f1, h, f2, ordering, 48)
+        for g, w in zip(got, want):
+            assert rel_err(g.value, w.value) < 1e-13
+            assert abs(g.error_estimate - w.error_estimate) < \
+                1e-13 * abs(w.value)
+
+    @pytest.mark.parametrize("smearing", ["centred", "gaussian", "aniso"])
+    @pytest.mark.parametrize("mu,nu_idx", [(0, 0), (0, 1), (1, 1)])
+    def test_ads_matches_untrimmed(self, monkeypatch, exp_points, packet_trio,
+                                   smearing, mu, nu_idx):
+        h = Power(-0.9)
+        f1, f2 = _narrow_pair()
+        f = packet_trio[2] if smearing == "centred" else _smearing(smearing)
+        args = (0.5, 8.0, f, h, f1, h, f2, mu, nu_idx)
+        got = ads_set_matrix_element(*args, n_outer=16, n_inner=200)
+        assert 1.0 - exp_points.points / (16 ** 3 * 200) >= 0.4
+        monkeypatch.setattr(stress, "_TRIM", 0.0)
+        want = ads_set_matrix_element(*args, n_outer=16, n_inner=200)
+        assert rel_err(got, want) < 1e-13
+
+    def test_default_packets_skip_most_pairs(self, exp_points):
+        # the conservation and reduction requests' grids: 48% and 59% of
+        # their row-slice (row-column) pairs at these packets
+        h, f1, f2, f = _default_set_args()
+        set_matrix_element(f, h, f1, h, f2, 0, 0, n_nodes=96)
+        assert 1.0 - exp_points.points / (96 ** 3 + 48 ** 3) >= 0.3
+        exp_points.points = 0
+        ads_set_matrix_element(0.5, 8.0, f, h, f1, h, f2, 0, 0, n_outer=32,
+                               n_inner=600)
+        assert 1.0 - exp_points.points / (32 ** 3 * 600) >= 0.3
+
+    def test_untrimmed_counts_every_pair(self, monkeypatch, exp_points):
+        # the counts above read every pair when nothing is skipped
+        monkeypatch.setattr(stress, "_TRIM", 0.0)
+        h, f1, f2, f = _default_set_args()
+        set_matrix_element(f, h, f1, h, f2, 0, 0, n_nodes=12)
+        assert exp_points.points == 12 ** 3 + 6 ** 3
+        exp_points.points = 0
+        ads_set_matrix_element(0.5, 8.0, f, h, f1, h, f2, 0, 0, n_outer=4,
+                               n_inner=16)
+        assert exp_points.points == 4 ** 3 * 16
+
+
 class TestDensityLimits:
     def test_momentum_density(self, packet_trio, hpow):
         f1, f2, _ = packet_trio
@@ -620,8 +716,9 @@ def _ads_broadcast(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner,
 
 
 def _ads_dense_mask(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner):
-    """ads_set_matrix_element with full-size k2+ slices: a fresh m2^2 - m1^2
-    matrix and a dense |.| < 1e-9 diagonal mask each (reference)."""
+    """ads_set_matrix_element with full-size k2+ slices over its rows and
+    k2- ranges: a fresh m2^2 - m1^2 matrix and a dense |.| < 1e-9 diagonal
+    mask each (reference)."""
     kmax = 2.0 * max(f1.reach, f2.reach)
     k, w = lightcone_grid_nodes(n_outer, kmax)
     k2m, w2m = lightcone_grid_nodes(n_inner, kmax)
@@ -635,26 +732,35 @@ def _ads_dense_mask(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer, n_inner):
     amp, (s0, s1), (p0, p1), _ = g
     e1 = _exponent(g, k1_0, k1_1)
     e2 = _exponent(g, p0 - k2_0, p1 - k2_1)
-    bra = (np.outer(w, w).ravel() * np.asarray(h1(m1sq)) *
-           f1.fourier(-k1_0, -k1_1) * amp * np.exp(1j * e1.imag))[:, None] * a
-    ket = (w[:, None] * w2m * np.asarray(h2(m2sq)) *
-           f2.fourier(k2_0, k2_1) * np.exp(1j * e2.imag))[..., None] * b
-    e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
-                       np.ones_like(m1sq)], axis=-1)
-    e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
+    bra = np.outer(w, w).ravel() * np.asarray(h1(m1sq)) * \
+        f1.fourier(-k1_0, -k1_1) * amp
+    ket = w[:, None] * w2m * np.asarray(h2(m2sq)) * f2.fourier(k2_0, k2_1)
     m1, j1, j1p, on = _lommel_factors(nu, Z, m1sq)
-    m2, j2, j2p, _ = _lommel_factors(nu, Z, m2sq)
-    w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)
+    m2, j2, j2p, on2 = _lommel_factors(nu, Z, m2sq)
+    # the kernel's rows and k2- ranges
+    rows = _support(np.abs(bra) * np.sqrt(on))
+    cols = _support(np.abs(ket) * np.sqrt(on2))
+    bra = ((bra * np.exp(1j * e1.imag))[:, None] * a)[rows]
+    ket = (ket * np.exp(1j * e2.imag))[..., None] * b
+    e_rows = np.stack([s0 * (k1_0 - p0), s1 * (k1_1 - p1), e1.real,
+                       np.ones_like(m1sq)], axis=-1)[rows]
+    e_cols = np.stack([k2_0, k2_1, np.ones_like(m2sq), e2.real], axis=1)
+    w_rows = np.stack([0.5 * Z * m1 * j1p, -j1], axis=-1)[rows]
     w_cols = np.stack([j2, 0.5 * Z * m2 * j2p], axis=1)
+    sq1, on = (m1 ** 2)[rows], on[rows]
     ket = ket.view(float)
     total = 0.0j
     for i in range(n_outer):
-        diff = m2[i] ** 2 - (m1 ** 2)[:, None]
+        live = np.flatnonzero(cols[i])
+        if not live.size:
+            continue
+        span = slice(live[0], live[-1] + 1)
+        diff = m2[i, span] ** 2 - sq1[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            gmat = (w_rows @ w_cols[i]) / diff
+            gmat = (w_rows @ w_cols[i][:, span]) / diff
         gmat = np.where(np.abs(diff) < 1e-9, on[:, None], gmat)
-        gmat = gmat * np.exp(e_rows @ e_cols[i])
-        total += np.sum(bra * (gmat @ ket[i]).view(complex))
+        gmat = gmat * np.exp(e_rows @ e_cols[i][:, span])
+        total += np.sum(bra * (gmat @ ket[i, span]).view(complex))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 
