@@ -256,17 +256,17 @@ class TestCcr:
         gp = lambda z: np.exp(-(np.asarray(z) - 1.1) ** 2 / (2 * 0.15 ** 2))
         f = lambda x: np.exp(-np.asarray(x) ** 2 / 2)
         fp = lambda x: np.exp(-(np.asarray(x) - 0.3) ** 2 / (2 * 0.8 ** 2))
-        rep = ccr_check(SPEC, g, gp, f, fp, (0.4, 1.6), (0.4, 1.8))
-        assert rep["relative_discrepancy"] < 1e-6
-        assert abs(rep["mode_value"]) > 0.1
+        mode, product = ccr_check(SPEC, g, gp, f, fp, (0.4, 1.6), (0.4, 1.8))
+        assert abs(mode - product) / max(abs(mode), abs(product)) < 1e-6
+        assert abs(mode) > 0.1
 
     def test_disjoint_profiles_vanish(self):
         g = lambda z: np.exp(-(np.asarray(z) - 1.0) ** 2 / (2 * 0.12 ** 2))
         gp = lambda z: np.exp(-(np.asarray(z) - 2.5) ** 2 / (2 * 0.15 ** 2))
         f = lambda x: np.exp(-np.asarray(x) ** 2 / 2)
         fp = lambda x: np.exp(-(np.asarray(x) - 0.3) ** 2 / (2 * 0.8 ** 2))
-        rep = ccr_check(SPEC, g, gp, f, fp, (0.4, 1.6), (1.9, 3.1))
-        assert abs(rep["mode_value"]) < 1e-10
+        mode, _ = ccr_check(SPEC, g, gp, f, fp, (0.4, 1.6), (1.9, 3.1))
+        assert abs(mode) < 1e-10
         # the product formula's depth factor, int g gp dz, vanishes too
         z = np.linspace(0.4, 3.1, 2701)
         assert abs(np.trapezoid(g(z) * gp(z), z)) < 1e-10

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
@@ -328,13 +332,13 @@ class TestVerify:
         # infinite estimate fails a comparison its value passes, and a NaN
         # value fails a flag whose condition holds
         def suite(cfg, rng):
-            return {1: [cli._check("fake.inf_estimate", 1.0, 1.0, 1e-8,
-                                   error=math.inf),
-                        cli._flag("fake.nan_flag", True, math.nan)],
-                    2: [cli._check("fake.finite", 1.0, 1.0, 1e-8)]}
+            yield 1, cli._check("fake.inf_estimate", 1.0, 1.0, 1e-8,
+                                error=math.inf)
+            yield 1, cli._flag("fake.nan_flag", True, math.nan)
+            yield 2, cli._check("fake.finite", 1.0, 1.0, 1e-8)
         monkeypatch.setitem(cli.SUITES, "fake", suite)
         cfg = {"seed": 0, "format": "json", "timings": False}
-        recs = cli.run_verify("fake", cfg)
+        recs = list(cli.run_verify("fake", cfg))
         made = {r["name"]: (r["status"], r["criterion"]) for r in recs}
         assert made == {"fake.inf_estimate": ("fail", 1),
                         "fake.nan_flag": ("fail", 1),
@@ -343,6 +347,16 @@ class TestVerify:
         written = {r["name"]: (r["status"], r["criterion"])
                    for r in strict_json(text)["records"]}
         assert written == made and not ok
+
+    def test_records_stream_as_their_suite_yields_them(self, monkeypatch):
+        # a record is handed out before its suite goes on, so a consumer
+        # that stops early runs none of the later checks
+        def suite(cfg, rng):
+            yield 1, cli._flag("fake.first", True)
+            raise RuntimeError("a later check")
+        monkeypatch.setitem(cli.SUITES, "fake", suite)
+        first = next(cli.run_verify("fake", {"seed": 0}))
+        assert (first["name"], first["status"]) == ("fake.first", "pass")
 
 
 class TestExitCodes:
@@ -394,19 +408,29 @@ class TestOutputOptions:
         assert "runtime_s" not in plain
         assert "runtime_s" in timed
 
+    @staticmethod
+    def slow_then_fast(cfg, rng):
+        """A suite whose first check takes 0.05 s and whose second none."""
+        time.sleep(0.05)
+        yield 2, cli._flag("fake.slow", True)
+        yield 1, cli._flag("fake.fast", True)
+
     def test_verify_timings_per_record(self, monkeypatch):
-        # each record carries the time since the previous one, not an even
-        # share of its suite's wall time
-        # in the order they were made, which need not be the suite's order
-        # of criteria
-        def suite(cfg, rng):
-            time.sleep(0.05)
-            slow = cli._flag("fake.slow", True)
-            return {2: [cli._flag("fake.fast", True)], 1: [slow]}
-        monkeypatch.setitem(cli.SUITES, "fake", suite)
+        # each record carries the time its suite spent making it, not an
+        # even share of its suite's wall time
+        monkeypatch.setitem(cli.SUITES, "fake", self.slow_then_fast)
         recs = {r["name"]: r for r in cli.run_verify("fake", {"seed": 0})}
         assert recs["fake.slow"]["runtime"] >= 0.05
         assert recs["fake.fast"]["runtime"] < 0.01
+
+    def test_consumer_time_is_no_record_time(self, monkeypatch):
+        # the time a consumer takes between records is booked to none
+        monkeypatch.setitem(cli.SUITES, "fake", self.slow_then_fast)
+        runtime = {}
+        for r in cli.run_verify("fake", {"seed": 0}):
+            runtime[r["name"]] = r["runtime"]
+            time.sleep(0.05)
+        assert runtime["fake.fast"] < 0.01
 
     def test_config_file_with_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -443,6 +467,33 @@ class TestOutputOptions:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: verify specfun: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "specfun"], ["compute", "gamma"],
+        ["scan", "gamma", "--axis", "x:1:2:2"]])
+    def test_negative_seed_is_config_error(self, capsys, tmp_path, argv):
+        # numpy's generator takes no negative seed: exit 2 for every
+        # subcommand, from the flag or from the config file
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"seed": -5}))
+        for given in (["--seed", "-1"], ["--config", str(cfgfile)]):
+            assert cli.main(argv + given) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+            assert "seed must be non-negative" in err
+
+    def test_negative_seed_prints_no_traceback(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"seed": -5}))
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        for given in (["--seed", "-1"], ["--config", str(cfgfile)]):
+            run = subprocess.run([sys.executable, "-m", "gffads.cli",
+                                  "verify", "specfun", *given],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 2 and run.stdout == ""
+            assert run.stderr.startswith("error: ")
+            assert "Traceback" not in run.stderr
 
 
 # parameters each quantity reads, for the fuzz below; "junk" is read by none

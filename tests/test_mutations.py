@@ -2,9 +2,10 @@
 
 Each row plants one defect in a public function (monkeypatched, where the
 row's module binds it, to return its value times 1.01), runs only the suite
-that holds the row's records, and asserts that each of them fails.  A defect
-under which every record passes marks a number the acceptance gate does not
-check (mutation analysis: DeMillo, Lipton & Sayward, Computer 11, 1978).
+that holds the row's records, up to the last of them it yields, and asserts
+that each of them fails.  A defect under which every record passes marks a
+number the acceptance gate does not check (mutation analysis: DeMillo,
+Lipton & Sayward, Computer 11, 1978).
 
 The last test holds the estimate of the randomized quasi-Monte Carlo
 record against its reference over several seeds.
@@ -100,8 +101,11 @@ for module, name, *_ in ROWS:
 def test_defect_fails_its_record(monkeypatch, module, name, plant, suite,
                                  records):
     monkeypatch.setattr(module, name, plant(getattr(module, name), 1.01))
-    status = {r["name"]: r["status"]
-              for r in cli.run_verify(suite, cli.load_config(None))}
+    status = {}
+    for r in cli.run_verify(suite, cli.load_config(None)):
+        status[r["name"]] = r["status"]
+        if status.keys() >= set(records):
+            break
     assert [status[rec] for rec in records] == ["fail"] * len(records)
 
 
