@@ -418,6 +418,9 @@ def _suite_holography(cfg, rng):
                              (1.9, 3.1))
     yield 6, _check("holography.ccr_disjoint_supports", mode, 0.0, 1e-6,
                     inputs={"nu": 0.5})
+    mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
+    yield 9, _check("holography.mass_change_kernel", mk, 0.0, 5e-3,
+                    inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7, "m": 1.2})
     lam = 1.5
     eps = corr.EPSILON
     a = adsb.ads2pt(spec, 0.6, 0.9, MinkVector((0.2, 3.0)), epsilon=eps)
@@ -457,9 +460,6 @@ def _suite_holography(cfg, rng):
                     fock.inner_product(*lifts), bulk.value, 1e-8,
                     inputs={"nu": 0.5, "z": [0.3, 0.5], "grid_n": 160,
                             "n_nodes": 240})
-    mk = adsb.mass_change_kernel_check(0.5, 1.5, 0.7, 1.2)
-    yield 9, _check("holography.mass_change_kernel", mk, 0.0, 5e-3,
-                    inputs={"nu": 0.5, "nu_prime": 1.5, "z": 0.7, "m": 1.2})
 
 
 def _suite_locality(cfg, rng):
@@ -646,6 +646,15 @@ def _suite_set(cfg, rng):
                         1e-12, inputs={"k": list(k.components)})
 
     h, f1, f2, f = _default_set_args()
+    # an absolute reference: the kernel on a small grid against the
+    # per-point sum over the same nodes, at both widths
+    small = {"n_nodes": 5, "n_inner": 3}
+    got = stress.vacuum_fluctuation_divergence(f, (0.4, 0.2), 0, 1, **small)
+    want = [_divergence_oracle(f, s, 0, 1, 5, 3) for s in (0.4, 0.2)]
+    for sigma, value, oracle in zip((0.4, 0.2), got["values"], want):
+        yield 11, _check(f"set.vacuum_fluctuation_oracle_sigma{sigma}",
+                         value, oracle, 1e-12,
+                         inputs={"sigma": sigma, "mu": 0, "nu": 1, **small})
     herm = stress.set_matrix_element(f, h, f1, h, f1, 0, 0)
     yield 8, _check("set.hermiticity_imag_part",
                     herm.value.imag / abs(herm.value), 0.0, 1e-10,
@@ -697,7 +706,8 @@ def _suite_set(cfg, rng):
                     inputs={"Z": 8.0, "nu": 0.5})
     sig = [0.4 * 0.5 ** i for i in range(6)]
     div = stress.vacuum_fluctuation_divergence(f, sig)
-    # how much of the grid entered the sum (the rest is flushed to 0)
+    # how much of the grid entered the sum (the rest is trimmed or
+    # flushed to 0)
     counts = {"grid_points": div["grid_points"],
               "exponentials": div["exponentials"]}
     yield 11, _flag("set.vacuum_fluctuation_diverges",
@@ -714,15 +724,6 @@ def _suite_set(cfg, rng):
                      fine["values"][-1], div["values"][-1], 1e-3,
                      inputs={"sigmas": sig[-2:], "n_nodes": 64,
                              "n_inner": 48})
-    # an absolute reference: the kernel on a small grid against the
-    # per-point sum over the same nodes, at both widths
-    small = {"n_nodes": 5, "n_inner": 3}
-    got = stress.vacuum_fluctuation_divergence(f, (0.4, 0.2), 0, 1, **small)
-    want = [_divergence_oracle(f, s, 0, 1, 5, 3) for s in (0.4, 0.2)]
-    for sigma, value, oracle in zip((0.4, 0.2), got["values"], want):
-        yield 11, _check(f"set.vacuum_fluctuation_oracle_sigma{sigma}",
-                         value, oracle, 1e-12,
-                         inputs={"sigma": sigma, "mu": 0, "nu": 1, **small})
 
 
 SUITES = {"specfun": _suite_specfun, "correlators": _suite_correlators,

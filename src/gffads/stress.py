@@ -40,23 +40,28 @@ rounding, not bit for bit.  Terms that share a Gaussian (the two derivative
 packets of conservation_check, the 00 and 11 components of trace_check, the
 two moment packets of lorentz_density_check) share one pass and one complex
 exponential per slice (_set_terms), each value bit-identical to the term on
-its own.  The divergence flushes to 0 every term whose exponent lies below
-_EXP_FAST = -707, where e^x < 9e-308, so that np.exp stays on numpy's vector
-path, and skips a slice with no other term.  The bulk reduction builds its
-weight matrix in cache-sized row blocks and tests its mass diagonal at the
-few candidate entries a sorted search finds.
+its own.  Within the rows it keeps, the divergence flushes to 0 every term
+whose exponent lies below _EXP_FAST = -707, where e^x < 9e-308, so that
+np.exp stays on numpy's vector path, and skips a slice with no other term.
+The bulk reduction builds its weight matrix in cache-sized row blocks and
+tests its mass diagonal at the few candidate entries a sorted search finds.
 
-The grids reach kmax = 2 max(reach), so much of each grid lies where a
-packet is negligible.  Before its slice loop, the matrix-element kernel
-keeps the rows whose |bra| and the k2+ slices whose bound on fhat2 reach
-_TRIM = eps^2 = 4.9e-32 times their largest, and the bulk reduction the
-rows whose |bra| and, on each k2+ slice, the one k2- range whose |ket|
-reaches it, each times the square root of its Lommel diagonal (_support).
-The selection reads the packets alone, never a term, so the terms of one
-pass stay bit-identical to each on its own.  A dropped grid point adds at
-most _TRIM times the largest row bound, the largest slice or column bound
-and the largest |kernel x prefactor| on the grid; each kernel states its
-sum.
+The grids reach kmax = 2 max(reach) (2 reach + 10 for the divergence), so
+much of each grid lies where a packet is negligible.  Before its slice
+loop, the matrix-element kernel keeps the rows whose |bra| and the k2+
+slices whose bound on fhat2 reach _TRIM = eps^2 = 4.9e-32 times their
+largest, and the bulk reduction the rows whose |bra| and, on each k2+
+slice, the one k2- range whose |ket| reaches it, each times the square root
+of its Lommel diagonal (_support).  The divergence sorts its (k1+, k1-)
+rows once by k1^0 and keeps, on each k2+ slice, the prefix of rows whose
+envelope exp(-s0 max(k1^0 + k2+/2 - kappa^0, 0)^2), a bound on |fhat|^2 /
+A^2 at every u that falls with k1^0, reaches _TRIM times the largest; it
+walks that prefix as a view of its (rows, n_inner) buffers.  The selection
+reads the packets alone, never a term, so the terms of one pass stay
+bit-identical to each on its own.  A dropped grid point adds at most _TRIM
+times the largest row bound (or envelope), the largest slice or column
+bound (or weight product) and the largest |kernel x prefactor| (or
+h_sigma^2 K^2) on the grid; each kernel states its sum.
 """
 
 import math
@@ -501,6 +506,40 @@ def commutator_locality_check(f, g, h, h1, f1, mu, nu, n_nodes):
 # ---------------------------------------------------------------------------
 # vacuum fluctuations of the mollified tensor
 
+def _divergence_envelope(f, k1_0, k2p):
+    """exp(-s0 max(k1^0 + k2+/2 - kappa^0, 0)^2) on (slices, rows) for
+    arrays k2p of the slices and k1_0 of the rows: a bound on
+    |fhat(k1 + k2)|^2 / A^2 at every u.  k2 lies in the forward cone and
+    u > 0, so the time component of k1 + k2 - kappa is at least
+    k1^0 + k2+/2 - kappa^0; with hexp <= 0 and the s1 term >= 0 the bound
+    holds for the whole exponential of the divergence kernel."""
+    _, (s0, _), (p0, _), _ = f.gaussian
+    t = np.maximum(k1_0 + 0.5 * k2p[:, None] - p0, 0.0)
+    return np.exp(-s0 * t * t)
+
+
+def _divergence_rows(f, n_nodes):
+    """The grid of vacuum_fluctuation_divergence and its trim.
+
+    Returns the lightcone nodes k, w of each axis, the (k1+, k1-) rows and
+    their weights w1 in increasing order of k1^0, and for each k2+ slice the
+    end of the prefix of rows it keeps.  The envelope
+    (_divergence_envelope) falls with k1^0, so the rows whose envelope is at
+    least _TRIM times the largest of all (_support) are a prefix of the
+    sorted rows; it ends one past the last kept row, so that a NaN entry is
+    never dropped.
+    """
+    k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
+    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    w1 = np.outer(w, w).ravel()
+    order = np.argsort(k1p + k1m, kind="stable")
+    k1p, k1m, w1 = k1p[order], k1m[order], w1[order]
+    kept = _support(_divergence_envelope(f, _lower((k1p, k1m))[0], k))
+    ends = np.where(kept.any(axis=1),
+                    kept.shape[1] - np.argmax(kept[:, ::-1], axis=1), 0)
+    return k, w, k1p, k1m, w1, ends
+
+
 def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
                                   n_inner=24):
     """||Theta^sigma_mn(f) Omega||^2 for delta-mollified diagonal weights.
@@ -515,80 +554,95 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
             |fhat(k1 + k2)|^2 / k2+,      c = norm_const(2),
 
     q1, q2 the lower components of k1 and k2, on n_nodes lightcone nodes per
-    k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 sigma.  The
-    k2+ axis is walked one node at a time over (u, k1+, k1-) arrays.  f is a
-    diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential.  On a
-    slice its exponent, but for the weight's own term, and the kernel
+    k axis and n_inner Gauss-Legendre nodes in u over m1^2 +- 6 sigma.
+
+    The (k1+, k1-) rows are sorted once by k1^0, and every per-sigma array
+    is laid out as (rows, n_inner).  The k2+ axis is walked one node at a
+    time over the prefix of rows whose envelope
+    exp(-s0 max(k1^0 + k2+/2 - kappa^0, 0)^2), a bound on |fhat|^2 / A^2 at
+    every u (_divergence_envelope), is at least _TRIM times the largest
+    (_divergence_rows).  A slice's prefix is a view into the preallocated
+    buffers: nothing is gathered.  Over the constant (1/2) c^2 (1/4) A^2, a
+    point adds at most its envelope times its weight product w1 wu w2+/k2+
+    times h_sigma^2 K^2.  With E the largest envelope, W the largest weight
+    product and P the largest h_sigma^2 K^2 on the grid, a dropped point
+    adds less than _TRIM E W P, so the dropped part of a value is below
+    N _TRIM E W P, N the number of its points (1.3e-25 E W P at 48^3 x 24).
+
+    f is a diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential.
+    On a slice its exponent, but for the weight's own term, and the kernel
     (_kernel_lightcone) are quadratics in u with coefficients over the rows,
-    evaluated by Horner's rule.  A term whose exponent lies below _EXP_FAST
-    = -707 is flushed to 0: it is under e^-707 = 9.0e-308 times its squared
-    kernel and weight.  np.exp takes every point of a slice at
-    max(exponent, -707), on numpy's vector path, and the mask of the points
-    at or above -707 zeroes the flushed ones; a slice with no such point is
-    skipped.  The report counts the grid_points (sigmas x n_nodes^3 x
-    n_inner) and, as exponentials, the points whose exponential enters the
-    sum.
+    evaluated by Horner's rule.  Within the prefix a term whose exponent
+    lies below _EXP_FAST = -707 is flushed to 0: it is under e^-707 =
+    9.0e-308 times its squared kernel and weight.  Points at small k2+
+    still go below -707 through the u / k2+ terms.  np.exp takes every
+    point of the prefix at max(exponent, -707), on numpy's vector path, and
+    the mask of the points at or above -707 zeroes the flushed ones; a slice
+    with no such point is skipped.  The report counts the grid_points
+    (sigmas x n_nodes^3 x n_inner) and, as exponentials, the kept points
+    whose exponent is at or above -707, the ones whose exponential enters
+    the sum.
     """
-    kmax = 2.0 * f.reach + 10.0
     sigmas = checked_sequence(sigma_sequence, "sigma_sequence",
                               increasing=False)
     _check_indices(mu, nu)
     amp, (s0, s1), (p0, p1), _ = _plain_gaussian(
         f, "vacuum_fluctuation_divergence")
-    k, w = lightcone_grid_nodes(n_nodes, kmax)
-    # rows: the (k1+, k1-) grid flattened, on the last axis of every array
-    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    k, w, k1p, k1m, w1, ends = _divergence_rows(f, n_nodes)
     m1sq = k1p * k1m
     q1 = _lower((k1p, k1m))
     (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
-    w1 = np.outer(w, w).ravel()
 
     values, exponentials = [], 0
-    # per-slice arrays, (n_inner, rows), written in place
-    expo, kern = (np.empty((n_inner, m1sq.size)) for _ in range(2))
+    # per-slice arrays, (rows, n_inner), written in place over a prefix
+    expo, kern = (np.empty((m1sq.size, n_inner)) for _ in range(2))
     live = np.empty(expo.shape, dtype=bool)
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
         # inner nodes u = m2^2 on the +-6 sigma window of the weight, as
-        # (n_inner, rows) arrays
-        u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
+        # (rows, n_inner) arrays
+        u, wu = _gauss_legendre(
             n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
-            (m1sq + 6.0 * sigma)[:, None]))
-        weight = w1 * wu
+            (m1sq + 6.0 * sigma)[:, None])
+        weight = w1[:, None] * wu
         # its own array: expanded in u, its terms of ~(u / sigma)^2 cancel
-        hexp = -((u - m1sq) / sigma) ** 2
+        hexp = -((u - m1sq[:, None]) / sigma) ** 2
         total = 0.0
-        for k2p, w2p in zip(k, w):
+        for k2p, w2p, end in zip(k, w, ends):
+            if not end:
+                continue
             # with k2- = u / k2+, k1 + k2 - kappa has the upper components
             # b0 + k2-/2 and b1 - k2-/2, and the Gaussian's exponent and the
             # kernel are quadratics in u with coefficients over the rows,
-            # evaluated by Horner's rule:
+            # evaluated by Horner's rule on the slice's prefix:
             # expo = hexp - (s0 b0^2 + s1 b1^2) - (s0 b0 - s1 b1) u / k2+
             #        - (s0 + s1) u^2 / (4 k2+^2)
-            b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
-            np.multiply(u, -0.25 * (s0 + s1) / k2p ** 2, out=expo)
-            expo += (s1 * b1 - s0 * b0) / k2p
-            expo *= u
-            expo -= s0 * b0 * b0 + s1 * b1 * b1
-            expo += hexp
+            b0 = q1[0][:end] + 0.5 * k2p - p0
+            b1 = 0.5 * k2p - q1[1][:end] - p1
+            ue, ex, kr, lv = u[:end], expo[:end], kern[:end], live[:end]
+            np.multiply(ue, -0.25 * (s0 + s1) / k2p ** 2, out=ex)
+            ex += ((s1 * b1 - s0 * b0) / k2p)[:, None]
+            ex *= ue
+            ex -= (s0 * b0 * b0 + s1 * b1 * b1)[:, None]
+            ex += hexp[:end]
             # terms below _EXP_FAST are flushed to 0: a slice with no exponent
             # at or above it adds 0
             n_live = int(np.count_nonzero(
-                np.greater_equal(expo, _EXP_FAST, out=live)))
+                np.greater_equal(ex, _EXP_FAST, out=lv)))
             if not n_live:
                 continue
             exponentials += n_live
-            gauss = np.exp(np.maximum(expo, _EXP_FAST, out=expo), out=expo)
-            gauss *= live
+            gauss = np.exp(np.maximum(ex, _EXP_FAST, out=ex), out=ex)
+            gauss *= lv
             # the kernel c0 + (cp + dpp k2+) k2+ + (dpm + cm / k2+) u
             # + dmm u^2 / k2+^2, squared, times the Gaussian
-            np.multiply(u, dmm / k2p ** 2, out=kern)
-            kern += dpm + cm / k2p
-            kern *= u
-            kern += c0 + (cp + dpp * k2p) * k2p
-            kern *= kern
-            kern *= gauss
-            total += w2p / k2p * np.vdot(weight, kern)
+            np.multiply(ue, dmm / k2p ** 2, out=kr)
+            kr += (dpm + cm[:end] / k2p)[:, None]
+            kr *= ue
+            kr += (c0[:end] + (cp[:end] + dpp * k2p) * k2p)[:, None]
+            kr *= kr
+            kr *= gauss
+            total += w2p / k2p * np.vdot(weight[:end], kr)
         values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
                             (norm * amp) ** 2 * total))
     logs = np.log(values)

@@ -15,8 +15,10 @@ from gffads.spacetime import MinkVector
 from gffads.specfun import Order
 from gffads.quadrature import _gauss_legendre
 from gffads.stress import (_EXP_FAST, AnisoGaussian, DerivativePacket,
-                           MomentPacket, _kernel_factors, _kernel_lightcone,
-                           _kernel_lower, _lommel_factors, _lower,
+                           MomentPacket, _divergence_envelope,
+                           _divergence_rows, _kernel_factors,
+                           _kernel_lightcone, _kernel_lower,
+                           _lommel_factors, _lower,
                            _set_terms, _support, _unit_time_area,
                            ads_set_matrix_element, ads_set_reduction,
                            commutator_locality_check, conservation_check,
@@ -374,7 +376,9 @@ class TestOnePass:
 class _CountingNumpy:
     """numpy, with np.exp counting the points it writes in place: in
     _set_terms one call a k2+ slice over the kept rows, in
-    ads_set_matrix_element one a row block of a slice over its k2- range."""
+    ads_set_matrix_element one a row block of a slice over its k2- range,
+    in vacuum_fluctuation_divergence one a live k2+ slice over its kept
+    prefix of rows."""
 
     def __init__(self):
         self.points = 0
@@ -465,6 +469,54 @@ class TestTrim:
                                n_inner=16)
         assert exp_points.points == 4 ** 3 * 16
 
+    @staticmethod
+    def _divergence_packet(name):
+        # the workload's tensor smearing; unequal widths (s0 != s1); and a
+        # carrier with kappa^0 = 3, where k1^0 + k2+/2 - kappa^0 < 0 on
+        # part of the grid and the envelope's clamp at 0 holds
+        return {"workload": GaussianPacket(MinkVector((0.0, 0.0)), 0.8,
+                                           MinkVector((0.0, 0.0))),
+                "aniso": AnisoGaussian(0.6, 1.1),
+                "carrier": GaussianPacket(MinkVector((0.2, -0.1)), 0.8,
+                                          MinkVector((3.0, 0.5)))}[name]
+
+    @pytest.mark.parametrize("packet", ["workload", "aniso", "carrier"])
+    @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
+    def test_divergence_matches_untrimmed(self, packet, mu, nu):
+        f = self._divergence_packet(packet)
+        sigmas = (0.4, 0.1, 0.0125)
+        got = vacuum_fluctuation_divergence(f, sigmas, mu, nu)["values"]
+        want = _divergence_every_exp(f, sigmas, mu=mu, nu=nu,
+                                     select=False)[0]
+        for g, w in zip(got, want):
+            assert rel_err(g, w) < 1e-13
+
+    @pytest.mark.parametrize("packet", ["workload", "aniso", "carrier"])
+    def test_divergence_envelope_bounds_the_gaussian(self, packet):
+        # the largest |fhat(k1 + k2)|^2 / A^2 over u >= 0, in closed form:
+        # with v = k2-/2 >= 0 the exponent -s0 (b0 + v)^2 - s1 (b1 - v)^2
+        # peaks at v* = (s1 b1 - s0 b0) / (s0 + s1), clipped at 0
+        f = self._divergence_packet(packet)
+        _, (s0, s1), (p0, p1), _ = f.gaussian
+        k, _ = lightcone_grid_nodes(48, 2.0 * f.reach + 10.0)
+        k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+        q1 = _lower((k1p, k1m))
+        b0 = q1[0] + 0.5 * k[:, None] - p0
+        b1 = 0.5 * k[:, None] - q1[1] - p1
+        v = np.maximum((s1 * b1 - s0 * b0) / (s0 + s1), 0.0)
+        peak = np.exp(-s0 * (b0 + v) ** 2 - s1 * (b1 - v) ** 2)
+        env = _divergence_envelope(f, q1[0], k)
+        assert env.shape == peak.shape
+        assert np.all(env >= peak * (1.0 - 1e-12))
+
+    def test_divergence_skips_most_points(self, exp_points):
+        # the workload's packet and widths: the kernel takes np.exp on 34%
+        # of the grid points, against 90% untrimmed
+        f = self._divergence_packet("workload")
+        sigmas = [0.4 * 2.0 ** -i for i in range(6)]
+        rep = vacuum_fluctuation_divergence(f, sigmas)
+        assert exp_points.points <= 0.5 * rep["grid_points"]
+
 
 class TestDensityLimits:
     def test_momentum_density(self, packet_trio, hpow):
@@ -504,42 +556,53 @@ class TestCommutatorLocality:
         assert abs(forward.value) > 1e-4
 
 
-def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24):
+def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24, mu=0, nu=0,
+                          select=True):
     """vacuum_fluctuation_divergence's values in the kernel's arithmetic
-    (Horner's rule in u) with np.exp taken on every grid point (reference),
-    the number of points whose exponent is at or above -707 (the kernel
-    flushes the others to 0), the number of k2+ slices with no such point,
-    and the number of points on the other slices whose exponent lies in
+    (Horner's rule in u, (rows, n_inner) arrays) with np.exp taken on every
+    point it walks (reference).  With select it walks the kernel's rows,
+    order and per-slice prefixes (_divergence_rows); without, every row of
+    every slice in grid order, the untrimmed sum.  Also returns the number
+    of walked points whose exponent is at or above -707 (the kernel flushes
+    the others to 0), the number of k2+ slices with no such point, and the
+    number of walked points on the other slices whose exponent lies in
     [-746, -707), where exp is tiny or subnormal rather than 0."""
     amp, (s0, s1), (p0, p1), _ = f.gaussian
-    k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
-    k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+    if select:
+        k, w, k1p, k1m, w1, ends = _divergence_rows(f, n_nodes)
+    else:
+        k, w = lightcone_grid_nodes(n_nodes, 2.0 * f.reach + 10.0)
+        k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+        w1 = np.outer(w, w).ravel()
+        ends = [k1p.size] * n_nodes
     m1sq = k1p * k1m
     q1 = _lower((k1p, k1m))
-    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, 0, 0)
-    w1 = np.outer(w, w).ravel()
+    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
     values, live, dead, flushed = [], 0, 0, 0
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        u, wu = (np.ascontiguousarray(a.T) for a in _gauss_legendre(
+        u, wu = _gauss_legendre(
             n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
-            (m1sq + 6.0 * sigma)[:, None]))
-        weight = w1 * wu
-        hexp = -((u - m1sq) / sigma) ** 2
+            (m1sq + 6.0 * sigma)[:, None])
+        weight = w1[:, None] * wu
+        hexp = -((u - m1sq[:, None]) / sigma) ** 2
         total = 0.0
-        for k2p, w2p in zip(k, w):
-            b0, b1 = q1[0] + 0.5 * k2p - p0, 0.5 * k2p - q1[1] - p1
-            expo = ((u * (-0.25 * (s0 + s1) / k2p ** 2)
-                     + (s1 * b1 - s0 * b0) / k2p) * u
-                    - (s0 * b0 * b0 + s1 * b1 * b1)) + hexp
-            kern = (u * (dmm / k2p ** 2) + (dpm + cm / k2p)) * u \
-                + (c0 + (cp + dpp * k2p) * k2p)
+        for k2p, w2p, end in zip(k, w, ends):
+            ue = u[:end]
+            b0 = q1[0][:end] + 0.5 * k2p - p0
+            b1 = 0.5 * k2p - q1[1][:end] - p1
+            expo = ((ue * (-0.25 * (s0 + s1) / k2p ** 2)
+                     + ((s1 * b1 - s0 * b0) / k2p)[:, None]) * ue
+                    - (s0 * b0 * b0 + s1 * b1 * b1)[:, None]) + hexp[:end]
+            kern = (ue * (dmm / k2p ** 2) + (dpm + cm[:end] / k2p)[:, None]) \
+                * ue + (c0[:end] + (cp[:end] + dpp * k2p) * k2p)[:, None]
             n_live = int(np.count_nonzero(expo >= -707.0))
             live, dead = live + n_live, dead + (n_live == 0)
             if n_live:
                 flushed += int(np.count_nonzero((expo < -707.0) &
                                                 (expo >= -746.0)))
-            total += w2p / k2p * np.vdot(weight, kern * kern * np.exp(expo))
+            total += w2p / k2p * np.vdot(weight[:end],
+                                         kern * kern * np.exp(expo))
         values.append(float(0.5 * norm_const(2) ** 2 * 0.25 *
                             (norm * amp) ** 2 * total))
     return values, live, dead, flushed
@@ -580,9 +643,10 @@ def _divergence_per_point(f, sigmas, n_nodes=48, n_inner=24):
 
 class TestVacuumFluctuation:
     def test_equals_every_exponential(self, packet_trio):
-        # the packet and widths of the divergence check: 30 of the 288
-        # slices hold no exponent at or above -707, and 44% of the points
-        # lie below it (43% where exp is exactly 0)
+        # the packet and widths of the divergence check: the trim keeps 40%
+        # of the row-slice pairs and none on 11 of the 48 slices, 96 of the
+        # 288 (sigma, slice) pairs hold no kept exponent at or above -707,
+        # and 26% of the points are kept at or above it (56% untrimmed)
         f = packet_trio[2]
         sigmas = [0.4 * 2.0 ** -i for i in range(6)]
         rep = vacuum_fluctuation_divergence(f, sigmas)
@@ -596,9 +660,10 @@ class TestVacuumFluctuation:
             assert rel_err(got, old) <= 1e-14
 
     def test_flushed_arguments_above_exact_zero(self):
-        # a narrow packet with a carrier: its live slices hold exponents in
-        # [-746, -707), where exp is subnormal or tiny but not 0; the kernel
-        # flushes them, and its values are still those of exp everywhere
+        # a narrow packet with a carrier: the kept rows of its live slices
+        # hold exponents in [-746, -707) (180 points), where exp is
+        # subnormal or tiny but not 0; the kernel flushes them, and its
+        # values are still those of exp on every kept point
         f = GaussianPacket(MinkVector((0.2, -0.1)), 0.5,
                            MinkVector((1.2, 0.4)))
         sigmas = (0.3, 0.1)
