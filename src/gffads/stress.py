@@ -34,17 +34,23 @@ No kernel computes what it knows exactly.  On a slice of the matrix-element
 and divergence kernels, the exponent of the Gaussians and the kernel are
 polynomials in the slice's one free variable (k2- = k1+ k1- / k2+ in
 _set_terms, u = k2+ k2- in the divergence) whose coefficients are vectors over
-the rows, built once a slice and evaluated by Horner's rule into
-preallocated buffers.  A value is therefore the per-point evaluation's up to
-rounding, not bit for bit.  Terms that share a Gaussian (the two derivative
-packets of conservation_check, the 00 and 11 components of trace_check, the
-two moment packets of lorentz_density_check) share one pass and one complex
-exponential per slice (_set_terms), each value bit-identical to the term on
-its own.  Within the rows it keeps, the divergence flushes to 0 every term
-whose exponent lies below _EXP_FAST = -707, where e^x < 9e-308, so that
-np.exp stays on numpy's vector path, and skips a slice with no other term.
-The bulk reduction builds its weight matrix in cache-sized row blocks and
-tests its mass diagonal at the few candidate entries a sorted search finds.
+the rows, built once a slice into preallocated buffers.  _set_terms
+evaluates them by Horner's rule.  The divergence takes them in the variable
+of its Gauss-Legendre nodes in u (_node_coefficients), so that its exponent
+and its kernel are each one small matrix product of coefficients over the
+rows and the monomials of the nodes; each differs from Horner's rule in u
+by a small multiple of eps times the sum of its terms' magnitudes.  A value
+is therefore the per-point evaluation's up to rounding, not bit for bit.
+Terms that share a Gaussian (the two derivative packets of
+conservation_check, the 00 and 11 components of trace_check, the two moment
+packets of lorentz_density_check) share one pass and one complex exponential
+per slice (_set_terms), each value bit-identical to the term on its own.
+Within the rows it keeps, the divergence flushes to 0 every term whose
+exponent lies below _EXP_FAST = -707, where e^x < 9e-308, so that np.exp
+stays on numpy's vector path, and skips a slice with no other term.
+The bulk reduction builds its weight matrix in cache-sized row blocks,
+contracts each block with the ket while it is in cache, and tests its mass
+diagonal at the few candidate entries a sorted search finds.
 
 The grids reach kmax = 2 max(reach) (2 reach + 10 for the divergence), so
 much of each grid lies where a packet is negligible.  Before its slice
@@ -70,7 +76,7 @@ import numpy as np
 
 from .errors import DomainError, checked_sequence
 from .specfun import _nu, bessel_j
-from .quadrature import _gauss_legendre, adaptive_finite
+from .quadrature import _gauss_legendre, _legendre_table, adaptive_finite
 from .correlators import (Correlator, Smearing, _exponent, _lower,
                           lightcone_grid_nodes, norm_const)
 from .fock import GeneratorKind, LightconeGrid, ModeFunction, apply_generator
@@ -172,18 +178,29 @@ def set_kernel(k1, k2, signs, mu, nu, improvement=0.0):
 
     signs is the (eps1, eps2) pattern of the bilinear; the returned value is
     the coefficient of :a^{eps1}(k1) a^{eps2}(k2): with phase
-    e^{i(eps1 k1 + eps2 k2) x}, each sign +1 or -1.
+    e^{i(eps1 k1 + eps2 k2) x}, each sign +1 or -1.  A momentum with a
+    non-finite component, or a non-finite improvement, raises DomainError;
+    finite arguments whose kernel overflows raise OverflowError.
     """
     for k in (k1, k2):
-        if k.d != 2 or k.square() <= 0 or k.components[0] <= 0:
+        # k^0 > |k^1| is the open forward cone in d = 2, and fails for NaN
+        if k.d != 2 or not all(map(math.isfinite, k.components)) or \
+                not k.components[0] > abs(k.components[1]):
             raise DomainError("momenta must lie in the open forward cone")
     _check_indices(mu, nu)
     e1, e2 = signs
     if e1 not in (1, -1) or e2 not in (1, -1):
         raise DomainError(f"signs must be +1 or -1, got {signs!r}")
+    if not math.isfinite(improvement):
+        raise DomainError(f"improvement must be finite, got {improvement!r}")
     q1 = (e1 * k1.components[0], -e1 * k1.components[1])
     q2 = (e2 * k2.components[0], -e2 * k2.components[1])
-    return complex(_kernel_lower(q1, q2, mu, nu, improvement))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _kernel_lower(q1, q2, mu, nu, improvement)
+    if not math.isfinite(value):
+        raise OverflowError(f"set_kernel overflows at k1 = {k1.components}, "
+                            f"k2 = {k2.components}")
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +557,24 @@ def _divergence_rows(f, n_nodes):
     return k, w, k1p, k1m, w1, ends
 
 
+def _node_coefficients(g0, g1, g2, lo, half, out):
+    """Writes to out[:3] the coefficients in x of the quadratic
+    g0 + g1 u + g2 u^2 at u = lo + half x: g0 + (g1 + g2 lo) lo,
+    (g1 + 2 g2 lo) half and g2 half^2.  g2 is a number, the rest arrays
+    over the rows.  With lo, half and x >= 0 the terms in x add in
+    magnitude to at most the terms in u, so the value's rounding is a small
+    multiple of eps times their sum, as by Horner's rule in u."""
+    g2lo = g2 * lo
+    np.add(g1, g2lo, out=out[0])
+    out[0] *= lo
+    out[0] += g0
+    np.multiply(2.0, g2lo, out=out[1])
+    out[1] += g1
+    out[1] *= half
+    np.multiply(half, half, out=out[2])
+    out[2] *= g2
+
+
 def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
                                   n_inner=24):
     """||Theta^sigma_mn(f) Omega||^2 for delta-mollified diagonal weights.
@@ -570,15 +605,29 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     N _TRIM E W P, N the number of its points (1.3e-25 E W P at 48^3 x 24).
 
     f is a diagonal Gaussian, so h_sigma^2 |fhat|^2 is one real exponential.
-    On a slice its exponent, but for the weight's own term, and the kernel
-    (_kernel_lightcone) are quadratics in u with coefficients over the rows,
-    evaluated by Horner's rule.  Within the prefix a term whose exponent
-    lies below _EXP_FAST = -707 is flushed to 0: it is under e^-707 =
-    9.0e-308 times its squared kernel and weight.  Points at small k2+
-    still go below -707 through the u / k2+ terms.  np.exp takes every
-    point of the prefix at max(exponent, -707), on numpy's vector path, and
-    the mask of the points at or above -707 zeroes the flushed ones; a slice
-    with no such point is skipped.  The report counts the grid_points
+    On a slice its exponent and the kernel (_kernel_lightcone) are
+    quadratics in u with coefficients over the rows.  The inner nodes of a
+    row are u = lo + half x, x = t + 1 in [0, 2] for the Gauss-Legendre
+    nodes t on [-1, 1], so both are quadratics in x (_node_coefficients),
+    and the weight's own term -((u - m1^2) / sigma)^2 is -(h0 + h1 t)^2,
+    |h0| + h1 = 6, a quadratic in t.  The exponent is one matrix product of
+    its (rows, 5) coefficients and the monomials (1, x, x^2, t, t^2) of the
+    n_inner nodes, the kernel one of its (rows, 3) coefficients and
+    (1, x, x^2), each over the slice's prefix.  With lo, half and x >= 0
+    the terms in x add in magnitude to at most those in u, and the weight's
+    terms in t to at most 36, so each differs from Horner's rule in u by at
+    most a small multiple of eps times the sum of the magnitudes of the
+    terms of both (8 eps on the tests' packets).  In t, about the window's
+    middle, the Gaussian's coefficients reach 1e5 on slices of small k2+
+    and cancel.
+
+    Within the prefix a term whose exponent lies below _EXP_FAST = -707 is
+    flushed to 0: it is under e^-707 = 9.0e-308 times its squared kernel
+    and weight.  Points at small k2+ still go below -707 through the
+    u / k2+ terms.  np.exp takes every point of the prefix at
+    max(exponent, -707), on numpy's vector path, and the mask of the points
+    at or above -707 zeroes the flushed ones; a slice with no such point is
+    skipped.  The report counts the grid_points
     (sigmas x n_nodes^3 x n_inner) and, as exponentials, the kept points
     whose exponent is at or above -707, the ones whose exponential enters
     the sum.
@@ -593,20 +642,35 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
     q1 = _lower((k1p, k1m))
     (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
 
+    t, wt = _legendre_table(n_inner)
+    # the monomials of the inner nodes, one a row: 1, x and x^2 of
+    # x = t + 1 in [0, 2], then t and t^2
+    x = t + 1.0
+    powers = np.stack([np.ones_like(t), x, x * x, t, t * t])
+
     values, exponentials = [], 0
-    # per-slice arrays, (rows, n_inner), written in place over a prefix
+    # per-slice arrays, (rows, n_inner), and the coefficients of the
+    # exponent and the kernel in the monomials, (5, rows) and (3, rows),
+    # written in place over a prefix
     expo, kern = (np.empty((m1sq.size, n_inner)) for _ in range(2))
     live = np.empty(expo.shape, dtype=bool)
+    ecoef, kcoef = np.empty((5, m1sq.size)), np.empty((3, m1sq.size))
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        # inner nodes u = m2^2 on the +-6 sigma window of the weight, as
-        # (rows, n_inner) arrays
-        u, wu = _gauss_legendre(
-            n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
-            (m1sq + 6.0 * sigma)[:, None])
-        weight = w1[:, None] * wu
-        # its own array: expanded in u, its terms of ~(u / sigma)^2 cancel
-        hexp = -((u - m1sq[:, None]) / sigma) ** 2
+        # _gauss_legendre's inner nodes u = m2^2 on the +-6 sigma window of
+        # the weight, clamped at u >= 1e-12: u = lo + half x on each row
+        lo = np.maximum(m1sq - 6.0 * sigma, 1e-12)
+        half = 0.5 * (m1sq + 6.0 * sigma - lo)
+        weight = w1[:, None] * (half[:, None] * wt)
+        # the weight's own exponent -((u - m1^2) / sigma)^2 =
+        # -(h0 + h1 t)^2 about the window's middle, where its terms add to
+        # at most 36 (|h0| + h1 = 6) and in u its terms of ~(u / sigma)^2
+        # cancel; its t and t^2 coefficients serve every slice
+        h1 = half / sigma
+        h0 = (lo - m1sq) / sigma + h1
+        hexp = -h0 * h0
+        np.multiply(-2.0 * h0, h1, out=ecoef[3])
+        np.multiply(-h1, h1, out=ecoef[4])
         total = 0.0
         for k2p, w2p, end in zip(k, w, ends):
             if not end:
@@ -614,17 +678,19 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
             # with k2- = u / k2+, k1 + k2 - kappa has the upper components
             # b0 + k2-/2 and b1 - k2-/2, and the Gaussian's exponent and the
             # kernel are quadratics in u with coefficients over the rows,
-            # evaluated by Horner's rule on the slice's prefix:
+            # in x as _node_coefficients states:
             # expo = hexp - (s0 b0^2 + s1 b1^2) - (s0 b0 - s1 b1) u / k2+
             #        - (s0 + s1) u^2 / (4 k2+^2)
             b0 = q1[0][:end] + 0.5 * k2p - p0
             b1 = 0.5 * k2p - q1[1][:end] - p1
-            ue, ex, kr, lv = u[:end], expo[:end], kern[:end], live[:end]
-            np.multiply(ue, -0.25 * (s0 + s1) / k2p ** 2, out=ex)
-            ex += ((s1 * b1 - s0 * b0) / k2p)[:, None]
-            ex *= ue
-            ex -= (s0 * b0 * b0 + s1 * b1 * b1)[:, None]
-            ex += hexp[:end]
+            ec, kc = ecoef[:, :end], kcoef[:, :end]
+            _node_coefficients(-(s0 * b0 * b0 + s1 * b1 * b1),
+                               (s1 * b1 - s0 * b0) / k2p,
+                               -0.25 * (s0 + s1) / k2p ** 2,
+                               lo[:end], half[:end], ec)
+            ec[0] += hexp[:end]
+            ex, kr, lv = expo[:end], kern[:end], live[:end]
+            np.matmul(ec.T, powers, out=ex)
             # terms below _EXP_FAST are flushed to 0: a slice with no exponent
             # at or above it adds 0
             n_live = int(np.count_nonzero(
@@ -636,10 +702,10 @@ def vacuum_fluctuation_divergence(f, sigma_sequence, mu=0, nu=0, n_nodes=48,
             gauss *= lv
             # the kernel c0 + (cp + dpp k2+) k2+ + (dpm + cm / k2+) u
             # + dmm u^2 / k2+^2, squared, times the Gaussian
-            np.multiply(ue, dmm / k2p ** 2, out=kr)
-            kr += (dpm + cm[:end] / k2p)[:, None]
-            kr *= ue
-            kr += (c0[:end] + (cp[:end] + dpp * k2p) * k2p)[:, None]
+            _node_coefficients(c0[:end] + (cp[:end] + dpp * k2p) * k2p,
+                               dpm + cm[:end] / k2p, dmm / k2p ** 2,
+                               lo[:end], half[:end], kc)
+            np.matmul(kc.T, powers[:3], out=kr)
             kr *= kr
             kr *= gauss
             total += w2p / k2p * np.vdot(weight[:end], kr)
@@ -764,9 +830,12 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
     sum(bra (G @ ket)) with the real matrix G = weight * exp(E): the weight
     is a rank-2 product of Bessel factors, computed once for the rows and
     once for all columns, over m2^2 - m1^2, and E one rank-4 product.  G is
-    built in blocks of _ROW_BLOCK rows; its diagonal |m2^2 - m1^2| < 1e-9,
-    where the weight takes its Lommel limit, is tested only at the pairs a
-    search in the sorted m2^2 finds (_near_diagonal).
+    built in blocks of _ROW_BLOCK rows, and each block is contracted with
+    the ket, a (block, 8) real product into a buffer over all rows, while it
+    is in cache; the slice is one sum of bra times that buffer.  G's
+    diagonal |m2^2 - m1^2| < 1e-9, where the weight takes its Lommel limit,
+    is tested only at the pairs a search in the sorted m2^2 finds
+    (_near_diagonal).
 
     The weight is a Gram kernel, (1/2) int_0^Z z J(z m1) J(z m2) dz, so
     |weight| <= sqrt(on1 on2), on its Lommel diagonal, and |exp(E)| <= 1.
@@ -831,22 +900,24 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
 
     ket = ket.view(float)  # real and imaginary parts interleaved
     n_rows = len(sq1)
-    # G and a block's factors, each slice's taking the front of the buffer
-    gbuf = np.empty(n_rows * n_inner)
-    expo, diff = (np.empty(min(_ROW_BLOCK, n_rows) * n_inner)
-                  for _ in range(2))
+    # a block of G and its factors, each slice's taking the front of the
+    # buffer, and G @ ket over all rows
+    gbuf, expo, diff = (np.empty(min(_ROW_BLOCK, n_rows) * n_inner)
+                        for _ in range(3))
+    prod = np.empty((n_rows, ket.shape[-1]))
     total = 0.0j
     for i in np.flatnonzero(kept_cols.any(axis=1)):
-        span = slice(lo[i], hi[i])
-        gmat = gbuf[:n_rows * (hi[i] - lo[i])].reshape(n_rows, -1)
+        span, width = slice(lo[i], hi[i]), hi[i] - lo[i]
         rows, cols, start = _near_diagonal(sq1, sq2[i, span])
-        # G is built _ROW_BLOCK rows at a time, so that a block's factors
-        # stay in cache; the product with ket takes all rows at once
+        # G is built _ROW_BLOCK rows at a time and contracted with ket
+        # while the block is in cache
         for r in range(0, n_rows, _ROW_BLOCK):
             block = slice(r, r + _ROW_BLOCK)
-            g = np.matmul(w_rows[block], w_cols[i][:, span], out=gmat[block])
+            size = len(sq1[block]) * width
+            g = np.matmul(w_rows[block], w_cols[i][:, span],
+                          out=gbuf[:size].reshape(-1, width))
             d = np.matmul(d_rows[block], d_cols[i][:, span],
-                          out=diff[:g.size].reshape(g.shape))
+                          out=diff[:size].reshape(g.shape))
             # the diagonal |m2^2 - m1^2| < 1e-9 takes the value on, as on / 1
             near = slice(start[r], start[min(r + _ROW_BLOCK, n_rows)])
             rr, cc = rows[near] - r, cols[near]
@@ -855,9 +926,10 @@ def ads_set_matrix_element(nu, Z, f, h1, f1, h2, f2, mu, nu_idx, n_outer,
             g[rr, cc], d[rr, cc] = on[rr + r], 1.0
             g /= d
             e = np.matmul(e_rows[block], e_cols[i][:, span],
-                          out=expo[:g.size].reshape(g.shape))
+                          out=expo[:size].reshape(g.shape))
             g *= np.exp(e, out=e)
-        total += np.sum(bra * (gmat @ ket[i, span]).view(complex))
+            np.matmul(g, ket[i, span], out=prod[block])
+        total += np.sum(bra * prod.view(complex))
     return complex(norm_const(2) ** 2 * 0.25 * total)
 
 

@@ -389,6 +389,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: compute {name}: ")
 
+    @pytest.mark.parametrize("params, code", [
+        (["k1=nan,0.4"], 2), (["k2=1.1,nan"], 2), (["k1=inf,0.4"], 2),
+        (["improvement=nan"], 2), (["improvement=inf"], 2),
+        (["k1=1e200,0.4", "k2=1e200,0.1"], 3)])
+    def test_set_kernel_non_finite(self, capsys, params, code):
+        # a non-finite input is a domain error and a finite one whose
+        # kernel overflows exit 3, never a null value with exit 1
+        argv = ["compute", "setKernel"]
+        for item in params:
+            argv += ["--param", item]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: compute setKernel: ")
+
+    def test_set_kernel_nan_in_config(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"params": {"k1": [NaN, 0.4]}}')
+        assert cli.main(["compute", "setKernel", "--config",
+                         str(cfgfile)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "forward cone" in err
+
 
 class TestOutputOptions:
     def test_csv_format(self, capsys):

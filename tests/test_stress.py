@@ -13,7 +13,7 @@ from gffads.errors import DomainError
 from gffads.fock import GeneratorKind
 from gffads.spacetime import MinkVector
 from gffads.specfun import Order
-from gffads.quadrature import _gauss_legendre
+from gffads.quadrature import _gauss_legendre, _legendre_table
 from gffads.stress import (_EXP_FAST, AnisoGaussian, DerivativePacket,
                            MomentPacket, _divergence_envelope,
                            _divergence_rows, _kernel_factors,
@@ -59,6 +59,29 @@ class TestKernel:
         for signs in ((2, -1), (0, -1), (1, 0.5)):
             with pytest.raises(DomainError):
                 set_kernel(fwd, fwd, signs, 0, 0)
+
+    @pytest.mark.parametrize("k1, k2, improvement", [
+        ((math.nan, 0.4), (1.1, -0.2), 0.0),
+        ((1.3, math.nan), (1.1, -0.2), 0.0),
+        ((1.3, 0.4), (math.nan, -0.2), 0.0),
+        ((math.inf, 0.4), (1.1, -0.2), 0.0),
+        ((1.3, 0.4), (1.1, -0.2), math.nan),
+        ((1.3, 0.4), (1.1, -0.2), math.inf),
+        ((1.3, 0.4), (1.1, -0.2), -math.inf)])
+    def test_non_finite_input_rejected(self, k1, k2, improvement):
+        # a NaN fails every comparison of a forward-cone test, so it would
+        # pass a test written as a list of rejections
+        with pytest.raises(DomainError):
+            set_kernel(MinkVector(k1), MinkVector(k2), (1, -1), 0, 0,
+                       improvement=improvement)
+
+    @pytest.mark.parametrize("k1, k2", [
+        ((1e200, 0.4), (1e200, 0.1)),
+        # in the forward cone, though k^2 overflows to inf - inf
+        ((1e200, 5e199), (1.1, -0.2))])
+    def test_overflow_raises(self, k1, k2):
+        with pytest.raises(OverflowError):
+            set_kernel(MinkVector(k1), MinkVector(k2), (1, -1), 0, 0)
 
     def test_index_symmetry(self, rng):
         for _ in range(20):
@@ -409,6 +432,18 @@ def _narrow_pair():
     return f1, f2
 
 
+def _divergence_packet(name):
+    """A tensor smearing of the divergence tests: the workload's; unequal
+    widths (s0 != s1); and a carrier with kappa^0 = 3, where
+    k1^0 + k2+/2 - kappa^0 < 0 on part of the grid and the envelope's
+    clamp at 0 holds."""
+    return {"workload": GaussianPacket(MinkVector((0.0, 0.0)), 0.8,
+                                       MinkVector((0.0, 0.0))),
+            "aniso": AnisoGaussian(0.6, 1.1),
+            "carrier": GaussianPacket(MinkVector((0.2, -0.1)), 0.8,
+                                      MinkVector((3.0, 0.5)))}[name]
+
+
 class TestTrim:
     """The kernels skip the grid points whose bound is below _TRIM times
     the largest; _TRIM = 0 keeps every point, the untrimmed sum."""
@@ -469,21 +504,10 @@ class TestTrim:
                                n_inner=16)
         assert exp_points.points == 4 ** 3 * 16
 
-    @staticmethod
-    def _divergence_packet(name):
-        # the workload's tensor smearing; unequal widths (s0 != s1); and a
-        # carrier with kappa^0 = 3, where k1^0 + k2+/2 - kappa^0 < 0 on
-        # part of the grid and the envelope's clamp at 0 holds
-        return {"workload": GaussianPacket(MinkVector((0.0, 0.0)), 0.8,
-                                           MinkVector((0.0, 0.0))),
-                "aniso": AnisoGaussian(0.6, 1.1),
-                "carrier": GaussianPacket(MinkVector((0.2, -0.1)), 0.8,
-                                          MinkVector((3.0, 0.5)))}[name]
-
     @pytest.mark.parametrize("packet", ["workload", "aniso", "carrier"])
     @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
     def test_divergence_matches_untrimmed(self, packet, mu, nu):
-        f = self._divergence_packet(packet)
+        f = _divergence_packet(packet)
         sigmas = (0.4, 0.1, 0.0125)
         got = vacuum_fluctuation_divergence(f, sigmas, mu, nu)["values"]
         want = _divergence_every_exp(f, sigmas, mu=mu, nu=nu,
@@ -496,7 +520,7 @@ class TestTrim:
         # the largest |fhat(k1 + k2)|^2 / A^2 over u >= 0, in closed form:
         # with v = k2-/2 >= 0 the exponent -s0 (b0 + v)^2 - s1 (b1 - v)^2
         # peaks at v* = (s1 b1 - s0 b0) / (s0 + s1), clipped at 0
-        f = self._divergence_packet(packet)
+        f = _divergence_packet(packet)
         _, (s0, s1), (p0, p1), _ = f.gaussian
         k, _ = lightcone_grid_nodes(48, 2.0 * f.reach + 10.0)
         k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
@@ -512,7 +536,7 @@ class TestTrim:
     def test_divergence_skips_most_points(self, exp_points):
         # the workload's packet and widths: the kernel takes np.exp on 34%
         # of the grid points, against 90% untrimmed
-        f = self._divergence_packet("workload")
+        f = _divergence_packet("workload")
         sigmas = [0.4 * 2.0 ** -i for i in range(6)]
         rep = vacuum_fluctuation_divergence(f, sigmas)
         assert exp_points.points <= 0.5 * rep["grid_points"]
@@ -556,18 +580,12 @@ class TestCommutatorLocality:
         assert abs(forward.value) > 1e-4
 
 
-def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24, mu=0, nu=0,
-                          select=True):
-    """vacuum_fluctuation_divergence's values in the kernel's arithmetic
-    (Horner's rule in u, (rows, n_inner) arrays) with np.exp taken on every
-    point it walks (reference).  With select it walks the kernel's rows,
-    order and per-slice prefixes (_divergence_rows); without, every row of
-    every slice in grid order, the untrimmed sum.  Also returns the number
-    of walked points whose exponent is at or above -707 (the kernel flushes
-    the others to 0), the number of k2+ slices with no such point, and the
-    number of walked points on the other slices whose exponent lies in
-    [-746, -707), where exp is tiny or subnormal rather than 0."""
-    amp, (s0, s1), (p0, p1), _ = f.gaussian
+def _divergence_grid(f, n_nodes, mu, nu, select):
+    """The lightcone nodes k, w, the (k1+, k1-) rows' weights w1, m1^2 and
+    lower q1, the kernel's polynomial in k2 (_kernel_lightcone) and each
+    k2+ slice's end of rows of vacuum_fluctuation_divergence.  With select
+    it takes the kernel's rows, order and per-slice prefixes
+    (_divergence_rows); without, every row of every slice in grid order."""
     if select:
         k, w, k1p, k1m, w1, ends = _divergence_rows(f, n_nodes)
     else:
@@ -575,27 +593,101 @@ def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24, mu=0, nu=0,
         k1p, k1m = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
         w1 = np.outer(w, w).ravel()
         ends = [k1p.size] * n_nodes
-    m1sq = k1p * k1m
     q1 = _lower((k1p, k1m))
-    (c0, cp, cm), (dpp, dmm, dpm) = _kernel_lightcone(q1, 1, mu, nu)
+    return k, w, w1, k1p * k1m, q1, _kernel_lightcone(q1, 1, mu, nu), ends
+
+
+def _slice_coefficients(f, q1, kernel, k2p, end):
+    """The exponent and the kernel on the first end rows of the slice k2+
+    as quadratics in u: (g0, g1, g2) each, g2 a number, the exponent's
+    without the weight's own term."""
+    _, (s0, s1), (p0, p1), _ = f.gaussian
+    (c0, cp, cm), (dpp, dmm, dpm) = kernel
+    b0 = q1[0][:end] + 0.5 * k2p - p0
+    b1 = 0.5 * k2p - q1[1][:end] - p1
+    return ((-(s0 * b0 * b0 + s1 * b1 * b1), (s1 * b1 - s0 * b0) / k2p,
+             -0.25 * (s0 + s1) / k2p ** 2),
+            (c0[:end] + (cp[:end] + dpp * k2p) * k2p, dpm + cm[:end] / k2p,
+             dmm / k2p ** 2))
+
+
+def _forms_in_u(f, m1sq, q1, kernel, sigma, n_inner, k2p, end):
+    """The exponent and the kernel on a slice's first end rows, (end,
+    n_inner), by Horner's rule in u at _gauss_legendre's nodes, with the
+    weight's own exponent -((u - m1^2) / sigma)^2 on its own: the
+    divergence's arithmetic before its node basis.  Also returns, for
+    each, the sum of the magnitudes of its terms as a quadratic in u,
+    the weight's exponent expanded, and whether each row's window is
+    clamped at u >= 1e-12."""
+    u, _ = _gauss_legendre(
+        n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:end, None],
+        (m1sq + 6.0 * sigma)[:end, None])
+    m1 = m1sq[:end, None]
+    (g0, g1, g2), (k0, k1, k2) = _slice_coefficients(f, q1, kernel, k2p, end)
+    expo = ((u * g2 + g1[:, None]) * u + g0[:, None]) - \
+        ((u - m1) / sigma) ** 2
+    kern = (u * k2 + k1[:, None]) * u + k0[:, None]
+    (c0, cp, cm), (dpp, dmm, dpm) = kernel
+    expo_terms = np.abs(g0)[:, None] + np.abs(g1[:, None] * u) + \
+        abs(g2) * u * u + ((u + m1) / sigma) ** 2 + 36.0
+    kern_terms = (np.abs(c0[:end]) + np.abs(cp[:end] * k2p) +
+                  abs(dpp) * k2p * k2p)[:, None] + \
+        (abs(dpm) + np.abs(cm[:end] / k2p))[:, None] * u + \
+        abs(dmm / k2p ** 2) * u * u
+    return expo, kern, expo_terms, kern_terms, \
+        m1sq[:end] < 6.0 * sigma
+
+
+def _forms_in_t(f, m1sq, q1, kernel, sigma, n_inner, k2p, end):
+    """The exponent and the kernel on a slice's first end rows, (end,
+    n_inner), in the divergence's arithmetic: at u = lo + half x, x = t + 1
+    and t the Gauss-Legendre nodes on [-1, 1], each a product of its
+    coefficients and the monomials 1, x, x^2 (and t, t^2 for the weight's
+    exponent -(h0 + h1 t)^2)."""
+    t, _ = _legendre_table(n_inner)
+    x = t + 1.0
+    powers = np.stack([np.ones_like(t), x, x * x, t, t * t])
+    lo = np.maximum(m1sq[:end] - 6.0 * sigma, 1e-12)
+    half = 0.5 * (m1sq[:end] + 6.0 * sigma - lo)
+    h1 = half / sigma
+    h0 = (lo - m1sq[:end]) / sigma + h1
+
+    def in_x(g0, g1, g2):
+        g2lo = g2 * lo
+        return [(g1 + g2lo) * lo + g0, (2.0 * g2lo + g1) * half,
+                half * half * g2]
+
+    (g0, g1, g2), kc = _slice_coefficients(f, q1, kernel, k2p, end)
+    ec = in_x(g0, g1, g2)
+    ec[0] = ec[0] + -h0 * h0
+    ec = np.stack(ec + [-2.0 * h0 * h1, -h1 * h1])
+    return ec.T @ powers, np.stack(in_x(*kc)).T @ powers[:3]
+
+
+def _divergence_every_exp(f, sigmas, n_nodes=48, n_inner=24, mu=0, nu=0,
+                          select=True, forms=_forms_in_t):
+    """vacuum_fluctuation_divergence's values in the kernel's arithmetic
+    (forms, by default the node basis, (rows, n_inner) arrays) with np.exp
+    taken on every point it walks (reference).  select as in
+    _divergence_grid.  Also returns the number of walked points whose
+    exponent is at or above -707 (the kernel flushes the others to 0), the
+    number of k2+ slices with no such point, and the number of walked
+    points on the other slices whose exponent lies in [-746, -707), where
+    exp is tiny or subnormal rather than 0."""
+    amp = f.gaussian[0]
+    k, w, w1, m1sq, q1, kernel, ends = _divergence_grid(f, n_nodes, mu, nu,
+                                                        select)
     values, live, dead, flushed = [], 0, 0, 0
     for sigma in sigmas:
         norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        u, wu = _gauss_legendre(
+        _, wu = _gauss_legendre(
             n_inner, np.maximum(m1sq - 6.0 * sigma, 1e-12)[:, None],
             (m1sq + 6.0 * sigma)[:, None])
         weight = w1[:, None] * wu
-        hexp = -((u - m1sq[:, None]) / sigma) ** 2
         total = 0.0
         for k2p, w2p, end in zip(k, w, ends):
-            ue = u[:end]
-            b0 = q1[0][:end] + 0.5 * k2p - p0
-            b1 = 0.5 * k2p - q1[1][:end] - p1
-            expo = ((ue * (-0.25 * (s0 + s1) / k2p ** 2)
-                     + ((s1 * b1 - s0 * b0) / k2p)[:, None]) * ue
-                    - (s0 * b0 * b0 + s1 * b1 * b1)[:, None]) + hexp[:end]
-            kern = (ue * (dmm / k2p ** 2) + (dpm + cm[:end] / k2p)[:, None]) \
-                * ue + (c0[:end] + (cp[:end] + dpp * k2p) * k2p)[:, None]
+            expo, kern = forms(f, m1sq, q1, kernel, sigma, n_inner, k2p,
+                               end)[:2]
             n_live = int(np.count_nonzero(expo >= -707.0))
             live, dead = live + n_live, dead + (n_live == 0)
             if n_live:
@@ -673,6 +765,44 @@ class TestVacuumFluctuation:
         assert flushed > 0
         assert rep["values"] == want
         assert rep["exponentials"] == live
+
+    @pytest.mark.parametrize("packet", ["workload", "aniso", "carrier"])
+    @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
+    def test_node_basis_within_rounding_of_horner_in_u(self, packet, mu, nu):
+        # at every point the kernel walks, its exponent and kernel in the
+        # node variable differ from Horner's rule in u by at most 8 eps
+        # times the sum of the magnitudes of their terms (_forms_in_u);
+        # the widths reach rows whose window is clamped at u >= 1e-12
+        f = _divergence_packet(packet)
+        k, _, _, m1sq, q1, kernel, ends = _divergence_grid(f, 48, mu, nu,
+                                                           True)
+        bound = 8.0 * np.finfo(float).eps
+        clamped = 0
+        for sigma in (0.4, 0.1, 0.0125):
+            for k2p, end in zip(k, ends):
+                if not end:
+                    continue
+                args = (f, m1sq, q1, kernel, sigma, 24, k2p, end)
+                expo_u, kern_u, expo_terms, kern_terms, clamp = \
+                    _forms_in_u(*args)
+                expo, kern = _forms_in_t(*args)
+                assert np.all(np.abs(expo - expo_u) <= bound * expo_terms)
+                assert np.all(np.abs(kern - kern_u) <= bound * kern_terms)
+                clamped += np.count_nonzero(clamp)
+        assert clamped > 0
+
+    @pytest.mark.parametrize("packet", ["workload", "aniso", "carrier"])
+    @pytest.mark.parametrize("mu,nu", [(0, 0), (0, 1), (1, 1)])
+    def test_values_match_horner_in_u(self, packet, mu, nu):
+        # the values of the kernel as it was with Horner's rule in u, its
+        # rows, prefixes and flush unchanged
+        f = _divergence_packet(packet)
+        sigmas = (0.4, 0.1, 0.0125)
+        got = vacuum_fluctuation_divergence(f, sigmas, mu, nu)["values"]
+        want = _divergence_every_exp(f, sigmas, mu=mu, nu=nu,
+                                     forms=_forms_in_u)[0]
+        for g, w in zip(got, want):
+            assert rel_err(g, w) < 1e-13
 
     def test_fast_exp_bound_is_normal(self):
         # e^_EXP_FAST is a normal double, so exp stays off numpy's
@@ -916,8 +1046,11 @@ class TestMemory:
             packet_trio[2], sigmas))
         assert peak < 8e6
 
-    def test_ads_set_matrix_element_peak(self, packet_trio, hpow):
+    def test_ads_reduction_peak(self, packet_trio, hpow):
+        # one 64-row block of G and its factors, contracted with the ket
+        # while in cache: 7.0 MB, against 10.0 MB with G a whole 32 x 600
+        # slice of rows
         f1, f2, f = packet_trio
         peak = _traced_peak(lambda: ads_set_matrix_element(
             0.5, 8.0, f, hpow, f1, hpow, f2, 0, 0, n_outer=32, n_inner=600))
-        assert peak < 50e6
+        assert peak < 8e6
